@@ -4,7 +4,9 @@ Subcommands: profile (solve and export a similarity profile), simulate
 (run the physical solver from a config file), diagnose (transform snapshots
 and emit entropy time series), report (summarize a time series), verify
 (run the acceptance suite).  Exit codes: 0 success, 1 configuration or
-domain error, 2 numerical failure, 3 verification violation.
+domain error, 2 numerical failure, 3 acceptance violation (a failed verify
+check, or a report whose entropy leaves its envelope or whose dissipation
+tail bound fails).
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PhysicalState, SolverConfig, run
+from .dynamics import PhysicalState, RunResult
 from .errors import ConfigError, DomainError, NumericalFailure, SolverFailure
 from .lab import (
+    diagnose,
+    dissipation_check,
     emit_report,
     fit_decay_rate,
     parse_config,
     parse_report,
     read_csv,
     run_experiment,
+    simulate,
     write_csv,
 )
 from .profile import LimitSpec, solve_profile
@@ -56,21 +61,7 @@ def _cmd_simulate(args):
     cfg = parse_config(args.config)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    from .lab import build_initial, cell_grid, tau_schedule
-
-    law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
-    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-    profile = None
-    if not limits.same_limits and cfg.initial_base == "profile":
-        profile = solve_profile(limits, law, dy=cfg.dy)
-    x = cell_grid(cfg.X, cfg.dx)
-    rho0, m0 = build_initial(cfg, x, limits, profile)
-    t_snap = np.expm1(tau_schedule(cfg))
-    scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
-                        snapshot_times=tuple(t_snap[1:]))
-    result = run(PhysicalState(x, rho0, m0, 0.0), scfg, law, limits,
-                 float(t_snap[-1]), scaled_halfwidth=cfg.L_y)
+    result = simulate(cfg)
     header = {"gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
               "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
               "dx": cfg.dx}
@@ -89,87 +80,63 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
+def _read_snapshots(in_dir):
+    """The snapshot files of a simulate run, in time order, as a RunResult."""
+    snapshots = []
+    for path in Path(in_dir).glob("snapshot_*.csv"):
+        meta, cols = read_csv(path)
+        try:
+            snapshots.append(
+                PhysicalState(cols["x"], cols["rho"], cols["m"], meta["t"]))
+        except KeyError as exc:
+            raise ConfigError(f"{path}: missing {exc}") from exc
+    if not snapshots:
+        raise ConfigError(f"no snapshot files in {in_dir}")
+    return RunResult(sorted(snapshots, key=lambda snap: snap.t))
+
+
 def _cmd_diagnose(args):
     cfg = parse_config(args.config)
     if args.reference:
         cfg.reference = args.reference.replace("smoothed_step", "smoothed-step")
     out = Path(args.out)
-
     if args.in_dir:
-        # re-run diagnostics over previously written snapshots
-        from .entropy import error_terms, total_relative_entropy
-        from .lab import make_reference, node_grid, theoretical_bound
-        from .scaling import to_scaled
-
-        law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
-        limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-        profile = None
-        if not limits.same_limits:
-            profile = solve_profile(limits, law, dy=cfg.dy)
-        ref, _ = make_reference(cfg, limits, law, profile)
-        y = node_grid(cfg.L_y, cfg.dy)
-        snaps = sorted(Path(args.in_dir).glob("snapshot_*.csv"),
-                       key=lambda p: float(p.stem.split("_")[1]))
-        if not snaps:
-            raise ConfigError(f"no snapshot files in {args.in_dir}")
-        taus, Es, Ds, X1, X2, X3 = [], [], [], [], [], []
-        for path in snaps:
-            meta, cols = read_csv(path)
-            state = PhysicalState(cols["x"], cols["rho"], cols["m"], meta["t"])
-            fld = to_scaled(state, y)
+        report = diagnose(cfg, _read_snapshots(args.in_dir))
+        for fld in report.fields_scaled:
             write_csv(out.parent / f"scaled_{fld.tau:.6f}.csv",
                       {"tau": fld.tau},
                       {"y": fld.y, "rho": fld.rho, "n": fld.n})
-            totals = total_relative_entropy(fld, ref, cfg.alpha, law)
-            terms = error_terms(fld, ref, fld.tau, cfg.alpha, law)
-            taus.append(fld.tau)
-            Es.append(totals.E)
-            Ds.append(totals.D_alpha)
-            X1.append(terms.Xi[0]); X2.append(terms.Xi[1]); X3.append(terms.Xi[2])
-        taus = np.array(taus)
-        E = np.array(Es)
-        theta = profile.theta if profile is not None else 0.0
-        mu = profile.mu if profile is not None else 0.0
-        K = profile.K_const if profile is not None else 0.0
-        if limits.same_limits or theta > 0:
-            env = theoretical_bound(taus, float(E[0]), theta, mu, K,
-                                    limits.same_limits)
-        else:
-            env = np.full_like(taus, np.nan)
-        res = np.zeros_like(taus)
-        if len(taus) > 1:
-            from .lab import _inequality_residual
-
-            res[1:] = _inequality_residual(
-                taus, E, np.array(Ds),
-                np.array(X1) + np.array(X2) + np.array(X3))
-        write_csv(out, {"theta": theta, "mu": mu, "K_const": K,
-                        "E0": float(E[0])},
-                  {"tau": taus, "E": E, "D_alpha": np.array(Ds),
-                   "Xi1": np.array(X1), "Xi2": np.array(X2),
-                   "Xi3": np.array(X3), "envelope": env,
-                   "ineq_residual": res})
     else:
         report = run_experiment(cfg)
-        emit_report(report, out)
+    emit_report(report, out)
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def _cmd_report(args):
     report = parse_report(args.timeseries)
+    m = report.meta
+    missing = [key for key in ("theta", "mu", "K_const", "E0", "ineq_tol")
+               if key not in m]
+    if missing:
+        raise ConfigError(f"{args.timeseries}: header lacks {', '.join(missing)}")
     tau = report.tau
     print(f"samples: {len(tau)}, tau in [{tau[0]:g}, {tau[-1]:g}]")
     for key in ("theta", "mu", "K_const", "E0"):
-        if key in report.meta:
-            print(f"{key} = {report.meta[key]}")
+        print(f"{key} = {m[key]}")
     print(f"E: {report.E[0]:.6e} -> {report.E[-1]:.6e}")
     if np.all(report.E > 0) and tau[-1] > 0.5:
         rate, rms = fit_decay_rate(report, (min(0.5, tau[-1] / 2), tau[-1]))
         print(f"fitted decay rate {rate:.4f} (rms {rms:.2e})")
-    if np.all(np.isfinite(report.envelope)):
+    within = bool(np.all(report.E <= 1.05 * report.envelope))
+    if np.all(report.envelope > 0):
         print(f"max E/envelope = {np.max(report.E / report.envelope):.4f}")
-    return EXIT_OK
+    diss = dissipation_check(report, m["theta"], m["mu"], m["K_const"], m["E0"])
+    print(f"dissipation tail bound: passed={diss.passed} "
+          f"threshold tau = {diss.threshold:.2f} margin={diss.margin:.4f}")
+    print(f"max inequality residual = {np.max(report.ineq_residual):.3e} "
+          f"(tol {m['ineq_tol']:.3e})")
+    return EXIT_OK if within and diss.passed else EXIT_VIOLATION
 
 
 def _cmd_verify(args):

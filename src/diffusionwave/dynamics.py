@@ -61,7 +61,6 @@ class PhysicalState:
 @dataclass
 class SolverConfig:
     cfl: float = 0.45
-    rho_floor: float = 0.0
     order: int = 2
     snapshot_times: tuple = ()
     # optional hooks for manufactured-solution studies
@@ -73,8 +72,6 @@ class SolverConfig:
             raise ConfigError("cfl must lie in (0, 1/2]")
         if self.order not in (1, 2):
             raise ConfigError("order must be 1 or 2")
-        if self.rho_floor < 0:
-            raise ConfigError("rho_floor must be nonnegative")
 
 
 def physical_flux(rho, m, law):

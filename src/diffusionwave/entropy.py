@@ -16,6 +16,7 @@ from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, VacuumViolation
+from .scaling import ScaledField
 
 __all__ = [
     "ReferencePair",
@@ -391,7 +392,7 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
     data = ref.eval(tau, y, law)
     if np.min(data.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
-    terms = error_terms(ScaledFieldView(tau, y, rho, n), ref, tau, alpha, law)
+    terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
 
     eta_rel, _ = relative_entropy_density(tau, rho, n, data.rho, data.n, law)
     h_rel, _ = law.relative(rho, data.rho)
@@ -420,20 +421,6 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
     )
     v3 = np.count_nonzero(np.abs(terms.xi3) > bound3 + tol(bound3))
     return int(v1 + v2 + v3)
-
-
-@dataclass
-class ScaledFieldView:
-    """Lightweight (tau, y, rho, n) bundle quacking like a ScaledField."""
-
-    tau: float
-    y: np.ndarray
-    rho: np.ndarray
-    n: np.ndarray
-
-    @property
-    def dy(self):
-        return float(self.y[1] - self.y[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,24 @@
 """Experiment harness: configuration, end-to-end runs, envelopes, reports.
 
-Wires the solver, the scaling transform, the similarity profile, and the
-entropy diagnostics into single experiments producing an EntropyReport, plus
-the theoretical decay envelopes, rate fitting, the dissipation tail check,
-and CSV emission/parsing for all artifacts.
+One pipeline, config -> simulate -> snapshots -> diagnose -> report:
+`simulate(cfg)` builds the initial data and runs the solver to a RunResult,
+`diagnose(cfg, run_result)` maps each snapshot to scaling variables and
+measures the relative entropy against the reference in an EntropyReport,
+and `run_experiment(cfg)` chains the two.  Also the theoretical decay
+envelopes, rate fitting, the dissipation tail check, and CSV emission and
+parsing for all artifacts.
 """
 
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import PhysicalState, SolverConfig, run
+from .dynamics import PhysicalState, RunResult, SolverConfig, run
 from .entropy import ReferencePair, error_terms, total_relative_entropy
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .profile import LimitSpec, solve_profile
@@ -25,6 +29,8 @@ __all__ = [
     "ExperimentConfig",
     "EntropyReport",
     "parse_config",
+    "simulate",
+    "diagnose",
     "run_experiment",
     "fit_decay_rate",
     "theoretical_bound",
@@ -71,6 +77,10 @@ class ExperimentConfig:
     ineq_slack: float = 0.05            # coefficient of the inequality tolerance
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.initial_base not in ("step", "profile"):
             raise ConfigError(f"unknown initial_base {self.initial_base!r}")
         if self.perturbation not in ("none", "bump", "ramp"):
@@ -83,6 +93,11 @@ class ExperimentConfig:
             raise ConfigError("grid parameters must be positive")
         if self.width <= 0:
             raise ConfigError("perturbation width must be positive")
+        if _count(2.0 * self.X, self.dx) < 2 or _count(2.0 * self.L_y, self.dy) < 1:
+            raise ConfigError("grids need at least two cells and two y-nodes")
+        if _count(self.tau_max, self.tau_step) < 1:
+            raise ConfigError(
+                "the schedule tau_max/tau_step has no snapshot after tau = 0")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -118,18 +133,22 @@ def parse_config(path):
 # experiment pieces
 
 
+def _count(extent, spacing):
+    return int(round(extent / spacing))
+
+
 def tau_schedule(cfg):
-    n = int(round(cfg.tau_max / cfg.tau_step))
+    n = _count(cfg.tau_max, cfg.tau_step)
     return np.round(np.linspace(0.0, n * cfg.tau_step, n + 1), 12)
 
 
 def cell_grid(halfwidth, spacing):
-    n = int(round(2.0 * halfwidth / spacing))
+    n = _count(2.0 * halfwidth, spacing)
     return (np.arange(n) + 0.5) * (2.0 * halfwidth / n) - halfwidth
 
 
 def node_grid(halfwidth, spacing):
-    n = int(round(2.0 * halfwidth / spacing))
+    n = _count(2.0 * halfwidth, spacing)
     return np.linspace(-halfwidth, halfwidth, n + 1)
 
 
@@ -185,6 +204,8 @@ class EntropyReport:
     envelope: np.ndarray
     ineq_residual: np.ndarray
     meta: dict = field(default_factory=dict)
+    fields_scaled: list = field(default_factory=list)  # ScaledField per snapshot
+    run_result: RunResult | None = None                 # the diagnosed run
 
     @property
     def Xi(self):
@@ -219,12 +240,37 @@ def theoretical_bound(tau, E0, theta, mu, K_const, same_limits):
     return float(out) if out.ndim == 0 else out
 
 
-def run_experiment(cfg):
-    """Simulate, transform to scaling variables, and assemble the report."""
+def simulate(cfg):
+    """Build the initial data and run the solver through the snapshot
+    times expm1(tau_schedule(cfg))."""
+    law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
+    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
+    profile = None
+    if not limits.same_limits and cfg.initial_base == "profile":
+        profile = solve_profile(limits, law, dy=cfg.dy)
+    x = cell_grid(cfg.X, cfg.dx)
+    rho0, m0 = build_initial(cfg, x, limits, profile)
+    t_snap = np.expm1(tau_schedule(cfg))
+    scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
+                        snapshot_times=tuple(t_snap[1:]))
+    return run(PhysicalState(x, rho0, m0, 0.0), scfg, law, limits,
+               float(t_snap[-1]), scaled_halfwidth=cfg.L_y)
+
+
+def diagnose(cfg, run_result):
+    """Transform each snapshot to scaling variables and assemble the
+    relative-entropy report against the configured reference."""
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
     taus = tau_schedule(cfg)
     t_snap = np.expm1(taus)
+    times = np.array([snap.t for snap in run_result.snapshots])
+    if times.shape != t_snap.shape or np.any(
+            np.abs(times - t_snap) > 1e-12 * (1.0 + t_snap)):
+        raise ConfigError(
+            f"snapshot times do not match the schedule of the config "
+            f"({len(times)} snapshots, {len(t_snap)} scheduled)"
+        )
 
     profile = None
     theta = mu = K_const = 0.0
@@ -233,20 +279,12 @@ def run_experiment(cfg):
         theta, mu, K_const = profile.theta, profile.mu, profile.K_const
     ref, ref_kind = make_reference(cfg, limits, law, profile)
 
-    x = cell_grid(cfg.X, cfg.dx)
-    rho0, m0 = build_initial(cfg, x, limits, profile)
-    initial = PhysicalState(x, rho0, m0, 0.0)
-    scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
-                        snapshot_times=tuple(t_snap[1:]))
-    result = run(initial, scfg, law, limits, float(t_snap[-1]),
-                 scaled_halfwidth=cfg.L_y)
-
     y = node_grid(cfg.L_y, cfg.dy)
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
     fields_scaled = []
-    for j, snap in enumerate(result.snapshots):
+    for j, snap in enumerate(run_result.snapshots):
         fld = to_scaled(snap, y)
         fields_scaled.append(fld)
         totals = total_relative_entropy(fld, ref, cfg.alpha, law)
@@ -275,14 +313,17 @@ def run_experiment(cfg):
         "theta_lt_half": bool(same or (0.0 < theta < 0.5)),
         "E0": E0, "ineq_tol": tol,
     }
-    report = EntropyReport(
+    return EntropyReport(
         tau=taus, E=E, D_alpha=D,
         Xi1=Xi[:, 0], Xi2=Xi[:, 1], Xi3=Xi[:, 2],
         envelope=envelope, ineq_residual=residual, meta=meta,
+        fields_scaled=fields_scaled, run_result=run_result,
     )
-    report.fields_scaled = fields_scaled
-    report.run_result = result
-    return report
+
+
+def run_experiment(cfg):
+    """Simulate, transform to scaling variables, and assemble the report."""
+    return diagnose(cfg, simulate(cfg))
 
 
 # ---------------------------------------------------------------------------

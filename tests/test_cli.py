@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from diffusionwave.cli import main
-from diffusionwave.lab import parse_report, read_csv
+from diffusionwave.lab import emit_report, parse_report, read_csv
 
 FAST_CFG = """\
 rho_minus = 1.0
@@ -77,6 +77,41 @@ def test_diagnose_self_contained(tmp_path, cfg_file):
     assert report.E[-1] < report.E[0]
 
 
+@pytest.mark.parametrize("limits", ["coincident", "jump"])
+def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
+    if limits == "jump":
+        cfg_file.write_text(FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
+                            .replace("rho_plus = 1.0", "rho_plus = 0.95"))
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    from_dir, direct = tmp_path / "from_dir.csv", tmp_path / "direct.csv"
+    assert main(["diagnose", "--config", str(cfg_file),
+                 "--in-dir", str(snap_dir), "--out", str(from_dir)]) == 0
+    assert main(["diagnose", "--config", str(cfg_file),
+                 "--out", str(direct)]) == 0
+    assert from_dir.read_bytes() == direct.read_bytes()
+
+    # snapshots of another schedule do not match this config
+    other = tmp_path / "other.cfg"
+    other.write_text(cfg_file.read_text().replace("tau_step = 0.25",
+                                                  "tau_step = 0.125"))
+    assert main(["diagnose", "--config", str(other), "--in-dir", str(snap_dir),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_report_exit_codes(tmp_path, cfg_file):
+    series = tmp_path / "series.csv"
+    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
+    report = parse_report(series)
+    report.E = 2.0 * report.envelope
+    emit_report(report, series)
+    assert main(["report", str(series)]) == 3
+    del report.meta["ineq_tol"]
+    emit_report(report, series)
+    assert main(["report", str(series)]) == 1
+
+
 def test_report_command(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
@@ -94,11 +129,16 @@ def test_unknown_config_key_exits_1(tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 1
 
 
-def test_invalid_config_value_exits_1(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("rho_minus = -1.0\n")
-    assert main(["diagnose", "--config", str(bad),
-                 "--out", str(tmp_path / "s.csv")]) == 1
+def test_invalid_config_value_exits_1(tmp_path, capsys):
+    jump = "rho_minus = 1.05\nrho_plus = 0.95\n"
+    for text in ("rho_minus = -1.0\n", "tau_max = nan\n", "dx = 100\n",
+                 "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
+                 jump + "gamma = inf\n"):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert main(["diagnose", "--config", str(bad),
+                     "--out", str(tmp_path / "s.csv")]) == 1, text
+        assert capsys.readouterr().err.count("\n") == 1, text
 
 
 def test_domain_error_exits_1(tmp_path):

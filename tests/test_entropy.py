@@ -5,7 +5,6 @@ import pytest
 
 from diffusionwave.entropy import (
     ReferencePair,
-    ScaledFieldView,
     coercivity_constants,
     entropy_identity_residual,
     error_terms,
@@ -140,8 +139,8 @@ class TestErrorTerms:
     def test_constant_reference_all_zero(self):
         y = np.linspace(-4, 4, 201)
         rng = np.random.default_rng(14)
-        field = ScaledFieldView(0.5, y, rng.uniform(0.5, 2, y.size),
-                                rng.uniform(-1, 1, y.size))
+        field = ScaledField(0.5, y, rng.uniform(0.5, 2, y.size),
+                            rng.uniform(-1, 1, y.size))
         ref = ReferencePair.constant(1.3)
         terms = error_terms(field, ref, 0.5, 1.0, LAW)
         for arr in (terms.R1, terms.R2, terms.xi1, terms.xi2, terms.xi3):
@@ -156,8 +155,8 @@ class TestErrorTerms:
         y = np.linspace(-8.0, 8.0, 801)
         ref = ReferencePair.from_profile(prof, limits)
         rng = np.random.default_rng(15)
-        field = ScaledFieldView(3.0, y, rng.uniform(0.9, 1.1, y.size),
-                                rng.uniform(-0.1, 0.1, y.size))
+        field = ScaledField(3.0, y, rng.uniform(0.9, 1.1, y.size),
+                            rng.uniform(-0.1, 0.1, y.size))
         terms = error_terms(field, ref, 3.0, 1.0, LAW)
         assert np.max(np.abs(terms.R1)) <= 1e-3
         assert np.max(np.abs(terms.xi3)) <= 1e-2
@@ -186,8 +185,8 @@ class TestErrorTerms:
         )
         y = np.linspace(-3, 3, 301)
         rng = np.random.default_rng(16)
-        field = ScaledFieldView(0.8, y, rng.uniform(0.5, 2, y.size),
-                                rng.uniform(-1, 1, y.size))
+        field = ScaledField(0.8, y, rng.uniform(0.5, 2, y.size),
+                            rng.uniform(-1, 1, y.size))
         terms = error_terms(field, ref, 0.8, alpha, LAW)
         assert np.max(np.abs(terms.R1)) <= 1e-12
         assert np.max(np.abs(terms.R2)) <= 1e-12
