@@ -69,7 +69,7 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
 
     eta_rel = (1/2) e^-tau rho |n/rho - n_bar/rho_bar|^2 + h(rho | rho_bar),
     and q_rel is the matching three-term flux.  A vacuum reference requires a
-    vacuum-admissible law (then h'(0) = 0 and the velocity ratio is zero).
+    vacuum-admissible law (then h'(0) is finite and the velocity ratio is zero).
     """
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)

@@ -1,8 +1,11 @@
 """Barotropic pressure laws and the thermodynamic potentials they induce.
 
 A law p(z) = k z^gamma comes with an internal-energy potential h linked to it
-through p = z h' - h and h'' = p'/z.  Relative (Bregman) versions of p and h
-are the basic bricks of every entropy diagnostic in this package.
+through p = z h' - h and h'' = p'/z.  These fix h only up to a multiple of z;
+the package uses h = k (z^gamma - z)/(gamma-1), which tends to k z log z as
+gamma -> 1, so one formula covers every gamma >= 1 without the 1/(gamma-1)
+blow-up of k z^gamma/(gamma-1).  Relative (Bregman) versions of p and h do not
+see the choice and are the basic bricks of every entropy diagnostic here.
 """
 
 from __future__ import annotations
@@ -56,25 +59,23 @@ class PressureLaw:
     def potential(self, z):
         """Return (h, h', h'') at density z.
 
-        gamma > 1:  h = k z^gamma / (gamma-1); z = 0 is allowed (h = h' = 0,
-        h'' follows the power formula and may be infinite for gamma < 2).
-        gamma = 1:  h = k z log z, defined for z > 0 only.
+        h = k z L(z) and h' = k (gamma L(z) + 1) with
+        L(z) = (z^(gamma-1) - 1)/(gamma-1), read as log z at gamma = 1.
+        z = 0 is allowed for gamma > 1 (h = 0, h' = -k/(gamma-1), h'' follows
+        the power formula and may be infinite for gamma < 2); gamma = 1 needs
+        z > 0.
         """
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise DomainError("density must be nonnegative")
         k, g = self.k, self.gamma
-        if g == 1.0:
-            if np.any(z == 0):
-                raise DomainError("h'(z) diverges at z = 0 for gamma = 1")
-            h = k * z * np.log(z)
-            dh = k * (np.log(z) + 1.0)
-            d2h = k / z
-        else:
-            h = k / (g - 1.0) * z**g
-            dh = k * g / (g - 1.0) * np.where(z > 0, z ** (g - 1), 0.0)
-            with np.errstate(divide="ignore"):
-                d2h = np.where(z > 0, k * g * z ** (g - 2), _d2h_at_zero(k, g))
+        if g == 1.0 and np.any(z == 0):
+            raise DomainError("h'(z) diverges at z = 0 for gamma = 1")
+        lr = _log_ratio(z, g)
+        h = k * z * lr
+        dh = k * (g * lr + 1.0)
+        with np.errstate(divide="ignore"):
+            d2h = np.where(z > 0, k * g * z ** (g - 2), _d2h_at_zero(k, g))
         if h.ndim == 0:
             return float(h), float(dh), float(d2h)
         return h, dh, d2h
@@ -111,7 +112,7 @@ class PressureLaw:
         if self.gamma == 1.0:
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(z > 0, self.k * z * np.log(np.where(z > 0, z, 1.0)), 0.0)
-        return self.k / (self.gamma - 1.0) * z**self.gamma
+        return self.k * z * _log_ratio(z, self.gamma)
 
     # -- vacuum admissibility ----------------------------------------------
 
@@ -125,6 +126,22 @@ class PressureLaw:
         if self.gamma > 1.0:
             return True, self.gamma
         return False, None
+
+
+def _log_ratio(z, g):
+    """(z^(g-1) - 1)/(g-1), read as log z at g = 1.
+
+    For g >= 2 the power is used as it stands: dividing by g - 1 >= 1 loses
+    nothing, and exact powers stay exact.  Below that the difference goes
+    through expm1((g-1) log z), so nothing cancels as g -> 1.
+    """
+    if g >= 2.0:
+        return (z ** (g - 1.0) - 1.0) / (g - 1.0)
+    with np.errstate(divide="ignore"):
+        lz = np.log(z)
+    if g == 1.0:
+        return lz
+    return np.expm1((g - 1.0) * lz) / (g - 1.0)
 
 
 def _d2h_at_zero(k, g):

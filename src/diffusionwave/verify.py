@@ -306,13 +306,15 @@ def check_inequality_suite():
     ok &= v_xi == 0
     msgs.append(f"xi bound violations {v_xi} over 10^5 nodes")
 
-    # vacuum-admissibility inequality rho h'(rho) <= c h(rho|0)
+    # vacuum-admissibility inequality rho (h'(rho) - h'(0)) <= c h(rho|0)
     law3 = PressureLaw(1.0, 1.5)
     _, c = law3.vacuum_admissible()
     rho = 10.0 ** rng.uniform(-6, 2, 100000)
     _, dh, _ = law3.potential(rho)
+    _, dh0, _ = law3.potential(0.0)
     h_rel0, _ = law3.relative(rho, 0.0)
-    v_vac = int(np.count_nonzero(rho * dh > c * h_rel0 + 1e-12 * np.maximum(1.0, h_rel0)))
+    v_vac = int(np.count_nonzero(
+        rho * (dh - dh0) > c * h_rel0 + 1e-12 * np.maximum(1.0, h_rel0)))
     ok &= v_vac == 0
     msgs.append(f"vacuum inequality violations {v_vac}")
 

@@ -38,8 +38,9 @@ class TestPressure:
 
 class TestPotential:
     def test_quadratic(self):
+        # h = k (z^gamma - z)/(gamma-1), h' = k (gamma z^(gamma-1) - 1)/(gamma-1)
         h, dh, d2h = PressureLaw(1.0, 2.0).potential(2.0)
-        assert (h, dh, d2h) == (4.0, 4.0, 2.0)
+        assert (h, dh, d2h) == (2.0, 3.0, 2.0)
         # z h' - h = p
         assert 2.0 * dh - h == 4.0
 
@@ -51,13 +52,14 @@ class TestPotential:
 
     def test_cubic(self):
         h, dh, d2h = PressureLaw(2.0, 3.0).potential(1.0)
-        assert (h, dh, d2h) == (1.0, 3.0, 6.0)
+        assert (h, dh, d2h) == (0.0, 2.0, 6.0)
         _, dp = PressureLaw(2.0, 3.0).pressure(1.0)
         assert 1.0 * d2h == dp
 
     def test_vacuum_allowed_above_one(self):
+        # h'(0) = -k/(gamma-1) is finite exactly when gamma > 1
         h, dh, d2h = PressureLaw(1.0, 3.0).potential(0.0)
-        assert (h, dh) == (0.0, 0.0)
+        assert (h, dh) == (0.0, -0.5)
         assert d2h == 0.0
 
     def test_vacuum_second_derivative_flags(self):
@@ -186,8 +188,30 @@ def test_vacuum_reference_inequality(gamma, rho):
     ok, c = law.vacuum_admissible()
     assert ok
     _, dh, _ = law.potential(rho)
+    _, dh0, _ = law.potential(0.0)
     h_rel, _ = law.relative(rho, 0.0)
-    assert rho * dh <= c * h_rel + 1e-12 * max(1.0, h_rel)
+    assert rho * (dh - dh0) <= c * h_rel + 1e-12 * max(1.0, h_rel)
+
+
+@pytest.mark.parametrize("dg", [1e-6, 1e-10, 2.0**-52])
+def test_relative_near_isothermal(dg):
+    # h(rho|rho_bar) = k rho_bar^g F(rho/rho_bar), F(r) = (r^g - g r + g - 1)/(g - 1),
+    # evaluated in 50-digit arithmetic at the exact binary gamma
+    mpmath = pytest.importorskip("mpmath")
+    law = PressureLaw(1.5, 1.0 + dg)
+    rho = np.array([2.0, 0.5, 1e-3, 40.0, 0.0])
+    rho_bar = np.array([1.0, 3.0, 0.7, 0.02, 1.0])
+    h_rel, p_rel = law.relative(rho, rho_bar)
+    with mpmath.workdps(50):
+        g = mpmath.mpf(law.gamma)
+        for r, rb, got, got_p in zip(rho, rho_bar, h_rel, p_rel):
+            x = mpmath.mpf(r) / mpmath.mpf(rb)
+            exact = law.k * mpmath.mpf(rb) ** g * (x**g - g * x + g - 1) / (g - 1)
+            assert got == pytest.approx(float(exact), rel=1e-12)
+            # p_rel = (g - 1) h_rel is O(g - 1) here: it is formed from the
+            # pressures themselves, so only an absolute bound on their scale holds
+            scale = 1.0 + law.pressure(r)[0]
+            assert got_p == pytest.approx(float((g - 1) * exact), abs=1e-14 * scale)
 
 
 @given(
