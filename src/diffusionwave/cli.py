@@ -196,7 +196,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, SolverFailure) as exc:
+    except (ConfigError, DomainError, SolverFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailure as exc:

@@ -4,10 +4,22 @@ Rusanov (local Lax-Friedrichs) fluxes with optional MUSCL/minmod
 reconstruction, Dirichlet ghost cells frozen at the far-field states, and the
 friction term integrated exactly (m <- m exp(-alpha dt)) in a splitting that
 matches the spatial order: Godunov for order 1, Strang for order 2.
+
+Kernel contract.  Every Rusanov flux comes from one unchecked core,
+`_rusanov`, which evaluates m^2/rho, u, p and sqrt(p') once per face state.
+`numerical_flux` is the domain checks plus that core, and `max_wavespeed`
+shares its speed code; `physical_flux` stays a separate public reference.
+When every face density is > 0 the core skips the 0/0 := 0 masks, each of
+which would pick the quotient there; otherwise (vacuum faces) the masked
+arithmetic runs.  Either way the bits equal those of `numerical_flux`.  The
+time loop checks states, not faces: `_check` rejects NaN, inf and negative
+density after each stage, a step whose CFL dt is not finite and positive is
+a NumericalFailure, and every new state is a validated PhysicalState.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,14 +86,18 @@ class SolverConfig:
             raise ConfigError("order must be 1 or 2")
 
 
-def physical_flux(rho, m, law):
-    """Exact flux (m, m^2/rho + p(rho)) with the 0/0 := 0 vacuum convention."""
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
+def _validate(rho, m):
     if np.any(rho < 0):
         raise DomainError("density must be nonnegative")
     if np.any((rho == 0) & (m != 0)):
         raise VacuumViolation("vacuum state with nonzero momentum")
+
+
+def physical_flux(rho, m, law):
+    """Exact flux (m, m^2/rho + p(rho)) with the 0/0 := 0 vacuum convention."""
+    rho = np.asarray(rho, dtype=float)
+    m = np.asarray(m, dtype=float)
+    _validate(rho, m)
     p, _ = law.pressure(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         kin = np.where(rho > 0, m * m / np.where(rho > 0, rho, 1.0), 0.0)
@@ -92,93 +108,168 @@ def physical_flux(rho, m, law):
     return f_rho, f_m
 
 
-def _speed(rho, m, law):
-    _, dp = law.pressure(rho)
+# -- flux core ---------------------------------------------------------------
+# Unchecked: densities are >= 0 (or NaN) and vacuum carries m = 0.  Each face
+# state's m^2/rho, u, p and sqrt(p') is evaluated once.  Where no density is
+# zero every 0/0 := 0 mask would pick the quotient, so that case skips them;
+# both branches give the same bits.
+
+
+def _vacuum_free(rho):
+    # NaN compares false and so takes the masked branch
+    return rho.min(initial=np.inf) > 0
+
+
+def _quotient(num, rho, vacuum_free, out=None):
+    """num/rho, read as 0 where rho = 0 (out is only used without vacuum)."""
+    if vacuum_free:
+        return np.divide(num, rho, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(rho > 0, m / np.where(rho > 0, rho, 1.0), 0.0)
-    return np.abs(u) + np.sqrt(np.maximum(dp, 0.0))
+        return np.where(rho > 0, num / np.where(rho > 0, rho, 1.0), 0.0)
+
+
+def _speed(rho, m, dp, vacuum_free):
+    """|u| + sqrt(p'); dp >= 0 is overwritten."""
+    s = _quotient(m, rho, vacuum_free)
+    np.abs(s, out=s)
+    s += np.sqrt(dp, out=dp)
+    return s
+
+
+def _face(rho, m, law, vacuum_free):
+    """Momentum flux m^2/rho + p and wavespeed |u| + sqrt(p') of face states."""
+    p, dp = law._p_dp(rho)
+    mm = m * m
+    f_m = _quotient(mm, rho, vacuum_free, out=mm)
+    f_m += p
+    return f_m, _speed(rho, m, dp, vacuum_free)
+
+
+def _rusanov(rho_l, m_l, rho_r, m_r, law):
+    """Rusanov fluxes (f_rho, f_m) on same-shape float arrays of face states."""
+    fm_l, s = _face(rho_l, m_l, law, _vacuum_free(rho_l))
+    fm_r, s_r = _face(rho_r, m_r, law, _vacuum_free(rho_r))
+    np.maximum(s, s_r, out=s)
+    s *= 0.5
+    f_rho = m_l + m_r
+    f_rho *= 0.5
+    jump = rho_r - rho_l
+    jump *= s
+    f_rho -= jump
+    f_m = fm_l
+    f_m += fm_r
+    f_m *= 0.5
+    np.subtract(m_r, m_l, out=jump)
+    jump *= s
+    f_m -= jump
+    return f_rho, f_m
 
 
 def max_wavespeed(rho, m, law):
-    return float(np.max(_speed(rho, m, law)))
+    """max |u| + sqrt(p'(rho)); DomainError on a negative density."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    m = np.atleast_1d(np.asarray(m, dtype=float))
+    _, dp = law.pressure(rho)
+    return float(np.max(_speed(rho, m, dp, _vacuum_free(rho))))
 
 
 def numerical_flux(left, right, law):
-    """Rusanov flux: central average minus local-wavespeed upwinding."""
-    rho_l, m_l = left
-    rho_r, m_r = right
-    f_rho_l, f_m_l = physical_flux(rho_l, m_l, law)
-    f_rho_r, f_m_r = physical_flux(rho_r, m_r, law)
-    s = np.maximum(_speed(np.asarray(rho_l, float), np.asarray(m_l, float), law),
-                   _speed(np.asarray(rho_r, float), np.asarray(m_r, float), law))
-    f_rho = 0.5 * (np.asarray(f_rho_l) + f_rho_r) - 0.5 * s * (np.asarray(rho_r, float) - rho_l)
-    f_m = 0.5 * (np.asarray(f_m_l) + f_m_r) - 0.5 * s * (np.asarray(m_r, float) - m_l)
-    if np.ndim(f_m) == 0:
-        return float(f_rho), float(f_m)
+    """Rusanov flux: central average minus local-wavespeed upwinding.
+
+    The domain checks of `physical_flux` on both states, then `_rusanov`.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in (*left, *right)]
+    _validate(*arrays[:2])
+    _validate(*arrays[2:])
+    f_rho, f_m = _rusanov(*np.broadcast_arrays(*np.atleast_1d(*arrays)), law)
+    if np.broadcast(*arrays).ndim == 0:
+        return float(f_rho[0]), float(f_m[0])
     return f_rho, f_m
 
 
 def _minmod(a, b):
-    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+    """Where a and b share a sign, the one smaller in magnitude; else 0."""
+    out = np.abs(a)
+    tmp = np.abs(b)
+    np.minimum(out, tmp, out=out)
+    np.copysign(out, a, out=out)   # where a value is kept, a and b share a sign
+    np.multiply(a, b, out=tmp)
+    np.copyto(out, 0.0, where=~(tmp > 0))
+    return out
 
 
-def _ghosts(cfg, limits, t, x, dx):
-    if cfg.ghost_states is not None:
-        xg_l = x[0] - dx * np.array([2.0, 1.0])
-        xg_r = x[-1] + dx * np.array([1.0, 2.0])
-        rl, ml = cfg.ghost_states(t, xg_l)
-        rr, mr = cfg.ghost_states(t, xg_r)
-        return (np.asarray(rl, float), np.asarray(ml, float),
-                np.asarray(rr, float), np.asarray(mr, float))
-    rl = np.full(2, limits.rho_minus)
-    rr = np.full(2, limits.rho_plus)
-    return rl, np.zeros(2), rr, np.zeros(2)
+# first-order fallback next to cells below this density
+_NEAR_VACUUM = 1e-8
+
+
+def _padded(rho, m, t, x, dx, cfg, limits):
+    """(R, M): cell values plus two ghost cells at each end, in one buffer."""
+    R, M = np.empty((2, rho.size + 4))
+    R[2:-2] = rho
+    M[2:-2] = m
+    if cfg.ghost_states is None:
+        R[:2], R[-2:] = limits.rho_minus, limits.rho_plus
+        M[:2] = M[-2:] = 0.0
+        return R, M
+    for side, xg in ((slice(None, 2), x[0] - dx * np.array([2.0, 1.0])),
+                     (slice(-2, None), x[-1] + dx * np.array([1.0, 2.0]))):
+        rg, mg = (np.asarray(v, dtype=float) for v in cfg.ghost_states(t, xg))
+        _validate(rg, mg)
+        R[side], M[side] = rg, mg
+    return R, M
 
 
 def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
     """Flux divergence (and boundary fluxes) of one spatial evaluation."""
-    rl, ml, rr, mr = _ghosts(cfg, limits, t, x, dx)
-    R = np.concatenate([rl, rho, rr])
-    M = np.concatenate([ml, m, mr])
+    R, M = _padded(rho, m, t, x, dx, cfg, limits)
 
     if cfg.order == 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            U = np.where(R > 0, M / np.where(R > 0, R, 1.0), 0.0)
-        slope_r = _minmod(R[1:-1] - R[:-2], R[2:] - R[1:-1])
-        slope_u = _minmod(U[1:-1] - U[:-2], U[2:] - U[1:-1])
-        # first-order fallback next to (near-)vacuum cells
-        near_vac = (R[:-2] < 1e-8) | (R[1:-1] < 1e-8) | (R[2:] < 1e-8)
-        slope_r = np.where(near_vac, 0.0, slope_r)
-        slope_u = np.where(near_vac, 0.0, slope_u)
-        r_minus = R[1:-1] - 0.5 * slope_r          # left face of each cell
-        r_plus = R[1:-1] + 0.5 * slope_r           # right face
-        u_minus = U[1:-1] - 0.5 * slope_u
-        u_plus = U[1:-1] + 0.5 * slope_u
-        r_minus = np.maximum(r_minus, 0.0)
-        r_plus = np.maximum(r_plus, 0.0)
-        left_state = (r_plus[:-1], r_plus[:-1] * u_plus[:-1])
-        right_state = (r_minus[1:], r_minus[1:] * u_minus[1:])
+        low = R.min()
+        U = _quotient(M, R, low > 0, out=M)
+        dR = np.diff(R)
+        dU = np.diff(U)
+        slope_r = _minmod(dR[:-1], dR[1:])
+        slope_u = _minmod(dU[:-1], dU[1:])
+        if not low >= _NEAR_VACUUM:
+            near = R < _NEAR_VACUUM
+            near_vac = near[:-2] | near[1:-1] | near[2:]
+            slope_r[near_vac] = 0.0
+            slope_u[near_vac] = 0.0
+        slope_r *= 0.5
+        slope_u *= 0.5
+        # right face of cell j meets left face of cell j + 1
+        rho_l = R[1:-2] + slope_r[:-1]
+        rho_r = R[2:-1] - slope_r[1:]
+        np.maximum(rho_l, 0.0, out=rho_l)
+        np.maximum(rho_r, 0.0, out=rho_r)
+        m_l = U[1:-2] + slope_u[:-1]
+        m_l *= rho_l
+        m_r = U[2:-1] - slope_u[1:]
+        m_r *= rho_r
     else:
-        left_state = (R[1:-2], M[1:-2])
-        right_state = (R[2:-1], M[2:-1])
+        rho_l, m_l, rho_r, m_r = R[1:-2], M[1:-2], R[2:-1], M[2:-1]
 
     # N+1 interface fluxes bordering the N physical cells
-    f_rho, f_m = numerical_flux(left_state, right_state, law)
-    drho = -(f_rho[1:] - f_rho[:-1]) / dx
-    dm = -(f_m[1:] - f_m[:-1]) / dx
+    f_rho, f_m = _rusanov(rho_l, m_l, rho_r, m_r, law)
+    drho = np.diff(f_rho)
+    drho /= -dx
+    dm = np.diff(f_m)
+    dm /= -dx
     if cfg.forcing is not None:
         s_rho, s_m = cfg.forcing(t, x)
-        drho = drho + s_rho
-        dm = dm + s_m
+        drho += s_rho
+        dm += s_m
     boundary = (f_rho[0], f_rho[-1], f_m[0], f_m[-1])
     return drho, dm, boundary
 
 
 def _check(rho, m):
-    if np.any(np.isnan(rho)) or np.any(np.isnan(m)):
-        raise NumericalFailure("NaN detected during time stepping")
-    if np.min(rho) < 0:
-        raise NumericalFailure(f"negative density {np.min(rho):.3e}")
+    # a NaN or inf anywhere makes its sum non-finite
+    if not (math.isfinite(rho.sum()) and math.isfinite(m.sum())):
+        raise NumericalFailure("NaN or inf detected during time stepping")
+    low = rho.min()
+    if low < 0:
+        raise NumericalFailure(f"negative density {low:.3e}")
 
 
 @dataclass
@@ -189,15 +280,28 @@ class StepAudit:
     damping_sink: float    # integral of alpha * m over cells and the step
 
 
+def _cfl_dt(state, cfg, law):
+    smax = max_wavespeed(state.rho, state.m, law)
+    dt = cfg.cfl * state.dx / max(smax, 1e-14)
+    if not (math.isfinite(dt) and dt > 0):
+        raise NumericalFailure(
+            f"CFL time step {dt!r} at t = {state.t!r} is not finite and positive")
+    return dt
+
+
+def _axpy(a, x, y):
+    """a x + y, in x's storage."""
+    x *= a
+    x += y
+    return x
+
+
 def _advance(state, cfg, law, alpha, limits, dt=None):
     x, dx, t = state.x, state.dx, state.t
     rho, m = state.rho, state.m
 
     if dt is None:
-        smax = max_wavespeed(rho, m, law)
-        if smax <= 0:
-            smax = 1e-14
-        dt = cfg.cfl * dx / smax
+        dt = _cfl_dt(state, cfg, law)
     half = np.exp(-alpha * dt / 2.0)
     full = np.exp(-alpha * dt)
 
@@ -206,12 +310,14 @@ def _advance(state, cfg, law, alpha, limits, dt=None):
         m1 = m * half
         sink += np.sum(m - m1) * dx if alpha > 0 else 0.0
         d1, e1, b1 = _hyperbolic_rhs(rho, m1, t, x, dx, cfg, law, limits)
-        rho_s = rho + dt * d1
-        m_s = m1 + dt * e1
+        rho_s = _axpy(dt, d1, rho)
+        m_s = _axpy(dt, e1, m1)
         _check(rho_s, m_s)
         d2, e2, b2 = _hyperbolic_rhs(rho_s, m_s, t + dt, x, dx, cfg, law, limits)
-        rho_n = 0.5 * (rho + rho_s + dt * d2)
-        m_n = 0.5 * (m1 + m_s + dt * e2)
+        rho_n = _axpy(dt, d2, rho + rho_s)
+        rho_n *= 0.5
+        m_n = _axpy(dt, e2, m1 + m_s)
+        m_n *= 0.5
         _check(rho_n, m_n)
         m2 = m_n * half
         sink += np.sum(m_n - m2) * dx if alpha > 0 else 0.0
@@ -219,8 +325,8 @@ def _advance(state, cfg, law, alpha, limits, dt=None):
         fm = tuple(0.5 * dt * (a + b) for a, b in zip(b1, b2))
     else:
         d1, e1, b1 = _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits)
-        rho_n = rho + dt * d1
-        m_n = m + dt * e1
+        rho_n = _axpy(dt, d1, rho)
+        m_n = _axpy(dt, e1, m)
         _check(rho_n, m_n)
         mg = m_n * full
         sink += np.sum(m_n - mg) * dx if alpha > 0 else 0.0
@@ -275,8 +381,7 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     warned = False
 
     while state.t < t_end * (1 - 1e-14):
-        smax = max_wavespeed(state.rho, state.m, law)
-        dt = cfg.cfl * state.dx / max(smax, 1e-14)
+        dt = _cfl_dt(state, cfg, law)
         t_next = pending[0] if pending else t_end
         dt = min(dt, t_next - state.t, t_end - state.t)
         state, audit = _advance(state, cfg, law, alpha=limits.alpha, limits=limits, dt=dt)

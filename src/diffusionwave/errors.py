@@ -14,7 +14,8 @@ class ConfigError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """NaN or negative density during time stepping (CLI exit code 2)."""
+    """NaN, inf or negative density, or a collapsed CFL step, during time
+    stepping (CLI exit code 2)."""
 
 
 class SolverFailure(RuntimeError):

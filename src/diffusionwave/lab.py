@@ -133,8 +133,18 @@ def parse_config(path):
 # experiment pieces
 
 
+# most cells, y-nodes or snapshots a config may ask for: ~170x the acceptance
+# grids, and small enough that nothing huge is allocated before a run fails
+_MAX_COUNT = 10**6
+
+
 def _count(extent, spacing):
-    return int(round(extent / spacing))
+    ratio = extent / spacing
+    if not ratio <= _MAX_COUNT:
+        raise ConfigError(
+            f"{extent!r}/{spacing!r} asks for {ratio:.3g} cells, nodes or "
+            f"snapshots; at most {_MAX_COUNT} are allowed")
+    return int(round(ratio))
 
 
 def tau_schedule(cfg):
@@ -419,25 +429,32 @@ def read_csv(path):
         if names is None:
             names = [s.strip() for s in line.split(",")]
             continue
-        rows.append([float(s) for s in line.split(",")])
+        try:
+            row = [float(s) for s in line.split(",")]
+        except ValueError:
+            row = []
+        if len(row) != len(names):
+            raise ConfigError(f"{path}: not a numeric row of {len(names)}: {raw!r}")
+        rows.append(row)
     data = np.array(rows, dtype=float) if rows else np.empty((0, len(names or [])))
     columns = {name: data[:, j] for j, name in enumerate(names or [])}
     return comments, columns
 
 
+_SERIES_COLUMNS = ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
+                   "ineq_residual")
+
+
 def emit_report(report, path):
-    write_csv(path, report.meta, {
-        "tau": report.tau, "E": report.E, "D_alpha": report.D_alpha,
-        "Xi1": report.Xi1, "Xi2": report.Xi2, "Xi3": report.Xi3,
-        "envelope": report.envelope, "ineq_residual": report.ineq_residual,
-    })
+    write_csv(path, report.meta,
+              {name: getattr(report, name) for name in _SERIES_COLUMNS})
 
 
 def parse_report(path):
     meta, cols = read_csv(path)
-    return EntropyReport(
-        tau=cols["tau"], E=cols["E"], D_alpha=cols["D_alpha"],
-        Xi1=cols["Xi1"], Xi2=cols["Xi2"], Xi3=cols["Xi3"],
-        envelope=cols["envelope"], ineq_residual=cols["ineq_residual"],
-        meta=meta,
-    )
+    missing = [name for name in _SERIES_COLUMNS if name not in cols]
+    if missing:
+        raise ConfigError(
+            f"{path}: not an entropy series, no column {', '.join(missing)}")
+    return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS},
+                         meta=meta)

@@ -43,16 +43,19 @@ class PressureLaw:
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise DomainError("density must be nonnegative")
-        k, g = self.k, self.gamma
-        p = k * z**g
-        if g == 1.0:
-            dp = np.full_like(z, k)
-        else:
-            with np.errstate(divide="ignore"):
-                dp = np.where(z > 0, k * g * z ** (g - 1), 0.0)
+        p, dp = self._p_dp(z)
         if p.ndim == 0:
             return float(p), float(dp)
         return p, dp
+
+    def _p_dp(self, z):
+        """(p, p') at a float array z >= 0, without the domain check.
+
+        One formula for every gamma >= 1: z^(gamma-1) at z = 0 is 0 for
+        gamma > 1 and 1 for gamma = 1, so p'(0) is 0 and k respectively.
+        """
+        k, g = self.k, self.gamma
+        return k * z**g, k * g * z ** (g - 1)
 
     # -- potential ----------------------------------------------------------
 

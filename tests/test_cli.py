@@ -1,10 +1,15 @@
 """Command-line interface: subcommand smoke tests and exit codes."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diffusionwave
 from diffusionwave.cli import main
 from diffusionwave.lab import emit_report, parse_report, read_csv
 
@@ -100,7 +105,7 @@ def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
                  "--out", str(tmp_path / "s.csv")]) == 1
 
 
-def test_report_exit_codes(tmp_path, cfg_file):
+def test_report_exit_codes(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
     report = parse_report(series)
@@ -110,6 +115,14 @@ def test_report_exit_codes(tmp_path, cfg_file):
     del report.meta["ineq_tol"]
     emit_report(report, series)
     assert main(["report", str(series)]) == 1
+    # not an entropy series: a simulate snapshot, a config file, no file
+    snap_dir = tmp_path / "snaps"
+    main(["simulate", "--config", str(cfg_file), "--out-dir", str(snap_dir)])
+    snapshot = sorted(snap_dir.glob("snapshot_*.csv"))[0]
+    capsys.readouterr()
+    for path in (snapshot, cfg_file, tmp_path / "missing.csv"):
+        assert main(["report", str(path)]) == 1, path
+        assert capsys.readouterr().err.count("\n") == 1, path
 
 
 def test_report_command(tmp_path, cfg_file, capsys):
@@ -133,7 +146,7 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     jump = "rho_minus = 1.05\nrho_plus = 0.95\n"
     for text in ("rho_minus = -1.0\n", "tau_max = nan\n", "dx = 100\n",
                  "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
-                 jump + "gamma = inf\n"):
+                 jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert main(["diagnose", "--config", str(bad),
@@ -154,3 +167,11 @@ def test_diagnose_missing_snapshots_exits_1(tmp_path, cfg_file):
     empty.mkdir()
     assert main(["diagnose", "--config", str(cfg_file),
                  "--in-dir", str(empty), "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def test_python_dash_m_runs_from_a_checkout():
+    src = str(Path(diffusionwave.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "diffusionwave", "--help"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0 and "usage: diffusionwave" in out.stdout

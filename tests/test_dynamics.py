@@ -4,17 +4,29 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusionwave.dynamics import (
     PhysicalState,
     SolverConfig,
+    _check,
+    _face,
+    _hyperbolic_rhs,
+    _minmod,
+    _rusanov,
     max_wavespeed,
     numerical_flux,
     physical_flux,
     run,
     step,
 )
-from diffusionwave.errors import ConfigError, VacuumViolation
+from diffusionwave.errors import (
+    ConfigError,
+    DomainError,
+    NumericalFailure,
+    VacuumViolation,
+)
 from diffusionwave.profile import LimitSpec
 from diffusionwave.thermo import PressureLaw
 
@@ -48,6 +60,153 @@ class TestFlux:
         assert max_wavespeed(np.array([1.0]), np.array([2.0]), LAW) == pytest.approx(
             2.0 + np.sqrt(2.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel against the scheme written out with the public pieces:
+# physical_flux, the masked velocity and the np.where minmod.  Every
+# comparison is of the raw bytes, signed zeros included.
+
+
+def _same_bits(*pairs):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in pairs)
+
+
+def _ref_velocity(rho, m):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(rho > 0, m / np.where(rho > 0, rho, 1.0), 0.0)
+
+
+def _ref_rusanov(rho_l, m_l, rho_r, m_r, law):
+    f_rho_l, f_m_l = physical_flux(rho_l, m_l, law)
+    f_rho_r, f_m_r = physical_flux(rho_r, m_r, law)
+    speeds = [np.abs(_ref_velocity(rho, m)) + np.sqrt(np.maximum(law.pressure(rho)[1], 0.0))
+              for rho, m in ((rho_l, m_l), (rho_r, m_r))]
+    s = np.maximum(*speeds)
+    return (0.5 * (f_rho_l + f_rho_r) - 0.5 * s * (rho_r - rho_l),
+            0.5 * (f_m_l + f_m_r) - 0.5 * s * (m_r - m_l))
+
+
+def _ref_minmod(a, b):
+    return np.where(a * b > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+
+
+def _ref_rhs(rho, m, dx, order, law, limits):
+    R = np.concatenate([[limits.rho_minus] * 2, rho, [limits.rho_plus] * 2])
+    M = np.concatenate([[0.0, 0.0], m, [0.0, 0.0]])
+    if order == 2:
+        U = _ref_velocity(R, M)
+        slope_r = _ref_minmod(R[1:-1] - R[:-2], R[2:] - R[1:-1])
+        slope_u = _ref_minmod(U[1:-1] - U[:-2], U[2:] - U[1:-1])
+        near_vac = (R[:-2] < 1e-8) | (R[1:-1] < 1e-8) | (R[2:] < 1e-8)
+        slope_r = np.where(near_vac, 0.0, slope_r)
+        slope_u = np.where(near_vac, 0.0, slope_u)
+        r_minus = np.maximum(R[1:-1] - 0.5 * slope_r, 0.0)
+        r_plus = np.maximum(R[1:-1] + 0.5 * slope_r, 0.0)
+        u_minus = U[1:-1] - 0.5 * slope_u
+        u_plus = U[1:-1] + 0.5 * slope_u
+        faces = (r_plus[:-1], r_plus[:-1] * u_plus[:-1],
+                 r_minus[1:], r_minus[1:] * u_minus[1:])
+    else:
+        faces = (R[1:-2], M[1:-2], R[2:-1], M[2:-1])
+    f_rho, f_m = _ref_rusanov(*faces, law)
+    return -(f_rho[1:] - f_rho[:-1]) / dx, -(f_m[1:] - f_m[:-1]) / dx
+
+
+_GAMMAS = st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=4.0))
+
+
+@st.composite
+def _face_states(draw, vacuum=True):
+    n = draw(st.integers(min_value=1, max_value=30))
+    density = st.floats(min_value=1e-12, max_value=1e3)
+    if vacuum:
+        density = st.one_of(st.just(0.0), density)
+    momentum = st.floats(min_value=-1e3, max_value=1e3)
+    out = []
+    for _ in range(2):
+        rho = np.array(draw(st.lists(density, min_size=n, max_size=n)))
+        m = np.array(draw(st.lists(momentum, min_size=n, max_size=n)))
+        out += [rho, np.where(rho > 0, m, 0.0)]
+    return out
+
+
+@given(faces=_face_states(), gamma=_GAMMAS, k=st.floats(min_value=0.1, max_value=10.0))
+@settings(max_examples=300)
+def test_rusanov_matches_numerical_flux(faces, gamma, k):
+    law = PressureLaw(k, gamma)
+    rho_l, m_l, rho_r, m_r = faces
+    fused = _rusanov(rho_l, m_l, rho_r, m_r, law)
+    public = numerical_flux((rho_l, m_l), (rho_r, m_r), law)
+    reference = _ref_rusanov(rho_l, m_l, rho_r, m_r, law)
+    assert _same_bits(*zip(fused, public), *zip(fused, reference))
+
+
+@given(faces=_face_states(vacuum=False), gamma=_GAMMAS)
+@settings(max_examples=200)
+def test_face_fast_path_matches_masked(faces, gamma):
+    law = PressureLaw(1.5, gamma)
+    rho, m = faces[:2]
+    assert _same_bits(*zip(_face(rho, m, law, True), _face(rho, m, law, False)))
+
+
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-200, -1e-200,
+            np.inf, -np.inf, np.nan]
+
+
+def test_minmod_matches_where_form_on_specials():
+    a, b = (np.array(v) for v in zip(*[(x, y) for x in _SPECIAL for y in _SPECIAL]))
+    with np.errstate(all="ignore"):
+        assert _same_bits((_minmod(a, b), _ref_minmod(a, b)))
+
+
+@given(pairs=st.lists(st.tuples(st.one_of(st.sampled_from(_SPECIAL), st.floats()),
+                                st.one_of(st.sampled_from(_SPECIAL), st.floats())),
+                      min_size=1, max_size=20))
+@settings(max_examples=300)
+def test_minmod_matches_where_form(pairs):
+    a, b = (np.array(v) for v in zip(*pairs))
+    with np.errstate(all="ignore"):
+        assert _same_bits((_minmod(a, b), _ref_minmod(a, b)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_hyperbolic_rhs_matches_reference_scheme(gamma, order):
+    rng = np.random.default_rng(7)
+    n, dx = 300, 0.05
+    x = (np.arange(n) + 0.5) * dx
+    rho = rng.uniform(0.2, 2.0, n)
+    rho[40:60] = 0.0
+    rho[[100, 101, 180]] = 1e-9
+    m = np.where(rho > 0, rng.normal(0.0, 0.5, n), 0.0)
+    law = PressureLaw(1.3, gamma)
+    drho, dm, _ = _hyperbolic_rhs(rho, m, 0.0, x, dx, SolverConfig(order=order), law, UNIT)
+    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
+
+
+@pytest.mark.parametrize("rho_bad,m_bad", [(np.inf, 0.0), (np.nan, 0.0), (1.0, -np.inf),
+                                           (1.0, np.inf), (-1e-3, 0.0)])
+def test_check_rejects_nonfinite_and_negative(rho_bad, m_bad):
+    rho, m = np.ones(5), np.zeros(5)
+    _check(rho, m)
+    rho[2], m[2] = rho_bad, m_bad
+    with pytest.raises(NumericalFailure):
+        _check(rho, m)
+
+
+def test_run_rejects_nonfinite_cfl_step():
+    state = _constant_state(m=0.0)
+    state.m[7] = np.inf   # infinite wavespeed: the CFL step would be 0
+    with pytest.raises(NumericalFailure, match="time step"):
+        run(state, SolverConfig(), LAW, UNIT, 1.0)
+
+
+def test_ghost_hook_states_are_validated():
+    state = _constant_state(m=0.0)
+    cfg = SolverConfig(ghost_states=lambda t, xg: (-np.ones_like(xg), np.zeros_like(xg)))
+    with pytest.raises(DomainError):
+        step(state, cfg, LAW, 0.0, UNIT)
 
 
 def _constant_state(n=240, dx=0.1, rho=1.0, m=1.0):
