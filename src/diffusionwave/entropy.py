@@ -4,11 +4,18 @@ Entropy pair, relative entropy/flux densities, totals and dissipation,
 residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, the coercivity constants, and the generalized
 Gronwall bound used by the decay envelopes.
+
+The constant, smoothed-step and profile references are steady: their values
+do not depend on tau (the similarity profile is a fixed point in scaling
+variables).  `total_relative_entropy`, `error_terms` and `xi_bound_check`
+evaluate a steady reference once per (y-grid, law) and share the read-only
+result, with u, u_y and h''(rho_bar), across every later tau; analytic
+references are evaluated at each tau.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,9 +107,19 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
 # reference pairs
 
 
-@dataclass
+def _read_only(a):
+    """A read-only view: the caller's array keeps its own flags."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True)
 class RefData:
-    """A reference pair evaluated on a y-grid, with first derivatives."""
+    """A reference pair evaluated on a y-grid, with first derivatives, the
+    velocity u = n/rho, its derivative u_y and h''(rho).  Every array is
+    read-only, because a steady pair hands the same RefData to every
+    snapshot."""
 
     rho: np.ndarray
     n: np.ndarray
@@ -111,14 +128,18 @@ class RefData:
     n_tau: np.ndarray
     n_y: np.ndarray
     p_y: np.ndarray  # centered difference of p(rho_bar), used by the residuals
+    u: np.ndarray
+    u_y: np.ndarray
+    d2h: np.ndarray
 
-    @property
-    def u(self):
-        return _ratio(self.n, self.rho)
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
 
-    @property
-    def u_y(self):
-        return (self.n_y * self.rho - self.n * self.rho_y) / self.rho**2
+
+# "analytic" pairs may depend on tau; the other kinds are made by the
+# constructors below, whose callables ignore tau
+_KINDS = ("constant", "smoothed_step", "profile", "analytic")
 
 
 @dataclass(frozen=True)
@@ -126,7 +147,10 @@ class ReferencePair:
     """Reference (rho_bar, n_bar) as callables of (tau, y).
 
     Derivative callables are optional; missing ones fall back to centered
-    differences with the evaluation grid spacing.
+    differences with the evaluation grid spacing.  `kind` is one of
+    "constant", "smoothed_step", "profile" and "analytic".  Every kind but
+    "analytic" promises callables that ignore tau: such a pair is steady,
+    and `cached_eval` keeps its evaluation for the last grid.
     """
 
     kind: str
@@ -136,6 +160,13 @@ class ReferencePair:
     rho_y: Optional[Callable] = None
     n_tau: Optional[Callable] = None
     n_y: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown reference kind {self.kind!r}; "
+                              f"expected one of {', '.join(_KINDS)}")
+        # [y, law, RefData] of the last grid a steady pair was evaluated on
+        object.__setattr__(self, "_memo", [])
 
     # -- constructors -------------------------------------------------------
 
@@ -229,15 +260,40 @@ class ReferencePair:
         p_minus, _ = law.pressure(np.asarray(self.rho(tau, y - h), dtype=float))
         p_y = (np.asarray(p_plus) - p_minus) / (2 * h)
 
+        rho_y = d_y(self.rho, self.rho_y)
+        n_y = d_y(self.n, self.n_y)
         return RefData(
             rho=rho,
             n=n,
             rho_tau=d_tau(self.rho, self.rho_tau),
-            rho_y=d_y(self.rho, self.rho_y),
+            rho_y=rho_y,
             n_tau=d_tau(self.n, self.n_tau),
-            n_y=d_y(self.n, self.n_y),
+            n_y=n_y,
             p_y=p_y,
+            u=_ratio(n, rho),
+            u_y=_ratio(n_y * rho - n * rho_y, rho**2),
+            d2h=law.potential(rho)[2],
         )
+
+    @property
+    def steady(self):
+        """Whether the values ignore tau (every kind but "analytic")."""
+        return self.kind != "analytic"
+
+    def cached_eval(self, tau, y, law):
+        """`eval`, memoised for steady pairs.
+
+        A steady pair is evaluated once per (y, law): while those stay the
+        same, every call returns the same read-only RefData, whatever tau.
+        Other pairs are evaluated at each call.
+        """
+        y = np.asarray(y, dtype=float)
+        if not self.steady:
+            return self.eval(tau, y, law)
+        memo = self._memo
+        if not (memo and memo[1] == law and np.array_equal(memo[0], y)):
+            memo[:] = [y.copy(), law, self.eval(tau, y, law)]
+        return memo[2]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +311,7 @@ def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
     dissipation over the field's window; tail_ok flags edge integrands
     below the truncation monitor."""
-    data = ref.eval(field.tau, field.y, law)
+    data = ref.cached_eval(field.tau, field.y, law)
     eta_rel, _ = relative_entropy_density(
         field.tau, field.rho, field.n, data.rho, data.n, law
     )
@@ -303,7 +359,7 @@ def reference_residuals(data, tau, alpha, law, y):
 def error_terms(field, ref, tau, alpha, law):
     """Residuals and the xi error-term fields with their quadratures."""
     y = field.y
-    data = ref.eval(tau, y, law)
+    data = ref.cached_eval(tau, y, law)
     R1, R2 = reference_residuals(data, tau, alpha, law, y)
 
     u = _ratio(field.n, field.rho)
@@ -314,8 +370,7 @@ def error_terms(field, ref, tau, alpha, law):
     xi1 = -data.u_y * (exp_m * field.rho * du * du + p_rel)
     R_bar = data.u * R1 - R2
     xi2 = exp_m * R_bar * _ratio(field.rho, data.rho) * du
-    _, _, d2hb = law.potential(data.rho)
-    xi3 = -(field.rho - data.rho) * d2hb * R1
+    xi3 = -(field.rho - data.rho) * data.d2h * R1
 
     dy = field.dy
     Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
@@ -389,7 +444,7 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
     y = np.asarray(y, dtype=float)
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)
-    data = ref.eval(tau, y, law)
+    data = ref.cached_eval(tau, y, law)
     if np.min(data.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
     terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
@@ -414,10 +469,9 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
     )
     v2 = np.count_nonzero(np.abs(terms.xi2) > bound2 + tol(bound2))
 
-    _, _, d2hb = law.potential(data.rho)
     bound3 = (
         2.0 * law.gamma * np.abs(terms.R1) / data.rho * h_rel
-        + data.rho * np.abs(d2hb * terms.R1)
+        + data.rho * np.abs(data.d2h * terms.R1)
     )
     v3 = np.count_nonzero(np.abs(terms.xi3) > bound3 + tol(bound3))
     return int(v1 + v2 + v3)

@@ -21,6 +21,7 @@ import numpy as np
 from .dynamics import PhysicalState, RunResult, SolverConfig, run
 from .entropy import ReferencePair, error_terms, total_relative_entropy
 from .errors import ConfigError, DegenerateFitError, DomainError
+from .grids import cell_grid, grid_count, node_grid
 from .profile import LimitSpec, solve_profile
 from .scaling import to_scaled
 from .thermo import PressureLaw
@@ -93,9 +94,10 @@ class ExperimentConfig:
             raise ConfigError("grid parameters must be positive")
         if self.width <= 0:
             raise ConfigError("perturbation width must be positive")
-        if _count(2.0 * self.X, self.dx) < 2 or _count(2.0 * self.L_y, self.dy) < 1:
+        if (grid_count(2.0 * self.X, self.dx) < 2
+                or grid_count(2.0 * self.L_y, self.dy) < 1):
             raise ConfigError("grids need at least two cells and two y-nodes")
-        if _count(self.tau_max, self.tau_step) < 1:
+        if grid_count(self.tau_max, self.tau_step) < 1:
             raise ConfigError(
                 "the schedule tau_max/tau_step has no snapshot after tau = 0")
 
@@ -133,33 +135,9 @@ def parse_config(path):
 # experiment pieces
 
 
-# most cells, y-nodes or snapshots a config may ask for: ~170x the acceptance
-# grids, and small enough that nothing huge is allocated before a run fails
-_MAX_COUNT = 10**6
-
-
-def _count(extent, spacing):
-    ratio = extent / spacing
-    if not ratio <= _MAX_COUNT:
-        raise ConfigError(
-            f"{extent!r}/{spacing!r} asks for {ratio:.3g} cells, nodes or "
-            f"snapshots; at most {_MAX_COUNT} are allowed")
-    return int(round(ratio))
-
-
 def tau_schedule(cfg):
-    n = _count(cfg.tau_max, cfg.tau_step)
+    n = grid_count(cfg.tau_max, cfg.tau_step)
     return np.round(np.linspace(0.0, n * cfg.tau_step, n + 1), 12)
-
-
-def cell_grid(halfwidth, spacing):
-    n = _count(2.0 * halfwidth, spacing)
-    return (np.arange(n) + 0.5) * (2.0 * halfwidth / n) - halfwidth
-
-
-def node_grid(halfwidth, spacing):
-    n = _count(2.0 * halfwidth, spacing)
-    return np.linspace(-halfwidth, halfwidth, n + 1)
 
 
 def build_initial(cfg, x, limits, profile=None):
@@ -269,7 +247,12 @@ def simulate(cfg):
 
 def diagnose(cfg, run_result):
     """Transform each snapshot to scaling variables and assemble the
-    relative-entropy report against the configured reference."""
+    relative-entropy report against the configured reference.
+
+    The reference density must be bounded away from 0 on the y-grid
+    (ConfigError before any snapshot otherwise).  A steady reference is
+    evaluated once for the whole run (`ReferencePair.cached_eval`).
+    """
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
     taus = tau_schedule(cfg)
@@ -290,6 +273,10 @@ def diagnose(cfg, run_result):
     ref, ref_kind = make_reference(cfg, limits, law, profile)
 
     y = node_grid(cfg.L_y, cfg.dy)
+    if not np.min(ref.rho(taus[0], y)) > 0:
+        raise ConfigError(
+            f"the {ref_kind} reference density must be bounded away from 0 "
+            f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))

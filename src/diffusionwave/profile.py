@@ -10,12 +10,14 @@ finite-difference discretization, and carries the flatness constants
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import DegenerateFitError, DomainError, SolverFailure
+from .grids import node_grid
 from .thermo import PressureLaw
 
 __all__ = [
@@ -41,6 +43,8 @@ class LimitSpec:
     alpha: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.rho_minus, self.rho_plus, self.alpha))):
+            raise DomainError("far-field densities and alpha must be finite")
         if self.rho_minus < 0 or self.rho_plus < 0:
             raise DomainError("far-field densities must be nonnegative")
         if self.alpha < 0:
@@ -111,15 +115,17 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tol=NEWTON_TOL,
     """Solve the profile boundary-value problem on [-L, L].
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
-    tolerance `tol` in max norm.  Raises SolverFailure on non-convergence and
-    DomainError if the truncated domain leaves a tail above `tail_tol`.
+    tolerance `tol` in max norm.  Raises SolverFailure on non-convergence,
+    DomainError if the truncated domain leaves a tail above `tail_tol` or
+    unless 0 < dy < L < inf, and ConfigError (before allocating) if the grid
+    would have more than `grids.MAX_COUNT` nodes.
     """
     if L is None:
         L = default_halfwidth(limits.alpha)
-    if not dy < L:
-        raise DomainError("grid spacing must be smaller than the half-width")
-    m = int(round(2.0 * L / dy))
-    y = np.linspace(-L, L, m + 1)
+    if not 0 < dy < L < math.inf:
+        raise DomainError(
+            f"the profile grid needs 0 < dy < L < inf, got dy={dy!r}, L={L!r}")
+    y = node_grid(L, dy)
     dy = float(y[1] - y[0])
 
     if limits.same_limits:
@@ -149,7 +155,12 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tol=NEWTON_TOL,
         ab[0, 1:] = upper[:-1]
         ab[1, :] = diag
         ab[2, :-1] = lower[1:]
-        delta = solve_banded((1, 1), ab, -res)
+        if not (np.isfinite(res_norm) and np.all(np.isfinite(ab))):
+            raise SolverFailure("Newton system overflowed", residual=res_norm)
+        try:
+            delta = solve_banded((1, 1), ab, -res)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure("singular Newton system", residual=res_norm) from exc
 
         s = 1.0
         while s > 1e-8:

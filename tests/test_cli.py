@@ -1,13 +1,18 @@
 """Command-line interface: subcommand smoke tests and exit codes."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diffusionwave
 from diffusionwave.cli import main
@@ -52,6 +57,24 @@ def test_profile_command(tmp_path, capsys):
     assert 0 < comments["theta"] < 0.5
     assert np.all(np.diff(cols["rho_star"]) <= 1e-12)
     assert "theta=" in capsys.readouterr().out
+
+
+def test_profile_bad_input_exits_1(tmp_path, capsys):
+    # grids are rejected before any allocation: 1e-7 would ask for 4e8 nodes;
+    # the last inputs overflow or make the Newton system singular
+    out = tmp_path / "prof.csv"
+    for flags in (["--dy", "1e-320"], ["--dy", "-0.5"], ["--dy", "0"],
+                  ["--dy", "1e-7"], ["--dy", "nan"], ["--dy", "inf"],
+                  ["--L", "0"], ["--L", "-1"], ["--L", "inf"], ["--L", "nan"],
+                  ["--L", "1e300"], ["--rho-minus", "nan"], ["--alpha", "inf"],
+                  ["--rho-minus", "1e200"], ["--gamma", "1e10"],
+                  ["--gamma", "1e300", "--rho-minus", "1.0"],
+                  ["--alpha", "1e300", "--k", "1e-300"]):
+        rc = main(["profile", "--rho-minus", "1.05", "--rho-plus", "0.95",
+                   *flags, "--out", str(out)])
+        assert rc == 1, flags
+        assert capsys.readouterr().err.count("\n") == 1, flags
+        assert not out.exists()
 
 
 def test_simulate_then_diagnose(tmp_path, cfg_file):
@@ -152,6 +175,48 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
         assert main(["diagnose", "--config", str(bad),
                      "--out", str(tmp_path / "s.csv")]) == 1, text
         assert capsys.readouterr().err.count("\n") == 1, text
+
+
+def test_vacuum_reference_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "vacuum.cfg"
+    cfg.write_text(FAST_CFG.replace("= 1.0\nrho_plus = 1.0", "= 0.0\nrho_plus = 0.0"))
+    for ref in ([], ["--reference", "smoothed-step"]):
+        assert main(["diagnose", "--config", str(cfg), *ref,
+                     "--out", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bounded away from 0" in err, err
+
+
+# a valid toy value for every numeric config key: a jump on 160 cells
+_TOY_VALUES = {
+    "rho_minus": 1.05, "rho_plus": 0.95, "alpha": 1.0, "gamma": 2.0, "k": 1.0,
+    "amplitude": 0.1, "width": 1.0, "center": 0.0, "X": 8.0, "dx": 0.1,
+    "L_y": 4.0, "dy": 0.1, "tau_max": 0.5, "tau_step": 0.25, "order": 2,
+    "cfl": 0.45, "ineq_slack": 0.05,
+}
+_BAD_VALUES = ("nan", "inf", "-inf", "0", "-1")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(_TOY_VALUES)),
+                       st.sampled_from(_BAD_VALUES), max_size=3))
+@example({"rho_minus": "0", "rho_plus": "0"})
+@example({"rho_minus": "-1", "rho_plus": "-1"})
+@example({"alpha": "0", "rho_minus": "0", "rho_plus": "0"})
+def test_config_fuzz_one_line_errors(overrides):
+    values = {**{key: repr(v) for key, v in _TOY_VALUES.items()}, **overrides}
+    text = "perturbation = bump\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["diagnose", "--config", str(cfg),
+                       "--out", str(Path(tmp) / "s.csv")])
+    assert rc in (0, 1, 2), text
+    if rc != 0:
+        assert err.getvalue().count("\n") == 1, (text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 def test_domain_error_exits_1(tmp_path):

@@ -1,5 +1,7 @@
 """Relative entropy densities, residuals, identities, bounds, Gronwall."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -298,3 +300,120 @@ class TestCoercivity:
         eta, _ = relative_entropy_density(tau, rho, n, rho_bar, 0.0, LAW)
         lower = cc.lower_bound(tau, rho, n, rho_bar, LAW.gamma)
         assert np.all(eta >= lower - 1e-12 * np.maximum(1.0, lower))
+
+
+class TestSteadyReferenceMemo:
+    """cached_eval: steady pairs once per grid, analytic pairs at every tau."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+        original = ReferencePair.eval
+
+        def counted(self, tau, y, law, h=None):
+            calls.append(tau)
+            return original(self, tau, y, law, h)
+
+        monkeypatch.setattr(ReferencePair, "eval", counted)
+        return calls
+
+    def test_steady_pair_evaluated_once_per_grid(self, monkeypatch, jump_profile):
+        prof, limits = jump_profile
+        calls = self._counting(monkeypatch)
+        y = np.linspace(-4, 4, 161)
+        rng = np.random.default_rng(19)
+        for ref in (ReferencePair.constant(1.2), ReferencePair.smoothed_step(limits),
+                    ReferencePair.from_profile(prof, limits)):
+            assert ref.steady
+            calls.clear()
+            first = ref.cached_eval(0.0, y, LAW)
+            for tau in (0.1, 0.7, 2.5):
+                field = ScaledField(tau, y.copy(), rng.uniform(0.8, 1.2, y.size),
+                                    rng.uniform(-0.1, 0.1, y.size))
+                total_relative_entropy(field, ref, 1.0, LAW)
+                error_terms(field, ref, tau, 1.0, LAW)
+                assert ref.cached_eval(tau, y, LAW) is first
+            assert calls == [0.0]
+            # a new grid or law is evaluated afresh
+            moved = y.copy()
+            moved[-1] = 4.5  # same size and grid step, other nodes
+            ref.cached_eval(0.0, moved, LAW)
+            ref.cached_eval(0.0, np.linspace(-4, 4, 81), LAW)
+            ref.cached_eval(0.0, y, PressureLaw(1.0, 3.0))
+            assert len(calls) == 4
+
+    def test_memo_matches_fresh_evaluation(self, jump_profile):
+        prof, limits = jump_profile
+        y = np.linspace(-6, 6, 241)
+        ref = ReferencePair.from_profile(prof, limits)
+        cached = ref.cached_eval(0.3, y, LAW)
+        fresh = ref.eval(2.0, y, LAW)
+        for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
+                     "u", "u_y", "d2h"):
+            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_analytic_pair_evaluated_at_every_tau(self, monkeypatch):
+        # rho_bar = 1 + tau/2: a memo that ignored tau would hand back the
+        # tau = 0 values and fail both the count and the totals
+        calls = self._counting(monkeypatch)
+        zero = lambda tau, y: np.zeros_like(np.asarray(y, float))
+        rho_bar = lambda tau, y: np.full_like(np.asarray(y, float), 1.0 + 0.5 * tau)
+        half = lambda tau, y: np.full_like(np.asarray(y, float), 0.5)
+        ref = ReferencePair.analytic(rho=rho_bar, n=zero, rho_tau=half,
+                                     rho_y=zero, n_tau=zero, n_y=zero)
+        assert not ref.steady
+        y = np.linspace(-2, 2, 81)
+        field = ScaledField(0.0, y, np.ones_like(y), np.zeros_like(y))
+        taus = (0.0, 1.0, 2.0)
+        for tau in taus:
+            field.tau = tau
+            assert np.all(ref.cached_eval(tau, y, LAW).rho == 1.0 + 0.5 * tau)
+            E = total_relative_entropy(field, ref, 1.0, LAW).E
+            h_rel, _ = LAW.relative(np.ones_like(y), rho_bar(tau, y))
+            assert E == float(np.sum(h_rel) * field.dy)
+            # R1 = rho_bar_tau = 1/2 and h'' = 2: xi3 = (rho_bar - 1) = tau/2
+            terms = error_terms(field, ref, tau, 1.0, LAW)
+            assert np.all(terms.xi3 == 0.5 * tau)
+        assert calls == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
+
+    def test_ref_data_is_read_only(self, jump_profile):
+        prof, limits = jump_profile
+        y = np.linspace(-4, 4, 161)
+        for ref in (ReferencePair.from_profile(prof, limits),
+                    ReferencePair.constant(1.1)):
+            data = ref.cached_eval(0.0, y, LAW)
+            for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
+                         "u", "u_y", "d2h"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(data, name)[0] = 7.0
+            with pytest.raises(AttributeError):
+                data.rho = np.zeros_like(y)
+            assert ref.cached_eval(1.0, y, LAW).rho[0] != 7.0
+
+    def test_read_only_views_leave_caller_arrays_writable(self):
+        base = np.full(41, 1.5)
+        ref = ReferencePair.analytic(rho=lambda tau, y: base,
+                                     n=lambda tau, y: np.zeros(41))
+        data = ref.eval(0.0, np.linspace(-1, 1, 41), LAW)
+        assert not data.rho.flags.writeable
+        base[0] = 2.0  # the callable's own array is untouched
+        assert data.rho[0] == 2.0
+
+    def test_vacuum_reference(self):
+        # u and u_y of a vacuum reference follow the 0/0 := 0 convention
+        # without a warning; the xi bounds reject it
+        y = np.linspace(-2, 2, 81)
+        ref = ReferencePair.constant(0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = ref.cached_eval(0.0, y, LAW)
+        assert np.all(data.u == 0.0) and np.all(data.u_y == 0.0)
+        with pytest.raises(DomainError, match="bounded away from vacuum"):
+            xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), ref, LAW, 1.0)
+
+    def test_unknown_kind_rejected(self):
+        # only the four kinds are known; every one but "analytic" is steady
+        zero = lambda tau, y: np.zeros_like(np.asarray(y, float))
+        with pytest.raises(DomainError, match="unknown reference kind"):
+            ReferencePair("stationary", zero, zero)
+        assert not ReferencePair("analytic", zero, zero).steady

@@ -1,18 +1,23 @@
 """Experiment configuration, envelopes, rate fits, and CSV round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from diffusionwave.entropy import ReferencePair
 from diffusionwave.errors import ConfigError, DegenerateFitError, DomainError
 from diffusionwave.lab import (
     EntropyReport,
     ExperimentConfig,
+    diagnose,
     dissipation_check,
     emit_report,
     fit_decay_rate,
     parse_config,
     parse_report,
     read_csv,
+    simulate,
     theoretical_bound,
     write_csv,
 )
@@ -139,6 +144,42 @@ class TestConfig:
             ExperimentConfig(reference="bogus")
         with pytest.raises(ConfigError):
             ExperimentConfig(tau_step=0.0)
+
+
+_SMALL = dict(alpha=1.0, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
+              L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
+
+
+class TestDiagnose:
+    @pytest.mark.parametrize("limits, reference", [
+        ((1.0, 1.0), "auto"), ((1.05, 0.95), "auto"),
+        ((1.05, 0.95), "smoothed-step")])
+    def test_steady_memo_matches_fresh_evaluation(self, monkeypatch, limits,
+                                                  reference):
+        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
+                               reference=reference, **_SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_result = simulate(cfg)
+        memo = diagnose(cfg, run_result)
+        monkeypatch.setattr(ReferencePair, "cached_eval",
+                            lambda self, tau, y, law: self.eval(tau, y, law))
+        fresh = diagnose(cfg, run_result)
+        for name in ("E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
+                     "ineq_residual"):
+            assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes()
+        assert memo.meta == fresh.meta
+
+    def test_vacuum_reference_rejected_before_the_snapshots(self, monkeypatch):
+        cfg = ExperimentConfig(rho_minus=0.0, rho_plus=0.0, **_SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_result = simulate(cfg)
+        monkeypatch.setattr("diffusionwave.lab.to_scaled", None)  # never reached
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="bounded away from 0"):
+                diagnose(cfg, run_result)
 
 
 class TestCsvRoundTrip:
