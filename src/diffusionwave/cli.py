@@ -65,9 +65,9 @@ def _cmd_simulate(args):
     header = {"gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
               "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
               "dx": cfg.dx}
-    for snap in result.snapshots:
-        name = out / f"snapshot_{snap.t:.6f}.csv"
-        write_csv(name, {**header, "t": snap.t},
+    # named by index: times that agree to a few digits must not collide
+    for i, snap in enumerate(result.snapshots):
+        write_csv(out / f"snapshot_{i:06d}.csv", {**header, "t": snap.t},
                   {"x": snap.x, "rho": snap.rho, "m": snap.m})
     meta = result.meta
     write_csv(out / "run_meta.csv", header, {
@@ -75,6 +75,7 @@ def _cmd_simulate(args):
         "momentum": meta["momentum"],
         "boundary_flux_mass": meta["boundary_flux_mass"],
         "boundary_flux_momentum": meta["boundary_flux_momentum"],
+        "active_cells": meta["active_cells"],
     })
     print(f"wrote {len(result.snapshots)} snapshots to {out}")
     return EXIT_OK
@@ -98,12 +99,12 @@ def _read_snapshots(in_dir):
 def _cmd_diagnose(args):
     cfg = parse_config(args.config)
     if args.reference:
-        cfg.reference = args.reference.replace("smoothed_step", "smoothed-step")
+        cfg.reference = args.reference
     out = Path(args.out)
     if args.in_dir:
         report = diagnose(cfg, _read_snapshots(args.in_dir))
-        for fld in report.fields_scaled:
-            write_csv(out.parent / f"scaled_{fld.tau:.6f}.csv",
+        for i, fld in enumerate(report.fields_scaled):
+            write_csv(out.parent / f"scaled_{i:06d}.csv",
                       {"tau": fld.tau},
                       {"y": fld.y, "rho": fld.rho, "n": fld.n})
     else:
@@ -148,8 +149,16 @@ def _cmd_verify(args):
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Malformed flags are a configuration error (exit 1, one line), not
+    argparse's exit 2 with a usage dump: 2 means a numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diffusionwave",
         description="Numerical laboratory for damped Euler flow relaxing "
                     "to a nonlinear diffusion wave",
@@ -192,9 +201,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, DomainError, SolverFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

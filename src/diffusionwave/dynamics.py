@@ -11,16 +11,30 @@ Kernel contract.  Every Rusanov flux comes from one unchecked core,
 shares its speed code; `physical_flux` stays a separate public reference.
 When every face density is > 0 the core skips the 0/0 := 0 masks, each of
 which would pick the quotient there; otherwise (vacuum faces) the masked
-arithmetic runs.  Either way the bits equal those of `numerical_flux`.  The
-time loop checks states, not faces: `_check` rejects NaN, inf and negative
-density after each stage, a step whose CFL dt is not finite and positive is
-a NumericalFailure, and every new state is a validated PhysicalState.
+arithmetic runs.  Either way the bits equal those of `numerical_flux`.
+
+Active window.  `step` and `run` share one step, `_advance`, which computes
+both stages only on the cells `_window` finds the step can change: all but
+the leading and trailing cells that hold their side's ghost state, (rho_-, 0)
+or (rho_+, 0) to the bit, more than four cells (two stages of the two-cell
+MUSCL stencil) away from any other, rounded out to whole blocks of 16 cells.
+The scheme leaves those cells bit for bit as they are, so the window
+changes no result: the window's edge faces see only far-field data and give
+the boundary fluxes, the CFL maximum takes one far-field cell on each side,
+and the friction sink is summed over the full grid in numpy's pairwise
+order.  A `forcing` or `ghost_states` hook gets the full grid.
+
+The time loop checks states, not faces, on the window: `_check` rejects NaN,
+inf and negative density after each stage, a step whose CFL dt is not finite
+and positive is a NumericalFailure, and a vacuum cell with momentum is a
+VacuumViolation.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +70,13 @@ class PhysicalState:
             raise DomainError("cell densities must be nonnegative")
         if np.any((self.rho == 0) & (self.m != 0)):
             raise VacuumViolation("vacuum cells must carry zero momentum")
+
+    @classmethod
+    def _trusted(cls, x, rho, m, t):
+        """A state from float arrays whose checks the caller has made."""
+        state = cls.__new__(cls)
+        state.x, state.rho, state.m, state.t = x, rho, m, t
+        return state
 
     @property
     def dx(self):
@@ -226,8 +247,9 @@ def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
     if cfg.order == 2:
         low = R.min()
         U = _quotient(M, R, low > 0, out=M)
-        dR = np.diff(R)
-        dU = np.diff(U)
+        # a[1:] - a[:-1] is what np.diff computes, without its call overhead
+        dR = R[1:] - R[:-1]
+        dU = U[1:] - U[:-1]
         slope_r = _minmod(dR[:-1], dR[1:])
         slope_u = _minmod(dU[:-1], dU[1:])
         if not low >= _NEAR_VACUUM:
@@ -251,9 +273,9 @@ def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
 
     # N+1 interface fluxes bordering the N physical cells
     f_rho, f_m = _rusanov(rho_l, m_l, rho_r, m_r, law)
-    drho = np.diff(f_rho)
+    drho = f_rho[1:] - f_rho[:-1]
     drho /= -dx
-    dm = np.diff(f_m)
+    dm = f_m[1:] - f_m[:-1]
     dm /= -dx
     if cfg.forcing is not None:
         s_rho, s_m = cfg.forcing(t, x)
@@ -264,12 +286,14 @@ def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
 
 
 def _check(rho, m):
+    """The least density, after rejecting NaN, inf and negative density."""
     # a NaN or inf anywhere makes its sum non-finite
     if not (math.isfinite(rho.sum()) and math.isfinite(m.sum())):
         raise NumericalFailure("NaN or inf detected during time stepping")
     low = rho.min()
     if low < 0:
         raise NumericalFailure(f"negative density {low:.3e}")
+    return low
 
 
 @dataclass
@@ -278,14 +302,15 @@ class StepAudit:
     flux_mass: tuple       # time-integrated (left, right) boundary mass flux
     flux_momentum: tuple
     damping_sink: float    # integral of alpha * m over cells and the step
+    active_cells: int      # width of the window the step was computed on
 
 
-def _cfl_dt(state, cfg, law):
-    smax = max_wavespeed(state.rho, state.m, law)
-    dt = cfg.cfl * state.dx / max(smax, 1e-14)
+def _cfl_dt(rho, m, t, dx, cfg, law):
+    smax = max_wavespeed(rho, m, law)
+    dt = cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
-            f"CFL time step {dt!r} at t = {state.t!r} is not finite and positive")
+            f"CFL time step {dt!r} at t = {t!r} is not finite and positive")
     return dt
 
 
@@ -296,19 +321,85 @@ def _axpy(a, x, y):
     return x
 
 
-def _advance(state, cfg, law, alpha, limits, dt=None):
-    x, dx, t = state.x, state.dx, state.t
-    rho, m = state.rho, state.m
+# A stage changes a cell only through its two face fluxes, and MUSCL builds
+# a face from two cells on each side: two stages reach four cells.
+_MARGIN = 4
+# The step computes whole blocks of cells, so that a growing window allocates
+# its arrays in few sizes, which malloc reuses; with a new size every few
+# steps the heap fragmented and the peak memory of a run grew.
+_BLOCK = 16
 
+
+def _bits(value):
+    """The bit pattern of a float, as an int64."""
+    return np.float64(value).view(np.int64)
+
+
+def _leading(flags):
+    """Length of the leading run of True in a boolean array."""
+    k = int(flags.argmin())
+    return flags.size if flags[k] else k
+
+
+def _window(rho, m, cfg, limits):
+    """[lo, hi) = [P - 4, n - S + 4) clipped to the grid: the cells one step
+    can change.
+
+    P leading cells hold the bits of the left ghost cells (rho_-, +0.0) and
+    S trailing cells those of the right ones (rho_+, +0.0); the bits, not
+    the values, so that a -0.0 is not taken for a 0.0.  A cell outside the
+    window sees only far-field data in both stages, so its flux difference
+    is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
+    bits as they are.  The hooks can make the far field move, so they get
+    the full range, as does a grid that is far field throughout.
+    """
+    n = rho.size
+    if cfg.forcing is not None or cfg.ghost_states is not None:
+        return 0, n
+    bits = rho.view(np.int64)
+    still = m.view(np.int64) == 0
+    lead = _leading((bits == _bits(limits.rho_minus)) & still)
+    trail = _leading(((bits == _bits(limits.rho_plus)) & still)[::-1])
+    if lead + trail > n:
+        return 0, n
+    return max(lead - _MARGIN, 0), min(n - trail + _MARGIN, n)
+
+
+def _sink(before, after, lo, n, dx):
+    """dx sum(before - after), the window's values placed at lo among n
+    zeros: outside the window both are 0, and numpy's pairwise sum adds in
+    the order of the full grid."""
+    loss = np.zeros(n)
+    np.subtract(before, after, out=loss[lo:lo + before.size])
+    return np.sum(loss) * dx
+
+
+def _splice(full, lo, part):
+    """full with part written over it from index lo, as a new array."""
+    return np.concatenate((full[:lo], part, full[lo + part.size:]))
+
+
+def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
+    """One step of the cells in `_window`, rounded out to whole blocks; the
+    others keep their bits.
+
+    Without dt, the CFL step, cut to end at t_stop at the latest.
+    """
+    dx, t, n = state.dx, state.t, state.x.size
+    lo, hi = _window(state.rho, state.m, cfg, limits)
+    lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if dt is None:
-        dt = _cfl_dt(state, cfg, law)
+        # the cell next to the window on each side carries the far-field speed
+        near = slice(max(lo - 1, 0), hi + 1)
+        dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law), t_stop - t)
+    x, rho, m = state.x[lo:hi], state.rho[lo:hi], state.m[lo:hi]
     half = np.exp(-alpha * dt / 2.0)
     full = np.exp(-alpha * dt)
 
     sink = 0.0
     if cfg.order == 2:
         m1 = m * half
-        sink += np.sum(m - m1) * dx if alpha > 0 else 0.0
+        sink += _sink(m, m1, lo, n, dx) if alpha > 0 else 0.0
         d1, e1, b1 = _hyperbolic_rhs(rho, m1, t, x, dx, cfg, law, limits)
         rho_s = _axpy(dt, d1, rho)
         m_s = _axpy(dt, e1, m1)
@@ -318,23 +409,26 @@ def _advance(state, cfg, law, alpha, limits, dt=None):
         rho_n *= 0.5
         m_n = _axpy(dt, e2, m1 + m_s)
         m_n *= 0.5
-        _check(rho_n, m_n)
+        low = _check(rho_n, m_n)
         m2 = m_n * half
-        sink += np.sum(m_n - m2) * dx if alpha > 0 else 0.0
+        sink += _sink(m_n, m2, lo, n, dx) if alpha > 0 else 0.0
         m_n = m2
         fm = tuple(0.5 * dt * (a + b) for a, b in zip(b1, b2))
     else:
         d1, e1, b1 = _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits)
         rho_n = _axpy(dt, d1, rho)
         m_n = _axpy(dt, e1, m)
-        _check(rho_n, m_n)
+        low = _check(rho_n, m_n)
         mg = m_n * full
-        sink += np.sum(m_n - mg) * dx if alpha > 0 else 0.0
+        sink += _sink(m_n, mg, lo, n, dx) if alpha > 0 else 0.0
         m_n = mg
         fm = tuple(dt * b for b in b1)
 
-    new = PhysicalState(x, rho_n, m_n, t + dt)
-    audit = StepAudit(dt, (fm[0], fm[1]), (fm[2], fm[3]), sink)
+    if low == 0:   # only a vacuum cell can carry momentum it must not
+        _validate(rho_n, m_n)
+    new = PhysicalState._trusted(state.x, _splice(state.rho, lo, rho_n),
+                                 _splice(state.m, lo, m_n), t + dt)
+    audit = StepAudit(dt, (fm[0], fm[1]), (fm[2], fm[3]), sink, hi - lo)
     return new, audit
 
 
@@ -358,8 +452,9 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     """March to t_end, capturing snapshots at cfg.snapshot_times.
 
     dt is clipped so snapshot times are hit exactly.  Returns a RunResult
-    whose meta carries the per-step audit series and the cumulative boundary
-    fluxes for the conservation checks.
+    whose meta carries the per-step audit series, the cumulative boundary
+    fluxes for the conservation checks, and `active_cells`, the width of the
+    window each step was computed on (see `_window`).
     """
     if t_end <= initial.t:
         raise ConfigError("t_end must exceed the initial time")
@@ -374,23 +469,24 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
 
     state = initial
     snapshots = [PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t)]
-    times, dts, masses, momenta = [], [], [], []
-    cum_fm, cum_fp, cum_sink = [], [], []
+    # typed arrays: 8 bytes a step each, not a float object and a pointer
+    times, dts, masses, momenta = (array("d") for _ in range(4))
+    cum_fm, cum_fp, cum_sink = (array("d") for _ in range(3))
+    active = array("q")
     total_fm = total_fp = total_sink = 0.0
     pending = list(targets)
     warned = False
 
     while state.t < t_end * (1 - 1e-14):
-        dt = _cfl_dt(state, cfg, law)
-        t_next = pending[0] if pending else t_end
-        dt = min(dt, t_next - state.t, t_end - state.t)
-        state, audit = _advance(state, cfg, law, alpha=limits.alpha, limits=limits, dt=dt)
+        t_stop = min(pending[0], t_end) if pending else t_end
+        state, audit = _advance(state, cfg, law, limits.alpha, limits, t_stop=t_stop)
 
         total_fm += audit.flux_mass[0] - audit.flux_mass[1]
         total_fp += audit.flux_momentum[0] - audit.flux_momentum[1]
         total_sink += audit.damping_sink
         times.append(state.t)
-        dts.append(dt)
+        dts.append(audit.dt)
+        active.append(audit.active_cells)
         masses.append(state.mass)
         momenta.append(state.momentum)
         cum_fm.append(total_fm)
@@ -425,5 +521,6 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
         "boundary_flux_mass": np.array(cum_fm),
         "boundary_flux_momentum": np.array(cum_fp),
         "damping_sink": np.array(cum_sink),
+        "active_cells": np.array(active),
     }
     return RunResult(snapshots, meta)

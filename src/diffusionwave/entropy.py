@@ -87,19 +87,26 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
         if not ok or np.any((rho_bar == 0) & (n_bar != 0)):
             raise DomainError("vacuum reference needs gamma > 1 and n_bar = 0")
     u = _ratio(n, rho)
-    u_bar = _ratio(n_bar, rho_bar)
+    eta_rel, q_rel = _relative_density(tau, rho, n, u, rho_bar, _ratio(n_bar, rho_bar),
+                                       law._reference(rho_bar), law)
+    if np.ndim(eta_rel) == 0:
+        return float(eta_rel), float(q_rel)
+    return eta_rel, q_rel
+
+
+def _relative_density(tau, rho, n, u, rho_bar, u_bar, reference, law):
+    """`relative_entropy_density` from the velocities and the reference's
+    `PressureLaw._reference` terms (h, h', p, p')."""
     du = u - u_bar
-    h_rel, _ = law.relative(rho, rho_bar)
+    h_rel, _ = law._relative(rho, rho_bar, reference)
     _, dh, _ = law.potential(rho)
-    _, dhb, _ = law.potential(rho_bar)
+    dhb = reference[1]
     eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
     q_rel = (
         0.5 * np.exp(-tau) * n * du * du
         + rho * (np.asarray(dh) - dhb) * du
         + u_bar * h_rel
     )
-    if np.ndim(eta_rel) == 0:
-        return float(eta_rel), float(q_rel)
     return eta_rel, q_rel
 
 
@@ -117,9 +124,9 @@ def _read_only(a):
 @dataclass(frozen=True)
 class RefData:
     """A reference pair evaluated on a y-grid, with first derivatives, the
-    velocity u = n/rho, its derivative u_y and h''(rho).  Every array is
-    read-only, because a steady pair hands the same RefData to every
-    snapshot."""
+    velocity u = n/rho, its derivative u_y, and the thermodynamics of rho:
+    h, h', h'', p and p'.  Every array is read-only, because a steady pair
+    hands the same RefData to every snapshot."""
 
     rho: np.ndarray
     n: np.ndarray
@@ -130,11 +137,20 @@ class RefData:
     p_y: np.ndarray  # centered difference of p(rho_bar), used by the residuals
     u: np.ndarray
     u_y: np.ndarray
+    h: np.ndarray
+    dh: np.ndarray
     d2h: np.ndarray
+    p: np.ndarray
+    dp: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, _read_only(getattr(self, f.name)))
+
+    @property
+    def thermo(self):
+        """(h, h', p, p') of rho, as `PressureLaw._relative` takes them."""
+        return self.h, self.dh, self.p, self.dp
 
 
 # "analytic" pairs may depend on tau; the other kinds are made by the
@@ -262,6 +278,7 @@ class ReferencePair:
 
         rho_y = d_y(self.rho, self.rho_y)
         n_y = d_y(self.n, self.n_y)
+        h, dh, p, dp = law._reference(rho)
         return RefData(
             rho=rho,
             n=n,
@@ -272,7 +289,11 @@ class ReferencePair:
             p_y=p_y,
             u=_ratio(n, rho),
             u_y=_ratio(n_y * rho - n * rho_y, rho**2),
+            h=h,
+            dh=dh,
             d2h=law.potential(rho)[2],
+            p=p,
+            dp=dp,
         )
 
     @property
@@ -312,10 +333,10 @@ def total_relative_entropy(field, ref, alpha, law):
     dissipation over the field's window; tail_ok flags edge integrands
     below the truncation monitor."""
     data = ref.cached_eval(field.tau, field.y, law)
-    eta_rel, _ = relative_entropy_density(
-        field.tau, field.rho, field.n, data.rho, data.n, law
-    )
-    du = _ratio(field.n, field.rho) - data.u
+    u = _ratio(field.n, field.rho)
+    eta_rel, _ = _relative_density(field.tau, field.rho, field.n, u,
+                                   data.rho, data.u, data.thermo, law)
+    du = u - data.u
     diss = alpha * field.rho * du * du
     dy = field.dy
     E = float(np.sum(eta_rel) * dy)
@@ -364,7 +385,7 @@ def error_terms(field, ref, tau, alpha, law):
 
     u = _ratio(field.n, field.rho)
     du = u - data.u
-    _, p_rel = law.relative(field.rho, data.rho)
+    _, p_rel = law._relative(field.rho, data.rho, data.thermo)
     exp_m = np.exp(-tau)
 
     xi1 = -data.u_y * (exp_m * field.rho * du * du + p_rel)
@@ -449,8 +470,9 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
         raise DomainError("xi bounds require the reference bounded away from vacuum")
     terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
 
-    eta_rel, _ = relative_entropy_density(tau, rho, n, data.rho, data.n, law)
-    h_rel, _ = law.relative(rho, data.rho)
+    eta_rel, _ = _relative_density(tau, rho, n, _ratio(n, rho), data.rho, data.u,
+                                   data.thermo, law)
+    h_rel, _ = law._relative(rho, data.rho, data.thermo)
     coeff = max(2.0, law.gamma - 1.0)
     R_bar = data.u * terms.R1 - terms.R2
     exp_h = np.exp(-tau / 2.0)

@@ -92,21 +92,30 @@ class PressureLaw:
         analogously for the pressure; for gamma-laws p_rel = (gamma-1) h_rel.
         A vacuum reference rho_bar = 0 is only admissible for gamma > 1.
         """
-        rho = np.asarray(rho, dtype=float)
         rho_bar = np.asarray(rho_bar, dtype=float)
-        if np.any(rho < 0) or np.any(rho_bar < 0):
-            raise DomainError("densities must be nonnegative")
-        if self.gamma == 1.0 and np.any(rho_bar == 0):
-            raise DomainError("vacuum reference requires gamma > 1")
-        h = self._h_value(rho)
-        hb = self._h_value(rho_bar)
-        _, dhb, _ = self.potential(rho_bar)
-        p, _ = self.pressure(rho)
-        pb, dpb = self.pressure(rho_bar)
-        h_rel = h - hb - dhb * (rho - rho_bar)
-        p_rel = np.asarray(p) - pb - dpb * (rho - rho_bar)
+        h_rel, p_rel = self._relative(rho, rho_bar, self._reference(rho_bar))
         if h_rel.ndim == 0:
             return float(h_rel), float(p_rel)
+        return h_rel, p_rel
+
+    def _reference(self, rho_bar):
+        """(h, h', p, p') at a float array of reference densities rho_bar >= 0,
+        the terms `_relative` takes; a vacuum reference needs gamma > 1."""
+        if self.gamma == 1.0 and np.any(rho_bar == 0):
+            raise DomainError("vacuum reference requires gamma > 1")
+        _, dh, _ = self.potential(rho_bar)
+        p, dp = self._p_dp(rho_bar)
+        return self._h_value(rho_bar), dh, p, dp
+
+    def _relative(self, rho, rho_bar, reference):
+        """(h_rel, p_rel) of rho against rho_bar, whose `_reference` terms
+        are given."""
+        rho = np.asarray(rho, dtype=float)
+        if np.any(rho < 0):
+            raise DomainError("densities must be nonnegative")
+        hb, dhb, pb, dpb = reference
+        h_rel = self._h_value(rho) - hb - dhb * (rho - rho_bar)
+        p_rel = self._p_dp(rho)[0] - pb - dpb * (rho - rho_bar)
         return h_rel, p_rel
 
     def _h_value(self, z):

@@ -128,6 +128,39 @@ def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
                  "--out", str(tmp_path / "s.csv")]) == 1
 
 
+def test_snapshot_times_equal_to_six_digits_keep_their_files(tmp_path, capsys):
+    # 21 snapshots within 2e-6 of each other: one file each, named by index
+    cfg = tmp_path / "close.cfg"
+    cfg.write_text("rho_minus = 1.0\nrho_plus = 1.0\nperturbation = bump\n"
+                   "X = 2.0\ndx = 0.25\nL_y = 1.0\ndy = 0.25\n"
+                   "tau_max = 2e-6\ntau_step = 1e-7\n")
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(snap_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote 21 snapshots to {snap_dir}\n"
+    assert len(list(snap_dir.glob("snapshot_*.csv"))) == 21
+    from_dir, direct = tmp_path / "from_dir.csv", tmp_path / "direct.csv"
+    assert main(["diagnose", "--config", str(cfg), "--in-dir", str(snap_dir),
+                 "--out", str(from_dir)]) == 0
+    assert main(["diagnose", "--config", str(cfg), "--out", str(direct)]) == 0
+    assert from_dir.read_bytes() == direct.read_bytes()
+    assert len(list(tmp_path.glob("scaled_*.csv"))) == 21
+
+
+def test_malformed_flags_exit_1(tmp_path, cfg_file, capsys):
+    # argparse's own exit code 2 would read as a numerical failure
+    out = str(tmp_path / "s.csv")
+    for argv in (["diagnose", "--config", str(cfg_file), "--reference", "bogus", "--out", out],
+                 ["diagnose", "--config", str(cfg_file), "--reference", "smoothed_step",
+                  "--out", out],
+                 ["profile", "--rho-minus", "abc", "--rho-plus", "0.95", "--out", out],
+                 ["simulate", "--config", str(cfg_file)],
+                 ["no-such-command"], []):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_report_exit_codes(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])

@@ -1,12 +1,15 @@
 """Finite-volume solver: fluxes, stepping, audits, manufactured convergence."""
 
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diffusionwave import dynamics
 from diffusionwave.dynamics import (
     PhysicalState,
     SolverConfig,
@@ -15,6 +18,7 @@ from diffusionwave.dynamics import (
     _hyperbolic_rhs,
     _minmod,
     _rusanov,
+    _window,
     max_wavespeed,
     numerical_flux,
     physical_flux,
@@ -293,6 +297,179 @@ class TestRun:
         state = _constant_state(n=100, dx=0.1, m=0.0)
         with pytest.raises(ConfigError):
             run(state, SolverConfig(), LAW, UNIT, 3.0, scaled_halfwidth=8.0)
+
+
+# ---------------------------------------------------------------------------
+# the active window: stepping only it changes no bit of the result
+
+
+def _full_window():
+    """Patch the window scan to the whole grid: the scheme without skipping."""
+    return mock.patch.object(dynamics, "_window", lambda rho, m, cfg, limits: (0, rho.size))
+
+
+def _same_run(a, b):
+    """Snapshots and every meta array but active_cells equal byte for byte."""
+    keys = set(a.meta) - {"active_cells"}
+    return (keys == set(b.meta) - {"active_cells"} and len(a.snapshots) == len(b.snapshots)
+            and all(sa.t == sb.t and _same_bits((sa.rho, sb.rho), (sa.m, sb.m))
+                    for sa, sb in zip(a.snapshots, b.snapshots))
+            and _same_bits(*((a.meta[k], b.meta[k]) for k in keys)))
+
+
+@st.composite
+def _far_field_problems(draw):
+    """Far-field states outside a random interior block; a vacuum side only
+    where gamma > 1."""
+    gamma = draw(_GAMMAS)
+    far = st.floats(min_value=0.5, max_value=2.0)
+    if gamma > 1.0:
+        far = st.one_of(st.sampled_from([0.0, -0.0]), far)
+    limits = SimpleNamespace(rho_minus=draw(far), rho_plus=draw(far),
+                             alpha=draw(st.sampled_from([0.0, 1.0])))
+    n = draw(st.integers(min_value=24, max_value=120))
+    lo = draw(st.integers(min_value=1, max_value=n - 2))
+    hi = draw(st.integers(min_value=lo + 1, max_value=n - 1))
+    block = st.one_of(st.just(0.0), st.floats(min_value=0.2, max_value=2.0))
+    rho = np.r_[np.full(lo, limits.rho_minus),
+                draw(st.lists(block, min_size=hi - lo, max_size=hi - lo)),
+                np.full(n - hi, limits.rho_plus)]
+    # far-field momentum and vacuum density of either sign of zero
+    zero = st.sampled_from([0.0, -0.0])
+    m = np.r_[np.full(lo, draw(zero)),
+              draw(st.lists(st.floats(min_value=-0.5, max_value=0.5),
+                            min_size=hi - lo, max_size=hi - lo)),
+              np.full(n - hi, draw(zero))]
+    m[lo:hi][rho[lo:hi] == 0] = 0.0
+    rho[rho == 0] = draw(zero)
+    x = (np.arange(n) + 0.5) * 0.1
+    return (PhysicalState(x, rho, m, 0.0), PressureLaw(1.0, gamma), limits,
+            draw(st.sampled_from([1, 2])))
+
+
+def _outcome(fn):
+    """fn's result, or the type of the solver error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            return fn()
+        except (NumericalFailure, DomainError) as exc:
+            return type(exc)
+
+
+def _signed_zero_problem():
+    # the full grid turns these -0.0 densities into 0.0: they are not far
+    # field to the bit, so the window must take them in
+    x = (np.arange(24) + 0.5) * 0.1
+    rho, m = np.full(24, -0.0), np.full(24, -0.0)
+    rho[-1], m[-2:] = 1.0, 0.0
+    return (PhysicalState(x, rho, m, 0.0), PressureLaw(1.0, 2.0),
+            SimpleNamespace(rho_minus=0.0, rho_plus=1.0, alpha=0.0), 1)
+
+
+@given(problem=_far_field_problems())
+@example(problem=_signed_zero_problem())
+@settings(max_examples=150, deadline=None)
+def test_window_run_matches_full_grid_steps(problem):
+    state, law, limits, order = problem
+    cfg = SolverConfig(order=order, snapshot_times=(0.25, 0.5))
+    runs = [_outcome(lambda: run(state, cfg, law, limits, 0.5))]
+    # and on the window itself, not rounded out to whole blocks
+    with mock.patch.object(dynamics, "_BLOCK", 1):
+        runs.append(_outcome(lambda: run(state, cfg, law, limits, 0.5)))
+    with _full_window():
+        full = _outcome(lambda: run(state, cfg, law, limits, 0.5))
+    if any(isinstance(out, type) for out in (*runs, full)):
+        assert runs == [full, full]
+        return
+    assert np.all(full.meta["active_cells"] == state.x.size)
+    assert all(_same_run(out, full) for out in runs)
+    windowed = runs[0]
+
+    # single steps on the full grid with the run's dt reproduce it too
+    states = [state]
+    with _full_window(), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for dt in windowed.meta["dt"]:
+            states.append(step(states[-1], cfg, law, limits.alpha, limits, dt))
+    meta = windowed.meta
+    assert _same_bits((meta["t"], [s.t for s in states[1:]]),
+                      (meta["mass"], [s.mass for s in states[1:]]),
+                      (meta["momentum"], [s.momentum for s in states[1:]]))
+    for snap in windowed.snapshots:
+        later = [s for s in states if abs(s.t - snap.t) <= 1e-12 * (1 + snap.t)]
+        assert _same_bits((snap.rho, later[0].rho), (snap.m, later[0].m))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_full_grid_step_leaves_cells_outside_the_window(order):
+    # the scheme itself, on the whole grid, keeps every cell that _window
+    # leaves out at exactly (rho_-, 0) or (rho_+, 0), step after step
+    n, dx = 120, 0.1
+    x = (np.arange(n) + 0.5) * dx
+    limits = LimitSpec(1.05, 0.95, 1.0)
+    rho = np.where(np.arange(n) < 60, 1.05, 0.95)
+    rho[57:61] = [1.3, 0.6, 1.2, 0.8]
+    m = np.zeros(n)
+    m[58] = 0.2
+    state = PhysicalState(x, rho, m, 0.0)
+    cfg = SolverConfig(order=order)
+    for _ in range(40):
+        lo, hi = _window(state.rho, state.m, cfg, limits)
+        assert 0 < lo < hi < n
+        with _full_window():
+            new = step(state, cfg, LAW, limits.alpha, limits)
+        assert np.all(new.rho[:lo] == 1.05) and np.all(new.rho[hi:] == 0.95)
+        assert _same_bits((new.rho[:lo], state.rho[:lo]), (new.rho[hi:], state.rho[hi:]),
+                          (new.m[:lo], state.m[:lo]), (new.m[hi:], state.m[hi:]))
+        assert not np.any(new.m[:lo]) and not np.any(new.m[hi:])
+        state = new
+
+
+def test_window_bounds():
+    # [P - 4, n - S + 4) clipped to the grid, P and S the far-field runs
+    n = 40
+    x = (np.arange(n) + 0.5) * 0.1
+    limits = LimitSpec(1.05, 0.95, 1.0)
+    cfg = SolverConfig()
+    rho = np.where(np.arange(n) < 20, 1.05, 0.95)
+    m = np.zeros(n)
+    assert _window(rho, m, cfg, limits) == (16, 24)
+    for bad in (-1e-300, -0.0):   # any momentum bits end the far-field run
+        m[10] = bad
+        assert _window(rho, m, cfg, limits) == (6, 24)
+    rho[[2, 37]] = 1.0
+    assert _window(rho, m, cfg, limits) == (0, n)
+    rho[[2, 37]] = [1.05, 0.95]
+    m[10] = 0.0
+    hooks = (SolverConfig(forcing=lambda t, xx: (0.0 * xx, 0.0 * xx)),
+             SolverConfig(ghost_states=lambda t, xg: (np.ones(2), np.zeros(2))))
+    assert [_window(rho, m, c, limits) for c in hooks] == [(0, n), (0, n)]
+    # a grid that is far field throughout, coincident or vacuum
+    for far in (1.0, 0.0):
+        assert _window(np.full(n, far), m, cfg, LimitSpec(far, far, 1.0)) == (0, n)
+    assert _window(np.full(n, 1.05), m, cfg, limits) == (n - 4, n)
+    # a -0.0 density is not the far field 0.0, nor the reverse
+    vacuum = np.r_[np.zeros(20), np.ones(20)]
+    assert _window(vacuum, m, cfg, LimitSpec(0.0, 0.0, 1.0)) == (16, n)
+    vacuum[:5] = -0.0
+    assert _window(vacuum, m, cfg, LimitSpec(0.0, 0.0, 1.0)) == (0, n)
+    assert _window(vacuum, m, cfg, LimitSpec(-0.0, 0.0, 1.0)) == (1, n)
+
+
+def test_active_cells_reports_the_window():
+    n = 120
+    x = (np.arange(n) + 0.5) * 0.1
+    limits = LimitSpec(1.05, 0.95, 1.0)
+    jump = PhysicalState(x, np.where(np.arange(n) < 60, 1.05, 0.95), np.zeros(n), 0.0)
+    out = run(jump, SolverConfig(), LAW, limits, 0.5)
+    assert out.meta["active_cells"].shape == out.meta["dt"].shape
+    # cells 56..63 can change, computed as the block of cells 48..63
+    assert out.meta["active_cells"][0] == 16 < n
+
+    forced = SolverConfig(forcing=lambda t, xx: (np.zeros_like(xx), np.zeros_like(xx)))
+    out = run(jump, forced, LAW, limits, 0.5)
+    assert np.all(out.meta["active_cells"] == n)
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,7 @@ class TestSteadyReferenceMemo:
         cached = ref.cached_eval(0.3, y, LAW)
         fresh = ref.eval(2.0, y, LAW)
         for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
-                     "u", "u_y", "d2h"):
+                     "u", "u_y", "h", "dh", "d2h", "p", "dp"):
             assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_analytic_pair_evaluated_at_every_tau(self, monkeypatch):
@@ -376,6 +376,40 @@ class TestSteadyReferenceMemo:
             assert np.all(terms.xi3 == 0.5 * tau)
         assert calls == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
 
+    def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
+        # h, h', p and p' of rho_bar come from eval, once for a steady pair,
+        # and the snapshot totals keep the bits of the public formulas
+        prof, limits = jump_profile
+        calls = []
+        original = PressureLaw._reference
+
+        def counted(self, rho_bar):
+            calls.append(np.size(rho_bar))
+            return original(self, rho_bar)
+
+        monkeypatch.setattr(PressureLaw, "_reference", counted)
+        y = np.linspace(-4, 4, 161)
+        ref = ReferencePair.from_profile(prof, limits)
+        rng = np.random.default_rng(23)
+        fields = [ScaledField(tau, y, rng.uniform(0.8, 1.2, y.size),
+                              rng.uniform(-0.1, 0.1, y.size)) for tau in (0.1, 0.7, 2.5)]
+        results = [(total_relative_entropy(fld, ref, 1.0, LAW),
+                    error_terms(fld, ref, fld.tau, 1.0, LAW)) for fld in fields]
+        assert calls == [y.size]
+
+        data = ref.cached_eval(0.0, y, LAW)
+        h, dh, d2h = LAW.potential(data.rho)
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip((data.h, data.dh, data.d2h, *data.thermo[2:]),
+                       (h, dh, d2h, *LAW.pressure(data.rho))))
+        for fld, (totals, terms) in zip(fields, results):
+            eta, _ = relative_entropy_density(fld.tau, fld.rho, fld.n, data.rho, data.n, LAW)
+            assert totals.E == float(np.sum(eta) * fld.dy)
+            _, p_rel = LAW.relative(fld.rho, data.rho)
+            du = fld.n / fld.rho - data.u
+            xi1 = -data.u_y * (np.exp(-fld.tau) * fld.rho * du * du + p_rel)
+            assert terms.xi1.tobytes() == xi1.tobytes()
+
     def test_ref_data_is_read_only(self, jump_profile):
         prof, limits = jump_profile
         y = np.linspace(-4, 4, 161)
@@ -383,7 +417,7 @@ class TestSteadyReferenceMemo:
                     ReferencePair.constant(1.1)):
             data = ref.cached_eval(0.0, y, LAW)
             for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
-                         "u", "u_y", "d2h"):
+                         "u", "u_y", "h", "dh", "d2h", "p", "dp"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(data, name)[0] = 7.0
             with pytest.raises(AttributeError):
