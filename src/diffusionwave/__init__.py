@@ -14,7 +14,7 @@ from .errors import (
 )
 from .lab import ExperimentConfig, run_experiment, theoretical_bound
 from .profile import LimitSpec, SimilarityProfile, solve_profile
-from .scaling import ScaledField, from_scaled, to_scaled
+from .scaling import ScaledField, to_scaled
 from .thermo import PressureLaw, entropy_generator
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "step",
     "ScaledField",
     "to_scaled",
-    "from_scaled",
     "ReferencePair",
     "relative_entropy_density",
     "total_relative_entropy",

@@ -69,14 +69,7 @@ def _cmd_simulate(args):
     for i, snap in enumerate(result.snapshots):
         write_csv(out / f"snapshot_{i:06d}.csv", {**header, "t": snap.t},
                   {"x": snap.x, "rho": snap.rho, "m": snap.m})
-    meta = result.meta
-    write_csv(out / "run_meta.csv", header, {
-        "t": meta["t"], "dt": meta["dt"], "mass": meta["mass"],
-        "momentum": meta["momentum"],
-        "boundary_flux_mass": meta["boundary_flux_mass"],
-        "boundary_flux_momentum": meta["boundary_flux_momentum"],
-        "active_cells": meta["active_cells"],
-    })
+    write_csv(out / "run_meta.csv", header, result.meta)
     print(f"wrote {len(result.snapshots)} snapshots to {out}")
     return EXIT_OK
 
@@ -132,7 +125,7 @@ def _cmd_report(args):
     within = bool(np.all(report.E <= 1.05 * report.envelope))
     if np.all(report.envelope > 0):
         print(f"max E/envelope = {np.max(report.E / report.envelope):.4f}")
-    diss = dissipation_check(report, m["theta"], m["mu"], m["K_const"], m["E0"])
+    diss = dissipation_check(report)
     print(f"dissipation tail bound: passed={diss.passed} "
           f"threshold tau = {diss.threshold:.2f} margin={diss.margin:.4f}")
     print(f"max inequality residual = {np.max(report.ineq_residual):.3e} "

@@ -2,8 +2,7 @@
 
 Entropy pair, relative entropy/flux densities, totals and dissipation,
 residuals of a reference pair against the scaled system, the xi error terms
-with their pointwise bounds, the coercivity constants, and the generalized
-Gronwall bound used by the decay envelopes.
+with their pointwise bounds, and the coercivity constants.
 
 The constant, smoothed-step and profile references are steady: their values
 do not depend on tau (the similarity profile is a fixed point in scaling
@@ -19,7 +18,6 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, VacuumViolation
@@ -36,7 +34,6 @@ __all__ = [
     "exchange_identity_residual",
     "entropy_identity_residual",
     "xi_bound_check",
-    "gronwall_bound",
     "coercivity_constants",
     "CoercivityConstants",
 ]
@@ -354,12 +351,8 @@ class ErrorTerms:
     xi3: np.ndarray
     Xi: tuple  # (Xi1, Xi2, Xi3) midpoint quadratures
 
-    @property
-    def Xi_total(self):
-        return float(sum(self.Xi))
 
-
-def reference_residuals(data, tau, alpha, law, y):
+def reference_residuals(data, tau, alpha, y):
     """Residuals of a reference pair against the scaled system:
     R1 = rho_tau - (y/2) rho_y + n_y,
     R2 = n_tau - (y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n).
@@ -381,7 +374,7 @@ def error_terms(field, ref, tau, alpha, law):
     """Residuals and the xi error-term fields with their quadratures."""
     y = field.y
     data = ref.cached_eval(tau, y, law)
-    R1, R2 = reference_residuals(data, tau, alpha, law, y)
+    R1, R2 = reference_residuals(data, tau, alpha, y)
 
     u = _ratio(field.n, field.rho)
     du = u - data.u
@@ -500,20 +493,7 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Gronwall bound and coercivity constants
-
-
-def gronwall_bound(E0, a, b, tau_grid):
-    """E0 exp(int_0^T a) + int_0^T b(s) exp(int_s^T a) ds by trapezoid rule,
-    where T is the last entry of tau_grid."""
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    A = cumulative_trapezoid(a, tau_grid, initial=0.0)
-    weights = np.exp(A[-1] - A)
-    integrand = b * weights
-    inner = trapezoid(integrand, tau_grid)
-    return float(E0 * np.exp(A[-1]) + inner)
+# coercivity constants
 
 
 @dataclass(frozen=True)

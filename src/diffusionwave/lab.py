@@ -196,10 +196,6 @@ class EntropyReport:
     run_result: RunResult | None = None                 # the diagnosed run
 
     @property
-    def Xi(self):
-        return self.Xi1 + self.Xi2 + self.Xi3
-
-    @property
     def E0(self):
         return float(self.E[0])
 
@@ -351,15 +347,18 @@ class DissipationCheck:
     margin: float
 
 
-def dissipation_check(report, theta, mu, K_const, E0, slack=1.1):
+def dissipation_check(report, slack=1.1):
     """Tail-integral bound on the friction dissipation.
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
-    requires int_tau^end D_alpha <= slack * (envelope(tau) + 2 K e^{-tau/2}).
+    requires int_tau^end D_alpha <= slack * (envelope(tau) + 2 K e^{-tau/2}),
+    with theta, mu and K from `report.meta` and E0 = `report.E0`.
     """
+    m = report.meta
+    theta, mu, K_const, E0 = m["theta"], m["mu"], m["K_const"], report.E0
     if not theta < 0.5:
         raise DomainError("the dissipation bound requires theta < 1/2")
-    same = bool(report.meta.get("same_limits", theta == 0.0))
+    same = bool(m.get("same_limits", theta == 0.0))
     arg = 2.0 * mu / (1.0 - 2.0 * theta)
     threshold = 2.0 * np.log(arg) if arg > 0 else -np.inf
     tau = report.tau

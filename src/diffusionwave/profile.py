@@ -16,16 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DegenerateFitError, DomainError, SolverFailure
+from .errors import DomainError, SolverFailure
 from .grids import node_grid
-from .thermo import PressureLaw
 
 __all__ = [
     "LimitSpec",
     "SimilarityProfile",
     "solve_profile",
     "profile_constants",
-    "decay_fit",
     "default_halfwidth",
 ]
 
@@ -80,10 +78,6 @@ class SimilarityProfile:
     @property
     def dy(self):
         return float(self.y[1] - self.y[0])
-
-    @property
-    def halfwidth(self):
-        return float(self.y[-1])
 
 
 def default_halfwidth(alpha, minimum=8.0):
@@ -243,38 +237,3 @@ def profile_constants(profile, law, limits):
                       + 1.5 * absr / rho[1:-1]))
     K_const = float(np.sum(np.abs(r_star)) * dy)
     return theta, mu, K_const, r_star
-
-
-def decay_fit(profile, limits, *, noise_floor=1e-13, min_points=8):
-    """Fit the Gaussian tail envelope |rho* - step| <= C |drho| exp(-c alpha y^2).
-
-    Least squares of log-deviation against -c alpha y^2 + const on the window
-    |y| in [L/2, 0.9 L], restricted to samples above the rounding floor.  The
-    two tails carry different local rates (the sound speeds at rho_-+ differ),
-    so each side is fitted separately and the envelope takes the smaller rate
-    with the larger prefactor.  Returns (c_fit, C_fit, ok), ok true when both
-    side fits are positive and tight.
-    """
-    y, rho = profile.y, profile.rho_star
-    L = profile.halfwidth
-    dev = np.abs(rho - limits.step_density(y))
-    window = (np.abs(y) >= 0.5 * L) & (np.abs(y) <= 0.9 * L) & (dev > noise_floor)
-    if limits.same_limits or np.count_nonzero(window) < min_points:
-        raise DegenerateFitError("deviation from the step density is below noise")
-
-    cs, Cs, ok = [], [], True
-    for side in (y < 0, y > 0):
-        sel = window & side
-        if np.count_nonzero(sel) < min_points // 2:
-            continue
-        yy = y[sel]
-        logdev = np.log(dev[sel])
-        A = np.column_stack([-limits.alpha * yy**2, np.ones_like(yy)])
-        coef, *_ = np.linalg.lstsq(A, logdev, rcond=None)
-        rms = float(np.sqrt(np.mean((A @ coef - logdev) ** 2)))
-        cs.append(float(coef[0]))
-        Cs.append(float(np.exp(coef[1]) / abs(limits.rho_plus - limits.rho_minus)))
-        ok = ok and coef[0] > 0 and rms < 0.5
-    if not cs:
-        raise DegenerateFitError("no tail samples above the noise floor")
-    return min(cs), max(Cs), bool(ok)

@@ -1,4 +1,4 @@
-"""Transforms between physical variables and parabolic scaling variables.
+"""Transform from physical variables to parabolic scaling variables.
 
 tau = log(1+t), y = x / sqrt(1+t), and the momentum is rescaled as
 n = sqrt(1+t) * m so Darcy's law can balance asymptotically.
@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhysicalState
 from .errors import DomainError
 
-__all__ = ["ScaledField", "to_scaled", "from_scaled"]
+__all__ = ["ScaledField", "to_scaled"]
 
 
 @dataclass
@@ -32,11 +31,6 @@ class ScaledField:
         return float(np.expm1(self.tau))
 
 
-def _interp(xq, x, v):
-    # monotone piecewise-linear sampling; stays inside the local data range
-    return np.interp(xq, x, v)
-
-
 def to_scaled(state, y_grid):
     """Sample a physical snapshot onto a fixed y-grid in scaling variables."""
     y_grid = np.asarray(y_grid, dtype=float)
@@ -46,21 +40,8 @@ def to_scaled(state, y_grid):
     if np.max(np.abs(y_grid)) * stretch > X * (1 + 1e-12):
         raise DomainError("scaled window exceeds the physical domain")
     xq = y_grid * stretch
-    rho = _interp(xq, state.x, state.rho)
-    n = stretch * _interp(xq, state.x, state.m)
+    # monotone piecewise-linear sampling; stays inside the local data range
+    rho = np.interp(xq, state.x, state.rho)
+    n = stretch * np.interp(xq, state.x, state.m)
     n = np.where(rho > 0, n, 0.0)
     return ScaledField(tau=float(np.log1p(t)), y=y_grid, rho=rho, n=n)
-
-
-def from_scaled(field, x_grid):
-    """Inverse transform of to_scaled onto a physical x-grid."""
-    x_grid = np.asarray(x_grid, dtype=float)
-    t = field.t
-    stretch = np.sqrt(1.0 + t)
-    if np.max(np.abs(x_grid)) / stretch > np.abs(field.y[-1]) * (1 + 1e-12):
-        raise DomainError("physical window exceeds the scaled domain")
-    yq = x_grid / stretch
-    rho = _interp(yq, field.y, field.rho)
-    m = _interp(yq, field.y, field.n) / stretch
-    m = np.where(rho > 0, m, 0.0)
-    return PhysicalState(x=x_grid, rho=rho, m=m, t=t)

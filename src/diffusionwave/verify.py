@@ -1,14 +1,16 @@
 """End-to-end verification suite: one check per acceptance criterion.
 
 Each check returns a CheckResult with a pass flag and a human-readable
-detail line.  Expensive simulation runs are cached so the envelope,
+detail line.  The simulation runs are built from the acceptance configs
+shipped in the package's `configs/` and cached so the envelope,
 dissipation, audit, and inequality checks share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from importlib.resources import files
 
 import numpy as np
 
@@ -21,12 +23,7 @@ from .entropy import (
     relative_entropy_density,
     xi_bound_check,
 )
-from .lab import (
-    ExperimentConfig,
-    dissipation_check,
-    node_grid,
-    run_experiment,
-)
+from .lab import dissipation_check, node_grid, parse_config, run_experiment
 from .profile import LimitSpec, _ode_residual, solve_profile
 from .thermo import PressureLaw, entropy_generator
 
@@ -43,50 +40,16 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # cached shared runs
 
-
-def _coincident_cfg(**overrides):
-    base = dict(
-        rho_minus=1.0, rho_plus=1.0, alpha=1.0, gamma=2.0, k=1.0,
-        perturbation="bump", amplitude=0.2, width=1.0, center=0.0,
-        X=60.0, dx=0.02, L_y=8.0, dy=0.02, tau_max=4.0, tau_step=0.1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
-
-
-def _jump_cfg(**overrides):
-    base = dict(
-        rho_minus=1.05, rho_plus=0.95, alpha=1.0, gamma=2.0, k=1.0,
-        X=60.0, dx=0.02, L_y=8.0, dy=0.02, tau_max=4.0, tau_step=0.1,
-    )
-    base.update(overrides)
-    return ExperimentConfig(**base)
+# the coarse partner of each acceptance run, for the discrete-inequality check
+_COARSE = dict(dx=0.04, dy=0.04, tau_step=0.2)
 
 
 @lru_cache(maxsize=None)
-def _coincident_report():
-    return run_experiment(_coincident_cfg())
-
-
-@lru_cache(maxsize=None)
-def _coincident_report_coarse():
-    return run_experiment(_coincident_cfg(dx=0.04, dy=0.04, tau_step=0.2))
-
-
-@lru_cache(maxsize=None)
-def _jump_report():
-    return run_experiment(_jump_cfg())
-
-
-@lru_cache(maxsize=None)
-def _jump_report_coarse():
-    return run_experiment(_jump_cfg(dx=0.04, dy=0.04, tau_step=0.2))
-
-
-@lru_cache(maxsize=None)
-def _constant_report():
-    return run_experiment(_coincident_cfg(
-        perturbation="none", amplitude=0.0, dx=0.1, dy=0.02))
+def _report(name, **overrides):
+    """The report of the shipped acceptance config `name` ("jump" or
+    "coincident"), with the given fields replaced."""
+    cfg = parse_config(files("diffusionwave") / "configs" / f"{name}.cfg")
+    return run_experiment(replace(cfg, **overrides))
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +64,7 @@ def _fixture_profile():
 
 
 def check_coincident_envelope():
-    rep = _coincident_report()
+    rep = _report("coincident")
     bound = 1.05 * rep.envelope
     worst = float(np.max(rep.E - bound))
     ratio = float(np.max(rep.E / bound))
@@ -113,8 +76,7 @@ def check_coincident_envelope():
 
 
 def check_coincident_dissipation():
-    rep = _coincident_report()
-    res = dissipation_check(rep, theta=0.0, mu=0.0, K_const=0.0, E0=rep.E0)
+    res = dissipation_check(_report("coincident"))
     return CheckResult(
         "coincident-limit dissipation tail bound",
         res.passed and not res.inconclusive,
@@ -123,7 +85,7 @@ def check_coincident_dissipation():
 
 
 def check_jump_envelope():
-    rep = _jump_report()
+    rep = _report("jump")
     theta = rep.meta["theta"]
     if not 0.0 < theta < 0.5:
         return CheckResult(
@@ -141,11 +103,7 @@ def check_jump_envelope():
 
 
 def check_jump_dissipation():
-    rep = _jump_report()
-    res = dissipation_check(
-        rep, theta=rep.meta["theta"], mu=rep.meta["mu"],
-        K_const=rep.meta["K_const"], E0=rep.E0,
-    )
+    res = dissipation_check(_report("jump"))
     if res.inconclusive:
         return CheckResult("jump-case dissipation tail bound", False,
                            f"run too short: threshold tau = {res.threshold:.2f}")
@@ -371,7 +329,7 @@ def check_entropy_identity_order():
 
 def check_solver_audits():
     msgs, ok = [], True
-    rep = _coincident_report()
+    rep = _report("coincident")
     meta = rep.run_result.meta
     mass0 = rep.run_result.snapshots[0].mass
     drift = np.abs(meta["mass"] - mass0 - meta["boundary_flux_mass"])
@@ -398,7 +356,7 @@ def check_solver_audits():
     # positivity on the acceptance runs
     min_rho = min(
         float(min(np.min(s.rho) for s in r.run_result.snapshots))
-        for r in (_coincident_report(), _jump_report())
+        for r in (_report("coincident"), _report("jump"))
     )
     ok &= min_rho > 0
     msgs.append(f"min density over acceptance runs {min_rho:.4f}")
@@ -417,8 +375,8 @@ def _violation_measure(report):
 def check_discrete_inequality():
     msgs, ok = [], True
     pairs = [
-        ("coincident", _coincident_report(), _coincident_report_coarse()),
-        ("jump", _jump_report(), _jump_report_coarse()),
+        ("coincident", _report("coincident"), _report("coincident", **_COARSE)),
+        ("jump", _report("jump"), _report("jump", **_COARSE)),
     ]
     for label, fine, coarse in pairs:
         for tag, rep in (("fine", fine), ("coarse", coarse)):
@@ -437,7 +395,7 @@ def check_discrete_inequality():
 
 
 def check_weak_strong():
-    rep = _constant_report()
+    rep = _report("coincident", perturbation="none", amplitude=0.0, dx=0.1)
     window = 16.0  # scaled window length 2 L_y
     bound = 1e-10 * window
     worst = float(np.max(rep.E))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import diffusionwave
 from diffusionwave.cli import main
+from diffusionwave.dynamics import PhysicalState
 from diffusionwave.lab import emit_report, parse_report, read_csv
 
 FAST_CFG = """\
@@ -94,6 +95,23 @@ def test_simulate_then_diagnose(tmp_path, cfg_file):
     assert report.tau[0] == 0.0
     assert np.all(report.E >= 0)
     assert len(list(tmp_path.glob("scaled_*.csv"))) == 3
+
+
+def test_run_meta_audits_the_momentum_ledger(tmp_path, cfg_file):
+    # momentum - initial momentum - boundary flux + damping sink telescopes
+    # to rounding; the jump keeps a net pressure flux through the boundary
+    cfg_file.write_text(FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
+                        .replace("rho_plus = 1.0", "rho_plus = 0.95"))
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    _, meta = read_csv(snap_dir / "run_meta.csv")
+    head, first = read_csv(snap_dir / "snapshot_000000.csv")
+    initial = PhysicalState(first["x"], first["rho"], first["m"], head["t"])
+    flux, sink = meta["boundary_flux_momentum"], meta["damping_sink"]
+    assert abs(flux[-1]) > 1e-3 and sink[-1] != 0.0
+    ledger = meta["momentum"] - initial.momentum - flux + sink
+    assert np.max(np.abs(ledger)) <= 1e-12
 
 
 def test_diagnose_self_contained(tmp_path, cfg_file):

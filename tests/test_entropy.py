@@ -1,4 +1,4 @@
-"""Relative entropy densities, residuals, identities, bounds, Gronwall."""
+"""Relative entropy densities, residuals, identities, bounds."""
 
 import warnings
 
@@ -11,7 +11,6 @@ from diffusionwave.entropy import (
     entropy_identity_residual,
     error_terms,
     exchange_identity_residual,
-    gronwall_bound,
     relative_entropy_density,
     total_relative_entropy,
     xi_bound_check,
@@ -260,27 +259,6 @@ class TestXiBounds:
                 rng.uniform(0, 4), y, rng.uniform(0.2, 3, y.size),
                 rng.uniform(-2, 2, y.size), ref, LAW, 1.0)
         assert violations == 0
-
-
-class TestGronwall:
-    def test_pure_decay(self):
-        tau = np.linspace(0, 1, 201)
-        val = gronwall_bound(1.0, np.full_like(tau, -0.5), np.zeros_like(tau), tau)
-        assert val == pytest.approx(np.exp(-0.5), rel=1e-6)
-
-    def test_pure_source(self):
-        tau = np.linspace(0, 3, 301)
-        val = gronwall_bound(0.0, np.zeros_like(tau), np.ones_like(tau), tau)
-        assert val == pytest.approx(3.0, rel=1e-12)
-
-    def test_below_closed_form_majorant(self):
-        theta, mu, K, E0 = 0.1, 0.3, 0.2, 1.0
-        tau = np.linspace(0, 2, 2001)
-        a = -0.5 + theta + mu * np.exp(-tau / 2)
-        b = K * np.exp(-tau / 2)
-        val = gronwall_bound(E0, a, b, tau)
-        majorant = np.exp(-(0.5 - theta) * 2.0 + mu / 2) * (E0 + K / theta)
-        assert val <= majorant
 
 
 class TestCoercivity:

@@ -83,23 +83,24 @@ class TestDissipationCheck:
     def test_short_run_inconclusive(self):
         tau = np.linspace(0, 1, 11)
         rep = _report_from_E(tau, np.exp(-tau))
-        rep.meta["same_limits"] = False
+        rep.meta.update(same_limits=False, theta=0.25, mu=1.0, K_const=0.1)
         # threshold 2 log(2 mu/(1-2 theta)) = 2 log(4) > 1
-        res = dissipation_check(rep, theta=0.25, mu=1.0, K_const=0.1, E0=1.0)
+        res = dissipation_check(rep)
         assert res.inconclusive
 
     def test_flat_theta_required(self):
         tau = np.linspace(0, 1, 11)
         rep = _report_from_E(tau, np.exp(-tau))
+        rep.meta.update(theta=0.5, mu=0.1, K_const=0.1)
         with pytest.raises(DomainError):
-            dissipation_check(rep, theta=0.5, mu=0.1, K_const=0.1, E0=1.0)
+            dissipation_check(rep)
 
     def test_small_dissipation_passes(self):
         tau = np.linspace(0, 4, 41)
         rep = _report_from_E(tau, np.exp(-0.5 * tau))
         rep.D_alpha = 0.01 * np.exp(-0.5 * tau)
-        rep.meta["same_limits"] = True
-        res = dissipation_check(rep, theta=0.0, mu=0.0, K_const=0.0, E0=1.0)
+        rep.meta.update(same_limits=True, theta=0.0, mu=0.0, K_const=0.0)
+        res = dissipation_check(rep)
         assert res.passed and not res.inconclusive
 
 

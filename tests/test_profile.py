@@ -1,15 +1,14 @@
-"""Similarity-profile solver, flatness constants, and tail fits."""
+"""Similarity-profile solver and flatness constants."""
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from diffusionwave.errors import DegenerateFitError, DomainError
+from diffusionwave.errors import DomainError
 from diffusionwave.profile import (
     LimitSpec,
     SimilarityProfile,
     _ode_residual,
-    decay_fit,
     profile_constants,
     solve_profile,
 )
@@ -138,25 +137,3 @@ class TestRefinement:
             norms.append(np.max(np.abs(r[1:-1][inner])))
         factor = norms[0] / norms[1]
         assert 3.0 <= factor <= 5.0
-
-
-class TestDecayFit:
-    def test_synthetic_gaussian(self):
-        y = np.linspace(-8.0, 8.0, 1601)
-        limits = LimitSpec(1.2, 0.8, 1.0)
-        dev = 0.2 * np.exp(-0.25 * y**2)
-        rho = limits.step_density(y) + np.where(y < 0, dev, -dev)
-        prof = SimilarityProfile(y, rho, np.zeros_like(y), np.zeros_like(y),
-                                 np.zeros_like(y))
-        c_fit, C_fit, ok = decay_fit(prof, limits)
-        assert c_fit == pytest.approx(0.25, abs=1e-3)
-        assert ok
-
-    def test_constant_profile_degenerate(self):
-        prof = solve_profile(LimitSpec(1.0, 1.0, 1.0), LAW, L=8.0, dy=0.02)
-        with pytest.raises(DegenerateFitError):
-            decay_fit(prof, LimitSpec(1.0, 1.0, 1.0))
-
-    def test_golden_fixture_fit(self, golden_profile):
-        c_fit, _, ok = decay_fit(golden_profile, GOLDEN_LIMITS)
-        assert ok and c_fit > 0

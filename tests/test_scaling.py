@@ -5,7 +5,7 @@ import pytest
 
 from diffusionwave.dynamics import PhysicalState
 from diffusionwave.errors import DomainError
-from diffusionwave.scaling import ScaledField, from_scaled, to_scaled
+from diffusionwave.scaling import to_scaled
 
 
 def _state(t=0.0, n=401, X=10.0, rho=None, m=None):
@@ -50,22 +50,16 @@ class TestToScaled:
 
 class TestRoundTrip:
     def test_aligned_grids_exact(self):
+        # y-nodes that map onto the cell centres sample rho and
+        # sqrt(1+t) m exactly, without interpolation error
         t = 3.0
         y = np.linspace(-4.0, 4.0, 81)
         x = y * np.sqrt(1.0 + t)
         rho = 1.0 + 0.2 * np.exp(-(x**2) / 4)
         m = 0.1 * np.exp(-(x**2) / 4)
-        state = PhysicalState(x, rho, m, t)
-        back = from_scaled(to_scaled(state, y), x)
-        assert np.allclose(back.rho, rho, rtol=1e-14)
-        assert np.allclose(back.m, m, rtol=1e-14)
-
-    def test_inverse_momentum(self):
-        field = ScaledField(np.log(4.0), np.linspace(-2.0, 2.0, 5),
-                            np.ones(5), np.ones(5))
-        state = from_scaled(field, np.linspace(-4.0, 4.0, 5))
-        assert np.allclose(state.m, 0.5)
-        assert state.t == pytest.approx(3.0)
+        field = to_scaled(PhysicalState(x, rho, m, t), y)
+        assert np.array_equal(field.rho, rho)
+        assert np.array_equal(field.n, np.sqrt(1.0 + t) * m)
 
     def test_mass_consistency(self):
         # integral of rho over y = (1+t)^{-1/2} integral of rho over x
