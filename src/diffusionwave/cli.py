@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import PhysicalState, RunResult
-from .errors import ConfigError, DomainError, NumericalFailure, SolverFailure
+from .errors import (ConfigError, DegenerateFitError, DomainError,
+                     NumericalFailure, SolverFailure)
 from .lab import (
     diagnose,
     dissipation_check,
@@ -120,8 +121,11 @@ def _cmd_report(args):
         print(f"{key} = {m[key]}")
     print(f"E: {report.E[0]:.6e} -> {report.E[-1]:.6e}")
     if np.all(report.E > 0) and tau[-1] > 0.5:
-        rate, rms = fit_decay_rate(report, (min(0.5, tau[-1] / 2), tau[-1]))
-        print(f"fitted decay rate {rate:.4f} (rms {rms:.2e})")
+        try:
+            rate, rms = fit_decay_rate(report, (min(0.5, tau[-1] / 2), tau[-1]))
+            print(f"fitted decay rate {rate:.4f} (rms {rms:.2e})")
+        except DegenerateFitError as exc:
+            print(f"fitted decay rate skipped: {exc}")
     within = bool(np.all(report.E <= 1.05 * report.envelope))
     if np.all(report.envelope > 0):
         print(f"max E/envelope = {np.max(report.E / report.envelope):.4f}")

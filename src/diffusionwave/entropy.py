@@ -4,12 +4,11 @@ Entropy pair, relative entropy/flux densities, totals and dissipation,
 residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, and the coercivity constants.
 
-The constant, smoothed-step and profile references are steady: their values
-do not depend on tau (the similarity profile is a fixed point in scaling
-variables).  `total_relative_entropy`, `error_terms` and `xi_bound_check`
-evaluate a steady reference once per (y-grid, law) and share the read-only
-result, with u, u_y and h''(rho_bar), across every later tau; analytic
-references are evaluated at each tau.
+References are functions of y alone: the constant, the smoothed step and
+the similarity profile, which is a stationary solution in scaling variables.
+`total_relative_entropy`, `error_terms` and `xi_bound_check` evaluate a
+reference once per (y-grid, law) and share the read-only result, with u,
+u_y and h''(rho_bar), across every tau.
 """
 
 from __future__ import annotations
@@ -122,14 +121,12 @@ def _read_only(a):
 class RefData:
     """A reference pair evaluated on a y-grid, with first derivatives, the
     velocity u = n/rho, its derivative u_y, and the thermodynamics of rho:
-    h, h', h'', p and p'.  Every array is read-only, because a steady pair
-    hands the same RefData to every snapshot."""
+    h, h', h'', p and p'.  Every array is read-only, because a pair hands
+    the same RefData to every snapshot."""
 
     rho: np.ndarray
     n: np.ndarray
-    rho_tau: np.ndarray
     rho_y: np.ndarray
-    n_tau: np.ndarray
     n_y: np.ndarray
     p_y: np.ndarray  # centered difference of p(rho_bar), used by the residuals
     u: np.ndarray
@@ -150,127 +147,97 @@ class RefData:
         return self.h, self.dh, self.p, self.dp
 
 
-# "analytic" pairs may depend on tau; the other kinds are made by the
-# constructors below, whose callables ignore tau
-_KINDS = ("constant", "smoothed_step", "profile", "analytic")
-
-
 @dataclass(frozen=True)
 class ReferencePair:
-    """Reference (rho_bar, n_bar) as callables of (tau, y).
+    """Steady reference (rho_bar, n_bar) as callables of y.
 
     Derivative callables are optional; missing ones fall back to centered
-    differences with the evaluation grid spacing.  `kind` is one of
-    "constant", "smoothed_step", "profile" and "analytic".  Every kind but
-    "analytic" promises callables that ignore tau: such a pair is steady,
-    and `cached_eval` keeps its evaluation for the last grid.
+    differences with the evaluation grid spacing.  `cached_eval` keeps the
+    evaluation for the last grid.
     """
 
-    kind: str
     rho: Callable
     n: Callable
-    rho_tau: Optional[Callable] = None
     rho_y: Optional[Callable] = None
-    n_tau: Optional[Callable] = None
     n_y: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown reference kind {self.kind!r}; "
-                              f"expected one of {', '.join(_KINDS)}")
-        # [y, law, RefData] of the last grid a steady pair was evaluated on
+        # [y, law, RefData] of the last grid the pair was evaluated on
         object.__setattr__(self, "_memo", [])
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def constant(cls, rho_bar, n_bar=0.0):
+    def constant(cls, rho_bar):
         if rho_bar < 0:
             raise DomainError("reference density must be nonnegative")
-        if rho_bar == 0 and n_bar != 0:
-            raise DomainError("vacuum reference must carry zero momentum")
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, dtype=float))
-        return cls(
-            kind="constant",
-            rho=lambda tau, y: np.full_like(np.asarray(y, dtype=float), rho_bar),
-            n=lambda tau, y: np.full_like(np.asarray(y, dtype=float), n_bar),
-            rho_tau=zero, rho_y=zero, n_tau=zero, n_y=zero,
-        )
+        zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
+        return cls(rho=lambda y: np.full_like(np.asarray(y, dtype=float), rho_bar),
+                   n=zero, rho_y=zero, n_y=zero)
 
     @classmethod
-    def smoothed_step(cls, limits, width=2.0):
-        """C^1 interpolation between rho_- and rho_+ across [-width, width]."""
+    def smoothed_step(cls, limits):
+        """C^1 interpolation at rest between rho_- and rho_+ across [-2, 2]."""
         rm, rp = limits.rho_minus, limits.rho_plus
+        width = 2.0
 
-        def rho(tau, y):
+        def rho(y):
             u = np.clip((np.asarray(y, dtype=float) + width) / (2 * width), 0.0, 1.0)
             return rm + (rp - rm) * u * u * (3.0 - 2.0 * u)
 
-        def rho_y(tau, y):
+        def rho_y(y):
             yv = np.asarray(y, dtype=float)
             u = np.clip((yv + width) / (2 * width), 0.0, 1.0)
             du = np.where((yv > -width) & (yv < width), 1.0 / (2 * width), 0.0)
             return (rp - rm) * 6.0 * u * (1.0 - u) * du
 
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, dtype=float))
-        return cls(kind="smoothed_step", rho=rho, n=zero,
-                   rho_tau=zero, rho_y=rho_y, n_tau=zero, n_y=zero)
+        zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
+        return cls(rho=rho, n=zero, rho_y=rho_y, n_y=zero)
 
     @classmethod
     def from_profile(cls, profile, limits):
-        """Similarity profile as a (time-independent) reference pair."""
+        """Similarity profile as a reference pair."""
         rho_sp = CubicSpline(profile.y, profile.rho_star)
         n_sp = CubicSpline(profile.y, profile.n_star)
         lo, hi = profile.y[0], profile.y[-1]
 
-        def rho(tau, y):
+        def rho(y):
             yv = np.asarray(y, dtype=float)
             out = rho_sp(np.clip(yv, lo, hi))
             out = np.where(yv < lo, limits.rho_minus, out)
             return np.where(yv > hi, limits.rho_plus, out)
 
-        def n(tau, y):
+        def n(y):
             yv = np.asarray(y, dtype=float)
             out = n_sp(np.clip(yv, lo, hi))
             return np.where((yv < lo) | (yv > hi), 0.0, out)
 
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, dtype=float))
-        return cls(kind="profile", rho=rho, n=n, rho_tau=zero, n_tau=zero)
-
-    @classmethod
-    def analytic(cls, rho, n, rho_tau=None, rho_y=None, n_tau=None, n_y=None):
-        return cls("analytic", rho, n, rho_tau, rho_y, n_tau, n_y)
+        return cls(rho=rho, n=n)
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, tau, y, law, h=None):
+    def eval(self, y, law):
         """Evaluate values and first derivatives on a grid.
 
-        Missing derivatives use centered differences with step h (defaults
-        to the grid spacing); p(rho_bar)_y is always the centered difference
-        of pressure values so discrete Darcy closures cancel exactly.
+        Missing derivatives use centered differences with step h, the grid
+        spacing; p(rho_bar)_y is always the centered difference of pressure
+        values so discrete Darcy closures cancel exactly.
         """
         y = np.asarray(y, dtype=float)
-        if h is None:
-            h = float(y[1] - y[0]) if y.size > 1 else 1e-4
+        h = float(y[1] - y[0]) if y.size > 1 else 1e-4
 
-        rho = np.asarray(self.rho(tau, y), dtype=float)
-        n = np.asarray(self.n(tau, y), dtype=float)
+        rho = np.asarray(self.rho(y), dtype=float)
+        n = np.asarray(self.n(y), dtype=float)
         if np.any(rho < 0):
             raise DomainError("reference density must be nonnegative")
 
-        def d_tau(f, fallback):
-            if fallback is not None:
-                return np.asarray(fallback(tau, y), dtype=float)
-            return (np.asarray(f(tau + h, y), float) - np.asarray(f(tau - h, y), float)) / (2 * h)
-
         def d_y(f, fallback):
             if fallback is not None:
-                return np.asarray(fallback(tau, y), dtype=float)
-            return (np.asarray(f(tau, y + h), float) - np.asarray(f(tau, y - h), float)) / (2 * h)
+                return np.asarray(fallback(y), dtype=float)
+            return (np.asarray(f(y + h), float) - np.asarray(f(y - h), float)) / (2 * h)
 
-        p_plus, _ = law.pressure(np.asarray(self.rho(tau, y + h), dtype=float))
-        p_minus, _ = law.pressure(np.asarray(self.rho(tau, y - h), dtype=float))
+        p_plus, _ = law.pressure(np.asarray(self.rho(y + h), dtype=float))
+        p_minus, _ = law.pressure(np.asarray(self.rho(y - h), dtype=float))
         p_y = (np.asarray(p_plus) - p_minus) / (2 * h)
 
         rho_y = d_y(self.rho, self.rho_y)
@@ -279,9 +246,7 @@ class ReferencePair:
         return RefData(
             rho=rho,
             n=n,
-            rho_tau=d_tau(self.rho, self.rho_tau),
             rho_y=rho_y,
-            n_tau=d_tau(self.n, self.n_tau),
             n_y=n_y,
             p_y=p_y,
             u=_ratio(n, rho),
@@ -293,24 +258,13 @@ class ReferencePair:
             dp=dp,
         )
 
-    @property
-    def steady(self):
-        """Whether the values ignore tau (every kind but "analytic")."""
-        return self.kind != "analytic"
-
-    def cached_eval(self, tau, y, law):
-        """`eval`, memoised for steady pairs.
-
-        A steady pair is evaluated once per (y, law): while those stay the
-        same, every call returns the same read-only RefData, whatever tau.
-        Other pairs are evaluated at each call.
-        """
+    def cached_eval(self, y, law):
+        """`eval`, memoised: while (y, law) stay the same, every call
+        returns the same read-only RefData."""
         y = np.asarray(y, dtype=float)
-        if not self.steady:
-            return self.eval(tau, y, law)
         memo = self._memo
         if not (memo and memo[1] == law and np.array_equal(memo[0], y)):
-            memo[:] = [y.copy(), law, self.eval(tau, y, law)]
+            memo[:] = [y.copy(), law, self.eval(y, law)]
         return memo[2]
 
 
@@ -329,7 +283,7 @@ def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
     dissipation over the field's window; tail_ok flags edge integrands
     below the truncation monitor."""
-    data = ref.cached_eval(field.tau, field.y, law)
+    data = ref.cached_eval(field.y, law)
     u = _ratio(field.n, field.rho)
     eta_rel, _ = _relative_density(field.tau, field.rho, field.n, u,
                                    data.rho, data.u, data.thermo, law)
@@ -353,16 +307,15 @@ class ErrorTerms:
 
 
 def reference_residuals(data, tau, alpha, y):
-    """Residuals of a reference pair against the scaled system:
-    R1 = rho_tau - (y/2) rho_y + n_y,
-    R2 = n_tau - (y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n).
+    """Residuals of a steady reference pair against the scaled system:
+    R1 = -(y/2) rho_y + n_y,
+    R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n).
     """
     y = np.asarray(y, dtype=float)
-    R1 = data.rho_tau - 0.5 * y * data.rho_y + data.n_y
+    R1 = -0.5 * y * data.rho_y + data.n_y
     nsq_y = 2.0 * data.u * data.n_y - data.u * data.u * data.rho_y  # (n^2/rho)_y
     R2 = (
-        data.n_tau
-        - 0.5 * y * data.n_y
+        -0.5 * y * data.n_y
         - 0.5 * data.n
         + nsq_y
         + np.exp(tau) * (data.p_y + alpha * data.n)
@@ -373,7 +326,7 @@ def reference_residuals(data, tau, alpha, y):
 def error_terms(field, ref, tau, alpha, law):
     """Residuals and the xi error-term fields with their quadratures."""
     y = field.y
-    data = ref.cached_eval(tau, y, law)
+    data = ref.cached_eval(y, law)
     R1, R2 = reference_residuals(data, tau, alpha, y)
 
     u = _ratio(field.n, field.rho)
@@ -449,16 +402,17 @@ def entropy_identity_residual(field, tau, y, alpha, law, h_step):
 # pointwise bounds on the xi terms
 
 
-def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
+def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     """Count pointwise violations of the three xi-term bounds.
 
     Evaluates the three bounding inequalities at each node for the given
-    states against the reference pair; the slack is relative to the bound.
+    states against the reference pair, with a rounding slack of 1e-12
+    relative to the bound.
     """
     y = np.asarray(y, dtype=float)
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)
-    data = ref.cached_eval(tau, y, law)
+    data = ref.cached_eval(y, law)
     if np.min(data.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
     terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
@@ -470,7 +424,7 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha, slack=1e-12):
     R_bar = data.u * terms.R1 - terms.R2
     exp_h = np.exp(-tau / 2.0)
 
-    tol = lambda b: slack * np.maximum(1.0, np.abs(b))
+    tol = lambda b: 1e-12 * np.maximum(1.0, np.abs(b))
 
     bound1a = coeff * np.maximum(-data.u_y, 0.0) * eta_rel
     bound1b = coeff * np.abs(data.u_y) * eta_rel
@@ -513,7 +467,7 @@ class CoercivityConstants:
         return np.where(np.asarray(rho, float) <= self.r0, small, large)
 
 
-def coercivity_constants(law, delta, M, rho_cap=None, grid=2000, safety=0.9):
+def coercivity_constants(law, delta, M):
     """Constants (r0, C) of the coercivity estimate, built as in the
     Taylor/Young argument: r0 = 2M, quadratic constant from the infimum of
     h(rho|rho_bar)/|rho-rho_bar|^2 on [0, r0] x [delta, M], and the
@@ -522,8 +476,8 @@ def coercivity_constants(law, delta, M, rho_cap=None, grid=2000, safety=0.9):
     if not 0 < delta < M:
         raise DomainError("need 0 < delta < M")
     r0 = 2.0 * M
-    if rho_cap is None:
-        rho_cap = 100.0 * r0
+    rho_cap = 100.0 * r0
+    grid, safety = 2000, 0.9  # samples per infimum, and the margin below it
     g = law.gamma
 
     rb = np.linspace(delta, M, 41)

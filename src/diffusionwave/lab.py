@@ -146,8 +146,8 @@ def build_initial(cfg, x, limits, profile=None):
         if profile is None:
             raise ConfigError("profile initial data requires a non-constant profile")
         ref = ReferencePair.from_profile(profile, limits)
-        rho = np.asarray(ref.rho(0.0, x), dtype=float)
-        m = np.asarray(ref.n(0.0, x), dtype=float)  # n = m at t = 0
+        rho = np.asarray(ref.rho(x), dtype=float)
+        m = np.asarray(ref.n(x), dtype=float)  # n = m at t = 0
     else:
         rho = limits.step_density(x).astype(float)
         m = np.zeros_like(x)
@@ -246,8 +246,9 @@ def diagnose(cfg, run_result):
     relative-entropy report against the configured reference.
 
     The reference density must be bounded away from 0 on the y-grid
-    (ConfigError before any snapshot otherwise).  A steady reference is
-    evaluated once for the whole run (`ReferencePair.cached_eval`).
+    (ConfigError before any snapshot otherwise).  The reference is a
+    function of y, evaluated once for the whole run
+    (`ReferencePair.cached_eval`).
     """
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
@@ -269,7 +270,7 @@ def diagnose(cfg, run_result):
     ref, ref_kind = make_reference(cfg, limits, law, profile)
 
     y = node_grid(cfg.L_y, cfg.dy)
-    if not np.min(ref.rho(taus[0], y)) > 0:
+    if not np.min(ref.rho(y)) > 0:
         raise ConfigError(
             f"the {ref_kind} reference density must be bounded away from 0 "
             f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
@@ -347,11 +348,11 @@ class DissipationCheck:
     margin: float
 
 
-def dissipation_check(report, slack=1.1):
+def dissipation_check(report):
     """Tail-integral bound on the friction dissipation.
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
-    requires int_tau^end D_alpha <= slack * (envelope(tau) + 2 K e^{-tau/2}),
+    requires int_tau^end D_alpha <= 1.1 (envelope(tau) + 2 K e^{-tau/2}),
     with theta, mu and K from `report.meta` and E0 = `report.E0`.
     """
     m = report.meta
@@ -372,7 +373,7 @@ def dissipation_check(report, slack=1.1):
 
     valid = tau >= threshold
     env = theoretical_bound(tau[valid], E0, theta, mu, K_const, same)
-    bound = slack * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
+    bound = 1.1 * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
     gap = bound - tail[valid]
     passed = bool(np.all(gap >= 0))
     margin = float(np.min(gap / np.maximum(bound, 1e-300)))
@@ -442,5 +443,7 @@ def parse_report(path):
     if missing:
         raise ConfigError(
             f"{path}: not an entropy series, no column {', '.join(missing)}")
+    if not cols["tau"].size:
+        raise ConfigError(f"{path}: the entropy series has no rows")
     return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS},
                          meta=meta)

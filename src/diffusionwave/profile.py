@@ -80,10 +80,10 @@ class SimilarityProfile:
         return float(self.y[1] - self.y[0])
 
 
-def default_halfwidth(alpha, minimum=8.0):
-    """Half-width large enough that the Gaussian tail ~exp(-c alpha y^2)
-    of the profile deviation is far below solver tolerance."""
-    return float(max(minimum, 20.0 / np.sqrt(alpha))) if alpha > 0 else float(minimum)
+def default_halfwidth(alpha):
+    """Half-width, at least 8, large enough that the Gaussian tail
+    ~exp(-c alpha y^2) of the profile deviation is far below solver tolerance."""
+    return float(max(8.0, 20.0 / np.sqrt(alpha))) if alpha > 0 else 8.0
 
 
 def _central_first(v, dy):
@@ -104,12 +104,14 @@ def _ode_residual(rho, y, dy, law, alpha):
     return _central_second(p, dy) / alpha + 0.5 * y * _central_first(rho, dy)
 
 
-def solve_profile(limits, law, L=None, dy=0.01, *, tol=NEWTON_TOL,
-                  max_iter=NEWTON_MAX_ITER, tail_tol=TAIL_TOL):
+# overflow of p(rho) or p'(rho) leaves a non-finite Newton system, which is
+# a SolverFailure, not a warning
+@np.errstate(over="ignore", invalid="ignore")
+def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     """Solve the profile boundary-value problem on [-L, L].
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
-    tolerance `tol` in max norm.  Raises SolverFailure on non-convergence,
+    tolerance `NEWTON_TOL` in max norm.  Raises SolverFailure on non-convergence,
     DomainError if the truncated domain leaves a tail above `tail_tol` or
     unless 0 < dy < L < inf, and ConfigError (before allocating) if the grid
     would have more than `grids.MAX_COUNT` nodes.
@@ -136,8 +138,8 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tol=NEWTON_TOL,
 
     res = interior_residual(rho)
     res_norm = np.max(np.abs(res))
-    for _ in range(max_iter):
-        if res_norm <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if res_norm <= NEWTON_TOL:
             break
         _, dp = law.pressure(rho)
         yi = y[1:-1]
@@ -171,7 +173,8 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tol=NEWTON_TOL,
         rho, res, res_norm = trial, trial_res, trial_norm
     else:
         raise SolverFailure(
-            f"Newton did not reach tolerance {tol:g} in {max_iter} iterations",
+            f"Newton did not reach tolerance {NEWTON_TOL:g} in "
+            f"{NEWTON_MAX_ITER} iterations",
             residual=res_norm,
         )
 

@@ -6,7 +6,6 @@ string in the assertion message.  The acceptance runs are built from the
 config files shipped in the package.
 """
 
-import warnings
 from importlib.resources import files
 
 import pytest
@@ -18,9 +17,7 @@ from diffusionwave.verify import ALL_CHECKS
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
 def test_acceptance(check):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        result = check()
+    result = check()
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"

@@ -41,13 +41,6 @@ def cfg_file(tmp_path):
     return path
 
 
-@pytest.fixture(autouse=True)
-def _quiet_boundary_warnings():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        yield
-
-
 def test_profile_command(tmp_path, capsys):
     out = tmp_path / "prof.csv"
     rc = main(["profile", "--rho-minus", "1.05", "--rho-plus", "0.95",
@@ -112,6 +105,25 @@ def test_run_meta_audits_the_momentum_ledger(tmp_path, cfg_file):
     assert abs(flux[-1]) > 1e-3 and sink[-1] != 0.0
     ledger = meta["momentum"] - initial.momentum - flux + sink
     assert np.max(np.abs(ledger)) <= 1e-12
+
+
+def test_run_meta_records_boundary_contact(tmp_path):
+    # step data keep the edge cells at the far field to the bit until the
+    # waves, slower than 1.5, arrive from x = 0 at the edges x = +-8; the
+    # contact is a run_meta.csv column, not a RuntimeWarning
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("rho_minus = 1.05\nrho_plus = 0.95\nX = 8.0\ndx = 0.1\n"
+                   "L_y = 2.0\ndy = 0.1\ntau_max = 2.5\ntau_step = 0.5\n")
+    snap_dir = tmp_path / "snaps"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg),
+                     "--out-dir", str(snap_dir)]) == 0
+    _, meta = read_csv(snap_dir / "run_meta.csv")
+    t, deviation = meta["t"], meta["boundary_deviation"]
+    assert deviation.size == t.size and np.any(t < 2.0)
+    assert np.all(deviation[t < 2.0] == 0.0)
+    assert deviation[-1] > 1e-8
 
 
 def test_diagnose_self_contained(tmp_path, cfg_file):
@@ -207,6 +219,37 @@ def test_report_command(tmp_path, cfg_file, capsys):
     out = capsys.readouterr().out
     assert "samples: 3" in out
     assert "E:" in out
+
+
+def test_report_of_a_series_without_rows_exits_1(tmp_path, cfg_file, capsys):
+    series = tmp_path / "series.csv"
+    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
+    head = [line for line in series.read_text().splitlines()
+            if line.startswith("#") or line.startswith("tau,")]
+    series.write_text("\n".join(head) + "\n")
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no rows" in err, err
+
+
+def test_report_skips_a_degenerate_fit(tmp_path, cfg_file, capsys):
+    # tau = 0, 0.6: the fit window (0.3, 0.6) holds one sample
+    series = tmp_path / "series.csv"
+    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
+    report = parse_report(series)
+    for name in ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
+                 "ineq_residual"):
+        setattr(report, name, getattr(report, name)[[0, -1]])
+    report.tau = np.array([0.0, 0.6])
+    emit_report(report, series)
+    capsys.readouterr()
+    assert main(["report", str(series)]) in (0, 3)
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "fitted decay rate skipped: fit window contains fewer than two samples" in out
+    assert "max E/envelope" in out and "dissipation tail bound" in out
+    assert "max inequality residual" in out
 
 
 def test_unknown_config_key_exits_1(tmp_path):

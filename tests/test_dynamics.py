@@ -1,6 +1,5 @@
 """Finite-volume solver: fluxes, stepping, audits, manufactured convergence."""
 
-import warnings
 from types import SimpleNamespace
 from unittest import mock
 
@@ -228,9 +227,7 @@ class TestStep:
     def test_constant_state_exact_damping(self):
         state = _constant_state()
         cfg = SolverConfig(cfl=0.45)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            out = run(state, cfg, LAW, UNIT, float(np.log(2.0)))
+        out = run(state, cfg, LAW, UNIT, float(np.log(2.0)))
         mid = out.final.x.size // 2
         assert out.final.m[mid] == pytest.approx(0.5, rel=1e-12)
         assert out.final.rho[mid] == pytest.approx(1.0, rel=1e-13)
@@ -349,12 +346,10 @@ def _far_field_problems(draw):
 
 def _outcome(fn):
     """fn's result, or the type of the solver error it raised."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        try:
-            return fn()
-        except (NumericalFailure, DomainError) as exc:
-            return type(exc)
+    try:
+        return fn()
+    except (NumericalFailure, DomainError) as exc:
+        return type(exc)
 
 
 def _signed_zero_problem():
@@ -388,8 +383,7 @@ def test_window_run_matches_full_grid_steps(problem):
 
     # single steps on the full grid with the run's dt reproduce it too
     states = [state]
-    with _full_window(), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    with _full_window():
         for dt in windowed.meta["dt"]:
             states.append(step(states[-1], cfg, law, limits.alpha, limits, dt))
     meta = windowed.meta

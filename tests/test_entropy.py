@@ -167,32 +167,33 @@ class TestErrorTerms:
         # differentiates the quotient directly: difference is O(dy^2) small
         assert np.max(np.abs(terms.R2 - r_star)) <= 1e-7
 
-    def test_exact_solution_reference(self):
-        # spatially uniform exact solution of the scaled system:
-        # rho = rho0, n = e^{tau/2} m0 e^{-alpha(e^tau - 1)}
-        rho0, m0, alpha = 1.3, 0.5, 1.0
-
-        def n_bar(tau, y):
-            return np.full_like(np.asarray(y, float),
-                                np.exp(tau / 2) * m0 * np.exp(-alpha * np.expm1(tau)))
-
-        def n_tau(tau, y):
-            return n_bar(tau, y) * (0.5 - alpha * np.exp(tau))
-
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, float))
-        ref = ReferencePair.analytic(
-            rho=lambda tau, y: np.full_like(np.asarray(y, float), rho0),
-            n=n_bar, rho_tau=zero, rho_y=zero, n_tau=n_tau, n_y=zero,
-        )
+    def test_steady_residuals_term_by_term(self):
+        # R1 = -(y/2) rho_y + n_y and
+        # R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p_y + alpha n)
+        tau, alpha = 0.8, 1.5
         y = np.linspace(-3, 3, 301)
         rng = np.random.default_rng(16)
-        field = ScaledField(0.8, y, rng.uniform(0.5, 2, y.size),
+        field = ScaledField(tau, y, rng.uniform(0.5, 2, y.size),
                             rng.uniform(-1, 1, y.size))
-        terms = error_terms(field, ref, 0.8, alpha, LAW)
-        assert np.max(np.abs(terms.R1)) <= 1e-12
-        assert np.max(np.abs(terms.R2)) <= 1e-12
-        assert np.max(np.abs(terms.xi2)) <= 1e-11
-        assert np.max(np.abs(terms.xi3)) <= 1e-11
+
+        # smoothed step at rest: only the transport and pressure terms remain
+        ref = ReferencePair.smoothed_step(LimitSpec(1.05, 0.95, 1.0))
+        data = ref.cached_eval(y, LAW)
+        terms = error_terms(field, ref, tau, alpha, LAW)
+        assert np.any(data.rho_y != 0)
+        assert np.array_equal(terms.R1, -0.5 * y * data.rho_y)
+        assert np.array_equal(terms.R2, np.exp(tau) * data.p_y)
+
+        # constant density with constant momentum n0: R1 = 0 and
+        # R2 = (alpha e^tau - 1/2) n0, derivatives by centered differences
+        rho0, n0 = 1.3, 0.5
+        ref = ReferencePair(rho=lambda y: np.full_like(y, rho0),
+                            n=lambda y: np.full_like(y, n0))
+        terms = error_terms(field, ref, tau, alpha, LAW)
+        assert np.all(terms.R1 == 0.0)
+        expected = (alpha * np.exp(tau) - 0.5) * n0
+        assert np.max(np.abs(terms.R2 - expected)) <= 1e-15 * abs(expected)
+        assert np.all(terms.xi3 == 0.0)
 
 
 class TestEntropyIdentity:
@@ -229,10 +230,10 @@ class TestEntropyIdentity:
 
         class Field:
             def rho(self, tau, y):
-                return float(ref.rho(tau, np.asarray([y]))[0])
+                return float(ref.rho(np.asarray([y]))[0])
 
             def n(self, tau, y):
-                return float(ref.n(tau, np.asarray([y]))[0])
+                return float(ref.n(np.asarray([y]))[0])
 
         vals = [entropy_identity_residual(Field(), 1.0, 0.5, 1.0, LAW, h)
                 for h in (0.02, 0.01)]
@@ -245,7 +246,7 @@ class TestXiBounds:
         prof, limits = jump_profile
         ref = ReferencePair.from_profile(prof, limits)
         y = np.linspace(-6, 6, 301)
-        data = ref.eval(1.0, y, LAW)
+        data = ref.eval(y, LAW)
         assert xi_bound_check(1.0, y, data.rho, data.n, ref, LAW, 1.0) == 0
 
     def test_random_states(self, jump_profile):
@@ -281,16 +282,16 @@ class TestCoercivity:
 
 
 class TestSteadyReferenceMemo:
-    """cached_eval: steady pairs once per grid, analytic pairs at every tau."""
+    """cached_eval: a reference is evaluated once per (grid, law)."""
 
     @staticmethod
     def _counting(monkeypatch):
         calls = []
         original = ReferencePair.eval
 
-        def counted(self, tau, y, law, h=None):
-            calls.append(tau)
-            return original(self, tau, y, law, h)
+        def counted(self, y, law):
+            calls.append(np.size(y))
+            return original(self, y, law)
 
         monkeypatch.setattr(ReferencePair, "eval", counted)
         return calls
@@ -302,60 +303,35 @@ class TestSteadyReferenceMemo:
         rng = np.random.default_rng(19)
         for ref in (ReferencePair.constant(1.2), ReferencePair.smoothed_step(limits),
                     ReferencePair.from_profile(prof, limits)):
-            assert ref.steady
             calls.clear()
-            first = ref.cached_eval(0.0, y, LAW)
+            first = ref.cached_eval(y, LAW)
             for tau in (0.1, 0.7, 2.5):
                 field = ScaledField(tau, y.copy(), rng.uniform(0.8, 1.2, y.size),
                                     rng.uniform(-0.1, 0.1, y.size))
                 total_relative_entropy(field, ref, 1.0, LAW)
                 error_terms(field, ref, tau, 1.0, LAW)
-                assert ref.cached_eval(tau, y, LAW) is first
-            assert calls == [0.0]
+                assert ref.cached_eval(y, LAW) is first
+            assert calls == [y.size]
             # a new grid or law is evaluated afresh
             moved = y.copy()
             moved[-1] = 4.5  # same size and grid step, other nodes
-            ref.cached_eval(0.0, moved, LAW)
-            ref.cached_eval(0.0, np.linspace(-4, 4, 81), LAW)
-            ref.cached_eval(0.0, y, PressureLaw(1.0, 3.0))
+            ref.cached_eval(moved, LAW)
+            ref.cached_eval(np.linspace(-4, 4, 81), LAW)
+            ref.cached_eval(y, PressureLaw(1.0, 3.0))
             assert len(calls) == 4
 
     def test_memo_matches_fresh_evaluation(self, jump_profile):
         prof, limits = jump_profile
         y = np.linspace(-6, 6, 241)
         ref = ReferencePair.from_profile(prof, limits)
-        cached = ref.cached_eval(0.3, y, LAW)
-        fresh = ref.eval(2.0, y, LAW)
-        for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
+        cached = ref.cached_eval(y, LAW)
+        fresh = ref.eval(y, LAW)
+        for name in ("rho", "n", "rho_y", "n_y", "p_y",
                      "u", "u_y", "h", "dh", "d2h", "p", "dp"):
             assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
 
-    def test_analytic_pair_evaluated_at_every_tau(self, monkeypatch):
-        # rho_bar = 1 + tau/2: a memo that ignored tau would hand back the
-        # tau = 0 values and fail both the count and the totals
-        calls = self._counting(monkeypatch)
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, float))
-        rho_bar = lambda tau, y: np.full_like(np.asarray(y, float), 1.0 + 0.5 * tau)
-        half = lambda tau, y: np.full_like(np.asarray(y, float), 0.5)
-        ref = ReferencePair.analytic(rho=rho_bar, n=zero, rho_tau=half,
-                                     rho_y=zero, n_tau=zero, n_y=zero)
-        assert not ref.steady
-        y = np.linspace(-2, 2, 81)
-        field = ScaledField(0.0, y, np.ones_like(y), np.zeros_like(y))
-        taus = (0.0, 1.0, 2.0)
-        for tau in taus:
-            field.tau = tau
-            assert np.all(ref.cached_eval(tau, y, LAW).rho == 1.0 + 0.5 * tau)
-            E = total_relative_entropy(field, ref, 1.0, LAW).E
-            h_rel, _ = LAW.relative(np.ones_like(y), rho_bar(tau, y))
-            assert E == float(np.sum(h_rel) * field.dy)
-            # R1 = rho_bar_tau = 1/2 and h'' = 2: xi3 = (rho_bar - 1) = tau/2
-            terms = error_terms(field, ref, tau, 1.0, LAW)
-            assert np.all(terms.xi3 == 0.5 * tau)
-        assert calls == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-
     def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
-        # h, h', p and p' of rho_bar come from eval, once for a steady pair,
+        # h, h', p and p' of rho_bar come from eval, once per grid,
         # and the snapshot totals keep the bits of the public formulas
         prof, limits = jump_profile
         calls = []
@@ -375,7 +351,7 @@ class TestSteadyReferenceMemo:
                     error_terms(fld, ref, fld.tau, 1.0, LAW)) for fld in fields]
         assert calls == [y.size]
 
-        data = ref.cached_eval(0.0, y, LAW)
+        data = ref.cached_eval(y, LAW)
         h, dh, d2h = LAW.potential(data.rho)
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip((data.h, data.dh, data.d2h, *data.thermo[2:]),
@@ -393,20 +369,19 @@ class TestSteadyReferenceMemo:
         y = np.linspace(-4, 4, 161)
         for ref in (ReferencePair.from_profile(prof, limits),
                     ReferencePair.constant(1.1)):
-            data = ref.cached_eval(0.0, y, LAW)
-            for name in ("rho", "n", "rho_tau", "rho_y", "n_tau", "n_y", "p_y",
+            data = ref.cached_eval(y, LAW)
+            for name in ("rho", "n", "rho_y", "n_y", "p_y",
                          "u", "u_y", "h", "dh", "d2h", "p", "dp"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(data, name)[0] = 7.0
             with pytest.raises(AttributeError):
                 data.rho = np.zeros_like(y)
-            assert ref.cached_eval(1.0, y, LAW).rho[0] != 7.0
+            assert ref.cached_eval(y, LAW).rho[0] != 7.0
 
     def test_read_only_views_leave_caller_arrays_writable(self):
         base = np.full(41, 1.5)
-        ref = ReferencePair.analytic(rho=lambda tau, y: base,
-                                     n=lambda tau, y: np.zeros(41))
-        data = ref.eval(0.0, np.linspace(-1, 1, 41), LAW)
+        ref = ReferencePair(rho=lambda y: base, n=lambda y: np.zeros(41))
+        data = ref.eval(np.linspace(-1, 1, 41), LAW)
         assert not data.rho.flags.writeable
         base[0] = 2.0  # the callable's own array is untouched
         assert data.rho[0] == 2.0
@@ -418,14 +393,7 @@ class TestSteadyReferenceMemo:
         ref = ReferencePair.constant(0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = ref.cached_eval(0.0, y, LAW)
+            data = ref.cached_eval(y, LAW)
         assert np.all(data.u == 0.0) and np.all(data.u_y == 0.0)
         with pytest.raises(DomainError, match="bounded away from vacuum"):
             xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), ref, LAW, 1.0)
-
-    def test_unknown_kind_rejected(self):
-        # only the four kinds are known; every one but "analytic" is steady
-        zero = lambda tau, y: np.zeros_like(np.asarray(y, float))
-        with pytest.raises(DomainError, match="unknown reference kind"):
-            ReferencePair("stationary", zero, zero)
-        assert not ReferencePair("analytic", zero, zero).steady

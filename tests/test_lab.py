@@ -159,12 +159,10 @@ class TestDiagnose:
                                                   reference):
         cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
                                reference=reference, **_SMALL)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run_result = simulate(cfg)
+        run_result = simulate(cfg)
         memo = diagnose(cfg, run_result)
         monkeypatch.setattr(ReferencePair, "cached_eval",
-                            lambda self, tau, y, law: self.eval(tau, y, law))
+                            lambda self, y, law: self.eval(y, law))
         fresh = diagnose(cfg, run_result)
         for name in ("E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
                      "ineq_residual"):
@@ -173,9 +171,7 @@ class TestDiagnose:
 
     def test_vacuum_reference_rejected_before_the_snapshots(self, monkeypatch):
         cfg = ExperimentConfig(rho_minus=0.0, rho_plus=0.0, **_SMALL)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            run_result = simulate(cfg)
+        run_result = simulate(cfg)
         monkeypatch.setattr("diffusionwave.lab.to_scaled", None)  # never reached
         with warnings.catch_warnings():
             warnings.simplefilter("error")
