@@ -66,9 +66,10 @@ def _cmd_simulate(args):
     header = {"gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
               "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
               "dx": cfg.dx}
-    # named by index: times that agree to a few digits must not collide
+    # named by index: times that agree to a few digits must not collide;
+    # dx is that of the snapshot's own grid, which coarsens as the run goes
     for i, snap in enumerate(result.snapshots):
-        write_csv(out / f"snapshot_{i:06d}.csv", {**header, "t": snap.t},
+        write_csv(out / f"snapshot_{i:06d}.csv", {**header, "dx": snap.dx, "t": snap.t},
                   {"x": snap.x, "rho": snap.rho, "m": snap.m})
     write_csv(out / "run_meta.csv", header, result.meta)
     print(f"wrote {len(result.snapshots)} snapshots to {out}")

@@ -28,6 +28,17 @@ The time loop checks states, not faces, on the window: `_check` rejects NaN,
 inf and negative density after each stage, a step whose CFL dt is not finite
 and positive is a NumericalFailure, and a vacuum cell with momentum is a
 VacuumViolation.
+
+Parabolic coarsening.  The diffusion wave spreads like sqrt(1+t), and the
+diagnostics read it in y = x/sqrt(1+t), so `run` keeps the scaled cell size
+dx/sqrt(1+t) at most the initial dx: each time sqrt((1+t)/(1+t0)) reaches a
+power of 2 it steps to that time exactly, takes any snapshot due there, and
+merges each pair of cells into one whose x, rho and m are the pair means
+(`_coarsen`), a conservative 2:1 restriction.  The run goes on with twice
+the dx and about twice the CFL dt.  Far-field cells keep their bits, as
+(a + a)/2 = a, so the active window carries over.  Each snapshot keeps the
+x of its own grid.  A `forcing` or `ghost_states` hook, an odd cell count
+or a grid of two cells stops the merging.
 """
 
 from __future__ import annotations
@@ -437,6 +448,12 @@ def step(state, cfg, law, alpha, limits, dt=None):
     return new
 
 
+def _coarsen(state):
+    """Each pair of cells as one cell: the pair means of x, rho and m."""
+    x, rho, m = ((a[0::2] + a[1::2]) / 2 for a in (state.x, state.rho, state.m))
+    return PhysicalState._trusted(x, rho, m, state.t)
+
+
 @dataclass
 class RunResult:
     snapshots: list
@@ -450,10 +467,11 @@ class RunResult:
 def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     """March to t_end, capturing snapshots at cfg.snapshot_times.
 
-    dt is clipped so snapshot times are hit exactly.  Returns a RunResult
-    whose meta carries the per-step audit series, the cumulative boundary
-    fluxes for the conservation checks, `active_cells`, the width of the
-    window each step was computed on (see `_window`), and
+    dt is clipped so snapshot and merge times are hit exactly (see the
+    module's parabolic coarsening).  Returns a RunResult whose meta carries
+    the per-step audit series, the cumulative boundary fluxes for the
+    conservation checks, `dx`, the cell size of each step, `active_cells`,
+    the width of the window each step was computed on (see `_window`), and
     `boundary_deviation`, how far the edge cells have moved from the far
     field: max(|rho_0 - rho_-|, |rho_{n-1} - rho_+|, |m_0|, |m_{n-1}|).
     """
@@ -471,14 +489,21 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     state = initial
     snapshots = [PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t)]
     # typed arrays: 8 bytes a step each, not a float object and a pointer
-    times, dts, masses, momenta = (array("d") for _ in range(4))
+    times, dts, dxs, masses, momenta = (array("d") for _ in range(5))
     cum_fm, cum_fp, cum_sink, edge = (array("d") for _ in range(4))
     active = array("q")
     total_fm = total_fp = total_sink = 0.0
     pending = list(targets)
+    # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
+    t_merge = 4.0 * (1.0 + initial.t) - 1.0
+    coarsen = cfg.forcing is None and cfg.ghost_states is None
 
     while state.t < t_end * (1 - 1e-14):
-        t_stop = min(pending[0], t_end) if pending else t_end
+        if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
+            state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
+        # a merged grid needs two cells to have a dx
+        coarsen = coarsen and state.x.size % 2 == 0 and state.x.size >= 4
+        t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
         state, audit = _advance(state, cfg, law, limits.alpha, limits, t_stop=t_stop)
 
         total_fm += audit.flux_mass[0] - audit.flux_mass[1]
@@ -486,6 +511,7 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
         total_sink += audit.damping_sink
         times.append(state.t)
         dts.append(audit.dt)
+        dxs.append(state.dx)
         active.append(audit.active_cells)
         masses.append(state.mass)
         momenta.append(state.momentum)
@@ -508,6 +534,7 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     meta = {
         "t": np.array(times),
         "dt": np.array(dts),
+        "dx": np.array(dxs),
         "mass": np.array(masses),
         "momentum": np.array(momenta),
         "boundary_flux_mass": np.array(cum_fm),

@@ -6,8 +6,11 @@ string in the assertion message.  The acceptance runs are built from the
 config files shipped in the package.
 """
 
+import json
 from importlib.resources import files
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diffusionwave import verify
@@ -38,3 +41,23 @@ def test_fine_runs_use_the_shipped_configs(monkeypatch, name, rho_minus,
     # the uncached run builder, with the simulation replaced by its config
     monkeypatch.setattr(verify, "run_experiment", lambda c: c)
     assert verify._report.__wrapped__(name) == cfg
+
+
+# A tenth of the fine-coarse gap: a first-order scheme sits at about 1.0 of
+# the jump gap and 18 of the coincident one, doubling dx at about 1.0 of
+# both, so a degraded scheme cannot pass; parabolic coarsening sits at 0.012
+# and 0.046.
+GATE = 0.1
+
+
+@pytest.mark.parametrize("name", ["jump", "coincident"])
+def test_discretization_gate(name):
+    # the stored series come from tests/data/make_series.py; the fine runs
+    # are the cached acceptance runs, so the gate simulates nothing new
+    stored = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    report = verify._report(name)
+    assert np.array_equal(report.tau, stored["tau"])
+    deviation = float(np.max(np.abs(report.E - np.asarray(stored["E"]))))
+    assert deviation <= GATE * stored["gap"], (
+        f"{name}: E moved {deviation:.3e} from the stored series, "
+        f"{deviation / stored['gap']:.3f} of the fine-coarse gap {stored['gap']:.3e}")

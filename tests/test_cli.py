@@ -32,6 +32,11 @@ dy = 0.1
 tau_max = 0.5
 tau_step = 0.25
 """
+JUMP_CFG = (FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
+            .replace("rho_plus = 1.0", "rho_plus = 0.95"))
+# to t = e^1.5 - 1 = 3.48: past t = 3, where the solver merges cell pairs
+MERGED_JUMP_CFG = (JUMP_CFG.replace("tau_max = 0.5", "tau_max = 1.5")
+                   .replace("L_y = 4.0", "L_y = 2.0"))
 
 
 @pytest.fixture
@@ -92,15 +97,16 @@ def test_simulate_then_diagnose(tmp_path, cfg_file):
 
 def test_run_meta_audits_the_momentum_ledger(tmp_path, cfg_file):
     # momentum - initial momentum - boundary flux + damping sink telescopes
-    # to rounding; the jump keeps a net pressure flux through the boundary
-    cfg_file.write_text(FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
-                        .replace("rho_plus = 1.0", "rho_plus = 0.95"))
+    # to rounding, across the merge of cell pairs too; the jump keeps a net
+    # pressure flux through the boundary
+    cfg_file.write_text(MERGED_JUMP_CFG)
     snap_dir = tmp_path / "snaps"
     assert main(["simulate", "--config", str(cfg_file),
                  "--out-dir", str(snap_dir)]) == 0
     _, meta = read_csv(snap_dir / "run_meta.csv")
     head, first = read_csv(snap_dir / "snapshot_000000.csv")
     initial = PhysicalState(first["x"], first["rho"], first["m"], head["t"])
+    assert meta["dx"][0] == initial.dx and meta["dx"][-1] == pytest.approx(2 * initial.dx)
     flux, sink = meta["boundary_flux_momentum"], meta["damping_sink"]
     assert abs(flux[-1]) > 1e-3 and sink[-1] != 0.0
     ledger = meta["momentum"] - initial.momentum - flux + sink
@@ -135,14 +141,19 @@ def test_diagnose_self_contained(tmp_path, cfg_file):
     assert report.E[-1] < report.E[0]
 
 
-@pytest.mark.parametrize("limits", ["coincident", "jump"])
+@pytest.mark.parametrize("limits", ["coincident", "jump", "jump-merged"])
 def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
-    if limits == "jump":
-        cfg_file.write_text(FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
-                            .replace("rho_plus = 1.0", "rho_plus = 0.95"))
+    cfg_file.write_text({"coincident": FAST_CFG, "jump": JUMP_CFG,
+                         "jump-merged": MERGED_JUMP_CFG}[limits])
     snap_dir = tmp_path / "snaps"
     assert main(["simulate", "--config", str(cfg_file),
                  "--out-dir", str(snap_dir)]) == 0
+    if limits == "jump-merged":
+        # snapshots on two grids: 160 cells up to t = 3, 80 after, each file
+        # with the dx of its own grid
+        grids = {(cols["x"].size, round(head["dx"], 12))
+                 for head, cols in map(read_csv, snap_dir.glob("snapshot_*.csv"))}
+        assert grids == {(160, 0.1), (80, 0.2)}
     from_dir, direct = tmp_path / "from_dir.csv", tmp_path / "direct.csv"
     assert main(["diagnose", "--config", str(cfg_file),
                  "--in-dir", str(snap_dir), "--out", str(from_dir)]) == 0

@@ -13,6 +13,7 @@ from diffusionwave.dynamics import (
     PhysicalState,
     SolverConfig,
     _check,
+    _coarsen,
     _face,
     _hyperbolic_rhs,
     _minmod,
@@ -248,13 +249,16 @@ class TestStep:
 
 class TestRun:
     def test_conservation_audit(self):
-        # density bump around 1: mass change equals net boundary flux
+        # density bump around 1: mass change equals net boundary flux, also
+        # across the merges of cell pairs at t = 3 and t = 15
         n, dx = 400, 0.05
         x = (np.arange(n) + 0.5) * dx - 10.0
         rho = 1.0 + 0.2 * np.exp(-(x**2))
         state = PhysicalState(x, rho, np.zeros(n), 0.0)
-        out = run(state, SolverConfig(), LAW, UNIT, 2.0)
+        out = run(state, SolverConfig(), LAW, UNIT, 16.0)
         meta = out.meta
+        assert out.final.x.size == n // 4
+        assert list(meta["t"][np.flatnonzero(np.diff(meta["dx"]))]) == [3.0, 15.0]
         drift = np.abs(meta["mass"] - state.mass - meta["boundary_flux_mass"])
         assert np.max(drift) <= 1e-10 * state.mass
 
@@ -464,6 +468,86 @@ def test_active_cells_reports_the_window():
     forced = SolverConfig(forcing=lambda t, xx: (np.zeros_like(xx), np.zeros_like(xx)))
     out = run(jump, forced, LAW, limits, 0.5)
     assert np.all(out.meta["active_cells"] == n)
+
+
+# ---------------------------------------------------------------------------
+# parabolic coarsening: cell pairs merge each time sqrt((1+t)/(1+t0)) doubles
+
+
+def _jump_state(n=128, t=0.0):
+    """A jump with a bump at the centre of n cells of width 0.1."""
+    x = (np.arange(n) + 0.5) * 0.1 - 0.05 * n
+    rho = np.where(x < 0, 1.05, 0.95) + 0.1 * np.exp(-(x**2))
+    return PhysicalState(x, rho, np.zeros(n), t)
+
+
+JUMP = LimitSpec(1.05, 0.95, 1.0)
+
+
+def test_coarsen_keeps_far_field_bits():
+    # (a + a)/2 = a to the bit, signed zeros and subnormals included
+    values = np.array([1.05, 0.95, 0.0, -0.0, 5e-324, -5e-324, 1e300])
+    pairs = np.repeat(values, 2)
+    merged = _coarsen(PhysicalState._trusted(np.arange(pairs.size) + 0.5, pairs,
+                                             pairs, 0.0))
+    assert _same_bits((merged.rho, values), (merged.m, values))
+    assert np.array_equal(merged.x, np.arange(values.size) * 2.0 + 1.0)
+
+
+def test_merge_keeps_far_field_and_window():
+    # waves from x = 0 stay well inside x = +-25.6 up to t = 3.5
+    state = _jump_state(512)
+    out = run(state, SolverConfig(), LAW, JUMP, 3.5)
+    final, meta = out.final, out.meta
+    assert final.x.size == 256 and final.dx == pytest.approx(0.2, rel=1e-12)
+    # the edge cells still hold the far field to the bit, +0.0 momentum too
+    assert _same_bits((final.rho[:8], np.full(8, 1.05)), (final.rho[-8:], np.full(8, 0.95)),
+                      (final.m[:8], np.zeros(8)), (final.m[-8:], np.zeros(8)))
+    after = meta["t"] > 3.0
+    assert np.all(meta["dx"][after] == final.dx) and np.all(meta["dx"][~after] == state.dx)
+    # the window still leaves out far-field cells of the merged grid
+    assert 0 < meta["active_cells"][after].max() < final.x.size
+
+
+@pytest.mark.parametrize("n, hook, final_n", [
+    (127, None, 127),                  # odd: no merge
+    (6, None, 3),                      # one merge, then odd
+    (2, None, 2),                      # a merged grid would have no dx
+    (128, "forcing", 128),
+    (128, "ghost_states", 128),
+])
+def test_merge_skipped_on_odd_grids_and_hooks(n, hook, final_n):
+    state = _jump_state(n)
+    hooks = {"forcing": lambda t, xx: (np.zeros_like(xx), np.zeros_like(xx)),
+             "ghost_states": lambda t, xg: (np.where(xg < 0, 1.05, 0.95), np.zeros(2))}
+    cfg = SolverConfig(**({hook: hooks[hook]} if hook else {}))
+    out = run(state, cfg, LAW, JUMP, 16.0)
+    assert out.final.x.size == final_n
+    assert np.unique(out.meta["dx"]).size == (2 if final_n < n else 1)
+    if final_n == n:
+        # and no step was cut short at a merge time
+        assert not np.any(np.isin(out.meta["t"], [3.0, 15.0]))
+
+
+def test_merge_times_count_from_the_initial_time():
+    # from t0 = 5, sqrt((1+t)/(1+t0)) = 2 at t = 23; no step goes back to 3
+    state = _jump_state(t=5.0)
+    out = run(state, SolverConfig(), LAW, JUMP, 24.0)
+    t, dx = out.meta["t"], out.meta["dx"]
+    assert np.all(out.meta["dt"] > 0) and np.all(np.diff(t) > 0) and t[0] > 5.0
+    assert list(t[np.flatnonzero(np.diff(dx))]) == [23.0]
+
+
+def test_window_run_across_a_merge_matches_full_grid():
+    # a snapshot due at the merge time is taken on the grid before it
+    state = _jump_state()
+    cfg = SolverConfig(snapshot_times=(1.0, 3.0, 3.25))
+    out = run(state, cfg, LAW, JUMP, 3.5)
+    with _full_window():
+        full = run(state, cfg, LAW, JUMP, 3.5)
+    assert _same_run(out, full)
+    assert [s.x.size for s in out.snapshots] == [128, 128, 128, 64]
+    assert np.all(full.meta["active_cells"] == np.where(full.meta["dx"] == state.dx, 128, 64))
 
 
 # ---------------------------------------------------------------------------
