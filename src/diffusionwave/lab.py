@@ -5,8 +5,8 @@ One pipeline, config -> simulate -> snapshots -> diagnose -> report:
 `diagnose(cfg, run_result)` maps each snapshot to scaling variables and
 measures the relative entropy against the reference in an EntropyReport,
 and `run_experiment(cfg)` chains the two.  Also the theoretical decay
-envelopes, rate fitting, the dissipation tail check, and CSV emission and
-parsing for all artifacts.
+envelopes, rate fitting, the acceptance rules with their slacks (defined
+here once), and CSV emission and parsing for all artifacts.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class ExperimentConfig:
     # initial data: base density (far-field step or similarity profile) plus
     # an optional localized perturbation of the density
     initial_base: str = "step"          # step | profile
-    perturbation: str = "none"          # none | bump | ramp
+    perturbation: str = "none"          # none | bump
     amplitude: float = 0.0
     width: float = 1.0
     center: float = 0.0
@@ -75,7 +75,6 @@ class ExperimentConfig:
     reference: str = "auto"             # auto | constant | smoothed-step | profile
     order: int = 2
     cfl: float = 0.45
-    ineq_slack: float = 0.05            # coefficient of the inequality tolerance
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,7 +83,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.initial_base not in ("step", "profile"):
             raise ConfigError(f"unknown initial_base {self.initial_base!r}")
-        if self.perturbation not in ("none", "bump", "ramp"):
+        if self.perturbation not in ("none", "bump"):
             raise ConfigError(f"unknown perturbation {self.perturbation!r}")
         if self.reference not in ("auto", "constant", "smoothed-step", "profile"):
             raise ConfigError(f"unknown reference {self.reference!r}")
@@ -154,9 +153,6 @@ def build_initial(cfg, x, limits, profile=None):
 
     if cfg.perturbation == "bump":
         rho = rho + cfg.amplitude * np.exp(-((x - cfg.center) ** 2) / (2.0 * cfg.width**2))
-    elif cfg.perturbation == "ramp":
-        s = np.clip((x - cfg.center) / cfg.width, -1.0, 1.0)
-        rho = rho + cfg.amplitude * 0.5 * (1.0 + s) * (1.0 - np.abs(s))
     if np.any(rho <= 0):
         raise ConfigError("initial density must stay positive")
     return rho, m
@@ -192,8 +188,7 @@ class EntropyReport:
     envelope: np.ndarray
     ineq_residual: np.ndarray
     meta: dict = field(default_factory=dict)
-    fields_scaled: list = field(default_factory=list)  # ScaledField per snapshot
-    run_result: RunResult | None = None                 # the diagnosed run
+    run_result: RunResult | None = None  # the diagnosed run
 
     @property
     def E0(self):
@@ -277,10 +272,8 @@ def diagnose(cfg, run_result):
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
-    fields_scaled = []
     for j, snap in enumerate(run_result.snapshots):
         fld = to_scaled(snap, y)
-        fields_scaled.append(fld)
         totals = total_relative_entropy(fld, ref, cfg.alpha, law)
         E[j], D[j] = totals.E, totals.D_alpha
         terms = error_terms(fld, ref, fld.tau, cfg.alpha, law)
@@ -294,7 +287,7 @@ def diagnose(cfg, run_result):
         envelope = np.full_like(taus, np.nan)
 
     dtau = cfg.tau_step
-    tol = cfg.ineq_slack * E0 * (dtau + cfg.dy**2 + cfg.dx / cfg.dy)
+    tol = INEQ_SLACK * E0 * (dtau + cfg.dy**2 + cfg.dx / cfg.dy)
     residual = np.zeros_like(taus)
     residual[1:] = _inequality_residual(taus, E, D, Xi.sum(axis=1))
 
@@ -311,7 +304,7 @@ def diagnose(cfg, run_result):
         tau=taus, E=E, D_alpha=D,
         Xi1=Xi[:, 0], Xi2=Xi[:, 1], Xi3=Xi[:, 2],
         envelope=envelope, ineq_residual=residual, meta=meta,
-        fields_scaled=fields_scaled, run_result=run_result,
+        run_result=run_result,
     )
 
 
@@ -321,7 +314,7 @@ def run_experiment(cfg):
 
 
 # ---------------------------------------------------------------------------
-# rate fitting and dissipation tail check
+# rate fitting and the acceptance rules
 
 
 def fit_decay_rate(report, window):
@@ -340,6 +333,17 @@ def fit_decay_rate(report, window):
     return float(coef[0]), rms
 
 
+# slacks of the acceptance rules; ineq_tol = INEQ_SLACK E0 (dtau + dy^2 + dx/dy)
+ENVELOPE_SLACK = 1.05
+DISSIPATION_SLACK = 1.1
+INEQ_SLACK = 0.05
+
+
+def within_envelope(report):
+    """The envelope rule: E <= ENVELOPE_SLACK * envelope at every tau."""
+    return bool(np.all(report.E <= ENVELOPE_SLACK * report.envelope))
+
+
 @dataclass
 class DissipationCheck:
     passed: bool
@@ -352,8 +356,8 @@ def dissipation_check(report):
     """Tail-integral bound on the friction dissipation.
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
-    requires int_tau^end D_alpha <= 1.1 (envelope(tau) + 2 K e^{-tau/2}),
-    with theta, mu and K from `report.meta` and E0 = `report.E0`.
+    requires int_tau^end D_alpha <= DISSIPATION_SLACK (envelope(tau)
+    + 2 K e^{-tau/2}), with theta, mu and K from `report.meta` and E0 = `report.E0`.
     """
     m = report.meta
     theta, mu, K_const, E0 = m["theta"], m["mu"], m["K_const"], report.E0
@@ -373,7 +377,7 @@ def dissipation_check(report):
 
     valid = tau >= threshold
     env = theoretical_bound(tau[valid], E0, theta, mu, K_const, same)
-    bound = 1.1 * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
+    bound = DISSIPATION_SLACK * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
     gap = bound - tail[valid]
     passed = bool(np.all(gap >= 0))
     margin = float(np.min(gap / np.maximum(bound, 1e-300)))
@@ -428,6 +432,14 @@ def read_csv(path):
     return comments, columns
 
 
+def header_float(path, meta, key):
+    """Header value `key` of the file `path`; ConfigError unless a finite real."""
+    value = meta.get(key)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{path}: header {key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 _SERIES_COLUMNS = ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
                    "ineq_residual")
 
@@ -445,5 +457,6 @@ def parse_report(path):
             f"{path}: not an entropy series, no column {', '.join(missing)}")
     if not cols["tau"].size:
         raise ConfigError(f"{path}: the entropy series has no rows")
-    return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS},
-                         meta=meta)
+    for key in ("theta", "mu", "K_const", "E0", "ineq_tol"):
+        header_float(path, meta, key)
+    return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS}, meta=meta)

@@ -23,7 +23,8 @@ from .entropy import (
     relative_entropy_density,
     xi_bound_check,
 )
-from .lab import dissipation_check, node_grid, parse_config, run_experiment
+from .lab import (ENVELOPE_SLACK, dissipation_check, node_grid, parse_config,
+                  run_experiment, within_envelope)
 from .profile import LimitSpec, _ode_residual, solve_profile
 from .thermo import PressureLaw, entropy_generator
 
@@ -44,73 +45,58 @@ class CheckResult:
 _COARSE = dict(dx=0.04, dy=0.04, tau_step=0.2)
 
 
+def _config(name):
+    """The shipped acceptance config `name` ("jump" or "coincident")."""
+    return parse_config(files("diffusionwave") / "configs" / f"{name}.cfg")
+
+
 @lru_cache(maxsize=None)
 def _report(name, **overrides):
-    """The report of the shipped acceptance config `name` ("jump" or
-    "coincident"), with the given fields replaced."""
-    cfg = parse_config(files("diffusionwave") / "configs" / f"{name}.cfg")
-    return run_experiment(replace(cfg, **overrides))
+    """The report of the shipped config `name`, with the given fields replaced."""
+    return run_experiment(replace(_config(name), **overrides))
 
 
 @lru_cache(maxsize=None)
 def _fixture_profile():
-    limits = LimitSpec(1.05, 0.95, 1.0)
-    law = PressureLaw(1.0, 2.0)
-    return solve_profile(limits, law, dy=0.02), limits, law
+    """Profile, limits, law and scaled y-grid of the jump config."""
+    cfg = _config("jump")
+    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
+    law = PressureLaw(cfg.k, cfg.gamma)
+    return solve_profile(limits, law, dy=cfg.dy), limits, law, node_grid(cfg.L_y, cfg.dy)
 
 
 # ---------------------------------------------------------------------------
 # criteria 1-4: decay envelopes and dissipation tails
 
 
-def check_coincident_envelope():
-    rep = _report("coincident")
-    bound = 1.05 * rep.envelope
-    worst = float(np.max(rep.E - bound))
-    ratio = float(np.max(rep.E / bound))
+def _envelope(name, label):
+    """E under its decay envelope, which the paper proves only for theta < 1/2."""
+    rep = _report(name)
+    m, bound = rep.meta, ENVELOPE_SLACK * rep.envelope
     return CheckResult(
-        "coincident-limit entropy decay envelope",
-        bool(np.all(rep.E <= bound)),
-        f"max E/(1.05 envelope) = {ratio:.4f}, E0 = {rep.E0:.4e}, worst gap {worst:.2e}",
+        f"{label} entropy decay envelope",
+        m["theta_lt_half"] and within_envelope(rep),
+        f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
+        f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {rep.E0:.4e}, "
+        f"max E/({ENVELOPE_SLACK} envelope) = {np.max(rep.E / bound):.4f}, "
+        f"worst gap {np.max(rep.E - bound):.2e}",
     )
 
 
-def check_coincident_dissipation():
-    res = dissipation_check(_report("coincident"))
+def _dissipation(name, label):
+    """The dissipation tail bound; a threshold past the end of the run fails."""
+    res = dissipation_check(_report(name))
     return CheckResult(
-        "coincident-limit dissipation tail bound",
+        f"{label} dissipation tail bound",
         res.passed and not res.inconclusive,
         f"min relative margin {res.margin:.4f} (threshold tau = {res.threshold:.2f})",
     )
 
 
-def check_jump_envelope():
-    rep = _report("jump")
-    theta = rep.meta["theta"]
-    if not 0.0 < theta < 0.5:
-        return CheckResult(
-            "jump-case entropy decay envelope", False,
-            f"flatness constant theta = {theta:.4f} not in (0, 1/2)",
-        )
-    bound = 1.05 * rep.envelope
-    ratio = float(np.max(rep.E / bound))
-    return CheckResult(
-        "jump-case entropy decay envelope",
-        bool(np.all(rep.E <= bound)),
-        f"theta = {theta:.4f} < 1/2, mu = {rep.meta['mu']:.4f}, "
-        f"K = {rep.meta['K_const']:.4f}, max E/(1.05 envelope) = {ratio:.4f}",
-    )
-
-
-def check_jump_dissipation():
-    res = dissipation_check(_report("jump"))
-    if res.inconclusive:
-        return CheckResult("jump-case dissipation tail bound", False,
-                           f"run too short: threshold tau = {res.threshold:.2f}")
-    return CheckResult(
-        "jump-case dissipation tail bound", res.passed,
-        f"min relative margin {res.margin:.4f} (threshold tau = {res.threshold:.2f})",
-    )
+def check_coincident_envelope(): return _envelope("coincident", "coincident-limit")
+def check_coincident_dissipation(): return _dissipation("coincident", "coincident-limit")
+def check_jump_envelope(): return _envelope("jump", "jump-case")
+def check_jump_dissipation(): return _dissipation("jump", "jump-case")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +104,7 @@ def check_jump_dissipation():
 
 
 def check_profile_suite():
-    prof, limits, law = _fixture_profile()
+    prof, limits, law, _ = _fixture_profile()
     msgs, ok = [], True
 
     # Darcy residual at interior nodes
@@ -130,7 +116,8 @@ def check_profile_suite():
 
     # monotonicity and range
     mono = bool(np.all(np.diff(prof.rho_star) <= 0))
-    rng_ok = bool(np.min(prof.rho_star) >= 0.95 and np.max(prof.rho_star) <= 1.05)
+    rng_ok = bool(np.min(prof.rho_star) >= limits.rho_plus
+                  and np.max(prof.rho_star) <= limits.rho_minus)
     ok &= mono and rng_ok
     msgs.append(f"monotone={mono}, in-range={rng_ok}")
 
@@ -252,9 +239,8 @@ def check_inequality_suite():
     msgs.append(f"generator bound violations {v_F}")
 
     # xi-term pointwise bounds against the fixture profile
-    prof, limits, law2 = _fixture_profile()
+    prof, limits, law2, y = _fixture_profile()
     ref = ReferencePair.from_profile(prof, limits)
-    y = node_grid(8.0, 0.02)
     v_xi = 0
     for _ in range(125):
         tau = rng.uniform(0.0, 4.0)
@@ -370,11 +356,8 @@ def _violation_measure(report):
 
 def check_discrete_inequality():
     msgs, ok = [], True
-    pairs = [
-        ("coincident", _report("coincident"), _report("coincident", **_COARSE)),
-        ("jump", _report("jump"), _report("jump", **_COARSE)),
-    ]
-    for label, fine, coarse in pairs:
+    for label in ("coincident", "jump"):
+        fine, coarse = _report(label), _report(label, **_COARSE)
         for tag, rep in (("fine", fine), ("coarse", coarse)):
             tol = rep.meta["ineq_tol"]
             worst = float(np.max(rep.ineq_residual))
@@ -392,8 +375,7 @@ def check_discrete_inequality():
 
 def check_weak_strong():
     rep = _report("coincident", perturbation="none", amplitude=0.0, dx=0.1)
-    window = 16.0  # scaled window length 2 L_y
-    bound = 1e-10 * window
+    bound = 1e-10 * (2.0 * _config("coincident").L_y)  # per unit of the window 2 L_y
     worst = float(np.max(rep.E))
     return CheckResult(
         "weak-strong uniqueness regression",

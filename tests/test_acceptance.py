@@ -7,14 +7,16 @@ config files shipped in the package.
 """
 
 import json
+from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from diffusionwave import verify
-from diffusionwave.lab import cell_grid, parse_config
+from diffusionwave.lab import EntropyReport, cell_grid, parse_config
 from diffusionwave.verify import ALL_CHECKS
 
 
@@ -41,6 +43,39 @@ def test_fine_runs_use_the_shipped_configs(monkeypatch, name, rho_minus,
     # the uncached run builder, with the simulation replaced by its config
     monkeypatch.setattr(verify, "run_experiment", lambda c: c)
     assert verify._report.__wrapped__(name) == cfg
+
+
+def test_verify_fixtures_follow_the_parsed_configs(monkeypatch):
+    # the profile fixture, its y-grid and the weak-strong window come from
+    # the shipped configs, so an edited config moves them
+    shipped = verify.parse_config
+    monkeypatch.setattr(verify, "parse_config", lambda path: replace(
+        shipped(path), rho_minus=1.2, rho_plus=0.8, alpha=2.0, gamma=1.5,
+        k=0.5, L_y=5.0, dy=0.05))
+    monkeypatch.setattr(verify, "solve_profile",
+                        lambda limits, law, dy: SimpleNamespace(dy=dy))
+    prof, limits, law, y = verify._fixture_profile.__wrapped__()
+    assert (limits.rho_minus, limits.rho_plus, limits.alpha) == (1.2, 0.8, 2.0)
+    assert (law.gamma, law.k, prof.dy) == (1.5, 0.5, 0.05)
+    assert (y[0], y[-1], y.size) == (-5.0, 5.0, 201)
+    monkeypatch.setattr(verify, "_report",
+                        lambda name, **overrides: SimpleNamespace(E=np.zeros(3)))
+    assert verify.check_weak_strong().detail.endswith("vs bound 1.00e-09")
+
+
+def test_envelope_check_needs_theta_below_one_half(monkeypatch):
+    # E far under its envelope fails when the envelope's theta < 1/2 is not met
+    tau = np.linspace(0.0, 1.0, 3)
+    z = np.zeros_like(tau)
+    report = EntropyReport(
+        tau=tau, E=np.full_like(tau, 1e-3), D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
+        envelope=np.ones_like(tau), ineq_residual=z,
+        meta={"theta": 0.6, "mu": 0.1, "K_const": 0.1, "theta_lt_half": False})
+    monkeypatch.setattr(verify, "_report", lambda name: report)
+    result = verify.check_jump_envelope()
+    assert not result.passed and "theta_lt_half = False" in result.detail
+    report.meta["theta_lt_half"] = True
+    assert verify.check_jump_envelope().passed
 
 
 # A tenth of the fine-coarse gap: a first-order scheme sits at about 1.0 of

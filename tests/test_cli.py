@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -222,6 +223,22 @@ def test_report_exit_codes(tmp_path, cfg_file, capsys):
         assert capsys.readouterr().err.count("\n") == 1, path
 
 
+@pytest.mark.parametrize("key, value", [
+    ("theta", "abc"), ("mu", None), ("ineq_tol", "x"), ("E0", float("nan")),
+    ("K_const", [1.0]), ("theta", float("inf")), ("mu", True),
+])
+def test_report_rejects_a_non_numeric_header(tmp_path, cfg_file, capsys, key, value):
+    series = tmp_path / "series.csv"
+    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
+    report = parse_report(series)
+    report.meta[key] = value
+    emit_report(report, series)
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"header {key} must be a finite number" in err, err
+
+
 def test_report_command(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
@@ -274,7 +291,8 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     jump = "rho_minus = 1.05\nrho_plus = 0.95\n"
     for text in ("rho_minus = -1.0\n", "tau_max = nan\n", "dx = 100\n",
                  "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
-                 jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n"):
+                 jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n",
+                 "perturbation = ramp\n", "ineq_slack = 0.05\n"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert main(["diagnose", "--config", str(bad),
@@ -297,7 +315,7 @@ _TOY_VALUES = {
     "rho_minus": 1.05, "rho_plus": 0.95, "alpha": 1.0, "gamma": 2.0, "k": 1.0,
     "amplitude": 0.1, "width": 1.0, "center": 0.0, "X": 8.0, "dx": 0.1,
     "L_y": 4.0, "dy": 0.1, "tau_max": 0.5, "tau_step": 0.25, "order": 2,
-    "cfl": 0.45, "ineq_slack": 0.05,
+    "cfl": 0.45,
 }
 _BAD_VALUES = ("nan", "inf", "-inf", "0", "-1")
 
@@ -305,6 +323,7 @@ _BAD_VALUES = ("nan", "inf", "-inf", "0", "-1")
 @settings(max_examples=120, deadline=None)
 @given(st.dictionaries(st.sampled_from(sorted(_TOY_VALUES)),
                        st.sampled_from(_BAD_VALUES), max_size=3))
+@example({})
 @example({"rho_minus": "0", "rho_plus": "0"})
 @example({"rho_minus": "-1", "rho_plus": "-1"})
 @example({"alpha": "0", "rho_minus": "0", "rho_plus": "0"})
@@ -319,6 +338,7 @@ def test_config_fuzz_one_line_errors(overrides):
             rc = main(["diagnose", "--config", str(cfg),
                        "--out", str(Path(tmp) / "s.csv")])
     assert rc in (0, 1, 2), text
+    assert overrides or rc == 0, (text, err.getvalue())  # the toy config runs
     if rc != 0:
         assert err.getvalue().count("\n") == 1, (text, err.getvalue())
         assert "Traceback" not in err.getvalue()
@@ -330,6 +350,36 @@ def test_domain_error_exits_1(tmp_path):
     cfg.write_text(FAST_CFG.replace("X = 8.0", "X = 4.0"))
     assert main(["diagnose", "--config", str(cfg),
                  "--out", str(tmp_path / "s.csv")]) == 1
+
+
+def _keep_rows(n):
+    """A corruption that keeps the header and the first n data rows."""
+    def corrupt(text):
+        lines = text.splitlines(keepends=True)
+        head = sum(line.startswith("#") for line in lines) + 1
+        return "".join(lines[:head + n])
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: re.sub(r"^# t=.*$", "# t=abc", text, flags=re.M),
+    lambda text: re.sub(r"^# t=.*$", "# t=[1,2]", text, flags=re.M),
+    lambda text: re.sub(r"^# t=.*$", "# t=nan", text, flags=re.M),
+    _keep_rows(1),
+    _keep_rows(0),
+], ids=["t-abc", "t-list", "t-nan", "one-row", "no-rows"])
+def test_diagnose_rejects_a_malformed_snapshot(tmp_path, cfg_file, capsys, corrupt):
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    bad = snap_dir / "snapshot_000001.csv"
+    bad.write_text(corrupt(bad.read_text()))
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg_file), "--in-dir", str(snap_dir),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and bad.name in err, err
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_diagnose_missing_snapshots_exits_1(tmp_path, cfg_file):

@@ -198,7 +198,8 @@ class TestCsvRoundTrip:
             D_alpha=rng.random(41), Xi1=rng.standard_normal(41),
             Xi2=rng.standard_normal(41), Xi3=rng.standard_normal(41),
             envelope=np.exp(-0.4 * tau), ineq_residual=1e-6 * rng.standard_normal(41),
-            meta={"theta": 0.025013278003306282, "E0": 1.0, "same_limits": False},
+            meta={"theta": 0.025013278003306282, "mu": 0.04, "K_const": 0.1,
+                  "E0": 1.0, "ineq_tol": 1e-3, "same_limits": False},
         )
         path = tmp_path / "report.csv"
         emit_report(rep, path)
