@@ -3,7 +3,10 @@
 Rusanov (local Lax-Friedrichs) fluxes with optional MUSCL/minmod
 reconstruction, Dirichlet ghost cells frozen at the far-field states, and the
 friction term integrated exactly (m <- m exp(-alpha dt)) in a splitting that
-matches the spatial order: Godunov for order 1, Strang for order 2.
+matches the spatial order: Godunov around forward Euler for order 1, Strang
+around the three-stage, second-order SSPRK(3,2) (Ketcheson 2008) for order 2.
+Its stages are forward-Euler steps of dt/2, each at Courant number cfl, so
+its step is twice the forward-Euler one.
 
 Kernel contract.  Every Rusanov flux comes from one unchecked core,
 `_rusanov`, which evaluates m^2/rho, u, p and sqrt(p') once per face state.
@@ -14,9 +17,9 @@ which would pick the quotient there; otherwise (vacuum faces) the masked
 arithmetic runs.  Either way the bits equal those of `numerical_flux`.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
-both stages only on the cells `_window` finds the step can change: all but
+its stages only on the cells `_window` finds the step can change: all but
 the leading and trailing cells that hold their side's ghost state, (rho_-, 0)
-or (rho_+, 0) to the bit, more than four cells (two stages of the two-cell
+or (rho_+, 0) to the bit, more than six cells (three stages of the two-cell
 MUSCL stencil) away from any other, rounded out to whole blocks of 16 cells.
 The scheme leaves those cells bit for bit as they are, so the window
 changes no result: the window's edge faces see only far-field data and give
@@ -94,11 +97,11 @@ class PhysicalState:
 
     @property
     def mass(self):
-        return float(np.sum(self.rho) * self.dx)
+        return float(self.rho.sum() * self.dx)
 
     @property
     def momentum(self):
-        return float(np.sum(self.m) * self.dx)
+        return float(self.m.sum() * self.dx)
 
 
 @dataclass
@@ -316,8 +319,12 @@ class StepAudit:
 
 
 def _cfl_dt(rho, m, t, dx, cfg, law):
-    smax = max_wavespeed(rho, m, law)
-    dt = cfg.cfl * dx / max(smax, 1e-14)
+    """ssp cfl dx / max speed of checked states, ssp the step's SSP
+    coefficient: 1 for forward Euler, 2 for SSPRK(3,2), whose three stages
+    of dt/2 each keep the Courant number cfl."""
+    ssp = 2.0 if cfg.order == 2 else 1.0
+    smax = _speed(rho, m, law._p_dp(rho)[1], _vacuum_free(rho)).max()
+    dt = ssp * cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
             f"CFL time step {dt!r} at t = {t!r} is not finite and positive")
@@ -332,8 +339,8 @@ def _axpy(a, x, y):
 
 
 # A stage changes a cell only through its two face fluxes, and MUSCL builds
-# a face from two cells on each side: two stages reach four cells.
-_MARGIN = 4
+# a face from two cells on each side: three stages reach six cells.
+_MARGIN = 6
 # The step computes whole blocks of cells, so that a growing window allocates
 # its arrays in few sizes, which malloc reuses; with a new size every few
 # steps the heap fragmented and the peak memory of a run grew.
@@ -352,13 +359,13 @@ def _leading(flags):
 
 
 def _window(rho, m, cfg, limits):
-    """[lo, hi) = [P - 4, n - S + 4) clipped to the grid: the cells one step
+    """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
     can change.
 
     P leading cells hold the bits of the left ghost cells (rho_-, +0.0) and
     S trailing cells those of the right ones (rho_+, +0.0); the bits, not
     the values, so that a -0.0 is not taken for a 0.0.  A cell outside the
-    window sees only far-field data in both stages, so its flux difference
+    window sees only far-field data in every stage, so its flux difference
     is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
     bits as they are.  The hooks can make the far field move, so they get
     the full range, as does a grid that is far field throughout.
@@ -381,7 +388,7 @@ def _sink(before, after, lo, n, dx):
     the order of the full grid."""
     loss = np.zeros(n)
     np.subtract(before, after, out=loss[lo:lo + before.size])
-    return np.sum(loss) * dx
+    return loss.sum() * dx
 
 
 def _splice(full, lo, part):
@@ -410,20 +417,28 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
     if cfg.order == 2:
         m1 = m * half
         sink += _sink(m, m1, lo, n, dx) if alpha > 0 else 0.0
-        d1, e1, b1 = _hyperbolic_rhs(rho, m1, t, x, dx, cfg, law, limits)
-        rho_s = _axpy(dt, d1, rho)
-        m_s = _axpy(dt, e1, m1)
+        # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
+        # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
+        # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
+        h = dt / 2.0
+        d, e, b0 = _hyperbolic_rhs(rho, m1, t, x, dx, cfg, law, limits)
+        rho_s, m_s = rho + h * d, m1 + h * e
+        _check(rho_s, m_s)
+        d1, e1, b1 = _hyperbolic_rhs(rho_s, m_s, t + h, x, dx, cfg, law, limits)
+        d += d1
+        e += e1
+        rho_s, m_s = _axpy(h, d1, rho_s), _axpy(h, e1, m_s)
         _check(rho_s, m_s)
         d2, e2, b2 = _hyperbolic_rhs(rho_s, m_s, t + dt, x, dx, cfg, law, limits)
-        rho_n = _axpy(dt, d2, rho + rho_s)
-        rho_n *= 0.5
-        m_n = _axpy(dt, e2, m1 + m_s)
-        m_n *= 0.5
+        d += d2
+        e += e2
+        rho_n = _axpy(dt / 3.0, d, rho)
+        m_n = _axpy(dt / 3.0, e, m1)
         low = _check(rho_n, m_n)
         m2 = m_n * half
         sink += _sink(m_n, m2, lo, n, dx) if alpha > 0 else 0.0
         m_n = m2
-        fm = tuple(0.5 * dt * (a + b) for a, b in zip(b1, b2))
+        fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
         d1, e1, b1 = _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits)
         rho_n = _axpy(dt, d1, rho)
@@ -444,6 +459,8 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
 
 def step(state, cfg, law, alpha, limits, dt=None):
     """Advance one time step (CFL-chosen dt unless given); see _advance."""
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"time step dt = {dt!r} must be finite and positive")
     new, _ = _advance(state, cfg, law, alpha, limits, dt)
     return new
 

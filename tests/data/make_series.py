@@ -3,11 +3,14 @@ acceptance config <name> and its fine-coarse gap, the largest |E| difference
 at common tau between that run and the coarse partner `verify` pairs it
 with (twice the dx, dy and tau_step).
 
-    PYTHONPATH=src python3 tests/data/make_series.py [jump] [coincident]
+    PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident]
 
 The discretization gate in tests/test_acceptance.py holds the acceptance
 runs to a tenth of that gap from the stored series.  Regenerate only when
 the program's answer is meant to change, and record why in CHANGES.md.
+With --check it writes nothing and prints, for each config, how far the
+current solver's E(tau) is from the stored one: max |E - stored E| as a
+fraction of the stored gap, the number the gate bounds.
 """
 
 import dataclasses
@@ -27,6 +30,17 @@ from diffusionwave import verify  # noqa: E402
 from diffusionwave.lab import parse_config  # noqa: E402
 
 NAMES = ("jump", "coincident")
+
+
+def check(names):
+    for name in names:
+        stored = json.loads((HERE / f"{name}.json").read_text())
+        report = verify._report(name)
+        if not np.array_equal(report.tau, stored["tau"]):
+            raise RuntimeError(f"{name}: snapshot times differ from the stored series")
+        deviation = float(np.max(np.abs(report.E - np.asarray(stored["E"]))))
+        print(f"{name}: max |E - stored E| = {deviation:.3e}, "
+              f"{deviation / stored['gap']:.4f} of the gap {stored['gap']:.3e}")
 
 
 def main(names):
@@ -54,4 +68,6 @@ def main(names):
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:] or list(NAMES))
+    args = sys.argv[1:]
+    names = [a for a in args if a != "--check"] or list(NAMES)
+    (check if "--check" in args else main)(names)

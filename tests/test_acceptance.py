@@ -80,8 +80,9 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
 
 # A tenth of the fine-coarse gap: a first-order scheme sits at about 1.0 of
 # the jump gap and 18 of the coincident one, doubling dx at about 1.0 of
-# both, so a degraded scheme cannot pass; parabolic coarsening sits at 0.012
-# and 0.046.
+# both, so a degraded scheme cannot pass; parabolic coarsening sat at 0.012
+# and 0.046, and with the SSPRK(3,2) step it sits at 0.021 and 0.054
+# (tests/data/make_series.py --check prints both).
 GATE = 0.1
 
 
