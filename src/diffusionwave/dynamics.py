@@ -10,8 +10,8 @@ its step is twice the forward-Euler one.
 
 Kernel contract.  Every Rusanov flux comes from one unchecked core,
 `_rusanov`, which evaluates m^2/rho, u, p and sqrt(p') once per face state.
-`numerical_flux` is the domain checks plus that core, and `max_wavespeed`
-shares its speed code; `physical_flux` stays a separate public reference.
+`numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
+its speed code; `physical_flux` stays a separate public reference.
 When every face density is > 0 the core skips the 0/0 := 0 masks, each of
 which would pick the quotient there; otherwise (vacuum faces) the masked
 arithmetic runs.  Either way the bits equal those of `numerical_flux`.
@@ -60,7 +60,6 @@ __all__ = [
     "RunResult",
     "physical_flux",
     "numerical_flux",
-    "max_wavespeed",
     "step",
     "run",
 ]
@@ -197,14 +196,6 @@ def _rusanov(rho_l, m_l, rho_r, m_r, law):
     jump *= s
     f_m -= jump
     return f_rho, f_m
-
-
-def max_wavespeed(rho, m, law):
-    """max |u| + sqrt(p'(rho)); DomainError on a negative density."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    _, dp = law.pressure(rho)
-    return float(np.max(_speed(rho, m, dp, _vacuum_free(rho))))
 
 
 def numerical_flux(left, right, law):

@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, VacuumViolation
+from .profile import _spline
 from .scaling import ScaledField
 
 __all__ = [
@@ -196,9 +196,10 @@ class ReferencePair:
 
     @classmethod
     def from_profile(cls, profile, limits):
-        """Similarity profile as a reference pair."""
-        rho_sp = CubicSpline(profile.y, profile.rho_star)
-        n_sp = CubicSpline(profile.y, profile.n_star)
+        """Similarity profile as a reference pair: not-a-knot cubic splines
+        (`profile._spline`) of rho* and n* on its nodes, (rho_-+, 0) beyond."""
+        rho_sp = _spline(profile.y, profile.rho_star)
+        n_sp = _spline(profile.y, profile.n_star)
         lo, hi = profile.y[0], profile.y[-1]
 
         def rho(y):
@@ -231,16 +232,19 @@ class ReferencePair:
         if np.any(rho < 0):
             raise DomainError("reference density must be nonnegative")
 
-        def d_y(f, fallback):
+        def d_y(f, fallback, plus=None, minus=None):
             if fallback is not None:
                 return np.asarray(fallback(y), dtype=float)
-            return (np.asarray(f(y + h), float) - np.asarray(f(y - h), float)) / (2 * h)
+            if plus is None:  # f(y + h), f(y - h) not yet evaluated
+                plus, minus = (np.asarray(f(y + s), float) for s in (h, -h))
+            return (plus - minus) / (2 * h)
 
-        p_plus, _ = law.pressure(np.asarray(self.rho(y + h), dtype=float))
-        p_minus, _ = law.pressure(np.asarray(self.rho(y - h), dtype=float))
+        rho_plus, rho_minus = (np.asarray(self.rho(y + s), float) for s in (h, -h))
+        p_plus, _ = law.pressure(rho_plus)
+        p_minus, _ = law.pressure(rho_minus)
         p_y = (np.asarray(p_plus) - p_minus) / (2 * h)
 
-        rho_y = d_y(self.rho, self.rho_y)
+        rho_y = d_y(self.rho, self.rho_y, rho_plus, rho_minus)
         n_y = d_y(self.n, self.n_y)
         h, dh, p, dp = law._reference(rho)
         return RefData(

@@ -6,6 +6,9 @@ it by Darcy's law, alpha n* = -p(rho*)_y.  The profile is computed on a
 truncated interval with a damped Newton iteration on a second-order
 finite-difference discretization, and carries the flatness constants
 (theta, mu, K) that control the entropy decay envelope.
+
+The Newton steps and the spline between nodes (`_spline`) solve their
+tridiagonal systems by cyclic reduction (`_tridiag`), in numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError, SolverFailure
 from .grids import node_grid
@@ -98,23 +100,90 @@ def _central_second(v, dy):
     return out
 
 
+def _tridiag(a, b, c, d):
+    """x with a[i] x[i-1] + b[i] x[i] + c[i] x[i+1] = d[i], a[0] = c[-1] = 0.
+
+    Odd-even cyclic reduction (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+    7, 1970): eliminating the even unknowns from the odd rows leaves a
+    tridiagonal system of half the size, solved the same way, and then each
+    even unknown follows from its own row; log2(n) passes over strided
+    slices.  No pivoting: a zero pivot gives inf or nan, not an exception.
+    """
+    if len(b) == 1:
+        return d / b
+    if len(b) % 2 == 0:  # a decoupled last row x = 0 makes the length odd
+        padded = (np.append(v, e) for v, e in zip((a, b, c, d), (0.0, 1.0, 0.0, 0.0)))
+        return _tridiag(*padded)[:-1]
+    lo = -a[1::2] / b[:-1:2]
+    hi = -c[1::2] / b[2::2]
+    x = np.empty_like(d)
+    x[1::2] = _tridiag(lo * a[:-1:2], b[1::2] + lo * c[:-1:2] + hi * a[2::2],
+                       hi * c[2::2], d[1::2] + lo * d[:-1:2] + hi * d[2::2])
+    odd = np.concatenate(([0.0], x[1::2], [0.0]))
+    x[::2] = (d[::2] - a[::2] * odd[:-1] - c[::2] * odd[1:]) / b[::2]
+    return x
+
+
+def _spline(x, v):
+    """Not-a-knot cubic spline through (x, v), x increasing, as a callable
+    that extrapolates with its end pieces.
+
+    The recipe of scipy's CubicSpline (de Boor, A Practical Guide to
+    Splines, 1978): the slopes s at the knots solve a tridiagonal system,
+    each interval gets the cubic Hermite coefficients of its end values and
+    slopes, and evaluation finds the interval by `searchsorted` and runs
+    Horner's rule.
+    """
+    h = np.diff(x)
+    m = np.diff(v) / h
+    # end rows (off-diagonal, diagonal, right side): not-a-knot, a continuous
+    # third derivative at x[1] and x[-2]; below four knots, s[0] + k s[1] =
+    # (1 + k) m[0] and its mirror give the line (k = 0), the parabola (k = 1)
+    if len(x) < 4:
+        k = len(x) - 2.0
+        first, last = (k, 1.0, (1 + k) * m[0]), (k, 1.0, (1 + k) * m[-1])
+    else:
+        w0, w1 = x[2] - x[0], x[-1] - x[-3]
+        first = w0, h[1], ((h[0] + 2 * w0) * h[1] * m[0] + h[0] ** 2 * m[1]) / w0
+        last = w1, h[-2], (h[-1] ** 2 * m[-2] + (2 * w1 + h[-1]) * h[-2] * m[-1]) / w1
+    s = _tridiag(np.concatenate(([0.0], h[1:], [last[0]])),
+                 np.concatenate(([first[1]], 2 * (h[:-1] + h[1:]), [last[1]])),
+                 np.concatenate(([first[0]], h[:-1], [0.0])),
+                 np.concatenate(([first[2]], 3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+                                 [last[2]])))
+    t = (s[:-1] + s[1:] - 2 * m) / h
+    # one row per coefficient, and the left knot, for one gather per call
+    table = np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], v[:-1], x[:-1]])
+    inner = x[1:-1]
+
+    def spline(y):
+        i = np.searchsorted(inner, y, side="right")
+        c3, c2, c1, c0, left = table.take(i, axis=1)
+        z = y - left
+        return ((c3 * z + c2) * z + c1) * z + c0
+
+    return spline
+
+
 def _ode_residual(rho, y, dy, law, alpha):
     """Second-order FD residual of (1/alpha) p(rho)_yy + (y/2) rho_y."""
     p, _ = law.pressure(rho)
     return _central_second(p, dy) / alpha + 0.5 * y * _central_first(rho, dy)
 
 
-# overflow of p(rho) or p'(rho) leaves a non-finite Newton system, which is
-# a SolverFailure, not a warning
-@np.errstate(over="ignore", invalid="ignore")
+# overflow of p(rho) or p'(rho), or a zero pivot in the Newton solve, leaves
+# non-finite numbers, which are a SolverFailure, not a warning
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     """Solve the profile boundary-value problem on [-L, L].
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
-    tolerance `NEWTON_TOL` in max norm.  Raises SolverFailure on non-convergence,
-    DomainError if the truncated domain leaves a tail above `tail_tol` or
-    unless 0 < dy < L < inf, and ConfigError (before allocating) if the grid
-    would have more than `grids.MAX_COUNT` nodes.
+    tolerance `NEWTON_TOL` in max norm; each Newton step solves the
+    tridiagonal Jacobian by cyclic reduction (`_tridiag`).  Raises
+    SolverFailure on non-convergence or a singular Newton system, DomainError
+    if the truncated domain leaves a tail above `tail_tol` or unless
+    0 < dy < L < inf, and ConfigError (before allocating) if the grid would
+    have more than `grids.MAX_COUNT` nodes.
     """
     if L is None:
         L = default_halfwidth(limits.alpha)
@@ -147,16 +216,13 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
         lower = dp[:-2] / (alpha * dy**2) - yi / (4.0 * dy)
         diag = -2.0 * dp[1:-1] / (alpha * dy**2)
         upper = dp[2:] / (alpha * dy**2) + yi / (4.0 * dy)
-        ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        if not (np.isfinite(res_norm) and np.all(np.isfinite(ab))):
+        lower[0] = upper[-1] = 0.0  # couplings to the pinned ends
+        if not (np.isfinite(res_norm)
+                and all(np.isfinite(v).all() for v in (lower, diag, upper))):
             raise SolverFailure("Newton system overflowed", residual=res_norm)
-        try:
-            delta = solve_banded((1, 1), ab, -res)
-        except np.linalg.LinAlgError as exc:
-            raise SolverFailure("singular Newton system", residual=res_norm) from exc
+        delta = _tridiag(lower, diag, upper, -res)
+        if not np.isfinite(delta).all():
+            raise SolverFailure("singular Newton system", residual=res_norm)
 
         s = 1.0
         while s > 1e-8:

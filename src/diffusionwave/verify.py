@@ -25,7 +25,7 @@ from .entropy import (
 )
 from .lab import (ENVELOPE_SLACK, dissipation_check, node_grid, parse_config,
                   run_experiment, within_envelope)
-from .profile import LimitSpec, _ode_residual, solve_profile
+from .profile import LimitSpec, _ode_residual, _spline, solve_profile
 from .thermo import PressureLaw, entropy_generator
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
@@ -122,10 +122,8 @@ def check_profile_suite():
     msgs.append(f"monotone={mono}, in-range={rng_ok}")
 
     # second-order ODE residual: interpolate a fine solution onto two grids
-    from scipy.interpolate import CubicSpline
-
     fine = solve_profile(LimitSpec(1.2, 0.8, 1.0), law, L=20.0, dy=0.01)
-    sp = CubicSpline(fine.y, fine.rho_star)
+    sp = _spline(fine.y, fine.rho_star)
     norms = []
     for dy in (0.08, 0.04):
         y = np.arange(-14.0, 14.0 + dy / 2, dy)

@@ -395,3 +395,14 @@ def test_python_dash_m_runs_from_a_checkout():
     out = subprocess.run([sys.executable, "-m", "diffusionwave", "--help"],
                          env=env, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0 and "usage: diffusionwave" in out.stdout
+
+
+def test_package_imports_without_scipy():
+    src = str(Path(diffusionwave.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, diffusionwave, diffusionwave.cli, diffusionwave.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from diffusionwave import dynamics
 from diffusionwave.dynamics import (
     PhysicalState,
     SolverConfig,
+    _cfl_dt,
     _check,
     _coarsen,
     _face,
@@ -19,7 +20,6 @@ from diffusionwave.dynamics import (
     _minmod,
     _rusanov,
     _window,
-    max_wavespeed,
     numerical_flux,
     physical_flux,
     run,
@@ -60,10 +60,11 @@ class TestFlux:
         assert f_m == pytest.approx(8.5, rel=1e-14)
 
     def test_wavespeed(self):
-        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2)
-        assert max_wavespeed(np.array([1.0]), np.array([2.0]), LAW) == pytest.approx(
-            2.0 + np.sqrt(2.0)
-        )
+        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2); forward Euler's
+        # CFL step is cfl dx / that speed
+        cfg = SolverConfig(cfl=0.5, order=1)
+        dt = _cfl_dt(np.array([1.0]), np.array([2.0]), 0.0, 1.0, cfg, LAW)
+        assert 0.5 / dt == pytest.approx(2.0 + np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from diffusionwave.errors import DomainError
 from diffusionwave.profile import (
     LimitSpec,
     SimilarityProfile,
     _ode_residual,
+    _spline,
+    _tridiag,
     profile_constants,
     solve_profile,
 )
@@ -137,3 +140,44 @@ class TestRefinement:
             norms.append(np.max(np.abs(r[1:-1][inner])))
         factor = norms[0] / norms[1]
         assert 3.0 <= factor <= 5.0
+
+
+# ---------------------------------------------------------------------------
+# the numpy tridiagonal solve and spline against their scipy oracles
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestNumpyKernels:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 100, 1001, 7999, 8001])
+    def test_tridiag_matches_solve_banded(self, n):
+        rng = np.random.default_rng(n)
+        a, c, d = rng.uniform(-1.0, 1.0, (3, n))
+        b = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        a[0] = c[-1] = 0.0
+        ab = np.zeros((3, n))
+        ab[0, 1:], ab[1], ab[2, :-1] = c[:-1], b, a[1:]
+        assert _rel(_tridiag(a, b, c, d), solve_banded((1, 1), ab, d)) <= 1e-12
+
+    # 2 knots: a line, 3: a parabola, 4: the first not-a-knot system; the
+    # not-a-knot end rows are never diagonally dominant
+    @pytest.mark.parametrize("n", [2, 3, 4, 50])
+    def test_spline_matches_cubic_spline(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-3.0, 3.0, n))
+        v = rng.normal(size=n)
+        yq = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                             np.linspace(x[0] - 1.0, x[-1] + 1.0, 501)])
+        assert _rel(_spline(x, v)(yq), CubicSpline(x, v)(yq)) <= 1e-12
+
+    @pytest.mark.parametrize("dy", [0.02, 0.005])
+    def test_spline_of_profile_matches_cubic_spline(self, dy):
+        prof = solve_profile(LimitSpec(1.05, 0.95, 1.0), LAW, dy=dy)
+        y = prof.y
+        # at knots, between knots and outside the range
+        yq = np.concatenate([y, 0.5 * (y[1:] + y[:-1]),
+                             y[0] - [1.0, 0.01], y[-1] + [0.01, 1.0]])
+        for v in (prof.rho_star, prof.n_star):
+            assert _rel(_spline(y, v)(yq), CubicSpline(y, v)(yq)) <= 1e-12
