@@ -100,8 +100,6 @@ def _read_snapshots(in_dir):
 
 def _cmd_diagnose(args):
     cfg = parse_config(args.config)
-    if args.reference:
-        cfg.reference = args.reference
     out = Path(args.out)
     if args.in_dir:
         report = diagnose(cfg, _read_snapshots(args.in_dir))
@@ -188,8 +186,6 @@ def build_parser():
     p.add_argument("--in-dir", default=None,
                    help="snapshot directory from a previous simulate run; "
                         "omitted: simulate internally")
-    p.add_argument("--reference", default=None,
-                   choices=["constant", "smoothed-step", "profile"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)
 

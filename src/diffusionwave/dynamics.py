@@ -11,7 +11,7 @@ its step is twice the forward-Euler one.
 Kernel contract.  Every Rusanov flux comes from one unchecked core,
 `_rusanov`, which evaluates m^2/rho, u, p and sqrt(p') once per face state.
 `numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
-its speed code; `physical_flux` stays a separate public reference.
+its speed code.
 When every face density is > 0 the core skips the 0/0 := 0 masks, each of
 which would pick the quotient there; otherwise (vacuum faces) the masked
 arithmetic runs.  Either way the bits equal those of `numerical_flux`.
@@ -58,7 +58,6 @@ __all__ = [
     "PhysicalState",
     "SolverConfig",
     "RunResult",
-    "physical_flux",
     "numerical_flux",
     "step",
     "run",
@@ -78,10 +77,7 @@ class PhysicalState:
         self.x = np.asarray(self.x, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
         self.m = np.asarray(self.m, dtype=float)
-        if np.any(self.rho < 0):
-            raise DomainError("cell densities must be nonnegative")
-        if np.any((self.rho == 0) & (self.m != 0)):
-            raise VacuumViolation("vacuum cells must carry zero momentum")
+        _validate(self.rho, self.m)
 
     @classmethod
     def _trusted(cls, x, rho, m, t):
@@ -124,21 +120,6 @@ def _validate(rho, m):
         raise DomainError("density must be nonnegative")
     if np.any((rho == 0) & (m != 0)):
         raise VacuumViolation("vacuum state with nonzero momentum")
-
-
-def physical_flux(rho, m, law):
-    """Exact flux (m, m^2/rho + p(rho)) with the 0/0 := 0 vacuum convention."""
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
-    _validate(rho, m)
-    p, _ = law.pressure(rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kin = np.where(rho > 0, m * m / np.where(rho > 0, rho, 1.0), 0.0)
-    f_rho = m
-    f_m = kin + p
-    if np.ndim(f_m) == 0:
-        return float(f_rho), float(f_m)
-    return f_rho, f_m
 
 
 # -- flux core ---------------------------------------------------------------
@@ -201,7 +182,7 @@ def _rusanov(rho_l, m_l, rho_r, m_r, law):
 def numerical_flux(left, right, law):
     """Rusanov flux: central average minus local-wavespeed upwinding.
 
-    The domain checks of `physical_flux` on both states, then `_rusanov`.
+    The domain checks of `_validate` on both states, then `_rusanov`.
     """
     arrays = [np.asarray(a, dtype=float) for a in (*left, *right)]
     _validate(*arrays[:2])

@@ -4,8 +4,8 @@ Entropy pair, relative entropy/flux densities, totals and dissipation,
 residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, and the coercivity constants.
 
-References are functions of y alone: the constant, the smoothed step and
-the similarity profile, which is a stationary solution in scaling variables.
+References are functions of y alone: the constant state and the similarity
+profile, which is a stationary solution in scaling variables.
 `total_relative_entropy`, `error_terms` and `xi_bound_check` evaluate a
 reference once per (y-grid, law) and share the read-only result, with u,
 u_y and h''(rho_bar), across every tau.
@@ -14,7 +14,7 @@ u_y and h''(rho_bar), across every tau.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -151,15 +151,12 @@ class RefData:
 class ReferencePair:
     """Steady reference (rho_bar, n_bar) as callables of y.
 
-    Derivative callables are optional; missing ones fall back to centered
-    differences with the evaluation grid spacing.  `cached_eval` keeps the
-    evaluation for the last grid.
+    `eval` takes the derivatives by centered differences with the grid
+    spacing; `cached_eval` keeps the evaluation for the last grid.
     """
 
     rho: Callable
     n: Callable
-    rho_y: Optional[Callable] = None
-    n_y: Optional[Callable] = None
 
     def __post_init__(self):
         # [y, law, RefData] of the last grid the pair was evaluated on
@@ -171,28 +168,8 @@ class ReferencePair:
     def constant(cls, rho_bar):
         if rho_bar < 0:
             raise DomainError("reference density must be nonnegative")
-        zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
         return cls(rho=lambda y: np.full_like(np.asarray(y, dtype=float), rho_bar),
-                   n=zero, rho_y=zero, n_y=zero)
-
-    @classmethod
-    def smoothed_step(cls, limits):
-        """C^1 interpolation at rest between rho_- and rho_+ across [-2, 2]."""
-        rm, rp = limits.rho_minus, limits.rho_plus
-        width = 2.0
-
-        def rho(y):
-            u = np.clip((np.asarray(y, dtype=float) + width) / (2 * width), 0.0, 1.0)
-            return rm + (rp - rm) * u * u * (3.0 - 2.0 * u)
-
-        def rho_y(y):
-            yv = np.asarray(y, dtype=float)
-            u = np.clip((yv + width) / (2 * width), 0.0, 1.0)
-            du = np.where((yv > -width) & (yv < width), 1.0 / (2 * width), 0.0)
-            return (rp - rm) * 6.0 * u * (1.0 - u) * du
-
-        zero = lambda y: np.zeros_like(np.asarray(y, dtype=float))
-        return cls(rho=rho, n=zero, rho_y=rho_y, n_y=zero)
+                   n=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
 
     @classmethod
     def from_profile(cls, profile, limits):
@@ -220,9 +197,9 @@ class ReferencePair:
     def eval(self, y, law):
         """Evaluate values and first derivatives on a grid.
 
-        Missing derivatives use centered differences with step h, the grid
-        spacing; p(rho_bar)_y is always the centered difference of pressure
-        values so discrete Darcy closures cancel exactly.
+        The derivatives of rho_bar, n_bar and p(rho_bar) are centered
+        differences with step h, the grid spacing, so discrete Darcy
+        closures cancel exactly.
         """
         y = np.asarray(y, dtype=float)
         h = float(y[1] - y[0]) if y.size > 1 else 1e-4
@@ -232,20 +209,13 @@ class ReferencePair:
         if np.any(rho < 0):
             raise DomainError("reference density must be nonnegative")
 
-        def d_y(f, fallback, plus=None, minus=None):
-            if fallback is not None:
-                return np.asarray(fallback(y), dtype=float)
-            if plus is None:  # f(y + h), f(y - h) not yet evaluated
-                plus, minus = (np.asarray(f(y + s), float) for s in (h, -h))
-            return (plus - minus) / (2 * h)
-
         rho_plus, rho_minus = (np.asarray(self.rho(y + s), float) for s in (h, -h))
+        n_plus, n_minus = (np.asarray(self.n(y + s), float) for s in (h, -h))
         p_plus, _ = law.pressure(rho_plus)
         p_minus, _ = law.pressure(rho_minus)
         p_y = (np.asarray(p_plus) - p_minus) / (2 * h)
-
-        rho_y = d_y(self.rho, self.rho_y, rho_plus, rho_minus)
-        n_y = d_y(self.n, self.n_y)
+        rho_y = (rho_plus - rho_minus) / (2 * h)
+        n_y = (n_plus - n_minus) / (2 * h)
         h, dh, p, dp = law._reference(rho)
         return RefData(
             rho=rho,

@@ -50,15 +50,15 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    # law and far field
+    # law and far field; the limits pick the reference: the constant state
+    # when they coincide, else the similarity profile
     rho_minus: float = 1.0
     rho_plus: float = 1.0
     alpha: float = 1.0
     gamma: float = 2.0
     k: float = 1.0
-    # initial data: base density (far-field step or similarity profile) plus
-    # an optional localized perturbation of the density
-    initial_base: str = "step"          # step | profile
+    # initial data: the far-field step at rest plus an optional localized
+    # perturbation of the density
     perturbation: str = "none"          # none | bump
     amplitude: float = 0.0
     width: float = 1.0
@@ -71,8 +71,7 @@ class ExperimentConfig:
     # schedule
     tau_max: float = 4.0
     tau_step: float = 0.1
-    # diagnostics and solver
-    reference: str = "auto"             # auto | constant | smoothed-step | profile
+    # solver
     order: int = 2
     cfl: float = 0.45
 
@@ -81,12 +80,8 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.initial_base not in ("step", "profile"):
-            raise ConfigError(f"unknown initial_base {self.initial_base!r}")
         if self.perturbation not in ("none", "bump"):
             raise ConfigError(f"unknown perturbation {self.perturbation!r}")
-        if self.reference not in ("auto", "constant", "smoothed-step", "profile"):
-            raise ConfigError(f"unknown reference {self.reference!r}")
         if self.tau_max <= 0 or self.tau_step <= 0:
             raise ConfigError("tau_max and tau_step must be positive")
         if self.dx <= 0 or self.dy <= 0 or self.X <= 0 or self.L_y <= 0:
@@ -140,36 +135,22 @@ def tau_schedule(cfg):
 
 
 def build_initial(cfg, x, limits, profile=None):
-    """Initial (rho, m): step or profile base plus a density perturbation."""
-    if cfg.initial_base == "profile":
-        if profile is None:
-            raise ConfigError("profile initial data requires a non-constant profile")
-        ref = ReferencePair.from_profile(profile, limits)
-        rho = np.asarray(ref.rho(x), dtype=float)
-        m = np.asarray(ref.n(x), dtype=float)  # n = m at t = 0
-    else:
-        rho = limits.step_density(x).astype(float)
-        m = np.zeros_like(x)
-
+    """Initial (rho, m): the far-field step at rest plus the density
+    perturbation.  `profile` is unused; it stays for callers that pass it."""
+    rho = limits.step_density(x).astype(float)
     if cfg.perturbation == "bump":
         rho = rho + cfg.amplitude * np.exp(-((x - cfg.center) ** 2) / (2.0 * cfg.width**2))
     if np.any(rho <= 0):
         raise ConfigError("initial density must stay positive")
-    return rho, m
+    return rho, np.zeros_like(x)
 
 
 def make_reference(cfg, limits, law, profile):
-    kind = cfg.reference
-    if kind == "auto":
-        kind = "constant" if limits.same_limits else "profile"
-    if kind == "constant":
-        if not limits.same_limits:
-            raise ConfigError("constant reference requires coincident limits")
+    """(reference pair, kind): the constant state for coincident limits,
+    else the similarity profile.  `cfg` and `law` are unused; they stay for
+    callers that pass them."""
+    if limits.same_limits:
         return ReferencePair.constant(limits.rho_plus), "constant"
-    if kind == "smoothed-step":
-        return ReferencePair.smoothed_step(limits), "smoothed-step"
-    if profile is None:
-        raise ConfigError("profile reference requires non-coincident limits")
     return ReferencePair.from_profile(profile, limits), "profile"
 
 
@@ -224,11 +205,8 @@ def simulate(cfg):
     times expm1(tau_schedule(cfg))."""
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-    profile = None
-    if not limits.same_limits and cfg.initial_base == "profile":
-        profile = solve_profile(limits, law, dy=cfg.dy)
     x = cell_grid(cfg.X, cfg.dx)
-    rho0, m0 = build_initial(cfg, x, limits, profile)
+    rho0, m0 = build_initial(cfg, x, limits)
     t_snap = np.expm1(tau_schedule(cfg))
     scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
                         snapshot_times=tuple(t_snap[1:]))
@@ -238,7 +216,7 @@ def simulate(cfg):
 
 def diagnose(cfg, run_result):
     """Transform each snapshot to scaling variables and assemble the
-    relative-entropy report against the configured reference.
+    relative-entropy report against the reference (`make_reference`).
 
     The reference density must be bounded away from 0 on the y-grid
     (ConfigError before any snapshot otherwise).  The reference is a

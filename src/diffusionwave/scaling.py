@@ -26,10 +26,6 @@ class ScaledField:
     def dy(self):
         return float(self.y[1] - self.y[0])
 
-    @property
-    def t(self):
-        return float(np.expm1(self.tau))
-
 
 def to_scaled(state, y_grid):
     """Sample a physical snapshot onto a fixed y-grid in scaling variables."""

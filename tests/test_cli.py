@@ -191,9 +191,7 @@ def test_snapshot_times_equal_to_six_digits_keep_their_files(tmp_path, capsys):
 def test_malformed_flags_exit_1(tmp_path, cfg_file, capsys):
     # argparse's own exit code 2 would read as a numerical failure
     out = str(tmp_path / "s.csv")
-    for argv in (["diagnose", "--config", str(cfg_file), "--reference", "bogus", "--out", out],
-                 ["diagnose", "--config", str(cfg_file), "--reference", "smoothed_step",
-                  "--out", out],
+    for argv in (["diagnose", "--config", str(cfg_file), "--reference", "auto", "--out", out],
                  ["profile", "--rho-minus", "abc", "--rho-plus", "0.95", "--out", out],
                  ["simulate", "--config", str(cfg_file)],
                  ["no-such-command"], []):
@@ -292,7 +290,8 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     for text in ("rho_minus = -1.0\n", "tau_max = nan\n", "dx = 100\n",
                  "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
                  jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n",
-                 "perturbation = ramp\n", "ineq_slack = 0.05\n"):
+                 "perturbation = ramp\n", "ineq_slack = 0.05\n",
+                 "initial_base = step\n", "reference = auto\n"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert main(["diagnose", "--config", str(bad),
@@ -303,11 +302,10 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
 def test_vacuum_reference_exits_1(tmp_path, capsys):
     cfg = tmp_path / "vacuum.cfg"
     cfg.write_text(FAST_CFG.replace("= 1.0\nrho_plus = 1.0", "= 0.0\nrho_plus = 0.0"))
-    for ref in ([], ["--reference", "smoothed-step"]):
-        assert main(["diagnose", "--config", str(cfg), *ref,
-                     "--out", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "bounded away from 0" in err, err
+    assert main(["diagnose", "--config", str(cfg),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "bounded away from 0" in err, err
 
 
 # a valid toy value for every numeric config key: a jump on 160 cells

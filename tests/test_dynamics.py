@@ -21,7 +21,6 @@ from diffusionwave.dynamics import (
     _rusanov,
     _window,
     numerical_flux,
-    physical_flux,
     run,
     step,
 )
@@ -38,15 +37,37 @@ LAW = PressureLaw(1.0, 2.0)
 UNIT = LimitSpec(1.0, 1.0, 1.0)
 
 
+def _physical_flux(rho, m, law):
+    """Exact flux (m, m^2/rho + p(rho)) with the 0/0 := 0 vacuum convention."""
+    rho = np.asarray(rho, dtype=float)
+    m = np.asarray(m, dtype=float)
+    p, _ = law.pressure(rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kin = np.where(rho > 0, m * m / np.where(rho > 0, rho, 1.0), 0.0)
+    if np.ndim(kin) == 0:
+        return float(m), float(kin + p)
+    return m, kin + p
+
+
 class TestFlux:
     def test_physical(self):
-        assert physical_flux(1.0, 3.0, LAW) == (3.0, 10.0)
-        assert physical_flux(2.0, 0.0, LAW) == (0.0, 4.0)
-        assert physical_flux(0.0, 0.0, LAW) == (0.0, 0.0)
+        assert _physical_flux(1.0, 3.0, LAW) == (3.0, 10.0)
+        assert _physical_flux(2.0, 0.0, LAW) == (0.0, 4.0)
+        assert _physical_flux(0.0, 0.0, LAW) == (0.0, 0.0)
 
     def test_vacuum_violation(self):
+        for left, right in (((0.0, 1.0), (1.0, 0.0)), ((1.0, 0.0), (0.0, -1.0))):
+            with pytest.raises(VacuumViolation):
+                numerical_flux(left, right, LAW)
         with pytest.raises(VacuumViolation):
-            physical_flux(0.0, 1.0, LAW)
+            PhysicalState(np.arange(3.0), np.array([1.0, 0.0, 1.0]),
+                          np.array([0.0, 1.0, 0.0]))
+
+    def test_negative_density_rejected(self):
+        with pytest.raises(DomainError):
+            numerical_flux((1.0, 0.0), (-1e-3, 0.0), LAW)
+        with pytest.raises(DomainError):
+            PhysicalState(np.arange(3.0), np.array([1.0, -1e-3, 1.0]), np.zeros(3))
 
     def test_numerical_consistency(self):
         assert numerical_flux((1.0, 0.0), (1.0, 0.0), LAW) == (0.0, 1.0)
@@ -69,7 +90,7 @@ class TestFlux:
 
 # ---------------------------------------------------------------------------
 # the fused kernel against the scheme written out with the public pieces:
-# physical_flux, the masked velocity and the np.where minmod.  Every
+# _physical_flux, the masked velocity and the np.where minmod.  Every
 # comparison is of the raw bytes, signed zeros included.
 
 
@@ -83,8 +104,8 @@ def _ref_velocity(rho, m):
 
 
 def _ref_rusanov(rho_l, m_l, rho_r, m_r, law):
-    f_rho_l, f_m_l = physical_flux(rho_l, m_l, law)
-    f_rho_r, f_m_r = physical_flux(rho_r, m_r, law)
+    f_rho_l, f_m_l = _physical_flux(rho_l, m_l, law)
+    f_rho_r, f_m_r = _physical_flux(rho_r, m_r, law)
     speeds = [np.abs(_ref_velocity(rho, m)) + np.sqrt(np.maximum(law.pressure(rho)[1], 0.0))
               for rho, m in ((rho_l, m_l), (rho_r, m_r))]
     s = np.maximum(*speeds)

@@ -176,11 +176,14 @@ class TestErrorTerms:
         field = ScaledField(tau, y, rng.uniform(0.5, 2, y.size),
                             rng.uniform(-1, 1, y.size))
 
-        # smoothed step at rest: only the transport and pressure terms remain
-        ref = ReferencePair.smoothed_step(LimitSpec(1.05, 0.95, 1.0))
+        # a smooth step at rest: only the transport and pressure terms remain
+        step = lambda y: 1.0 - 0.05 * np.tanh(y)
+        ref = ReferencePair(rho=step, n=np.zeros_like)
         data = ref.cached_eval(y, LAW)
         terms = error_terms(field, ref, tau, alpha, LAW)
-        assert np.any(data.rho_y != 0)
+        h = y[1] - y[0]
+        assert np.array_equal(data.rho_y, (step(y + h) - step(y - h)) / (2 * h))
+        assert np.all(data.n_y == 0.0) and np.any(data.rho_y != 0)
         assert np.array_equal(terms.R1, -0.5 * y * data.rho_y)
         assert np.array_equal(terms.R2, np.exp(tau) * data.p_y)
 
@@ -301,7 +304,7 @@ class TestSteadyReferenceMemo:
         calls = self._counting(monkeypatch)
         y = np.linspace(-4, 4, 161)
         rng = np.random.default_rng(19)
-        for ref in (ReferencePair.constant(1.2), ReferencePair.smoothed_step(limits),
+        for ref in (ReferencePair.constant(1.2),
                     ReferencePair.from_profile(prof, limits)):
             calls.clear()
             first = ref.cached_eval(y, LAW)

@@ -107,7 +107,7 @@ class TestDissipationCheck:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
-        assert cfg.gamma == 2.0 and cfg.reference == "auto"
+        assert cfg.gamma == 2.0 and cfg.perturbation == "none"
 
     def test_parse_and_comments(self, tmp_path):
         f = tmp_path / "exp.cfg"
@@ -142,7 +142,7 @@ class TestConfig:
 
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(reference="bogus")
+            ExperimentConfig(perturbation="bogus")
         with pytest.raises(ConfigError):
             ExperimentConfig(tau_step=0.0)
 
@@ -152,13 +152,10 @@ _SMALL = dict(alpha=1.0, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
 
 
 class TestDiagnose:
-    @pytest.mark.parametrize("limits, reference", [
-        ((1.0, 1.0), "auto"), ((1.05, 0.95), "auto"),
-        ((1.05, 0.95), "smoothed-step")])
-    def test_steady_memo_matches_fresh_evaluation(self, monkeypatch, limits,
-                                                  reference):
-        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
-                               reference=reference, **_SMALL)
+    @pytest.mark.parametrize("limits", [(1.0, 1.0), (1.05, 0.95)],
+                             ids=["coincident", "jump"])
+    def test_steady_memo_matches_fresh_evaluation(self, monkeypatch, limits):
+        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_SMALL)
         run_result = simulate(cfg)
         memo = diagnose(cfg, run_result)
         monkeypatch.setattr(ReferencePair, "cached_eval",

@@ -19,7 +19,6 @@ class TestToScaled:
     def test_time_map(self):
         field = to_scaled(_state(t=3.0), np.linspace(-2.0, 2.0, 5))
         assert field.tau == pytest.approx(np.log(4.0))
-        assert field.t == pytest.approx(3.0)
 
     def test_momentum_rescaling(self):
         state = _state(t=3.0, m=np.full(401, 0.5))
