@@ -25,7 +25,7 @@ The scheme leaves those cells bit for bit as they are, so the window
 changes no result: the window's edge faces see only far-field data and give
 the boundary fluxes, the CFL maximum takes one far-field cell on each side,
 and the friction sink is summed over the full grid in numpy's pairwise
-order.  A `forcing` or `ghost_states` hook gets the full grid.
+order.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
 inf and negative density after each stage, a step whose CFL dt is not finite
@@ -40,8 +40,8 @@ merges each pair of cells into one whose x, rho and m are the pair means
 (`_coarsen`), a conservative 2:1 restriction.  The run goes on with twice
 the dx and about twice the CFL dt.  Far-field cells keep their bits, as
 (a + a)/2 = a, so the active window carries over.  Each snapshot keeps the
-x of its own grid.  A `forcing` or `ghost_states` hook, an odd cell count
-or a grid of two cells stops the merging.
+x of its own grid.  An odd cell count or a grid of two cells stops the
+merging.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ class SolverConfig:
     cfl: float = 0.45
     order: int = 2
     snapshot_times: tuple = ()
-    # optional hooks for manufactured-solution studies
-    forcing: object = None        # callable (t, x) -> (s_rho, s_m)
-    ghost_states: object = None   # callable (t, x_ghost) -> (rho, m)
 
     def __post_init__(self):
         if not 0 < self.cfl <= 0.5:
@@ -208,26 +205,14 @@ def _minmod(a, b):
 _NEAR_VACUUM = 1e-8
 
 
-def _padded(rho, m, t, x, dx, cfg, limits):
-    """(R, M): cell values plus two ghost cells at each end, in one buffer."""
+def _hyperbolic_rhs(rho, m, dx, cfg, law, limits):
+    """Flux divergence (and boundary fluxes) of one spatial evaluation."""
+    # cell values plus two ghost cells at each end, frozen at the far field
     R, M = np.empty((2, rho.size + 4))
     R[2:-2] = rho
     M[2:-2] = m
-    if cfg.ghost_states is None:
-        R[:2], R[-2:] = limits.rho_minus, limits.rho_plus
-        M[:2] = M[-2:] = 0.0
-        return R, M
-    for side, xg in ((slice(None, 2), x[0] - dx * np.array([2.0, 1.0])),
-                     (slice(-2, None), x[-1] + dx * np.array([1.0, 2.0]))):
-        rg, mg = (np.asarray(v, dtype=float) for v in cfg.ghost_states(t, xg))
-        _validate(rg, mg)
-        R[side], M[side] = rg, mg
-    return R, M
-
-
-def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
-    """Flux divergence (and boundary fluxes) of one spatial evaluation."""
-    R, M = _padded(rho, m, t, x, dx, cfg, limits)
+    R[:2], R[-2:] = limits.rho_minus, limits.rho_plus
+    M[:2] = M[-2:] = 0.0
 
     if cfg.order == 2:
         low = R.min()
@@ -262,10 +247,6 @@ def _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits):
     drho /= -dx
     dm = f_m[1:] - f_m[:-1]
     dm /= -dx
-    if cfg.forcing is not None:
-        s_rho, s_m = cfg.forcing(t, x)
-        drho += s_rho
-        dm += s_m
     boundary = (f_rho[0], f_rho[-1], f_m[0], f_m[-1])
     return drho, dm, boundary
 
@@ -330,7 +311,7 @@ def _leading(flags):
     return flags.size if flags[k] else k
 
 
-def _window(rho, m, cfg, limits):
+def _window(rho, m, limits):
     """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
     can change.
 
@@ -339,12 +320,10 @@ def _window(rho, m, cfg, limits):
     the values, so that a -0.0 is not taken for a 0.0.  A cell outside the
     window sees only far-field data in every stage, so its flux difference
     is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
-    bits as they are.  The hooks can make the far field move, so they get
-    the full range, as does a grid that is far field throughout.
+    bits as they are.  A grid that is far field throughout gets the full
+    range.
     """
     n = rho.size
-    if cfg.forcing is not None or cfg.ghost_states is not None:
-        return 0, n
     bits = rho.view(np.int64)
     still = m.view(np.int64) == 0
     lead = _leading((bits == _bits(limits.rho_minus)) & still)
@@ -375,13 +354,13 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
     Without dt, the CFL step, cut to end at t_stop at the latest.
     """
     dx, t, n = state.dx, state.t, state.x.size
-    lo, hi = _window(state.rho, state.m, cfg, limits)
+    lo, hi = _window(state.rho, state.m, limits)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if dt is None:
         # the cell next to the window on each side carries the far-field speed
         near = slice(max(lo - 1, 0), hi + 1)
         dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law), t_stop - t)
-    x, rho, m = state.x[lo:hi], state.rho[lo:hi], state.m[lo:hi]
+    rho, m = state.rho[lo:hi], state.m[lo:hi]
     half = np.exp(-alpha * dt / 2.0)
     full = np.exp(-alpha * dt)
 
@@ -393,15 +372,15 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
         h = dt / 2.0
-        d, e, b0 = _hyperbolic_rhs(rho, m1, t, x, dx, cfg, law, limits)
+        d, e, b0 = _hyperbolic_rhs(rho, m1, dx, cfg, law, limits)
         rho_s, m_s = rho + h * d, m1 + h * e
         _check(rho_s, m_s)
-        d1, e1, b1 = _hyperbolic_rhs(rho_s, m_s, t + h, x, dx, cfg, law, limits)
+        d1, e1, b1 = _hyperbolic_rhs(rho_s, m_s, dx, cfg, law, limits)
         d += d1
         e += e1
         rho_s, m_s = _axpy(h, d1, rho_s), _axpy(h, e1, m_s)
         _check(rho_s, m_s)
-        d2, e2, b2 = _hyperbolic_rhs(rho_s, m_s, t + dt, x, dx, cfg, law, limits)
+        d2, e2, b2 = _hyperbolic_rhs(rho_s, m_s, dx, cfg, law, limits)
         d += d2
         e += e2
         rho_n = _axpy(dt / 3.0, d, rho)
@@ -412,7 +391,7 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
         m_n = m2
         fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
-        d1, e1, b1 = _hyperbolic_rhs(rho, m, t, x, dx, cfg, law, limits)
+        d1, e1, b1 = _hyperbolic_rhs(rho, m, dx, cfg, law, limits)
         rho_n = _axpy(dt, d1, rho)
         m_n = _axpy(dt, e1, m)
         low = _check(rho_n, m_n)
@@ -485,13 +464,13 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     pending = list(targets)
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
-    coarsen = cfg.forcing is None and cfg.ghost_states is None
+    coarsen = True
 
     while state.t < t_end * (1 - 1e-14):
         if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
             state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
         # a merged grid needs two cells to have a dx
-        coarsen = coarsen and state.x.size % 2 == 0 and state.x.size >= 4
+        coarsen = state.x.size % 2 == 0 and state.x.size >= 4
         t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
         state, audit = _advance(state, cfg, law, limits.alpha, limits, t_stop=t_stop)
 

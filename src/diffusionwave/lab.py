@@ -100,8 +100,9 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
 
 def parse_config(path):
-    """Read a flat `key = value` config file; unknown keys are errors."""
-    values = {}
+    """Read a flat `key = value` config file; unknown or repeated keys are
+    errors."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -112,6 +113,10 @@ def parse_config(path):
         key, value = key.strip(), value.strip()
         if key not in _CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeated from line {lines[key]}")
+        lines[key] = lineno
         kind = _CONFIG_TYPES[key]
         try:
             if kind in ("float", float):

@@ -291,7 +291,8 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
                  "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
                  jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n",
                  "perturbation = ramp\n", "ineq_slack = 0.05\n",
-                 "initial_base = step\n", "reference = auto\n"):
+                 "initial_base = step\n", "reference = auto\n",
+                 "dx = 0.02\ndx = 0.04\n"):
         bad = tmp_path / "bad.cfg"
         bad.write_text(text)
         assert main(["diagnose", "--config", str(bad),
