@@ -87,12 +87,15 @@ def _read_snapshots(in_dir):
         meta, cols = read_csv(path)
         t = header_float(path, meta, "t")
         try:
-            snap = PhysicalState(cols["x"], cols["rho"], cols["m"], t)
+            x, rho, m = cols["x"], cols["rho"], cols["m"]
         except KeyError as exc:
             raise ConfigError(f"{path}: missing {exc}") from exc
-        if snap.x.size < 2:
+        if x.size < 2:
             raise ConfigError(f"{path}: a snapshot needs at least two cells")
-        snapshots.append(snap)
+        if not (np.all(np.isfinite([x, rho, m])) and np.all(np.diff(x) > 0)):
+            raise ConfigError(
+                f"{path}: x, rho and m must be finite and x strictly increasing")
+        snapshots.append(PhysicalState(x, rho, m, t))
     if not snapshots:
         raise ConfigError(f"no snapshot files in {in_dir}")
     return RunResult(sorted(snapshots, key=lambda snap: snap.t))

@@ -5,10 +5,10 @@ residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, and the coercivity constants.
 
 References are functions of y alone: the constant state and the similarity
-profile, which is a stationary solution in scaling variables.
-`total_relative_entropy`, `error_terms` and `xi_bound_check` evaluate a
-reference once per (y-grid, law) and share the read-only result, with u,
-u_y and h''(rho_bar), across every tau.
+profile, which is a stationary solution in scaling variables.  So on a fixed
+y-grid a reference is one read-only table, a `RefData`, with u, u_y and the
+thermodynamics of rho_bar; `total_relative_entropy`, `error_terms` and
+`xi_bound_check` read it for every tau.
 """
 
 from __future__ import annotations
@@ -82,27 +82,19 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
         ok, _ = law.vacuum_admissible()
         if not ok or np.any((rho_bar == 0) & (n_bar != 0)):
             raise DomainError("vacuum reference needs gamma > 1 and n_bar = 0")
-    u = _ratio(n, rho)
-    eta_rel, q_rel = _relative_density(tau, rho, n, u, rho_bar, _ratio(n_bar, rho_bar),
-                                       law._reference(rho_bar), law)
-    if np.ndim(eta_rel) == 0:
-        return float(eta_rel), float(q_rel)
-    return eta_rel, q_rel
-
-
-def _relative_density(tau, rho, n, u, rho_bar, u_bar, reference, law):
-    """`relative_entropy_density` from the velocities and the reference's
-    `PressureLaw._reference` terms (h, h', p, p')."""
-    du = u - u_bar
+    u_bar = _ratio(n_bar, rho_bar)
+    reference = law._reference(rho_bar)
+    du = _ratio(n, rho) - u_bar
     h_rel, _ = law._relative(rho, rho_bar, reference)
     _, dh, _ = law.potential(rho)
-    dhb = reference[1]
     eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
     q_rel = (
         0.5 * np.exp(-tau) * n * du * du
-        + rho * (np.asarray(dh) - dhb) * du
+        + rho * (np.asarray(dh) - reference[1]) * du
         + u_bar * h_rel
     )
+    if np.ndim(eta_rel) == 0:
+        return float(eta_rel), float(q_rel)
     return eta_rel, q_rel
 
 
@@ -119,11 +111,12 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class RefData:
-    """A reference pair evaluated on a y-grid, with first derivatives, the
-    velocity u = n/rho, its derivative u_y, and the thermodynamics of rho:
-    h, h', h'', p and p'.  Every array is read-only, because a pair hands
-    the same RefData to every snapshot."""
+    """A reference pair evaluated on the y-grid `y`, with first derivatives,
+    the velocity u = n/rho, its derivative u_y, and the thermodynamics of
+    rho: h, h', h'', p and p'.  Every array is read-only, because one
+    RefData serves every snapshot of a run."""
 
+    y: np.ndarray
     rho: np.ndarray
     n: np.ndarray
     rho_y: np.ndarray
@@ -149,18 +142,11 @@ class RefData:
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """Steady reference (rho_bar, n_bar) as callables of y.
-
-    `eval` takes the derivatives by centered differences with the grid
-    spacing; `cached_eval` keeps the evaluation for the last grid.
-    """
+    """Steady reference (rho_bar, n_bar) as callables of y; `eval` tabulates
+    it on a grid, with derivatives by centered differences."""
 
     rho: Callable
     n: Callable
-
-    def __post_init__(self):
-        # [y, law, RefData] of the last grid the pair was evaluated on
-        object.__setattr__(self, "_memo", [])
 
     # -- constructors -------------------------------------------------------
 
@@ -218,6 +204,7 @@ class ReferencePair:
         n_y = (n_plus - n_minus) / (2 * h)
         h, dh, p, dp = law._reference(rho)
         return RefData(
+            y=y,
             rho=rho,
             n=n,
             rho_y=rho_y,
@@ -232,15 +219,6 @@ class ReferencePair:
             dp=dp,
         )
 
-    def cached_eval(self, y, law):
-        """`eval`, memoised: while (y, law) stay the same, every call
-        returns the same read-only RefData."""
-        y = np.asarray(y, dtype=float)
-        memo = self._memo
-        if not (memo and memo[1] == law and np.array_equal(memo[0], y)):
-            memo[:] = [y.copy(), law, self.eval(y, law)]
-        return memo[2]
-
 
 # ---------------------------------------------------------------------------
 # totals, residuals, error terms
@@ -253,15 +231,19 @@ class EntropyTotals:
     tail_ok: bool
 
 
+def _check_grid(ref, y):
+    if not np.array_equal(ref.y, y):
+        raise DomainError("the field is not on the y-grid of the reference")
+
+
 def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
-    dissipation over the field's window; tail_ok flags edge integrands
-    below the truncation monitor."""
-    data = ref.cached_eval(field.y, law)
-    u = _ratio(field.n, field.rho)
-    eta_rel, _ = _relative_density(field.tau, field.rho, field.n, u,
-                                   data.rho, data.u, data.thermo, law)
-    du = u - data.u
+    dissipation against the RefData `ref` over the field's window; tail_ok
+    flags edge integrands below the truncation monitor."""
+    _check_grid(ref, field.y)
+    du = _ratio(field.n, field.rho) - ref.u
+    h_rel, _ = law._relative(field.rho, ref.rho, ref.thermo)
+    eta_rel = 0.5 * np.exp(-field.tau) * field.rho * du * du + h_rel
     diss = alpha * field.rho * du * du
     dy = field.dy
     E = float(np.sum(eta_rel) * dy)
@@ -280,16 +262,15 @@ class ErrorTerms:
     Xi: tuple  # (Xi1, Xi2, Xi3) midpoint quadratures
 
 
-def reference_residuals(data, tau, alpha, y):
+def reference_residuals(data, tau, alpha):
     """Residuals of a steady reference pair against the scaled system:
     R1 = -(y/2) rho_y + n_y,
     R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n).
     """
-    y = np.asarray(y, dtype=float)
-    R1 = -0.5 * y * data.rho_y + data.n_y
+    R1 = -0.5 * data.y * data.rho_y + data.n_y
     nsq_y = 2.0 * data.u * data.n_y - data.u * data.u * data.rho_y  # (n^2/rho)_y
     R2 = (
-        -0.5 * y * data.n_y
+        -0.5 * data.y * data.n_y
         - 0.5 * data.n
         + nsq_y
         + np.exp(tau) * (data.p_y + alpha * data.n)
@@ -298,20 +279,19 @@ def reference_residuals(data, tau, alpha, y):
 
 
 def error_terms(field, ref, tau, alpha, law):
-    """Residuals and the xi error-term fields with their quadratures."""
-    y = field.y
-    data = ref.cached_eval(y, law)
-    R1, R2 = reference_residuals(data, tau, alpha, y)
+    """Residuals and the xi error-term fields, against the RefData `ref`,
+    with their quadratures."""
+    _check_grid(ref, field.y)
+    R1, R2 = reference_residuals(ref, tau, alpha)
 
-    u = _ratio(field.n, field.rho)
-    du = u - data.u
-    _, p_rel = law._relative(field.rho, data.rho, data.thermo)
+    du = _ratio(field.n, field.rho) - ref.u
+    _, p_rel = law._relative(field.rho, ref.rho, ref.thermo)
     exp_m = np.exp(-tau)
 
-    xi1 = -data.u_y * (exp_m * field.rho * du * du + p_rel)
-    R_bar = data.u * R1 - R2
-    xi2 = exp_m * R_bar * _ratio(field.rho, data.rho) * du
-    xi3 = -(field.rho - data.rho) * data.d2h * R1
+    xi1 = -ref.u_y * (exp_m * field.rho * du * du + p_rel)
+    R_bar = ref.u * R1 - R2
+    xi2 = exp_m * R_bar * _ratio(field.rho, ref.rho) * du
+    xi3 = -(field.rho - ref.rho) * ref.d2h * R1
 
     dy = field.dy
     Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
@@ -380,41 +360,39 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     """Count pointwise violations of the three xi-term bounds.
 
     Evaluates the three bounding inequalities at each node for the given
-    states against the reference pair, with a rounding slack of 1e-12
+    states against the RefData `ref`, with a rounding slack of 1e-12
     relative to the bound.
     """
-    y = np.asarray(y, dtype=float)
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)
-    data = ref.cached_eval(y, law)
-    if np.min(data.rho) <= 0:
+    if np.min(ref.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
     terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
 
-    eta_rel, _ = _relative_density(tau, rho, n, _ratio(n, rho), data.rho, data.u,
-                                   data.thermo, law)
-    h_rel, _ = law._relative(rho, data.rho, data.thermo)
+    du = _ratio(n, rho) - ref.u
+    h_rel, _ = law._relative(rho, ref.rho, ref.thermo)
+    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
     coeff = max(2.0, law.gamma - 1.0)
-    R_bar = data.u * terms.R1 - terms.R2
+    R_bar = ref.u * terms.R1 - terms.R2
     exp_h = np.exp(-tau / 2.0)
 
     tol = lambda b: 1e-12 * np.maximum(1.0, np.abs(b))
 
-    bound1a = coeff * np.maximum(-data.u_y, 0.0) * eta_rel
-    bound1b = coeff * np.abs(data.u_y) * eta_rel
+    bound1a = coeff * np.maximum(-ref.u_y, 0.0) * eta_rel
+    bound1b = coeff * np.abs(ref.u_y) * eta_rel
     v1 = np.count_nonzero(terms.xi1 > bound1a + tol(bound1a))
     v1 += np.count_nonzero(np.abs(terms.xi1) > bound1b + tol(bound1b))
 
     bound2 = (
-        (1.0 / (2.0 * law.k * data.rho**law.gamma) + 1.5 / data.rho)
+        (1.0 / (2.0 * law.k * ref.rho**law.gamma) + 1.5 / ref.rho)
         * np.abs(R_bar) * exp_h * eta_rel
         + exp_h * np.abs(R_bar)
     )
     v2 = np.count_nonzero(np.abs(terms.xi2) > bound2 + tol(bound2))
 
     bound3 = (
-        2.0 * law.gamma * np.abs(terms.R1) / data.rho * h_rel
-        + data.rho * np.abs(data.d2h * terms.R1)
+        2.0 * law.gamma * np.abs(terms.R1) / ref.rho * h_rel
+        + ref.rho * np.abs(ref.d2h * terms.R1)
     )
     v3 = np.count_nonzero(np.abs(terms.xi3) > bound3 + tol(bound3))
     return int(v1 + v2 + v3)

@@ -151,12 +151,19 @@ def build_initial(cfg, x, limits, profile=None):
 
 
 def make_reference(cfg, limits, law, profile):
-    """(reference pair, kind): the constant state for coincident limits,
-    else the similarity profile.  `cfg` and `law` are unused; they stay for
-    callers that pass them."""
+    """(RefData, kind): the reference evaluated once on the y-grid of `cfg`,
+    the constant state for coincident limits, else the similarity profile.
+    Its density must be bounded away from 0 on that grid (ConfigError)."""
     if limits.same_limits:
-        return ReferencePair.constant(limits.rho_plus), "constant"
-    return ReferencePair.from_profile(profile, limits), "profile"
+        pair, kind = ReferencePair.constant(limits.rho_plus), "constant"
+    else:
+        pair, kind = ReferencePair.from_profile(profile, limits), "profile"
+    y = node_grid(cfg.L_y, cfg.dy)
+    if not np.min(pair.rho(y)) > 0:
+        raise ConfigError(
+            f"the {kind} reference density must be bounded away from 0 "
+            f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
+    return pair.eval(y, law), kind
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +228,8 @@ def simulate(cfg):
 
 def diagnose(cfg, run_result):
     """Transform each snapshot to scaling variables and assemble the
-    relative-entropy report against the reference (`make_reference`).
-
-    The reference density must be bounded away from 0 on the y-grid
-    (ConfigError before any snapshot otherwise).  The reference is a
-    function of y, evaluated once for the whole run
-    (`ReferencePair.cached_eval`).
+    relative-entropy report against the reference, which `make_reference`
+    evaluates once per run on the y-grid, before any snapshot.
     """
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
@@ -247,16 +250,11 @@ def diagnose(cfg, run_result):
         theta, mu, K_const = profile.theta, profile.mu, profile.K_const
     ref, ref_kind = make_reference(cfg, limits, law, profile)
 
-    y = node_grid(cfg.L_y, cfg.dy)
-    if not np.min(ref.rho(y)) > 0:
-        raise ConfigError(
-            f"the {ref_kind} reference density must be bounded away from 0 "
-            f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
     for j, snap in enumerate(run_result.snapshots):
-        fld = to_scaled(snap, y)
+        fld = to_scaled(snap, ref.y)
         totals = total_relative_entropy(fld, ref, cfg.alpha, law)
         E[j], D[j] = totals.E, totals.D_alpha
         terms = error_terms(fld, ref, fld.tau, cfg.alpha, law)

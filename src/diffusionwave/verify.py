@@ -238,7 +238,7 @@ def check_inequality_suite():
 
     # xi-term pointwise bounds against the fixture profile
     prof, limits, law2, y = _fixture_profile()
-    ref = ReferencePair.from_profile(prof, limits)
+    ref = ReferencePair.from_profile(prof, limits).eval(y, law2)
     v_xi = 0
     for _ in range(125):
         tau = rng.uniform(0.0, 4.0)

@@ -351,22 +351,35 @@ def test_domain_error_exits_1(tmp_path):
                  "--out", str(tmp_path / "s.csv")]) == 1
 
 
-def _keep_rows(n):
-    """A corruption that keeps the header and the first n data rows."""
+def _rows(edit):
+    """A corruption that keeps the header and edits the list of data rows."""
     def corrupt(text):
         lines = text.splitlines(keepends=True)
         head = sum(line.startswith("#") for line in lines) + 1
-        return "".join(lines[:head + n])
+        return "".join(lines[:head] + edit(lines[head:]))
     return corrupt
+
+
+def _swap_rows_70_90(rows):
+    rows[70], rows[90] = rows[90], rows[70]
+    return rows
+
+
+def _nan_density(rows):
+    x, _, m = rows[40].split(",")
+    rows[40] = f"{x},nan,{m}"
+    return rows
 
 
 @pytest.mark.parametrize("corrupt", [
     lambda text: re.sub(r"^# t=.*$", "# t=abc", text, flags=re.M),
     lambda text: re.sub(r"^# t=.*$", "# t=[1,2]", text, flags=re.M),
     lambda text: re.sub(r"^# t=.*$", "# t=nan", text, flags=re.M),
-    _keep_rows(1),
-    _keep_rows(0),
-], ids=["t-abc", "t-list", "t-nan", "one-row", "no-rows"])
+    _rows(lambda rows: rows[:1]),
+    _rows(lambda rows: []),
+    _rows(_swap_rows_70_90),
+    _rows(_nan_density),
+], ids=["t-abc", "t-list", "t-nan", "one-row", "no-rows", "x-unsorted", "rho-nan"])
 def test_diagnose_rejects_a_malformed_snapshot(tmp_path, cfg_file, capsys, corrupt):
     snap_dir = tmp_path / "snaps"
     assert main(["simulate", "--config", str(cfg_file),

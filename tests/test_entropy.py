@@ -72,7 +72,7 @@ class TestTotals:
 
     def test_field_equals_reference(self):
         y = np.linspace(-2, 2, 101)
-        ref = ReferencePair.constant(1.0)
+        ref = ReferencePair.constant(1.0).eval(y, LAW)
         field = self._grid_field(0.0, y, np.ones_like(y), np.zeros_like(y))
         totals = total_relative_entropy(field, ref, 1.0, LAW)
         assert totals.E == 0.0 and totals.D_alpha == 0.0
@@ -83,7 +83,7 @@ class TestTotals:
         y = np.arange(-200, 201) * dy
         n = np.where((y >= 0) & (y < 1.0), 1.0, 0.0)
         field = self._grid_field(0.0, y, np.ones_like(y), n)
-        ref = ReferencePair.constant(1.0)
+        ref = ReferencePair.constant(1.0).eval(y, LAW)
         totals = total_relative_entropy(field, ref, 2.0, LAW)
         assert totals.E == pytest.approx(0.5, rel=1e-12)
         assert totals.D_alpha == pytest.approx(2.0, rel=1e-12)
@@ -91,7 +91,7 @@ class TestTotals:
     def test_additivity_under_support_doubling(self):
         dy = 0.01
         y = np.arange(-300, 301) * dy
-        ref = ReferencePair.constant(1.0)
+        ref = ReferencePair.constant(1.0).eval(y, LAW)
         out = []
         for width in (1.0, 2.0):
             n = np.where((y >= 0) & (y < width), 1.0, 0.0)
@@ -102,7 +102,7 @@ class TestTotals:
 
     def test_tail_monitor(self):
         y = np.linspace(-2, 2, 101)
-        ref = ReferencePair.constant(1.0)
+        ref = ReferencePair.constant(1.0).eval(y, LAW)
         field = self._grid_field(0.0, y, np.full_like(y, 1.1), np.zeros_like(y))
         assert not total_relative_entropy(field, ref, 1.0, LAW).tail_ok
 
@@ -142,7 +142,7 @@ class TestErrorTerms:
         rng = np.random.default_rng(14)
         field = ScaledField(0.5, y, rng.uniform(0.5, 2, y.size),
                             rng.uniform(-1, 1, y.size))
-        ref = ReferencePair.constant(1.3)
+        ref = ReferencePair.constant(1.3).eval(y, LAW)
         terms = error_terms(field, ref, 0.5, 1.0, LAW)
         for arr in (terms.R1, terms.R2, terms.xi1, terms.xi2, terms.xi3):
             assert np.all(arr == 0.0)
@@ -154,7 +154,7 @@ class TestErrorTerms:
         # leaving the profile residual field
         prof, limits = jump_profile
         y = np.linspace(-8.0, 8.0, 801)
-        ref = ReferencePair.from_profile(prof, limits)
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
         rng = np.random.default_rng(15)
         field = ScaledField(3.0, y, rng.uniform(0.9, 1.1, y.size),
                             rng.uniform(-0.1, 0.1, y.size))
@@ -178,9 +178,8 @@ class TestErrorTerms:
 
         # a smooth step at rest: only the transport and pressure terms remain
         step = lambda y: 1.0 - 0.05 * np.tanh(y)
-        ref = ReferencePair(rho=step, n=np.zeros_like)
-        data = ref.cached_eval(y, LAW)
-        terms = error_terms(field, ref, tau, alpha, LAW)
+        data = ReferencePair(rho=step, n=np.zeros_like).eval(y, LAW)
+        terms = error_terms(field, data, tau, alpha, LAW)
         h = y[1] - y[0]
         assert np.array_equal(data.rho_y, (step(y + h) - step(y - h)) / (2 * h))
         assert np.all(data.n_y == 0.0) and np.any(data.rho_y != 0)
@@ -191,7 +190,7 @@ class TestErrorTerms:
         # R2 = (alpha e^tau - 1/2) n0, derivatives by centered differences
         rho0, n0 = 1.3, 0.5
         ref = ReferencePair(rho=lambda y: np.full_like(y, rho0),
-                            n=lambda y: np.full_like(y, n0))
+                            n=lambda y: np.full_like(y, n0)).eval(y, LAW)
         terms = error_terms(field, ref, tau, alpha, LAW)
         assert np.all(terms.R1 == 0.0)
         expected = (alpha * np.exp(tau) - 0.5) * n0
@@ -247,22 +246,35 @@ class TestEntropyIdentity:
 class TestXiBounds:
     def test_state_equals_reference(self, jump_profile):
         prof, limits = jump_profile
-        ref = ReferencePair.from_profile(prof, limits)
         y = np.linspace(-6, 6, 301)
-        data = ref.eval(y, LAW)
-        assert xi_bound_check(1.0, y, data.rho, data.n, ref, LAW, 1.0) == 0
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        assert xi_bound_check(1.0, y, ref.rho, ref.n, ref, LAW, 1.0) == 0
 
     def test_random_states(self, jump_profile):
         prof, limits = jump_profile
-        ref = ReferencePair.from_profile(prof, limits)
         rng = np.random.default_rng(17)
         y = np.linspace(-6, 6, 301)
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
         violations = 0
         for _ in range(20):
             violations += xi_bound_check(
                 rng.uniform(0, 4), y, rng.uniform(0.2, 3, y.size),
                 rng.uniform(-2, 2, y.size), ref, LAW, 1.0)
         assert violations == 0
+
+    def test_field_on_another_grid_rejected(self, jump_profile):
+        # same length and spacing as the reference's grid, other nodes
+        prof, limits = jump_profile
+        y = np.linspace(-6, 6, 301)
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        moved = y + 0.01
+        rho, n = np.ones_like(y), np.zeros_like(y)
+        field = ScaledField(1.0, moved, rho, n)
+        for call in (lambda: total_relative_entropy(field, ref, 1.0, LAW),
+                     lambda: error_terms(field, ref, 1.0, 1.0, LAW),
+                     lambda: xi_bound_check(1.0, moved, rho, n, ref, LAW, 1.0)):
+            with pytest.raises(DomainError, match="y-grid"):
+                call()
 
 
 class TestCoercivity:
@@ -285,53 +297,7 @@ class TestCoercivity:
 
 
 class TestSteadyReferenceMemo:
-    """cached_eval: a reference is evaluated once per (grid, law)."""
-
-    @staticmethod
-    def _counting(monkeypatch):
-        calls = []
-        original = ReferencePair.eval
-
-        def counted(self, y, law):
-            calls.append(np.size(y))
-            return original(self, y, law)
-
-        monkeypatch.setattr(ReferencePair, "eval", counted)
-        return calls
-
-    def test_steady_pair_evaluated_once_per_grid(self, monkeypatch, jump_profile):
-        prof, limits = jump_profile
-        calls = self._counting(monkeypatch)
-        y = np.linspace(-4, 4, 161)
-        rng = np.random.default_rng(19)
-        for ref in (ReferencePair.constant(1.2),
-                    ReferencePair.from_profile(prof, limits)):
-            calls.clear()
-            first = ref.cached_eval(y, LAW)
-            for tau in (0.1, 0.7, 2.5):
-                field = ScaledField(tau, y.copy(), rng.uniform(0.8, 1.2, y.size),
-                                    rng.uniform(-0.1, 0.1, y.size))
-                total_relative_entropy(field, ref, 1.0, LAW)
-                error_terms(field, ref, tau, 1.0, LAW)
-                assert ref.cached_eval(y, LAW) is first
-            assert calls == [y.size]
-            # a new grid or law is evaluated afresh
-            moved = y.copy()
-            moved[-1] = 4.5  # same size and grid step, other nodes
-            ref.cached_eval(moved, LAW)
-            ref.cached_eval(np.linspace(-4, 4, 81), LAW)
-            ref.cached_eval(y, PressureLaw(1.0, 3.0))
-            assert len(calls) == 4
-
-    def test_memo_matches_fresh_evaluation(self, jump_profile):
-        prof, limits = jump_profile
-        y = np.linspace(-6, 6, 241)
-        ref = ReferencePair.from_profile(prof, limits)
-        cached = ref.cached_eval(y, LAW)
-        fresh = ref.eval(y, LAW)
-        for name in ("rho", "n", "rho_y", "n_y", "p_y",
-                     "u", "u_y", "h", "dh", "d2h", "p", "dp"):
-            assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+    """A reference evaluated once: a read-only RefData for every snapshot."""
 
     def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
         # h, h', p and p' of rho_bar come from eval, once per grid,
@@ -346,15 +312,14 @@ class TestSteadyReferenceMemo:
 
         monkeypatch.setattr(PressureLaw, "_reference", counted)
         y = np.linspace(-4, 4, 161)
-        ref = ReferencePair.from_profile(prof, limits)
+        data = ReferencePair.from_profile(prof, limits).eval(y, LAW)
         rng = np.random.default_rng(23)
         fields = [ScaledField(tau, y, rng.uniform(0.8, 1.2, y.size),
                               rng.uniform(-0.1, 0.1, y.size)) for tau in (0.1, 0.7, 2.5)]
-        results = [(total_relative_entropy(fld, ref, 1.0, LAW),
-                    error_terms(fld, ref, fld.tau, 1.0, LAW)) for fld in fields]
+        results = [(total_relative_entropy(fld, data, 1.0, LAW),
+                    error_terms(fld, data, fld.tau, 1.0, LAW)) for fld in fields]
         assert calls == [y.size]
 
-        data = ref.cached_eval(y, LAW)
         h, dh, d2h = LAW.potential(data.rho)
         assert all(a.tobytes() == b.tobytes() for a, b in
                    zip((data.h, data.dh, data.d2h, *data.thermo[2:]),
@@ -372,14 +337,14 @@ class TestSteadyReferenceMemo:
         y = np.linspace(-4, 4, 161)
         for ref in (ReferencePair.from_profile(prof, limits),
                     ReferencePair.constant(1.1)):
-            data = ref.cached_eval(y, LAW)
-            for name in ("rho", "n", "rho_y", "n_y", "p_y",
+            data = ref.eval(y, LAW)
+            for name in ("y", "rho", "n", "rho_y", "n_y", "p_y",
                          "u", "u_y", "h", "dh", "d2h", "p", "dp"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(data, name)[0] = 7.0
             with pytest.raises(AttributeError):
                 data.rho = np.zeros_like(y)
-            assert ref.cached_eval(y, LAW).rho[0] != 7.0
+            assert data.rho[0] != 7.0 and y.flags.writeable
 
     def test_read_only_views_leave_caller_arrays_writable(self):
         base = np.full(41, 1.5)
@@ -393,10 +358,9 @@ class TestSteadyReferenceMemo:
         # u and u_y of a vacuum reference follow the 0/0 := 0 convention
         # without a warning; the xi bounds reject it
         y = np.linspace(-2, 2, 81)
-        ref = ReferencePair.constant(0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = ref.cached_eval(y, LAW)
+            data = ReferencePair.constant(0.0).eval(y, LAW)
         assert np.all(data.u == 0.0) and np.all(data.u_y == 0.0)
         with pytest.raises(DomainError, match="bounded away from vacuum"):
-            xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), ref, LAW, 1.0)
+            xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), data, LAW, 1.0)

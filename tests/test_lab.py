@@ -21,6 +21,7 @@ from diffusionwave.lab import (
     theoretical_bound,
     write_csv,
 )
+from diffusionwave.thermo import PressureLaw
 
 
 class TestTheoreticalBound:
@@ -154,17 +155,26 @@ _SMALL = dict(alpha=1.0, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
 class TestDiagnose:
     @pytest.mark.parametrize("limits", [(1.0, 1.0), (1.05, 0.95)],
                              ids=["coincident", "jump"])
-    def test_steady_memo_matches_fresh_evaluation(self, monkeypatch, limits):
-        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_SMALL)
-        run_result = simulate(cfg)
-        memo = diagnose(cfg, run_result)
-        monkeypatch.setattr(ReferencePair, "cached_eval",
-                            lambda self, y, law: self.eval(y, law))
-        fresh = diagnose(cfg, run_result)
-        for name in ("E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
-                     "ineq_residual"):
-            assert getattr(memo, name).tobytes() == getattr(fresh, name).tobytes()
-        assert memo.meta == fresh.meta
+    def test_reference_evaluated_once_per_run(self, monkeypatch, limits):
+        # one ReferencePair.eval per run, and no h'(rho) of the snapshots:
+        # halving tau_step adds snapshots but no PressureLaw.potential call
+        cfgs = [ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
+                                 **{**_SMALL, "tau_step": step})
+                for step in (0.125, 0.0625)]
+        runs = [simulate(cfg) for cfg in cfgs]
+        calls = []
+        for cls, name in ((ReferencePair, "eval"), (PressureLaw, "potential")):
+            def counted(self, *args, _original=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        counts = []
+        for cfg, run_result in zip(cfgs, runs):
+            calls.clear()
+            diagnose(cfg, run_result)
+            counts.append((calls.count("eval"), calls.count("potential")))
+        assert [n_eval for n_eval, _ in counts] == [1, 1]
+        assert counts[1][1] == counts[0][1]
 
     def test_vacuum_reference_rejected_before_the_snapshots(self, monkeypatch):
         cfg = ExperimentConfig(rho_minus=0.0, rho_plus=0.0, **_SMALL)
