@@ -6,9 +6,16 @@ with their pointwise bounds, and the coercivity constants.
 
 References are functions of y alone: the constant state and the similarity
 profile, which is a stationary solution in scaling variables.  So on a fixed
-y-grid a reference is one read-only table, a `RefData`, with u, u_y and the
-thermodynamics of rho_bar; `total_relative_entropy`, `error_terms` and
-`xi_bound_check` read it for every tau.
+y-grid a reference is one read-only table, a `RefData`, with u, u_y, the
+thermodynamics of rho_bar and the tau-free parts of its residuals: R1, the
+steady part of R2, u R1 and -u_y.  At scaling time tau the residual R2 is
+that steady part plus e^tau (p(rho_bar)_y + alpha n_bar).
+
+One pass per snapshot, `_snapshot`, computes every diagnostic once: du,
+rho - rho_bar, h_rel and p_rel, eta_rel, the dissipation, E, D_alpha and
+the edge monitor, then R2 and the xi terms with their integrals.
+`lab.diagnose` calls it once per snapshot; `total_relative_entropy`,
+`error_terms` and `xi_bound_check` read their results from it.
 """
 
 from __future__ import annotations
@@ -41,9 +48,12 @@ TAIL_MONITOR = 1e-10
 
 
 def _ratio(num, den):
-    """num/den with the 0/0 := 0 convention; raises on momentum at vacuum."""
+    """num/den with the 0/0 := 0 convention; raises on momentum at vacuum.
+    A plain divide when every den > 0."""
     num = np.asarray(num, dtype=float)
     den = np.asarray(den, dtype=float)
+    if (den > 0).all():
+        return num / den
     if np.any((den == 0) & (num != 0)):
         raise VacuumViolation("nonzero momentum at vanishing density")
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
@@ -85,7 +95,7 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
     u_bar = _ratio(n_bar, rho_bar)
     reference = law._reference(rho_bar)
     du = _ratio(n, rho) - u_bar
-    h_rel, _ = law._relative(rho, rho_bar, reference)
+    h_rel, _ = law._relative(rho, rho - rho_bar, reference)
     _, dh, _ = law.potential(rho)
     eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
     q_rel = (
@@ -112,9 +122,12 @@ def _read_only(a):
 @dataclass(frozen=True)
 class RefData:
     """A reference pair evaluated on the y-grid `y`, with first derivatives,
-    the velocity u = n/rho, its derivative u_y, and the thermodynamics of
-    rho: h, h', h'', p and p'.  Every array is read-only, because one
-    RefData serves every snapshot of a run."""
+    the velocity u = n/rho, its derivative u_y, the thermodynamics of rho:
+    h, h', h'', p and p', and the tau-free residual terms against the scaled
+    system: R1 = -(y/2) rho_y + n_y, the steady part of R2,
+    R2_steady = -(y/2) n_y - n/2 + (n^2/rho)_y, u_R1 = u R1 and
+    neg_u_y = -u_y.  Every array is read-only, because one RefData serves
+    every snapshot of a run."""
 
     y: np.ndarray
     rho: np.ndarray
@@ -129,6 +142,10 @@ class RefData:
     d2h: np.ndarray
     p: np.ndarray
     dp: np.ndarray
+    R1: np.ndarray
+    R2_steady: np.ndarray
+    u_R1: np.ndarray
+    neg_u_y: np.ndarray
 
     def __post_init__(self):
         for f in fields(self):
@@ -181,11 +198,12 @@ class ReferencePair:
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, y, law):
-        """Evaluate values and first derivatives on a grid.
+        """Evaluate values, first derivatives and the steady residual terms
+        on a grid.
 
         The derivatives of rho_bar, n_bar and p(rho_bar) are centered
         differences with step h, the grid spacing, so discrete Darcy
-        closures cancel exactly.
+        closures cancel exactly; (n^2/rho)_y = 2 u n_y - u^2 rho_y.
         """
         y = np.asarray(y, dtype=float)
         h = float(y[1] - y[0]) if y.size > 1 else 1e-4
@@ -203,6 +221,10 @@ class ReferencePair:
         rho_y = (rho_plus - rho_minus) / (2 * h)
         n_y = (n_plus - n_minus) / (2 * h)
         h, dh, p, dp = law._reference(rho)
+        u = _ratio(n, rho)
+        u_y = _ratio(n_y * rho - n * rho_y, rho**2)
+        R1 = -0.5 * y * rho_y + n_y
+        nsq_y = 2.0 * u * n_y - u * u * rho_y
         return RefData(
             y=y,
             rho=rho,
@@ -210,13 +232,17 @@ class ReferencePair:
             rho_y=rho_y,
             n_y=n_y,
             p_y=p_y,
-            u=_ratio(n, rho),
-            u_y=_ratio(n_y * rho - n * rho_y, rho**2),
+            u=u,
+            u_y=u_y,
             h=h,
             dh=dh,
             d2h=law.potential(rho)[2],
             p=p,
             dp=dp,
+            R1=R1,
+            R2_steady=-0.5 * y * n_y - 0.5 * n + nsq_y,
+            u_R1=u * R1,
+            neg_u_y=-u_y,
         )
 
 
@@ -231,27 +257,6 @@ class EntropyTotals:
     tail_ok: bool
 
 
-def _check_grid(ref, y):
-    if not np.array_equal(ref.y, y):
-        raise DomainError("the field is not on the y-grid of the reference")
-
-
-def total_relative_entropy(field, ref, alpha, law):
-    """Midpoint quadrature of the relative entropy and the friction
-    dissipation against the RefData `ref` over the field's window; tail_ok
-    flags edge integrands below the truncation monitor."""
-    _check_grid(ref, field.y)
-    du = _ratio(field.n, field.rho) - ref.u
-    h_rel, _ = law._relative(field.rho, ref.rho, ref.thermo)
-    eta_rel = 0.5 * np.exp(-field.tau) * field.rho * du * du + h_rel
-    diss = alpha * field.rho * du * du
-    dy = field.dy
-    E = float(np.sum(eta_rel) * dy)
-    D = float(np.sum(diss) * dy)
-    tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
-    return EntropyTotals(E=E, D_alpha=D, tail_ok=tail <= TAIL_MONITOR)
-
-
 @dataclass
 class ErrorTerms:
     R1: np.ndarray
@@ -262,40 +267,73 @@ class ErrorTerms:
     Xi: tuple  # (Xi1, Xi2, Xi3) midpoint quadratures
 
 
-def reference_residuals(data, tau, alpha):
-    """Residuals of a steady reference pair against the scaled system:
-    R1 = -(y/2) rho_y + n_y,
-    R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n).
-    """
-    R1 = -0.5 * data.y * data.rho_y + data.n_y
-    nsq_y = 2.0 * data.u * data.n_y - data.u * data.u * data.rho_y  # (n^2/rho)_y
-    R2 = (
-        -0.5 * data.y * data.n_y
-        - 0.5 * data.n
-        + nsq_y
-        + np.exp(tau) * (data.p_y + alpha * data.n)
-    )
-    return R1, R2
+@dataclass
+class _Snapshot:
+    """Every diagnostic of one snapshot against a RefData, computed once."""
+
+    totals: EntropyTotals
+    terms: ErrorTerms
+    eta_rel: np.ndarray
+    h_rel: np.ndarray
+    R_bar: np.ndarray  # u R1 - R2
+
+
+def _check_grid(ref, y):
+    if y is not ref.y and not np.array_equal(ref.y, y):
+        raise DomainError("the field is not on the y-grid of the reference")
+
+
+def _entropy(field, ref, alpha, law):
+    """The relative-entropy half of the pass: (du, rho - rho_bar, h_rel,
+    p_rel, eta_rel, EntropyTotals).  `total_relative_entropy` reads it
+    alone: a vacuum reference has a relative entropy but no xi terms."""
+    _check_grid(ref, field.y)
+    rho = field.rho
+    du = _ratio(field.n, rho) - ref.u
+    drho = rho - ref.rho
+    h_rel, p_rel = law._relative(rho, drho, ref.thermo)
+    eta_rel = 0.5 * np.exp(-field.tau) * rho * du * du + h_rel
+    diss = alpha * rho * du * du
+    dy = field.dy
+    E = float(np.sum(eta_rel) * dy)
+    D = float(np.sum(diss) * dy)
+    tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
+    return du, drho, h_rel, p_rel, eta_rel, EntropyTotals(E, D, bool(tail <= TAIL_MONITOR))
+
+
+def _snapshot(field, ref, alpha, law):
+    """The per-snapshot pass at tau = field.tau: `_entropy`, then the
+    residual R2 = R2_steady + e^tau (p_y + alpha n) and the xi terms with
+    their midpoint quadratures."""
+    du, drho, h_rel, p_rel, eta_rel, totals = _entropy(field, ref, alpha, law)
+    tau, rho = field.tau, field.rho
+    R2 = ref.R2_steady + np.exp(tau) * (ref.p_y + alpha * ref.n)
+    exp_m = np.exp(-tau)
+    xi1 = ref.neg_u_y * (exp_m * rho * du * du + p_rel)
+    R_bar = ref.u_R1 - R2
+    xi2 = exp_m * R_bar * _ratio(rho, ref.rho) * du
+    xi3 = -drho * ref.d2h * ref.R1
+    dy = field.dy
+    Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
+    terms = ErrorTerms(R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3, Xi=Xi)
+    return _Snapshot(totals=totals, terms=terms, eta_rel=eta_rel, h_rel=h_rel,
+                     R_bar=R_bar)
+
+
+def total_relative_entropy(field, ref, alpha, law):
+    """Midpoint quadrature of the relative entropy and the friction
+    dissipation against the RefData `ref` over the field's window; tail_ok
+    flags edge integrands below the truncation monitor."""
+    return _entropy(field, ref, alpha, law)[-1]
 
 
 def error_terms(field, ref, tau, alpha, law):
-    """Residuals and the xi error-term fields, against the RefData `ref`,
-    with their quadratures."""
-    _check_grid(ref, field.y)
-    R1, R2 = reference_residuals(ref, tau, alpha)
-
-    du = _ratio(field.n, field.rho) - ref.u
-    _, p_rel = law._relative(field.rho, ref.rho, ref.thermo)
-    exp_m = np.exp(-tau)
-
-    xi1 = -ref.u_y * (exp_m * field.rho * du * du + p_rel)
-    R_bar = ref.u * R1 - R2
-    xi2 = exp_m * R_bar * _ratio(field.rho, ref.rho) * du
-    xi3 = -(field.rho - ref.rho) * ref.d2h * R1
-
-    dy = field.dy
-    Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
-    return ErrorTerms(R1=R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3, Xi=Xi)
+    """Residuals of the RefData `ref` against the scaled system at `tau`,
+    R1 = -(y/2) rho_y + n_y and
+    R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n),
+    and the xi error-term fields with their quadratures."""
+    return _snapshot(ScaledField(tau, field.y, field.rho, field.n),
+                     ref, alpha, law).terms
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +405,9 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     n = np.asarray(n, dtype=float)
     if np.min(ref.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
-    terms = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
-
-    du = _ratio(n, rho) - ref.u
-    h_rel, _ = law._relative(rho, ref.rho, ref.thermo)
-    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
+    snap = _snapshot(ScaledField(tau, y, rho, n), ref, alpha, law)
+    terms, eta_rel, h_rel, R_bar = snap.terms, snap.eta_rel, snap.h_rel, snap.R_bar
     coeff = max(2.0, law.gamma - 1.0)
-    R_bar = ref.u * terms.R1 - terms.R2
     exp_h = np.exp(-tau / 2.0)
 
     tol = lambda b: 1e-12 * np.maximum(1.0, np.abs(b))

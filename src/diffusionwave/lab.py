@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import PhysicalState, RunResult, SolverConfig, run
-from .entropy import ReferencePair, error_terms, total_relative_entropy
+from .entropy import ReferencePair, _snapshot
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .grids import cell_grid, grid_count, node_grid
 from .profile import LimitSpec, solve_profile
@@ -229,7 +229,10 @@ def simulate(cfg):
 def diagnose(cfg, run_result):
     """Transform each snapshot to scaling variables and assemble the
     relative-entropy report against the reference, which `make_reference`
-    evaluates once per run on the y-grid, before any snapshot.
+    evaluates once per run on the y-grid, before any snapshot.  Each
+    snapshot takes one `to_scaled` and one diagnostics pass.
+    `meta["tail_ok"]` is true when every snapshot's edge integrands are
+    within the truncation monitor `entropy.TAIL_MONITOR`.
     """
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
@@ -253,12 +256,11 @@ def diagnose(cfg, run_result):
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
+    tail_ok = True
     for j, snap in enumerate(run_result.snapshots):
-        fld = to_scaled(snap, ref.y)
-        totals = total_relative_entropy(fld, ref, cfg.alpha, law)
-        E[j], D[j] = totals.E, totals.D_alpha
-        terms = error_terms(fld, ref, fld.tau, cfg.alpha, law)
-        Xi[j] = terms.Xi
+        diag = _snapshot(to_scaled(snap, ref.y), ref, cfg.alpha, law)
+        E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.terms.Xi
+        tail_ok &= diag.totals.tail_ok
 
     E0 = float(E[0])
     same = limits.same_limits
@@ -279,7 +281,7 @@ def diagnose(cfg, run_result):
         "reference": ref_kind, "same_limits": same,
         "theta": theta, "mu": mu, "K_const": K_const,
         "theta_lt_half": bool(same or (0.0 < theta < 0.5)),
-        "E0": E0, "ineq_tol": tol,
+        "E0": E0, "ineq_tol": tol, "tail_ok": tail_ok,
     }
     return EntropyReport(
         tau=taus, E=E, D_alpha=D,

@@ -28,13 +28,19 @@ class ScaledField:
 
 
 def to_scaled(state, y_grid):
-    """Sample a physical snapshot onto a fixed y-grid in scaling variables."""
+    """Sample a physical snapshot onto a fixed y-grid in scaling variables.
+    The grid must map into the snapshot's cells [x0 - dx/2, x1 + dx/2] at
+    both ends, up to a relative 1e-12 (DomainError)."""
     y_grid = np.asarray(y_grid, dtype=float)
     t = state.t
     stretch = np.sqrt(1.0 + t)
-    X = float(state.x[-1] + state.dx / 2)
-    if np.max(np.abs(y_grid)) * stretch > X * (1 + 1e-12):
-        raise DomainError("scaled window exceeds the physical domain")
+    left = float(state.x[0] - state.dx / 2)
+    right = float(state.x[-1] + state.dx / 2)
+    lo, hi = y_grid.min() * stretch, y_grid.max() * stretch
+    if lo < left - 1e-12 * abs(left) or hi > right + 1e-12 * abs(right):
+        raise DomainError(
+            f"scaled window [{lo:g}, {hi:g}] exceeds the physical domain "
+            f"[{left:g}, {right:g}] at t = {t:g}")
     xq = y_grid * stretch
     # monotone piecewise-linear sampling; stays inside the local data range
     rho = np.interp(xq, state.x, state.rho)

@@ -92,8 +92,9 @@ class PressureLaw:
         analogously for the pressure; for gamma-laws p_rel = (gamma-1) h_rel.
         A vacuum reference rho_bar = 0 is only admissible for gamma > 1.
         """
+        rho = np.asarray(rho, dtype=float)
         rho_bar = np.asarray(rho_bar, dtype=float)
-        h_rel, p_rel = self._relative(rho, rho_bar, self._reference(rho_bar))
+        h_rel, p_rel = self._relative(rho, rho - rho_bar, self._reference(rho_bar))
         if h_rel.ndim == 0:
             return float(h_rel), float(p_rel)
         return h_rel, p_rel
@@ -107,15 +108,14 @@ class PressureLaw:
         p, dp = self._p_dp(rho_bar)
         return self._h_value(rho_bar), dh, p, dp
 
-    def _relative(self, rho, rho_bar, reference):
-        """(h_rel, p_rel) of rho against rho_bar, whose `_reference` terms
-        are given."""
-        rho = np.asarray(rho, dtype=float)
+    def _relative(self, rho, drho, reference):
+        """(h_rel, p_rel) of the float array rho against rho_bar, given
+        drho = rho - rho_bar and the `_reference` terms of rho_bar."""
         if np.any(rho < 0):
             raise DomainError("densities must be nonnegative")
         hb, dhb, pb, dpb = reference
-        h_rel = self._h_value(rho) - hb - dhb * (rho - rho_bar)
-        p_rel = self._p_dp(rho)[0] - pb - dpb * (rho - rho_bar)
+        h_rel = self._h_value(rho) - hb - dhb * drho
+        p_rel = self._p_dp(rho)[0] - pb - dpb * drho
         return h_rel, p_rel
 
     def _h_value(self, z):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import diffusionwave
 from diffusionwave.cli import main
 from diffusionwave.dynamics import PhysicalState
-from diffusionwave.lab import emit_report, parse_report, read_csv
+from diffusionwave.lab import emit_report, parse_report, read_csv, write_csv
 
 FAST_CFG = """\
 rho_minus = 1.0
@@ -391,6 +391,24 @@ def test_diagnose_rejects_a_malformed_snapshot(tmp_path, cfg_file, capsys, corru
                  "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and bad.name in err, err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_diagnose_rejects_snapshots_short_of_the_window(tmp_path, cfg_file, capsys):
+    # snapshots cut to x > 0 cannot hold the y-window's left half: exit 1
+    # with one line, not a series read off the clamped left edge
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    for path in snap_dir.glob("snapshot_*.csv"):
+        head, cols = read_csv(path)
+        keep = cols["x"] > 0
+        write_csv(path, head, {name: col[keep] for name, col in cols.items()})
+    capsys.readouterr()
+    assert main(["diagnose", "--config", str(cfg_file), "--in-dir", str(snap_dir),
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the physical domain" in err, err
     assert not (tmp_path / "s.csv").exists()
 
 

@@ -15,9 +15,10 @@ from diffusionwave.entropy import (
     total_relative_entropy,
     xi_bound_check,
 )
-from diffusionwave.errors import DomainError
+from diffusionwave.errors import DomainError, VacuumViolation
+from diffusionwave.lab import ExperimentConfig, make_reference, run_experiment
 from diffusionwave.profile import LimitSpec, solve_profile
-from diffusionwave.scaling import ScaledField
+from diffusionwave.scaling import ScaledField, to_scaled
 from diffusionwave.thermo import PressureLaw
 
 LAW = PressureLaw(1.0, 2.0)
@@ -364,3 +365,102 @@ class TestSteadyReferenceMemo:
         assert np.all(data.u == 0.0) and np.all(data.u_y == 0.0)
         with pytest.raises(DomainError, match="bounded away from vacuum"):
             xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), data, LAW, 1.0)
+
+
+def _separate_formulas(fld, ref, alpha, law):
+    """The snapshot diagnostics as the separate relative-entropy, residual
+    and xi formulas, each term recomputed from scratch: the reference that
+    the one-pass diagnostics must reproduce bit for bit.  Returns
+    (E, D_alpha, (Xi1, Xi2, Xi3), R1, R2)."""
+    rho, n, tau, y, dy = fld.rho, fld.n, fld.tau, fld.y, fld.dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(rho > 0, n / np.where(rho > 0, rho, 1.0), 0.0)
+        ratio = np.where(ref.rho > 0, rho / np.where(ref.rho > 0, ref.rho, 1.0), 0.0)
+    du = u - ref.u
+    h_rel = law.potential(rho)[0] - ref.h - ref.dh * (rho - ref.rho)
+    p_rel = law.pressure(rho)[0] - ref.p - ref.dp * (rho - ref.rho)
+    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
+    diss = alpha * rho * du * du
+    R1 = -0.5 * y * ref.rho_y + ref.n_y
+    nsq_y = 2.0 * ref.u * ref.n_y - ref.u * ref.u * ref.rho_y
+    R2 = (-0.5 * y * ref.n_y - 0.5 * ref.n + nsq_y
+          + np.exp(tau) * (ref.p_y + alpha * ref.n))
+    exp_m = np.exp(-tau)
+    xi1 = -ref.u_y * (exp_m * rho * du * du + p_rel)
+    xi2 = exp_m * (ref.u * R1 - R2) * ratio * du
+    xi3 = -(rho - ref.rho) * ref.d2h * R1
+    Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
+    return float(np.sum(eta_rel) * dy), float(np.sum(diss) * dy), Xi, R1, R2
+
+
+_TOY = dict(alpha=1.3, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
+            L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
+
+
+class TestOnePass:
+    """One pass per snapshot keeps the bits of the separate formulas."""
+
+    @pytest.mark.parametrize("limits", [(1.0, 1.0), (1.05, 0.95)],
+                             ids=["coincident", "jump"])
+    def test_diagnose_matches_the_separate_formulas(self, limits):
+        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_TOY)
+        report = run_experiment(cfg)
+        law = PressureLaw(cfg.k, cfg.gamma)
+        lim = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
+        prof = None if lim.same_limits else solve_profile(lim, law, dy=cfg.dy)
+        ref, _ = make_reference(cfg, lim, law, prof)
+        Xi = np.column_stack([report.Xi1, report.Xi2, report.Xi3])
+        for j, snap in enumerate(report.run_result.snapshots):
+            fld = to_scaled(snap, ref.y)
+            E, D, xi, _, _ = _separate_formulas(fld, ref, cfg.alpha, law)
+            assert (report.E[j], report.D_alpha[j], tuple(Xi[j])) == (E, D, xi), j
+        # nothing trivial: the xi terms vanish against the constant state only
+        assert np.all(report.E > 0) and np.any(report.D_alpha > 0)
+        assert np.any(Xi != 0) != lim.same_limits
+
+    def test_vacuum_cells(self, jump_profile):
+        # zero density and momentum on some nodes: the masked 0/0 := 0 branch
+        prof, limits = jump_profile
+        y = np.linspace(-4, 4, 161)
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        rng = np.random.default_rng(31)
+        rho = rng.uniform(0.8, 1.2, y.size)
+        n = rng.uniform(-0.1, 0.1, y.size)
+        rho[40:50] = n[40:50] = 0.0
+        for tau, alpha in ((0.0, 1.0), (0.9, 0.7), (3.1, 2.0)):
+            fld = ScaledField(tau, y, rho, n)
+            E, D, Xi, _, _ = _separate_formulas(fld, ref, alpha, LAW)
+            totals = total_relative_entropy(fld, ref, alpha, LAW)
+            assert (totals.E, totals.D_alpha) == (E, D)
+            assert error_terms(fld, ref, tau, alpha, LAW).Xi == Xi
+
+    def test_momentum_at_vacuum_raises(self, jump_profile):
+        prof, limits = jump_profile
+        y = np.linspace(-4, 4, 161)
+        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        rho, n = np.ones_like(y), np.zeros_like(y)
+        rho[80], n[80] = 0.0, 0.01
+        fld = ScaledField(0.5, y, rho, n)
+        for call in (lambda: total_relative_entropy(fld, ref, 1.0, LAW),
+                     lambda: error_terms(fld, ref, 0.5, 1.0, LAW),
+                     lambda: xi_bound_check(0.5, y, rho, n, ref, LAW, 1.0)):
+            with pytest.raises(VacuumViolation):
+                call()
+
+    def test_hoisted_residuals_match_the_unhoisted_formula(self, jump_profile):
+        # R1 and the steady part of R2 come from the RefData; R2 at tau adds
+        # e^tau (p_y + alpha n) and keeps the bits of the one-line formula
+        prof, limits = jump_profile
+        y = np.linspace(-4, 4, 161)
+        moving = ReferencePair(rho=lambda z: 1.0 - 0.05 * np.tanh(z),
+                               n=lambda z: 0.1 * np.exp(-z * z))
+        fld = ScaledField(0.0, y, np.ones_like(y), np.zeros_like(y))
+        for pair in (ReferencePair.from_profile(prof, limits), moving):
+            ref = pair.eval(y, LAW)
+            assert np.any(ref.n != 0) and np.any(ref.R2_steady != 0)
+            for tau, alpha in ((0.0, 1.0), (0.37, 0.5), (1.7, 1.0), (4.0, 2.5)):
+                terms = error_terms(fld, ref, tau, alpha, LAW)
+                *_, R1, R2 = _separate_formulas(
+                    ScaledField(tau, y, fld.rho, fld.n), ref, alpha, LAW)
+                assert terms.R1.tobytes() == R1.tobytes()
+                assert terms.R2.tobytes() == R2.tobytes()

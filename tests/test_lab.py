@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from diffusionwave.entropy import ReferencePair
+import diffusionwave.lab as lab_module
+from diffusionwave.entropy import ReferencePair, total_relative_entropy
 from diffusionwave.errors import ConfigError, DegenerateFitError, DomainError
 from diffusionwave.lab import (
     EntropyReport,
@@ -14,13 +15,17 @@ from diffusionwave.lab import (
     dissipation_check,
     emit_report,
     fit_decay_rate,
+    make_reference,
     parse_config,
     parse_report,
     read_csv,
+    run_experiment,
     simulate,
     theoretical_bound,
     write_csv,
 )
+from diffusionwave.profile import LimitSpec
+from diffusionwave.scaling import to_scaled
 from diffusionwave.thermo import PressureLaw
 
 
@@ -175,6 +180,47 @@ class TestDiagnose:
             counts.append((calls.count("eval"), calls.count("potential")))
         assert [n_eval for n_eval, _ in counts] == [1, 1]
         assert counts[1][1] == counts[0][1]
+
+    def test_one_scaling_and_one_pass_per_snapshot(self, monkeypatch):
+        # to_scaled, the diagnostics pass and the Bregman terms run once
+        # per snapshot each
+        cfg = ExperimentConfig(rho_minus=1.05, rho_plus=0.95, **_SMALL)
+        run_result = simulate(cfg)
+        calls = []
+        for name in ("to_scaled", "_snapshot"):
+            def counted(*args, _original=getattr(lab_module, name), _name=name):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(lab_module, name, counted)
+
+        def relative(self, *args, _original=PressureLaw._relative):
+            calls.append("_relative")
+            return _original(self, *args)
+        monkeypatch.setattr(PressureLaw, "_relative", relative)
+        diagnose(cfg, run_result)
+        count = len(run_result.snapshots)
+        assert count == 5
+        assert [calls.count(name) for name in ("to_scaled", "_snapshot", "_relative")] \
+            == [count] * 3
+
+    @pytest.mark.parametrize("width, expected", [(0.5, True), (1.0, False)])
+    def test_tail_ok_in_the_series_header(self, tmp_path, width, expected):
+        # true when every snapshot's edge integrands are within the monitor;
+        # the header line reads back as a bool
+        cfg = ExperimentConfig(rho_minus=1.0, rho_plus=1.0,
+                               **{**_SMALL, "width": width})
+        report = run_experiment(cfg)
+        law = PressureLaw(cfg.k, cfg.gamma)
+        ref, _ = make_reference(cfg, LimitSpec(1.0, 1.0, cfg.alpha), law, None)
+        per_snapshot = [total_relative_entropy(to_scaled(snap, ref.y), ref,
+                                               cfg.alpha, law).tail_ok
+                        for snap in report.run_result.snapshots]
+        assert report.meta["tail_ok"] is all(per_snapshot) is expected
+        assert any(per_snapshot)  # at width 1.0 some snapshots pass, the run does not
+        path = tmp_path / "series.csv"
+        emit_report(report, path)
+        assert f"# tail_ok={expected}" in path.read_text().splitlines()
+        assert parse_report(path).meta["tail_ok"] is expected
 
     def test_vacuum_reference_rejected_before_the_snapshots(self, monkeypatch):
         cfg = ExperimentConfig(rho_minus=0.0, rho_plus=0.0, **_SMALL)

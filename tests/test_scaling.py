@@ -46,6 +46,25 @@ class TestToScaled:
         with pytest.raises(DomainError):
             to_scaled(_state(t=3.0, X=5.0), np.linspace(-4.0, 4.0, 9))
 
+    def test_window_guard_left_edge(self):
+        # cells of [0, 10] cannot hold y in [-4, 4]: np.interp would clamp
+        # every y < 0 to rho[0]
+        x = np.arange(0.05, 10.0, 0.1)
+        state = PhysicalState(x, 1.0 + 0.01 * x, np.zeros_like(x), 0.0)
+        with pytest.raises(DomainError, match="exceeds the physical domain"):
+            to_scaled(state, np.linspace(-4.0, 4.0, 81))
+
+    def test_window_guard_edges_with_slack(self):
+        # each edge is checked on its own, up to a relative 1e-12
+        x = np.arange(-1.95, 10.0, 0.1)  # cells of [-2, 10]
+        state = PhysicalState(x, np.ones_like(x), np.zeros_like(x), 0.0)
+        left, right = x[0] - state.dx / 2, x[-1] + state.dx / 2
+        for y in ([left, 0.0, right], [left * (1 - 1e-13), right * (1 + 1e-13)]):
+            assert to_scaled(state, np.array(y)).rho.size == len(y)
+        for y in ([left * (1 + 1e-11), right], [left, right * (1 + 1e-11)]):
+            with pytest.raises(DomainError):
+                to_scaled(state, np.array(y))
+
 
 class TestRoundTrip:
     def test_aligned_grids_exact(self):
