@@ -1,23 +1,29 @@
 """Write <name>.json beside this script: the E(tau) series of the shipped
 acceptance config <name> and its fine-coarse gap, the largest |E| difference
 at common tau between that run and the coarse partner `verify` pairs it
-with (twice the dx, dy and tau_step).
+with (twice the dx, dy and tau_step).  The artifact `bits` writes bits.json:
+the bits of what the program prints for the acceptance runs.
 
-    PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident]
+    PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident] [bits]
 
 The discretization gate in tests/test_acceptance.py holds the acceptance
 runs to a tenth of that gap from the stored series.  Regenerate only when
 the program's answer is meant to change, and record why in CHANGES.md.
 With --check it writes nothing and prints, for each config, how far the
 current solver's E(tau) is from the stored one: max |E - stored E| as a
-fraction of the stored gap, the number the gate bounds.
+fraction of the stored gap, the number the gate bounds.  For `bits` it
+prints `bits: identical`, or the first artifact, column and tau whose bits
+differ from bits.json.  That line is not a test: the bits depend on the
+numpy build, whose version bits.json records.
 """
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 from importlib.resources import files
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -26,14 +32,78 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from diffusionwave import verify  # noqa: E402
+from diffusionwave import lab, verify  # noqa: E402
 from diffusionwave.lab import parse_config  # noqa: E402
 
 NAMES = ("jump", "coincident")
+BITS = "bits"
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def bits_record():
+    """Each acceptance config's series header and columns, exact, as
+    `diagnose --config` writes them; sha256 digests of its run's
+    `run_result.meta` arrays; and a sha256 digest of each line that
+    `verify.run_all` prints."""
+    lines = []
+    verify.run_all(printer=lines.append)
+    series, run_meta = {}, {}
+    for name in NAMES:
+        report = verify._report(name)
+        series[name] = {"header": report.meta,
+                        "columns": {col: getattr(report, col).tolist()
+                                    for col in lab._SERIES_COLUMNS}}
+        run_meta[name] = {key: _sha256(np.ascontiguousarray(value).tobytes())
+                          for key, value in report.run_result.meta.items()}
+    # through JSON, so a fresh record compares like a stored one
+    return json.loads(json.dumps({
+        "numpy": np.__version__,
+        "series": series,
+        "run_meta": run_meta,
+        "verify": [_sha256(line.encode()) for line in lines],
+    }))
+
+
+def first_difference(stored, current):
+    """The first artifact, column and tau whose bits differ; None if none."""
+    for name in NAMES:
+        old, new = stored["series"][name], current["series"][name]
+        if old["header"] != new["header"]:
+            keys = sorted(k for k in old["header"].keys() | new["header"].keys()
+                          if old["header"].get(k) != new["header"].get(k))
+            return f"{name} series header {keys[0]}"
+        tau = np.asarray(new["columns"]["tau"])
+        for col in lab._SERIES_COLUMNS:
+            a, b = (np.asarray(s["columns"][col], dtype=float) for s in (old, new))
+            if a.shape != b.shape:
+                return f"{name} series column {col}: {a.size} rows stored, {b.size} now"
+            differ = np.flatnonzero(a.view(np.uint64) != b.view(np.uint64))
+            if differ.size:
+                return f"{name} series column {col} at tau = {tau[differ[0]]:g}"
+    for name in NAMES:
+        old, new = stored["run_meta"][name], current["run_meta"][name]
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                return f"{name} run_meta column {key}"
+    for i, (a, b) in enumerate(zip_longest(stored["verify"], current["verify"])):
+        if a != b:
+            return f"verify line {i + 1}"
+    return None
 
 
 def check(names):
     for name in names:
+        if name == BITS:
+            stored = json.loads((HERE / "bits.json").read_text())
+            current = bits_record()
+            where = first_difference(stored, current)
+            note = ("" if stored["numpy"] == current["numpy"] else
+                    f" (numpy {current['numpy']} here, {stored['numpy']} in bits.json)")
+            print(f"bits: {'identical' if where is None else 'differ: ' + where}{note}")
+            continue
         stored = json.loads((HERE / f"{name}.json").read_text())
         report = verify._report(name)
         if not np.array_equal(report.tau, stored["tau"]):
@@ -47,6 +117,13 @@ def main(names):
     sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                          text=True, check=False).stdout.strip() or None
     for name in names:
+        if name == BITS:
+            record = {"source_commit": sha, **bits_record()}
+            path = HERE / "bits.json"
+            path.write_text(json.dumps(record, indent=1) + "\n")
+            print(f"wrote {path.relative_to(ROOT)}: numpy {record['numpy']}, "
+                  f"{len(record['verify'])} verify lines")
+            continue
         fine = verify._report(name)
         coarse = verify._report(name, **verify._COARSE)
         if not np.allclose(fine.tau[::2], coarse.tau, rtol=0, atol=1e-12):
@@ -69,5 +146,5 @@ def main(names):
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    names = [a for a in args if a != "--check"] or list(NAMES)
+    names = [a for a in args if a != "--check"] or [*NAMES, BITS]
     (check if "--check" in args else main)(names)
