@@ -6,7 +6,7 @@ and emit entropy time series), report (summarize a time series), verify
 (run the acceptance suite).  Exit codes: 0 success, 1 configuration or
 domain error, 2 numerical failure, 3 acceptance violation (a failed verify
 check, or a report whose entropy leaves its envelope or whose dissipation
-tail bound fails).
+tail bound fails or starts past the end of the series).
 """
 
 from __future__ import annotations
@@ -136,8 +136,12 @@ def _cmd_report(args):
     if np.all(report.envelope > 0):
         print(f"max E/envelope = {np.max(report.E / report.envelope):.4f}")
     diss = dissipation_check(report)
-    print(f"dissipation tail bound: passed={diss.passed} "
-          f"threshold tau = {diss.threshold:.2f} margin={diss.margin:.4f}")
+    if diss.inconclusive:
+        print(f"dissipation tail bound: inconclusive (threshold tau = "
+              f"{diss.threshold:.2f} past the series end tau = {tau[-1]:g})")
+    else:
+        print(f"dissipation tail bound: passed={diss.passed} "
+              f"threshold tau = {diss.threshold:.2f} margin={diss.margin:.4f}")
     print(f"max inequality residual = {np.max(report.ineq_residual):.3e} "
           f"(tol {m['ineq_tol']:.3e})")
     return EXIT_OK if within_envelope(report) and diss.passed else EXIT_VIOLATION

@@ -1,6 +1,6 @@
 """Relative entropy machinery in scaling variables.
 
-Entropy pair, relative entropy/flux densities, totals and dissipation,
+Entropy pair, relative entropy density, totals and dissipation,
 residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, and the coercivity constants.
 
@@ -11,11 +11,12 @@ thermodynamics of rho_bar and the tau-free parts of its residuals: R1, the
 steady part of R2, u R1 and -u_y.  At scaling time tau the residual R2 is
 that steady part plus e^tau (p(rho_bar)_y + alpha n_bar).
 
-One pass per snapshot, `_snapshot`, computes every diagnostic once: du,
-rho - rho_bar, h_rel and p_rel, eta_rel, the dissipation, E, D_alpha and
-the edge monitor, then R2 and the xi terms with their integrals.
-`lab.diagnose` calls it once per snapshot; `total_relative_entropy`,
-`error_terms` and `xi_bound_check` read their results from it.
+One core, `_relative_core`, computes du, rho - rho_bar, h_rel, p_rel and
+eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
+The pass, `_snapshot`, computes every diagnostic once into one flat record:
+the core, the dissipation, E, D_alpha and the edge monitor, then R2 and the
+xi terms with their integrals.  `lab.diagnose` calls it once per snapshot;
+`total_relative_entropy`, `error_terms` and `xi_bound_check` read it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "ReferencePair",
     "RefData",
     "EntropyTotals",
-    "ErrorTerms",
     "relative_entropy_density",
     "total_relative_entropy",
     "error_terms",
@@ -77,35 +77,32 @@ def entropy_pair(tau, rho, n, law):
     return eta, q
 
 
-def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
-    """Relative entropy and flux densities of (rho, n) against (rho_bar, n_bar).
+def _relative_core(tau, rho, n, rho_bar, u_bar, reference, law):
+    """(du, rho - rho_bar, h_rel, p_rel, eta_rel) of (rho, n) against rho_bar
+    with velocity u_bar and `reference`, the `PressureLaw._reference` terms."""
+    du = _ratio(n, rho) - u_bar
+    drho = rho - rho_bar
+    h_rel, p_rel = law._relative(rho, drho, reference)
+    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
+    return du, drho, h_rel, p_rel, eta_rel
 
-    eta_rel = (1/2) e^-tau rho |n/rho - n_bar/rho_bar|^2 + h(rho | rho_bar),
-    and q_rel is the matching three-term flux.  A vacuum reference requires a
-    vacuum-admissible law (then h'(0) is finite and the velocity ratio is zero).
+
+def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
+    """Relative entropy density of (rho, n) against (rho_bar, n_bar),
+    eta_rel = (1/2) e^-tau rho |n/rho - n_bar/rho_bar|^2 + h(rho | rho_bar).
+    A vacuum reference requires a vacuum-admissible law (then h'(0) is
+    finite and the velocity ratio is zero).
     """
     rho = np.asarray(rho, dtype=float)
-    n = np.asarray(n, dtype=float)
     rho_bar = np.asarray(rho_bar, dtype=float)
     n_bar = np.asarray(n_bar, dtype=float)
     if np.any(rho_bar == 0):
         ok, _ = law.vacuum_admissible()
         if not ok or np.any((rho_bar == 0) & (n_bar != 0)):
             raise DomainError("vacuum reference needs gamma > 1 and n_bar = 0")
-    u_bar = _ratio(n_bar, rho_bar)
-    reference = law._reference(rho_bar)
-    du = _ratio(n, rho) - u_bar
-    h_rel, _ = law._relative(rho, rho - rho_bar, reference)
-    _, dh, _ = law.potential(rho)
-    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
-    q_rel = (
-        0.5 * np.exp(-tau) * n * du * du
-        + rho * (np.asarray(dh) - reference[1]) * du
-        + u_bar * h_rel
-    )
-    if np.ndim(eta_rel) == 0:
-        return float(eta_rel), float(q_rel)
-    return eta_rel, q_rel
+    eta_rel = _relative_core(tau, rho, n, rho_bar, _ratio(n_bar, rho_bar),
+                             law._reference(rho_bar), law)[-1]
+    return float(eta_rel) if eta_rel.ndim == 0 else eta_rel
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +255,16 @@ class EntropyTotals:
 
 
 @dataclass
-class ErrorTerms:
+class _Snapshot:
+    """Every diagnostic of one snapshot against a RefData, computed once."""
+
+    totals: EntropyTotals
     R1: np.ndarray
     R2: np.ndarray
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: np.ndarray
     Xi: tuple  # (Xi1, Xi2, Xi3) midpoint quadratures
-
-
-@dataclass
-class _Snapshot:
-    """Every diagnostic of one snapshot against a RefData, computed once."""
-
-    totals: EntropyTotals
-    terms: ErrorTerms
     eta_rel: np.ndarray
     h_rel: np.ndarray
     R_bar: np.ndarray  # u R1 - R2
@@ -289,10 +281,8 @@ def _entropy(field, ref, alpha, law):
     alone: a vacuum reference has a relative entropy but no xi terms."""
     _check_grid(ref, field.y)
     rho = field.rho
-    du = _ratio(field.n, rho) - ref.u
-    drho = rho - ref.rho
-    h_rel, p_rel = law._relative(rho, drho, ref.thermo)
-    eta_rel = 0.5 * np.exp(-field.tau) * rho * du * du + h_rel
+    du, drho, h_rel, p_rel, eta_rel = _relative_core(
+        field.tau, rho, field.n, ref.rho, ref.u, ref.thermo, law)
     diss = alpha * rho * du * du
     dy = field.dy
     E = float(np.sum(eta_rel) * dy)
@@ -315,9 +305,8 @@ def _snapshot(field, ref, alpha, law):
     xi3 = -drho * ref.d2h * ref.R1
     dy = field.dy
     Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
-    terms = ErrorTerms(R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3, Xi=Xi)
-    return _Snapshot(totals=totals, terms=terms, eta_rel=eta_rel, h_rel=h_rel,
-                     R_bar=R_bar)
+    return _Snapshot(totals=totals, R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
+                     Xi=Xi, eta_rel=eta_rel, h_rel=h_rel, R_bar=R_bar)
 
 
 def total_relative_entropy(field, ref, alpha, law):
@@ -331,9 +320,9 @@ def error_terms(field, ref, tau, alpha, law):
     """Residuals of the RefData `ref` against the scaled system at `tau`,
     R1 = -(y/2) rho_y + n_y and
     R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n),
-    and the xi error-term fields with their quadratures."""
-    return _snapshot(ScaledField(tau, field.y, field.rho, field.n),
-                     ref, alpha, law).terms
+    and the xi error-term fields with their quadratures, in the snapshot's
+    record."""
+    return _snapshot(ScaledField(tau, field.y, field.rho, field.n), ref, alpha, law)
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +338,9 @@ def exchange_identity_residual(tau, state, ref1, ref2, law):
     rho, n = state
     rho1, n1 = ref1
     rho2, n2 = ref2
-    e1, _ = relative_entropy_density(tau, rho, n, rho1, n1, law)
-    e12, _ = relative_entropy_density(tau, rho1, n1, rho2, n2, law)
-    e2, _ = relative_entropy_density(tau, rho, n, rho2, n2, law)
+    e1 = relative_entropy_density(tau, rho, n, rho1, n1, law)
+    e12 = relative_entropy_density(tau, rho1, n1, rho2, n2, law)
+    e2 = relative_entropy_density(tau, rho, n, rho2, n2, law)
     u1 = _ratio(n1, rho1)
     u2 = _ratio(n2, rho2)
     _, dh1, _ = law.potential(rho1)
@@ -372,18 +361,12 @@ def entropy_identity_residual(field, tau, y, alpha, law, h_step):
     solutions of the scaled system the defect vanishes at O(h_step^2).
     """
     h = h_step
-
-    def eta_at(t, z):
-        e, _ = entropy_pair(t, field.rho(t, z), field.n(t, z), law)
-        return e
-
-    def q_at(t, z):
-        _, q = entropy_pair(t, field.rho(t, z), field.n(t, z), law)
-        return q
-
-    eta_tau = (eta_at(tau + h, y) - eta_at(tau - h, y)) / (2 * h)
-    eta_y = (eta_at(tau, y + h) - eta_at(tau, y - h)) / (2 * h)
-    q_y = (q_at(tau, y + h) - q_at(tau, y - h)) / (2 * h)
+    pair = lambda t, z: entropy_pair(t, field.rho(t, z), field.n(t, z), law)
+    (eta_later, _), (eta_earlier, _) = pair(tau + h, y), pair(tau - h, y)
+    (eta_right, q_right), (eta_left, q_left) = pair(tau, y + h), pair(tau, y - h)
+    eta_tau = (eta_later - eta_earlier) / (2 * h)
+    eta_y = (eta_right - eta_left) / (2 * h)
+    q_y = (q_right - q_left) / (2 * h)
     rho = field.rho(tau, y)
     n = field.n(tau, y)
     diss = alpha * float(_ratio(n, rho)) * n
@@ -406,29 +389,28 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     if np.min(ref.rho) <= 0:
         raise DomainError("xi bounds require the reference bounded away from vacuum")
     snap = _snapshot(ScaledField(tau, y, rho, n), ref, alpha, law)
-    terms, eta_rel, h_rel, R_bar = snap.terms, snap.eta_rel, snap.h_rel, snap.R_bar
     coeff = max(2.0, law.gamma - 1.0)
     exp_h = np.exp(-tau / 2.0)
 
     tol = lambda b: 1e-12 * np.maximum(1.0, np.abs(b))
 
-    bound1a = coeff * np.maximum(-ref.u_y, 0.0) * eta_rel
-    bound1b = coeff * np.abs(ref.u_y) * eta_rel
-    v1 = np.count_nonzero(terms.xi1 > bound1a + tol(bound1a))
-    v1 += np.count_nonzero(np.abs(terms.xi1) > bound1b + tol(bound1b))
+    bound1a = coeff * np.maximum(-ref.u_y, 0.0) * snap.eta_rel
+    bound1b = coeff * np.abs(ref.u_y) * snap.eta_rel
+    v1 = np.count_nonzero(snap.xi1 > bound1a + tol(bound1a))
+    v1 += np.count_nonzero(np.abs(snap.xi1) > bound1b + tol(bound1b))
 
     bound2 = (
         (1.0 / (2.0 * law.k * ref.rho**law.gamma) + 1.5 / ref.rho)
-        * np.abs(R_bar) * exp_h * eta_rel
-        + exp_h * np.abs(R_bar)
+        * np.abs(snap.R_bar) * exp_h * snap.eta_rel
+        + exp_h * np.abs(snap.R_bar)
     )
-    v2 = np.count_nonzero(np.abs(terms.xi2) > bound2 + tol(bound2))
+    v2 = np.count_nonzero(np.abs(snap.xi2) > bound2 + tol(bound2))
 
     bound3 = (
-        2.0 * law.gamma * np.abs(terms.R1) / ref.rho * h_rel
-        + ref.rho * np.abs(ref.d2h * terms.R1)
+        2.0 * law.gamma * np.abs(snap.R1) / ref.rho * snap.h_rel
+        + ref.rho * np.abs(ref.d2h * snap.R1)
     )
-    v3 = np.count_nonzero(np.abs(terms.xi3) > bound3 + tol(bound3))
+    v3 = np.count_nonzero(np.abs(snap.xi3) > bound3 + tol(bound3))
     return int(v1 + v2 + v3)
 
 

@@ -57,9 +57,8 @@ class ExperimentConfig:
     alpha: float = 1.0
     gamma: float = 2.0
     k: float = 1.0
-    # initial data: the far-field step at rest plus an optional localized
-    # perturbation of the density
-    perturbation: str = "none"          # none | bump
+    # initial data: the far-field step at rest plus a Gaussian bump of the
+    # density, amplitude exp(-(x - center)^2 / (2 width^2)); none at amplitude 0
     amplitude: float = 0.0
     width: float = 1.0
     center: float = 0.0
@@ -80,14 +79,12 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if self.perturbation not in ("none", "bump"):
-            raise ConfigError(f"unknown perturbation {self.perturbation!r}")
         if self.tau_max <= 0 or self.tau_step <= 0:
             raise ConfigError("tau_max and tau_step must be positive")
         if self.dx <= 0 or self.dy <= 0 or self.X <= 0 or self.L_y <= 0:
             raise ConfigError("grid parameters must be positive")
         if self.width <= 0:
-            raise ConfigError("perturbation width must be positive")
+            raise ConfigError("bump width must be positive")
         if (grid_count(2.0 * self.X, self.dx) < 2
                 or grid_count(2.0 * self.L_y, self.dy) < 1):
             raise ConfigError("grids need at least two cells and two y-nodes")
@@ -140,11 +137,11 @@ def tau_schedule(cfg):
 
 
 def build_initial(cfg, x, limits, profile=None):
-    """Initial (rho, m): the far-field step at rest plus the density
-    perturbation.  `profile` is unused; it stays for callers that pass it."""
-    rho = limits.step_density(x).astype(float)
-    if cfg.perturbation == "bump":
-        rho = rho + cfg.amplitude * np.exp(-((x - cfg.center) ** 2) / (2.0 * cfg.width**2))
+    """Initial (rho, m): the far-field step at rest plus the density bump,
+    which adds exactly 0 at amplitude 0.  `profile` is unused; it stays for
+    callers that pass it."""
+    rho = (limits.step_density(x).astype(float)
+           + cfg.amplitude * np.exp(-((x - cfg.center) ** 2) / (2.0 * cfg.width**2)))
     if np.any(rho <= 0):
         raise ConfigError("initial density must stay positive")
     return rho, np.zeros_like(x)
@@ -158,12 +155,12 @@ def make_reference(cfg, limits, law, profile):
         pair, kind = ReferencePair.constant(limits.rho_plus), "constant"
     else:
         pair, kind = ReferencePair.from_profile(profile, limits), "profile"
-    y = node_grid(cfg.L_y, cfg.dy)
-    if not np.min(pair.rho(y)) > 0:
+    ref = pair.eval(node_grid(cfg.L_y, cfg.dy), law)
+    if not np.min(ref.rho) > 0:
         raise ConfigError(
             f"the {kind} reference density must be bounded away from 0 "
             f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
-    return pair.eval(y, law), kind
+    return ref, kind
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,7 @@ def diagnose(cfg, run_result):
     tail_ok = True
     for j, snap in enumerate(run_result.snapshots):
         diag = _snapshot(to_scaled(snap, ref.y), ref, cfg.alpha, law)
-        E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.terms.Xi
+        E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.Xi
         tail_ok &= diag.totals.tail_ok
 
     E0 = float(E[0])

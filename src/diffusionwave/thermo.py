@@ -104,9 +104,9 @@ class PressureLaw:
         the terms `_relative` takes; a vacuum reference needs gamma > 1."""
         if self.gamma == 1.0 and np.any(rho_bar == 0):
             raise DomainError("vacuum reference requires gamma > 1")
-        _, dh, _ = self.potential(rho_bar)
+        h, dh, _ = self.potential(rho_bar)
         p, dp = self._p_dp(rho_bar)
-        return self._h_value(rho_bar), dh, p, dp
+        return h, dh, p, dp
 
     def _relative(self, rho, drho, reference):
         """(h_rel, p_rel) of the float array rho against rho_bar, given

@@ -194,8 +194,8 @@ def check_algebraic_identities():
     n2 = rng.uniform(-5.0, 5.0, N)
     tau = rng.uniform(0.0, 4.0)
     res = exchange_identity_residual(tau, (rho, n), (rho1, n1), (rho2, n2), law)
-    e1, _ = relative_entropy_density(tau, rho, n, rho1, n1, law)
-    e2, _ = relative_entropy_density(tau, rho, n, rho2, n2, law)
+    e1 = relative_entropy_density(tau, rho, n, rho1, n1, law)
+    e2 = relative_entropy_density(tau, rho, n, rho2, n2, law)
     scale = np.maximum(1.0, np.abs(e1) + np.abs(e2))
     worst = max(worst, float(np.max(res / scale)))
 
@@ -268,7 +268,7 @@ def check_inequality_suite():
     rho_bar = rng.uniform(delta, M, 100000)
     n = rng.uniform(-3.0, 3.0, 100000)
     tau = rng.uniform(0.0, 4.0, 100000)
-    eta, _ = relative_entropy_density(tau, rho, n, rho_bar, 0.0, law4)
+    eta = relative_entropy_density(tau, rho, n, rho_bar, 0.0, law4)
     lower = cc.lower_bound(tau, rho, n, rho_bar, law4.gamma)
     v_co = int(np.count_nonzero(eta < lower - 1e-12 * np.maximum(1.0, lower)))
     ok &= v_co == 0
@@ -372,7 +372,7 @@ def check_discrete_inequality():
 
 
 def check_weak_strong():
-    rep = _report("coincident", perturbation="none", amplitude=0.0, dx=0.1)
+    rep = _report("coincident", amplitude=0.0, dx=0.1)
     bound = 1e-10 * (2.0 * _config("coincident").L_y)  # per unit of the window 2 L_y
     worst = float(np.max(rep.E))
     return CheckResult(

@@ -18,13 +18,13 @@ from hypothesis import strategies as st
 import diffusionwave
 from diffusionwave.cli import main
 from diffusionwave.dynamics import PhysicalState
-from diffusionwave.lab import emit_report, parse_report, read_csv, write_csv
+from diffusionwave.lab import (EntropyReport, emit_report, parse_report, read_csv,
+                               theoretical_bound, write_csv)
 
 FAST_CFG = """\
 rho_minus = 1.0
 rho_plus = 1.0
 alpha = 1.0
-perturbation = bump
 amplitude = 0.1
 X = 8.0
 dx = 0.1
@@ -173,7 +173,7 @@ def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
 def test_snapshot_times_equal_to_six_digits_keep_their_files(tmp_path, capsys):
     # 21 snapshots within 2e-6 of each other: one file each, named by index
     cfg = tmp_path / "close.cfg"
-    cfg.write_text("rho_minus = 1.0\nrho_plus = 1.0\nperturbation = bump\n"
+    cfg.write_text("rho_minus = 1.0\nrho_plus = 1.0\n"
                    "X = 2.0\ndx = 0.25\nL_y = 1.0\ndy = 0.25\n"
                    "tau_max = 2e-6\ntau_step = 1e-7\n")
     snap_dir = tmp_path / "snaps"
@@ -237,6 +237,27 @@ def test_report_rejects_a_non_numeric_header(tmp_path, cfg_file, capsys, key, va
     assert err.count("\n") == 1 and f"header {key} must be a finite number" in err, err
 
 
+def test_report_names_an_inconclusive_dissipation_check(tmp_path, capsys):
+    # threshold 2 log(2 mu / (1 - 2 theta)) = 2.36 lies past tau = 2: the
+    # tail bound is not checked, which still exits 3
+    tau = np.linspace(0.0, 2.0, 21)
+    theta, mu, K_const, E0 = 0.1, 1.3, 0.1, 1e-2
+    envelope = theoretical_bound(tau, E0, theta, mu, K_const, False)
+    z = np.zeros_like(tau)
+    report = EntropyReport(
+        tau=tau, E=0.18 * envelope, D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
+        envelope=envelope, ineq_residual=z,
+        meta={"theta": theta, "mu": mu, "K_const": K_const, "E0": E0,
+              "ineq_tol": 1e-3, "same_limits": False})
+    series = tmp_path / "series.csv"
+    emit_report(report, series)
+    assert main(["report", str(series)]) == 3
+    out = capsys.readouterr().out
+    assert ("dissipation tail bound: inconclusive (threshold tau = 2.36 past "
+            "the series end tau = 2)\n") in out
+    assert "passed=" not in out and "margin=nan" not in out
+
+
 def test_report_command(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
@@ -290,7 +311,7 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     for text in ("rho_minus = -1.0\n", "tau_max = nan\n", "dx = 100\n",
                  "dy = 100\n", "tau_step = 10.0\n", jump + "alpha = nan\n",
                  jump + "gamma = inf\n", "dx = 1e-320\n", "dx = 1e-6\n",
-                 "perturbation = ramp\n", "ineq_slack = 0.05\n",
+                 "ineq_slack = 0.05\n",
                  "initial_base = step\n", "reference = auto\n",
                  "dx = 0.02\ndx = 0.04\n"):
         bad = tmp_path / "bad.cfg"
@@ -328,7 +349,7 @@ _BAD_VALUES = ("nan", "inf", "-inf", "0", "-1")
 @example({"alpha": "0", "rho_minus": "0", "rho_plus": "0"})
 def test_config_fuzz_one_line_errors(overrides):
     values = {**{key: repr(v) for key, v in _TOY_VALUES.items()}, **overrides}
-    text = "perturbation = bump\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fuzz.cfg"

@@ -26,19 +26,15 @@ LAW = PressureLaw(1.0, 2.0)
 
 class TestDensity:
     def test_kinetic_only(self):
-        eta, _ = relative_entropy_density(0.0, 1.0, 1.0, 1.0, 0.0, LAW)
-        assert eta == 0.5
+        eta = relative_entropy_density(0.0, 1.0, 1.0, 1.0, 0.0, LAW)
+        assert eta == 0.5 and type(eta) is float
 
     def test_coincidence(self):
-        assert relative_entropy_density(0.7, 1.3, 0.4, 1.3, 0.4, LAW) == (0.0, 0.0)
-
-    def test_flux_example(self):
-        _, q = relative_entropy_density(0.0, 1.0, 2.0, 1.0, 0.0, LAW)
-        assert q == 4.0
+        assert relative_entropy_density(0.7, 1.3, 0.4, 1.3, 0.4, LAW) == 0.0
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(11)
-        eta, _ = relative_entropy_density(
+        eta = relative_entropy_density(
             rng.uniform(0, 4), rng.uniform(0.01, 10, 10000),
             rng.uniform(-5, 5, 10000), rng.uniform(0.01, 10, 10000),
             rng.uniform(-5, 5, 10000), LAW,
@@ -46,25 +42,10 @@ class TestDensity:
         assert np.all(eta >= -1e-14)
 
     def test_vacuum_reference_needs_admissible_law(self):
-        eta, _ = relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, LAW)
+        eta = relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, LAW)
         assert eta == pytest.approx(1.0)  # h(1|0) = h(1) for gamma = 2
         with pytest.raises(DomainError):
             relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, PressureLaw(1.0, 1.0))
-
-    def test_entropy_flux_control_ratio_bounded(self):
-        # |q_rel| is controlled by (|u1| + |u2| + e^{tau/2}) eta_rel;
-        # the empirical supremum of the ratio stays finite
-        rng = np.random.default_rng(12)
-        tau = 1.0
-        rho1 = rng.uniform(0.5, 2.0, 100000)
-        n1 = rng.uniform(-2, 2, 100000)
-        rho2 = rng.uniform(0.5, 2.0, 100000)
-        n2 = rng.uniform(-2, 2, 100000)
-        eta, q = relative_entropy_density(tau, rho1, n1, rho2, n2, LAW)
-        coef = (np.abs(n1) / rho1 + np.abs(n2) / rho2 + np.exp(tau / 2)) * eta
-        mask = eta > 1e-14
-        sup = np.max(np.abs(q[mask]) / coef[mask])
-        assert np.isfinite(sup) and sup < 100.0
 
 
 class TestTotals:
@@ -125,8 +106,8 @@ class TestExchangeIdentity:
         args = [(rng.uniform(0.1, 10, N), rng.uniform(-5, 5, N)) for _ in range(3)]
         tau = rng.uniform(0, 4)
         res = exchange_identity_residual(tau, *args, LAW)
-        e1, _ = relative_entropy_density(tau, *args[0], *args[1], LAW)
-        e2, _ = relative_entropy_density(tau, *args[0], *args[2], LAW)
+        e1 = relative_entropy_density(tau, *args[0], *args[1], LAW)
+        e2 = relative_entropy_density(tau, *args[0], *args[2], LAW)
         scale = np.maximum(1.0, np.abs(e1) + np.abs(e2))
         assert np.max(res / scale) <= 1e-12
 
@@ -292,7 +273,7 @@ class TestCoercivity:
         rho_bar = rng.uniform(0.5, 2.0, N)
         n = rng.uniform(-3, 3, N)
         tau = rng.uniform(0, 4, N)
-        eta, _ = relative_entropy_density(tau, rho, n, rho_bar, 0.0, LAW)
+        eta = relative_entropy_density(tau, rho, n, rho_bar, 0.0, LAW)
         lower = cc.lower_bound(tau, rho, n, rho_bar, LAW.gamma)
         assert np.all(eta >= lower - 1e-12 * np.maximum(1.0, lower))
 
@@ -326,7 +307,7 @@ class TestSteadyReferenceMemo:
                    zip((data.h, data.dh, data.d2h, *data.thermo[2:]),
                        (h, dh, d2h, *LAW.pressure(data.rho))))
         for fld, (totals, terms) in zip(fields, results):
-            eta, _ = relative_entropy_density(fld.tau, fld.rho, fld.n, data.rho, data.n, LAW)
+            eta = relative_entropy_density(fld.tau, fld.rho, fld.n, data.rho, data.n, LAW)
             assert totals.E == float(np.sum(eta) * fld.dy)
             _, p_rel = LAW.relative(fld.rho, data.rho)
             du = fld.n / fld.rho - data.u
@@ -393,7 +374,7 @@ def _separate_formulas(fld, ref, alpha, law):
     return float(np.sum(eta_rel) * dy), float(np.sum(diss) * dy), Xi, R1, R2
 
 
-_TOY = dict(alpha=1.3, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
+_TOY = dict(alpha=1.3, amplitude=0.1, X=8.0, dx=0.1,
             L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
 
 

@@ -113,7 +113,7 @@ class TestDissipationCheck:
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
-        assert cfg.gamma == 2.0 and cfg.perturbation == "none"
+        assert cfg.gamma == 2.0
 
     def test_parse_and_comments(self, tmp_path):
         f = tmp_path / "exp.cfg"
@@ -146,14 +146,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config(f)
 
+    def test_amplitude_alone_gives_the_bump(self, tmp_path):
+        # no switch beside the amplitude: a nonzero one is never ignored
+        f = tmp_path / "bump.cfg"
+        f.write_text("amplitude = 0.2\n")
+        cfg = parse_config(f)
+        x = lab_module.cell_grid(cfg.X, cfg.dx)
+        rho, m = lab_module.build_initial(cfg, x, LimitSpec(1.0, 1.0, cfg.alpha))
+        assert np.array_equal(rho, 1.0 + 0.2 * np.exp(-x**2 / 2.0))
+        assert np.all(m == 0.0)
+
     def test_invalid_combination_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig(perturbation="bogus")
         with pytest.raises(ConfigError):
             ExperimentConfig(tau_step=0.0)
 
 
-_SMALL = dict(alpha=1.0, perturbation="bump", amplitude=0.1, X=8.0, dx=0.1,
+_SMALL = dict(alpha=1.0, amplitude=0.1, X=8.0, dx=0.1,
               L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
 
 
