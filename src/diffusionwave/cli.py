@@ -5,8 +5,8 @@ Subcommands: profile (solve and export a similarity profile), simulate
 and emit entropy time series), report (summarize a time series), verify
 (run the acceptance suite).  Exit codes: 0 success, 1 configuration or
 domain error, 2 numerical failure, 3 acceptance violation (a failed verify
-check, or a report whose entropy leaves its envelope or whose dissipation
-tail bound fails or starts past the end of the series).
+check, or a report of a series on which verify's envelope or dissipation
+check would fail: both print lab's verdicts).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .lab import (
     diagnose,
     dissipation_check,
     emit_report,
+    envelope_check,
     fit_decay_rate,
     header_float,
     parse_config,
@@ -31,7 +32,6 @@ from .lab import (
     read_csv,
     run_experiment,
     simulate,
-    within_envelope,
     write_csv,
 )
 from .grids import node_grid
@@ -121,11 +121,8 @@ def _cmd_diagnose(args):
 
 def _cmd_report(args):
     report = parse_report(args.timeseries)
-    m = report.meta
     tau = report.tau
     print(f"samples: {len(tau)}, tau in [{tau[0]:g}, {tau[-1]:g}]")
-    for key in ("theta", "mu", "K_const", "E0"):
-        print(f"{key} = {m[key]}")
     print(f"E: {report.E[0]:.6e} -> {report.E[-1]:.6e}")
     if np.all(report.E > 0) and tau[-1] > 0.5:
         try:
@@ -133,18 +130,13 @@ def _cmd_report(args):
             print(f"fitted decay rate {rate:.4f} (rms {rms:.2e})")
         except DegenerateFitError as exc:
             print(f"fitted decay rate skipped: {exc}")
-    if np.all(report.envelope > 0):
-        print(f"max E/envelope = {np.max(report.E / report.envelope):.4f}")
-    diss = dissipation_check(report)
-    if diss.inconclusive:
-        print(f"dissipation tail bound: inconclusive (threshold tau = "
-              f"{diss.threshold:.2f} past the series end tau = {tau[-1]:g})")
-    else:
-        print(f"dissipation tail bound: passed={diss.passed} "
-              f"threshold tau = {diss.threshold:.2f} margin={diss.margin:.4f}")
+    verdicts = {"entropy decay envelope": envelope_check(report),
+                "dissipation tail bound": dissipation_check(report)}
+    for name, (passed, detail) in verdicts.items():
+        print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
     print(f"max inequality residual = {np.max(report.ineq_residual):.3e} "
-          f"(tol {m['ineq_tol']:.3e})")
-    return EXIT_OK if within_envelope(report) and diss.passed else EXIT_VIOLATION
+          f"(tol {report.meta['ineq_tol']:.3e})")
+    return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VIOLATION
 
 
 def _cmd_verify(args):

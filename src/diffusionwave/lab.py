@@ -6,7 +6,10 @@ One pipeline, config -> simulate -> snapshots -> diagnose -> report:
 measures the relative entropy against the reference in an EntropyReport,
 and `run_experiment(cfg)` chains the two.  Also the theoretical decay
 envelopes, rate fitting, the acceptance rules with their slacks (defined
-here once), and CSV emission and parsing for all artifacts.
+here once), and CSV emission and parsing for all artifacts.  The envelope
+and dissipation rules each return one Verdict, which `report` and `verify`
+print as is; both fail unless `meta["theta_lt_half"]` (the paper proves no
+envelope for theta >= 1/2).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import ast
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +39,9 @@ __all__ = [
     "run_experiment",
     "fit_decay_rate",
     "theoretical_bound",
+    "envelope_check",
     "dissipation_check",
-    "DissipationCheck",
+    "Verdict",
     "emit_report",
     "parse_report",
     "write_csv",
@@ -319,17 +324,21 @@ DISSIPATION_SLACK = 1.1
 INEQ_SLACK = 0.05
 
 
-def within_envelope(report):
-    """The envelope rule: E <= ENVELOPE_SLACK * envelope at every tau."""
-    return bool(np.all(report.E <= ENVELOPE_SLACK * report.envelope))
-
-
-@dataclass
-class DissipationCheck:
+class Verdict(NamedTuple):
+    """An acceptance rule's pass flag and the line that says why."""
     passed: bool
-    inconclusive: bool
-    threshold: float
-    margin: float
+    detail: str
+
+
+def envelope_check(report):
+    """The envelope rule: E <= ENVELOPE_SLACK * envelope at every tau, and
+    `meta["theta_lt_half"]`, without which the paper proves no envelope."""
+    m, bound = report.meta, ENVELOPE_SLACK * report.envelope
+    return Verdict(m["theta_lt_half"] and bool(np.all(report.E <= bound)),
+                   f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
+                   f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}, "
+                   f"max E/({ENVELOPE_SLACK} envelope) = {np.max(report.E / bound):.4f}, "
+                   f"worst gap {np.max(report.E - bound):.2e}")
 
 
 def dissipation_check(report):
@@ -337,18 +346,19 @@ def dissipation_check(report):
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
     requires int_tau^end D_alpha <= DISSIPATION_SLACK (envelope(tau)
-    + 2 K e^{-tau/2}), with theta, mu and K from `report.meta` and E0 = `report.E0`.
+    + 2 K e^{-tau/2}), with theta, mu, K from `report.meta` and E0 = `report.E0`.
+    Fails unless `meta["theta_lt_half"]`, or when the threshold is past the end.
     """
     m = report.meta
     theta, mu, K_const, E0 = m["theta"], m["mu"], m["K_const"], report.E0
-    if not theta < 0.5:
-        raise DomainError("the dissipation bound requires theta < 1/2")
-    same = bool(m.get("same_limits", theta == 0.0))
+    if not m["theta_lt_half"]:
+        return Verdict(False, f"theta = {theta:.4f}: the bound needs theta < 1/2")
     arg = 2.0 * mu / (1.0 - 2.0 * theta)
     threshold = 2.0 * np.log(arg) if arg > 0 else -np.inf
     tau = report.tau
     if threshold > tau[-1]:
-        return DissipationCheck(False, True, float(threshold), np.nan)
+        return Verdict(False, f"inconclusive (threshold tau = {threshold:.2f} "
+                              f"past the series end tau = {tau[-1]:g})")
 
     # tail integrals by trapezoid, measured from each sample to the end
     D = report.D_alpha
@@ -356,12 +366,12 @@ def dissipation_check(report):
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
     valid = tau >= threshold
-    env = theoretical_bound(tau[valid], E0, theta, mu, K_const, same)
+    env = theoretical_bound(tau[valid], E0, theta, mu, K_const, m["same_limits"])
     bound = DISSIPATION_SLACK * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
     gap = bound - tail[valid]
-    passed = bool(np.all(gap >= 0))
     margin = float(np.min(gap / np.maximum(bound, 1e-300)))
-    return DissipationCheck(passed, False, float(threshold), margin)
+    return Verdict(bool(np.all(gap >= 0)),
+                   f"min relative margin {margin:.4f} (threshold tau = {threshold:.2f})")
 
 
 # ---------------------------------------------------------------------------
@@ -439,4 +449,7 @@ def parse_report(path):
         raise ConfigError(f"{path}: the entropy series has no rows")
     for key in ("theta", "mu", "K_const", "E0", "ineq_tol"):
         header_float(path, meta, key)
+    for key in ("same_limits", "theta_lt_half"):
+        if type(meta.get(key)) is not bool:
+            raise ConfigError(f"{path}: header {key} must be a bool, got {meta.get(key)!r}")
     return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS}, meta=meta)

@@ -82,10 +82,15 @@ class SimilarityProfile:
         return float(self.y[1] - self.y[0])
 
 
-def default_halfwidth(alpha):
-    """Half-width, at least 8, large enough that the Gaussian tail
-    ~exp(-c alpha y^2) of the profile deviation is far below solver tolerance."""
-    return float(max(8.0, 20.0 / np.sqrt(alpha))) if alpha > 0 else 8.0
+def default_halfwidth(limits, law, tail_tol=TAIL_TOL):
+    """Half-width, at least 8 and 20/sqrt(alpha), and for distinct limits at
+    least the y where the Gaussian tail exp(-y^2/(4D)) of the profile
+    deviation falls to `tail_tol`, with diffusivity D = max p'(rho_-+)/alpha."""
+    alpha = limits.alpha
+    if limits.same_limits:
+        return float(max(8.0, 20.0 / np.sqrt(alpha))) if alpha > 0 else 8.0
+    D = np.max(law.pressure(np.array([limits.rho_minus, limits.rho_plus]))[1]) / alpha
+    return float(max(8.0, 20.0 / np.sqrt(alpha), np.sqrt(4.0 * D * np.log(1.0 / tail_tol))))
 
 
 def _central_first(v, dy):
@@ -186,7 +191,7 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     have more than `grids.MAX_COUNT` nodes.
     """
     if L is None:
-        L = default_halfwidth(limits.alpha)
+        L = default_halfwidth(limits, law, tail_tol)
     if not 0 < dy < L < math.inf:
         raise DomainError(
             f"the profile grid needs 0 < dy < L < inf, got dy={dy!r}, L={L!r}")

@@ -23,8 +23,8 @@ from .entropy import (
     relative_entropy_density,
     xi_bound_check,
 )
-from .lab import (ENVELOPE_SLACK, dissipation_check, node_grid, parse_config,
-                  run_experiment, within_envelope)
+from .lab import (dissipation_check, envelope_check, node_grid, parse_config,
+                  run_experiment)
 from .profile import LimitSpec, _ode_residual, _spline, solve_profile
 from .thermo import PressureLaw, entropy_generator
 
@@ -66,31 +66,15 @@ def _fixture_profile():
 
 
 # ---------------------------------------------------------------------------
-# criteria 1-4: decay envelopes and dissipation tails
+# criteria 1-4: lab's envelope and dissipation rules on the acceptance runs
 
 
 def _envelope(name, label):
-    """E under its decay envelope, which the paper proves only for theta < 1/2."""
-    rep = _report(name)
-    m, bound = rep.meta, ENVELOPE_SLACK * rep.envelope
-    return CheckResult(
-        f"{label} entropy decay envelope",
-        m["theta_lt_half"] and within_envelope(rep),
-        f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
-        f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {rep.E0:.4e}, "
-        f"max E/({ENVELOPE_SLACK} envelope) = {np.max(rep.E / bound):.4f}, "
-        f"worst gap {np.max(rep.E - bound):.2e}",
-    )
+    return CheckResult(f"{label} entropy decay envelope", *envelope_check(_report(name)))
 
 
 def _dissipation(name, label):
-    """The dissipation tail bound; a threshold past the end of the run fails."""
-    res = dissipation_check(_report(name))
-    return CheckResult(
-        f"{label} dissipation tail bound",
-        res.passed and not res.inconclusive,
-        f"min relative margin {res.margin:.4f} (threshold tau = {res.threshold:.2f})",
-    )
+    return CheckResult(f"{label} dissipation tail bound", *dissipation_check(_report(name)))
 
 
 def check_coincident_envelope(): return _envelope("coincident", "coincident-limit")

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffusionwave
+from diffusionwave import verify
 from diffusionwave.cli import main
 from diffusionwave.dynamics import PhysicalState
 from diffusionwave.lab import (EntropyReport, emit_report, parse_report, read_csv,
@@ -237,18 +238,65 @@ def test_report_rejects_a_non_numeric_header(tmp_path, cfg_file, capsys, key, va
     assert err.count("\n") == 1 and f"header {key} must be a finite number" in err, err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("same_limits", None), ("theta_lt_half", None), ("same_limits", 1),
+    ("theta_lt_half", "True"), ("theta_lt_half", 0.0),
+])
+def test_report_rejects_a_non_bool_header(tmp_path, cfg_file, capsys, key, value):
+    # None: the key is missing from the header
+    series = tmp_path / "series.csv"
+    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
+    report = parse_report(series)
+    if value is None:
+        del report.meta[key]
+    else:
+        report.meta[key] = value
+    emit_report(report, series)
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"header {key} must be a bool" in err, err
+
+
+def _synthetic_series(theta, mu, tau_max):
+    """A jump-limit series under its envelope with a small dissipation."""
+    tau = np.linspace(0.0, tau_max, 21)
+    K_const, E0 = 0.1, 1e-2
+    envelope = theoretical_bound(tau, E0, theta, mu, K_const, False)
+    z = np.zeros_like(tau)
+    return EntropyReport(
+        tau=tau, E=0.18 * envelope, D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z,
+        Xi3=z, envelope=envelope, ineq_residual=z,
+        meta={"theta": theta, "mu": mu, "K_const": K_const, "E0": E0,
+              "ineq_tol": 1e-3, "same_limits": False,
+              "theta_lt_half": 0.0 < theta < 0.5})
+
+
+@pytest.mark.parametrize("theta, mu, tau_max, verdicts", [
+    (0.025, 0.04, 4.0, (True, True)),
+    (0.1, 1.3, 2.0, (True, False)),    # the threshold tau 2.36 is past the end
+    (2.74, 0.04, 4.0, (False, False)),  # theta >= 1/2: no envelope is proved
+])
+def test_report_and_verify_give_one_verdict(tmp_path, capsys, monkeypatch,
+                                           theta, mu, tau_max, verdicts):
+    series = tmp_path / "series.csv"
+    emit_report(_synthetic_series(theta, mu, tau_max), series)
+    monkeypatch.setattr(verify, "_report", lambda name: parse_report(series))
+    checks = [verify.check_jump_envelope(), verify.check_jump_dissipation()]
+    assert tuple(c.passed for c in checks) == verdicts
+    capsys.readouterr()
+    assert main(["report", str(series)]) == (0 if all(verdicts) else 3)
+    out, err = capsys.readouterr()
+    assert err == ""
+    for check, name in zip(checks, ("entropy decay envelope", "dissipation tail bound")):
+        assert f"[{'PASS' if check.passed else 'FAIL'}] {name}: {check.detail}\n" in out
+    assert "nan" not in out
+
+
 def test_report_names_an_inconclusive_dissipation_check(tmp_path, capsys):
     # threshold 2 log(2 mu / (1 - 2 theta)) = 2.36 lies past tau = 2: the
     # tail bound is not checked, which still exits 3
-    tau = np.linspace(0.0, 2.0, 21)
-    theta, mu, K_const, E0 = 0.1, 1.3, 0.1, 1e-2
-    envelope = theoretical_bound(tau, E0, theta, mu, K_const, False)
-    z = np.zeros_like(tau)
-    report = EntropyReport(
-        tau=tau, E=0.18 * envelope, D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
-        envelope=envelope, ineq_residual=z,
-        meta={"theta": theta, "mu": mu, "K_const": K_const, "E0": E0,
-              "ineq_tol": 1e-3, "same_limits": False})
+    report = _synthetic_series(0.1, 1.3, 2.0)
     series = tmp_path / "series.csv"
     emit_report(report, series)
     assert main(["report", str(series)]) == 3
@@ -295,7 +343,7 @@ def test_report_skips_a_degenerate_fit(tmp_path, cfg_file, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     assert "fitted decay rate skipped: fit window contains fewer than two samples" in out
-    assert "max E/envelope" in out and "dissipation tail bound" in out
+    assert "entropy decay envelope: theta = " in out and "dissipation tail bound" in out
     assert "max inequality residual" in out
 
 

@@ -89,25 +89,30 @@ class TestDissipationCheck:
     def test_short_run_inconclusive(self):
         tau = np.linspace(0, 1, 11)
         rep = _report_from_E(tau, np.exp(-tau))
-        rep.meta.update(same_limits=False, theta=0.25, mu=1.0, K_const=0.1)
+        rep.meta.update(same_limits=False, theta_lt_half=True, theta=0.25, mu=1.0,
+                        K_const=0.1)
         # threshold 2 log(2 mu/(1-2 theta)) = 2 log(4) > 1
         res = dissipation_check(rep)
-        assert res.inconclusive
+        assert not res.passed
+        assert res.detail == ("inconclusive (threshold tau = 2.77 past the "
+                              "series end tau = 1)")
 
     def test_flat_theta_required(self):
         tau = np.linspace(0, 1, 11)
         rep = _report_from_E(tau, np.exp(-tau))
-        rep.meta.update(theta=0.5, mu=0.1, K_const=0.1)
-        with pytest.raises(DomainError):
-            dissipation_check(rep)
+        rep.meta.update(same_limits=False, theta_lt_half=False, theta=0.5, mu=0.1,
+                        K_const=0.1)
+        res = dissipation_check(rep)
+        assert not res.passed and "theta = 0.5000" in res.detail
 
     def test_small_dissipation_passes(self):
         tau = np.linspace(0, 4, 41)
         rep = _report_from_E(tau, np.exp(-0.5 * tau))
         rep.D_alpha = 0.01 * np.exp(-0.5 * tau)
-        rep.meta.update(same_limits=True, theta=0.0, mu=0.0, K_const=0.0)
+        rep.meta.update(same_limits=True, theta_lt_half=True, theta=0.0, mu=0.0,
+                        K_const=0.0)
         res = dissipation_check(rep)
-        assert res.passed and not res.inconclusive
+        assert res.passed and res.detail.startswith("min relative margin ")
 
 
 class TestConfig:
@@ -260,7 +265,8 @@ class TestCsvRoundTrip:
             Xi2=rng.standard_normal(41), Xi3=rng.standard_normal(41),
             envelope=np.exp(-0.4 * tau), ineq_residual=1e-6 * rng.standard_normal(41),
             meta={"theta": 0.025013278003306282, "mu": 0.04, "K_const": 0.1,
-                  "E0": 1.0, "ineq_tol": 1e-3, "same_limits": False},
+                  "E0": 1.0, "ineq_tol": 1e-3, "same_limits": False,
+                  "theta_lt_half": True},
         )
         path = tmp_path / "report.csv"
         emit_report(rep, path)
@@ -270,3 +276,4 @@ class TestCsvRoundTrip:
             assert np.array_equal(getattr(back, name), getattr(rep, name)), name
         assert back.meta["theta"] == rep.meta["theta"]
         assert back.meta["same_limits"] is False
+        assert back.meta["theta_lt_half"] is True

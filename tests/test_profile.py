@@ -7,11 +7,13 @@ from scipy.linalg import solve_banded
 
 from diffusionwave.errors import DomainError
 from diffusionwave.profile import (
+    TAIL_TOL,
     LimitSpec,
     SimilarityProfile,
     _ode_residual,
     _spline,
     _tridiag,
+    default_halfwidth,
     profile_constants,
     solve_profile,
 )
@@ -93,6 +95,17 @@ class TestSolve:
     def test_undersized_domain_rejected(self):
         with pytest.raises(DomainError):
             solve_profile(GOLDEN_LIMITS, LAW, L=8.0, dy=0.01)
+
+    @pytest.mark.parametrize("k, L", [(1.0, 20.0), (3.5, 26.0), (4.0, 27.8)])
+    def test_default_halfwidth_grows_with_the_diffusivity(self, k, L):
+        # D = p'(1.05)/alpha = 2.1 k: the Gaussian tail exp(-y^2/(4D)) reaches
+        # TAIL_TOL past y = 20 from k = 2.07 on; a fixed L = 20 left tails of
+        # 2.5e-10 (k = 3.5) and 1.3e-9 (k = 4) at this dy
+        limits, law = LimitSpec(1.05, 0.95, 1.0), PressureLaw(k, 2.0)
+        assert default_halfwidth(limits, law) == pytest.approx(L, abs=0.05)
+        prof = solve_profile(limits, law, dy=0.02)
+        assert prof.y[-1] == pytest.approx(L, abs=0.05)
+        assert max(abs(prof.rho_star[1] - 1.05), abs(prof.rho_star[-2] - 0.95)) <= TAIL_TOL
 
 
 class TestConstants:
