@@ -9,12 +9,16 @@ Its stages are forward-Euler steps of dt/2, each at Courant number cfl, so
 its step is twice the forward-Euler one.
 
 Kernel contract.  Every Rusanov flux comes from one unchecked core,
-`_rusanov`, which evaluates m^2/rho, u, p and sqrt(p') once per face state.
-`numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
-its speed code.
-When every face density is > 0 the core skips the 0/0 := 0 masks, each of
-which would pick the quotient there; otherwise (vacuum faces) the masked
-arithmetic runs.  Either way the bits equal those of `numerical_flux`.
+`_rusanov`, which takes the face states as one (2, 2, k) array, (rho, m) by
+(left, right), and evaluates m^2/rho, u, p and sqrt(p') of them all in one
+`_face` pass.  `numerical_flux` is the domain checks plus that core, and
+`_cfl_dt` shares its speed code.  When every face density is > 0 the core
+skips the 0/0 := 0 masks, each of which would pick the quotient there;
+otherwise (vacuum faces) the masked arithmetic runs.  Either way the bits
+equal those of `numerical_flux`.  `_hyperbolic_rhs` reads a stage buffer,
+(rho, m) with two far-field ghost cells at each end; where no density is
+below _NEAR_VACUUM every MUSCL face is > 0, so it skips the clips at 0 and
+the vacuum scans.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -25,7 +29,9 @@ The scheme leaves those cells bit for bit as they are, so the window
 changes no result: the window's edge faces see only far-field data and give
 the boundary fluxes, the CFL maximum takes one far-field cell on each side,
 and the friction sink is summed over the full grid in numpy's pairwise
-order.
+order.  The step writes its window into the state in place once all its
+checks have passed (`run` steps its own copy of the initial state, `step` a
+copy of its argument), and the next scan reads only the cells it wrote.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
 inf and negative density after each stage, a step whose CFL dt is not finite
@@ -132,11 +138,13 @@ def _vacuum_free(rho):
 
 
 def _quotient(num, rho, vacuum_free, out=None):
-    """num/rho, read as 0 where rho = 0 (out is only used without vacuum)."""
+    """num/rho, read as 0 where rho = 0 (or NaN), in out if given."""
     if vacuum_free:
         return np.divide(num, rho, out=out)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(rho > 0, num / np.where(rho > 0, rho, 1.0), 0.0)
+        q = np.divide(num, np.where(rho > 0, rho, 1.0), out=out)
+    q[~(rho > 0)] = 0.0
+    return q
 
 
 def _speed(rho, m, dp, vacuum_free):
@@ -156,21 +164,22 @@ def _face(rho, m, law, vacuum_free):
     return f_m, _speed(rho, m, dp, vacuum_free)
 
 
-def _rusanov(rho_l, m_l, rho_r, m_r, law):
-    """Rusanov fluxes (f_rho, f_m) on same-shape float arrays of face states."""
-    fm_l, s = _face(rho_l, m_l, law, _vacuum_free(rho_l))
-    fm_r, s_r = _face(rho_r, m_r, law, _vacuum_free(rho_r))
+def _rusanov(faces, law, vacuum_free):
+    """Rusanov fluxes (f_rho, f_m) of a (2, 2, k) float array of face states,
+    (rho, m) by (left, right); vacuum_free is `_vacuum_free` of its rho."""
+    rho, m = faces
+    (fm_l, fm_r), (s, s_r) = _face(rho, m, law, vacuum_free)
     np.maximum(s, s_r, out=s)
     s *= 0.5
-    f_rho = m_l + m_r
+    f_rho = m[0] + m[1]
     f_rho *= 0.5
-    jump = rho_r - rho_l
+    jump = rho[1] - rho[0]
     jump *= s
     f_rho -= jump
     f_m = fm_l
     f_m += fm_r
     f_m *= 0.5
-    np.subtract(m_r, m_l, out=jump)
+    np.subtract(m[1], m[0], out=jump)
     jump *= s
     f_m -= jump
     return f_rho, f_m
@@ -181,10 +190,11 @@ def numerical_flux(left, right, law):
 
     The domain checks of `_validate` on both states, then `_rusanov`.
     """
-    arrays = [np.asarray(a, dtype=float) for a in (*left, *right)]
-    _validate(*arrays[:2])
-    _validate(*arrays[2:])
-    f_rho, f_m = _rusanov(*np.broadcast_arrays(*np.atleast_1d(*arrays)), law)
+    arrays = [np.asarray(a, dtype=float) for a in (left[0], right[0], left[1], right[1])]
+    _validate(arrays[0], arrays[2])
+    _validate(arrays[1], arrays[3])
+    faces = np.array(np.broadcast_arrays(*np.atleast_1d(*arrays))).reshape(2, 2, -1)
+    f_rho, f_m = _rusanov(faces, law, _vacuum_free(faces[0]))
     if np.broadcast(*arrays).ndim == 0:
         return float(f_rho[0]), float(f_m[0])
     return f_rho, f_m
@@ -197,52 +207,55 @@ def _minmod(a, b):
     np.minimum(out, tmp, out=out)
     np.copysign(out, a, out=out)   # where a value is kept, a and b share a sign
     np.multiply(a, b, out=tmp)
-    np.copyto(out, 0.0, where=~(tmp > 0))
-    return out
+    return np.where(tmp > 0, out, 0.0)
 
 
 # first-order fallback next to cells below this density
 _NEAR_VACUUM = 1e-8
 
 
-def _hyperbolic_rhs(rho, m, dx, cfg, law, limits):
-    """Flux divergence (and boundary fluxes) of one spatial evaluation."""
-    # cell values plus two ghost cells at each end, frozen at the far field
-    R, M = np.empty((2, rho.size + 4))
-    R[2:-2] = rho
-    M[2:-2] = m
-    R[:2], R[-2:] = limits.rho_minus, limits.rho_plus
-    M[:2] = M[-2:] = 0.0
-
+def _hyperbolic_rhs(S, dx, cfg, law):
+    """Flux divergence (and boundary fluxes) of the cells S[:, 2:-2] of a stage
+    buffer, (rho, m) with two far-field ghost cells at each end."""
+    R, M = S
+    low = R.min()
+    # face states: (rho, m) by (left, right); the right face of cell j meets
+    # the left face of cell j + 1
     if cfg.order == 2:
-        low = R.min()
-        U = _quotient(M, R, low > 0, out=M)
+        rho_f, m_f = faces = np.empty((2, 2, R.size - 3))
+        # R and U = M/R end to end in one 1-D array: one pass each takes both
+        # differences, minmods and halvings; the slopes at the seam go unread
+        k = R.size
+        RU = np.empty(2 * k)
+        RU[:k] = R
+        U = _quotient(M, R, low > 0, out=RU[k:])
         # a[1:] - a[:-1] is what np.diff computes, without its call overhead
-        dR = R[1:] - R[:-1]
-        dU = U[1:] - U[:-1]
-        slope_r = _minmod(dR[:-1], dR[1:])
-        slope_u = _minmod(dU[:-1], dU[1:])
-        if not low >= _NEAR_VACUUM:
+        D = RU[1:] - RU[:-1]
+        slopes = _minmod(D[:-1], D[1:])
+        slope_r, slope_u = slopes[:k - 2], slopes[k:]
+        # every face lies between its cell and the neighbour mean, so above
+        # _NEAR_VACUUM no face density is <= 0 (or NaN: R.min() would be)
+        vacuum_free = low >= _NEAR_VACUUM
+        if not vacuum_free:
             near = R < _NEAR_VACUUM
             near_vac = near[:-2] | near[1:-1] | near[2:]
             slope_r[near_vac] = 0.0
             slope_u[near_vac] = 0.0
-        slope_r *= 0.5
-        slope_u *= 0.5
-        # right face of cell j meets left face of cell j + 1
-        rho_l = R[1:-2] + slope_r[:-1]
-        rho_r = R[2:-1] - slope_r[1:]
-        np.maximum(rho_l, 0.0, out=rho_l)
-        np.maximum(rho_r, 0.0, out=rho_r)
-        m_l = U[1:-2] + slope_u[:-1]
-        m_l *= rho_l
-        m_r = U[2:-1] - slope_u[1:]
-        m_r *= rho_r
+        slopes *= 0.5
+        np.add(R[1:-2], slope_r[:-1], out=rho_f[0])
+        np.subtract(R[2:-1], slope_r[1:], out=rho_f[1])
+        if not vacuum_free:
+            np.maximum(rho_f, 0.0, out=rho_f)
+            vacuum_free = _vacuum_free(rho_f)
+        np.add(U[1:-2], slope_u[:-1], out=m_f[0])
+        np.subtract(U[2:-1], slope_u[1:], out=m_f[1])
+        m_f *= rho_f
     else:
-        rho_l, m_l, rho_r, m_r = R[1:-2], M[1:-2], R[2:-1], M[2:-1]
+        faces = np.stack((S[:, 1:-2], S[:, 2:-1]), axis=1)
+        vacuum_free = low > 0
 
     # N+1 interface fluxes bordering the N physical cells
-    f_rho, f_m = _rusanov(rho_l, m_l, rho_r, m_r, law)
+    f_rho, f_m = _rusanov(faces, law, vacuum_free)
     drho = f_rho[1:] - f_rho[:-1]
     drho /= -dx
     dm = f_m[1:] - f_m[:-1]
@@ -260,15 +273,6 @@ def _check(rho, m):
     if low < 0:
         raise NumericalFailure(f"negative density {low:.3e}")
     return low
-
-
-@dataclass
-class StepAudit:
-    dt: float
-    flux_mass: tuple       # time-integrated (left, right) boundary mass flux
-    flux_momentum: tuple
-    damping_sink: float    # integral of alpha * m over cells and the step
-    active_cells: int      # width of the window the step was computed on
 
 
 def _cfl_dt(rho, m, t, dx, cfg, law):
@@ -311,7 +315,7 @@ def _leading(flags):
     return flags.size if flags[k] else k
 
 
-def _window(rho, m, limits):
+def _window(rho, m, limits, span=None):
     """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
     can change.
 
@@ -321,13 +325,18 @@ def _window(rho, m, limits):
     window sees only far-field data in every stage, so its flux difference
     is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
     bits as they are.  A grid that is far field throughout gets the full
-    range.
+    range.  Given span, the cells [a, b) the last step wrote, only they are
+    scanned: the others kept their bits, so the runs reach a and n - b, and
+    a run that fills the span meets the other side's far field, or gives the
+    full range either way where both sides share it.
     """
     n = rho.size
-    bits = rho.view(np.int64)
-    still = m.view(np.int64) == 0
+    a, b = span or (0, n)
+    bits = rho[a:b].view(np.int64)
+    still = m[a:b].view(np.int64) == 0
     lead = _leading((bits == _bits(limits.rho_minus)) & still)
     trail = _leading(((bits == _bits(limits.rho_plus)) & still)[::-1])
+    lead, trail = a + lead, n - b + trail
     if lead + trail > n:
         return 0, n
     return max(lead - _MARGIN, 0), min(n - trail + _MARGIN, n)
@@ -342,77 +351,79 @@ def _sink(before, after, lo, n, dx):
     return loss.sum() * dx
 
 
-def _splice(full, lo, part):
-    """full with part written over it from index lo, as a new array."""
-    return np.concatenate((full[:lo], part, full[lo + part.size:]))
-
-
-def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf):
-    """One step of the cells in `_window`, rounded out to whole blocks; the
-    others keep their bits.
-
-    Without dt, the CFL step, cut to end at t_stop at the latest.
+def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, span=None):
+    """One step, in place, of the cells `_window` finds (scanning the span the
+    last step wrote), rounded out to whole blocks; the others keep their bits.
+    The state is written once every check of the step has passed.  Without dt,
+    the CFL step, cut to end at t_stop at the latest.  Returns dt, the boundary
+    fluxes (mass left, right, momentum left, right) and the friction sink
+    integrated over the step, and the cells [lo, hi) written.
     """
     dx, t, n = state.dx, state.t, state.x.size
-    lo, hi = _window(state.rho, state.m, limits)
+    lo, hi = _window(state.rho, state.m, limits, span)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if dt is None:
         # the cell next to the window on each side carries the far-field speed
         near = slice(max(lo - 1, 0), hi + 1)
         dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law), t_stop - t)
     rho, m = state.rho[lo:hi], state.m[lo:hi]
-    half = np.exp(-alpha * dt / 2.0)
-    full = np.exp(-alpha * dt)
+    # stage buffers of (rho, m) with two ghost cells at each end, frozen at
+    # the far field; A holds the stage-0 state, B the later ones
+    A, B = buffers = np.empty((2, 2, hi - lo + 4))
+    buffers[:, 0, :2], buffers[:, 0, -2:] = limits.rho_minus, limits.rho_plus
+    buffers[:, 1, :2] = buffers[:, 1, -2:] = 0.0
+    A[0, 2:-2] = rho
 
     sink = 0.0
     if cfg.order == 2:
-        m1 = m * half
+        decay = np.exp(-alpha * dt / 2.0)
+        m1 = np.multiply(m, decay, out=A[1, 2:-2])
         sink += _sink(m, m1, lo, n, dx) if alpha > 0 else 0.0
+        rho_s, m_s = B[:, 2:-2]
         # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
         h = dt / 2.0
-        d, e, b0 = _hyperbolic_rhs(rho, m1, dx, cfg, law, limits)
-        rho_s, m_s = rho + h * d, m1 + h * e
+        d, e, b0 = _hyperbolic_rhs(A, dx, cfg, law)
+        np.add(rho, np.multiply(d, h, out=rho_s), out=rho_s)
+        np.add(m1, np.multiply(e, h, out=m_s), out=m_s)
         _check(rho_s, m_s)
-        d1, e1, b1 = _hyperbolic_rhs(rho_s, m_s, dx, cfg, law, limits)
+        d1, e1, b1 = _hyperbolic_rhs(B, dx, cfg, law)
         d += d1
         e += e1
-        rho_s, m_s = _axpy(h, d1, rho_s), _axpy(h, e1, m_s)
+        rho_s += h * d1
+        m_s += h * e1
         _check(rho_s, m_s)
-        d2, e2, b2 = _hyperbolic_rhs(rho_s, m_s, dx, cfg, law, limits)
+        d2, e2, b2 = _hyperbolic_rhs(B, dx, cfg, law)
         d += d2
         e += e2
         rho_n = _axpy(dt / 3.0, d, rho)
         m_n = _axpy(dt / 3.0, e, m1)
-        low = _check(rho_n, m_n)
-        m2 = m_n * half
-        sink += _sink(m_n, m2, lo, n, dx) if alpha > 0 else 0.0
-        m_n = m2
         fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
-        d1, e1, b1 = _hyperbolic_rhs(rho, m, dx, cfg, law, limits)
+        decay = np.exp(-alpha * dt)
+        A[1, 2:-2] = m
+        d1, e1, b1 = _hyperbolic_rhs(A, dx, cfg, law)
         rho_n = _axpy(dt, d1, rho)
         m_n = _axpy(dt, e1, m)
-        low = _check(rho_n, m_n)
-        mg = m_n * full
-        sink += _sink(m_n, mg, lo, n, dx) if alpha > 0 else 0.0
-        m_n = mg
         fm = tuple(dt * b for b in b1)
+    low = _check(rho_n, m_n)
+    m_d = np.multiply(m_n, decay, out=A[1, 2:-2])
+    sink += _sink(m_n, m_d, lo, n, dx) if alpha > 0 else 0.0
 
     if low == 0:   # only a vacuum cell can carry momentum it must not
-        _validate(rho_n, m_n)
-    new = PhysicalState._trusted(state.x, _splice(state.rho, lo, rho_n),
-                                 _splice(state.m, lo, m_n), t + dt)
-    audit = StepAudit(dt, (fm[0], fm[1]), (fm[2], fm[3]), sink, hi - lo)
-    return new, audit
+        _validate(rho_n, m_d)
+    rho[:], m[:], state.t = rho_n, m_d, t + dt
+    return dt, fm, sink, (lo, hi)
 
 
 def step(state, cfg, law, alpha, limits, dt=None):
-    """Advance one time step (CFL-chosen dt unless given); see _advance."""
+    """Advance one time step (CFL-chosen dt unless given); see _advance.
+    Returns a new state: the caller's arrays are not written."""
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"time step dt = {dt!r} must be finite and positive")
-    new, _ = _advance(state, cfg, law, alpha, limits, dt)
+    new = PhysicalState._trusted(state.x, state.rho.copy(), state.m.copy(), state.t)
+    _advance(new, cfg, law, alpha, limits, dt)
     return new
 
 
@@ -454,7 +465,9 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
             "physical domain too small for the requested scaled window"
         )
 
-    state = initial
+    # the run's own copy, which each step writes in place
+    state = PhysicalState._trusted(initial.x, initial.rho.copy(), initial.m.copy(),
+                                   initial.t)
     snapshots = [PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t)]
     # typed arrays: 8 bytes a step each, not a float object and a pointer
     times, dts, dxs, masses, momenta = (array("d") for _ in range(5))
@@ -464,23 +477,24 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     pending = list(targets)
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
-    coarsen = True
+    coarsen, span = True, None   # span: the cells the last step wrote
 
     while state.t < t_end * (1 - 1e-14):
         if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
-            state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
+            state, t_merge, span = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0, None
         # a merged grid needs two cells to have a dx
         coarsen = state.x.size % 2 == 0 and state.x.size >= 4
         t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
-        state, audit = _advance(state, cfg, law, limits.alpha, limits, t_stop=t_stop)
+        dt, fm, sink, span = _advance(state, cfg, law, limits.alpha, limits,
+                                      t_stop=t_stop, span=span)
 
-        total_fm += audit.flux_mass[0] - audit.flux_mass[1]
-        total_fp += audit.flux_momentum[0] - audit.flux_momentum[1]
-        total_sink += audit.damping_sink
+        total_fm += fm[0] - fm[1]
+        total_fp += fm[2] - fm[3]
+        total_sink += sink
         times.append(state.t)
-        dts.append(audit.dt)
+        dts.append(dt)
         dxs.append(state.dx)
-        active.append(audit.active_cells)
+        active.append(span[1] - span[0])
         masses.append(state.mass)
         momenta.append(state.momentum)
         cum_fm.append(total_fm)

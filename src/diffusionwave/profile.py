@@ -31,6 +31,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
+NEWTON_FLOOR_ULPS = 16   # a stalled line search's tolerance; see solve_profile
 TAIL_TOL = 1e-10
 
 
@@ -183,12 +184,13 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     """Solve the profile boundary-value problem on [-L, L].
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
-    tolerance `NEWTON_TOL` in max norm; each Newton step solves the
-    tridiagonal Jacobian by cyclic reduction (`_tridiag`).  Raises
-    SolverFailure on non-convergence or a singular Newton system, DomainError
-    if the truncated domain leaves a tail above `tail_tol` or unless
-    0 < dy < L < inf, and ConfigError (before allocating) if the grid would
-    have more than `grids.MAX_COUNT` nodes.
+    tolerance `NEWTON_TOL` in max norm, or, once the line search stalls, the
+    rounding floor `NEWTON_FLOOR_ULPS` eps max p(rho+-)/(alpha dy^2); each
+    Newton step solves the tridiagonal Jacobian by cyclic reduction
+    (`_tridiag`).  Raises SolverFailure on non-convergence or a singular
+    Newton system, DomainError if the truncated domain leaves a tail above
+    `tail_tol` or unless 0 < dy < L < inf, and ConfigError (before
+    allocating) if the grid would have more than `grids.MAX_COUNT` nodes.
     """
     if L is None:
         L = default_halfwidth(limits, law, tail_tol)
@@ -240,7 +242,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
                     break
             s *= 0.5
         else:
-            raise SolverFailure("Newton line search stalled", residual=res_norm)
+            scale = max(law.pressure(rm)[0], law.pressure(rp)[0]) / (alpha * dy**2)
+            if res_norm > NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale:
+                raise SolverFailure("Newton line search stalled", residual=res_norm)
+            break
         rho, res, res_norm = trial, trial_res, trial_norm
     else:
         raise SolverFailure(

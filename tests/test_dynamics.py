@@ -19,6 +19,7 @@ from diffusionwave.dynamics import (
     _hyperbolic_rhs,
     _minmod,
     _rusanov,
+    _vacuum_free,
     _window,
     numerical_flux,
     run,
@@ -162,7 +163,8 @@ def _face_states(draw, vacuum=True):
 def test_rusanov_matches_numerical_flux(faces, gamma, k):
     law = PressureLaw(k, gamma)
     rho_l, m_l, rho_r, m_r = faces
-    fused = _rusanov(rho_l, m_l, rho_r, m_r, law)
+    stacked = np.array([[rho_l, rho_r], [m_l, m_r]])
+    fused = _rusanov(stacked, law, _vacuum_free(stacked[0]))
     public = numerical_flux((rho_l, m_l), (rho_r, m_r), law)
     reference = _ref_rusanov(rho_l, m_l, rho_r, m_r, law)
     assert _same_bits(*zip(fused, public), *zip(fused, reference))
@@ -172,7 +174,8 @@ def test_rusanov_matches_numerical_flux(faces, gamma, k):
 @settings(max_examples=200)
 def test_face_fast_path_matches_masked(faces, gamma):
     law = PressureLaw(1.5, gamma)
-    rho, m = faces[:2]
+    # both sides at once, as the stacked face buffer holds them
+    rho, m = np.array(faces[0::2]), np.array(faces[1::2])
     assert _same_bits(*zip(_face(rho, m, law, True), _face(rho, m, law, False)))
 
 
@@ -196,9 +199,17 @@ def test_minmod_matches_where_form(pairs):
         assert _same_bits((_minmod(a, b), _ref_minmod(a, b)))
 
 
+def _rhs(rho, m, dx, order, law, limits):
+    """_hyperbolic_rhs of the cells (rho, m), through a stage buffer."""
+    S = np.array([np.r_[[limits.rho_minus] * 2, rho, [limits.rho_plus] * 2],
+                  np.r_[0.0, 0.0, m, 0.0, 0.0]])
+    return _hyperbolic_rhs(S, dx, SolverConfig(order=order), law)
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_hyperbolic_rhs_matches_reference_scheme(gamma, order):
+    # a vacuum block and densities below _NEAR_VACUUM: the masked branch
     rng = np.random.default_rng(7)
     n, dx = 300, 0.05
     rho = rng.uniform(0.2, 2.0, n)
@@ -206,7 +217,24 @@ def test_hyperbolic_rhs_matches_reference_scheme(gamma, order):
     rho[[100, 101, 180]] = 1e-9
     m = np.where(rho > 0, rng.normal(0.0, 0.5, n), 0.0)
     law = PressureLaw(1.3, gamma)
-    drho, dm, _ = _hyperbolic_rhs(rho, m, dx, SolverConfig(order=order), law, UNIT)
+    drho, dm, _ = _rhs(rho, m, dx, order, law, UNIT)
+    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
+def test_hyperbolic_rhs_vacuum_free_matches_reference_scheme(gamma, order):
+    # every density >= _NEAR_VACUUM, one exactly at it beside a jump to 2.0:
+    # the fast path, without clips or vacuum scans
+    rng = np.random.default_rng(11)
+    n, dx = 300, 0.05
+    rho = rng.uniform(1e-8, 2.0, n)
+    rho[40:60] = 10.0 ** rng.uniform(-8, -2, 20)
+    rho[100], rho[101] = dynamics._NEAR_VACUUM, 2.0
+    m = rng.normal(0.0, 0.5, n) * rho
+    assert rho.min() == dynamics._NEAR_VACUUM
+    law = PressureLaw(1.3, gamma)
+    drho, dm, _ = _rhs(rho, m, dx, order, law, UNIT)
     assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
 
 
@@ -347,7 +375,8 @@ class TestRun:
 
 def _full_window():
     """Patch the window scan to the whole grid: the scheme without skipping."""
-    return mock.patch.object(dynamics, "_window", lambda rho, m, limits: (0, rho.size))
+    return mock.patch.object(dynamics, "_window",
+                             lambda rho, m, limits, span=None: (0, rho.size))
 
 
 def _same_run(a, b):
@@ -438,6 +467,53 @@ def test_window_run_matches_full_grid_steps(problem):
     for snap in windowed.snapshots:
         later = [s for s in states if abs(s.t - snap.t) <= 1e-12 * (1 + snap.t)]
         assert _same_bits((snap.rho, later[0].rho), (snap.m, later[0].m))
+
+
+@given(problem=_far_field_problems())
+@settings(max_examples=60, deadline=None)
+def test_incremental_window_matches_full_scan(problem):
+    # every scan of the previous step's span finds what a scan of the whole
+    # grid finds, on a run across the merge at t = 3, in far field wide
+    # enough that the window leaves cells out on both sides after the merge
+    state, law, limits, order = problem
+    pad = 100 + state.x.size % 2   # an even grid merges
+    rho = np.r_[np.full(pad, limits.rho_minus), state.rho, np.full(100, limits.rho_plus)]
+    m = np.r_[np.zeros(pad), state.m, np.zeros(100)]
+    state = PhysicalState((np.arange(rho.size) + 0.5) * 0.1, rho, m, 0.0)
+    window, spans = dynamics._window, []
+
+    def checked(rho, m, limits, span=None):
+        spans.append(span)
+        found = window(rho, m, limits, span)
+        assert found == window(rho, m, limits)
+        return found
+
+    with mock.patch.object(dynamics, "_window", checked):
+        out = _outcome(lambda: run(state, SolverConfig(order=order), law, limits, 3.5))
+    if not isinstance(out, type):
+        assert out.final.x.size == state.x.size // 2
+        assert sum(span is not None for span in spans) >= out.meta["dt"].size - 2
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_step_and_run_leave_the_callers_arrays(order):
+    state = _jump_state()
+    rho, m = state.rho.copy(), state.m.copy()
+    cfg = SolverConfig(order=order)
+    step(state, cfg, LAW, 1.0, JUMP)
+    out = run(state, cfg, LAW, JUMP, 3.5)
+    assert _same_bits((out.snapshots[0].rho, rho), (out.snapshots[0].m, m))
+    # steps that fail after a stage: a negative density, a NaN momentum
+    with pytest.raises(NumericalFailure, match="negative density"):
+        step(state, cfg, LAW, 1.0, JUMP, 50.0)
+    assert _same_bits((state.rho, rho), (state.m, m))
+    state.m[64] = m[64] = np.nan
+    with pytest.raises(NumericalFailure, match="NaN"):
+        step(state, cfg, LAW, 1.0, JUMP, 0.01)
+    assert _same_bits((state.rho, rho), (state.m, m))
+    with pytest.raises(NumericalFailure):
+        run(state, cfg, LAW, JUMP, 1.0)
+    assert _same_bits((state.rho, rho), (state.m, m))
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -1,12 +1,16 @@
 """Similarity-profile solver and flatness constants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
-from diffusionwave.errors import DomainError
+from diffusionwave import profile
+from diffusionwave.errors import DomainError, SolverFailure
 from diffusionwave.profile import (
+    NEWTON_TOL,
     TAIL_TOL,
     LimitSpec,
     SimilarityProfile,
@@ -106,6 +110,23 @@ class TestSolve:
         prof = solve_profile(limits, law, dy=0.02)
         assert prof.y[-1] == pytest.approx(L, abs=0.05)
         assert max(abs(prof.rho_star[1] - 1.05), abs(prof.rho_star[-2] - 0.95)) <= TAIL_TOL
+
+
+    def test_newton_stops_at_its_rounding_floor(self):
+        # k = 10 at dy = 0.01: no step lowers the residual below 1.3e-10 >
+        # NEWTON_TOL, which is within 16 eps p(1.05)/dy^2 = 3.9e-10
+        limits, law = LimitSpec(1.05, 0.95, 1.0), PressureLaw(10.0, 2.0)
+        prof = solve_profile(limits, law, dy=0.01)
+        assert NEWTON_TOL < np.max(np.abs(prof.ode_residual[1:-1])) <= 3.9e-10
+        assert max(abs(prof.rho_star[1] - 1.05), abs(prof.rho_star[-2] - 0.95)) <= TAIL_TOL
+
+    def test_newton_stall_above_the_floor_raises(self):
+        # a Newton direction of zero stalls the line search at the residual
+        # of the tanh start, far above the floor
+        with mock.patch.object(profile, "_tridiag", lambda a, b, c, d: np.zeros_like(d)):
+            with pytest.raises(SolverFailure, match="stalled") as info:
+                solve_profile(GOLDEN_LIMITS, LAW, dy=0.01)
+        assert info.value.residual > 1e-3
 
 
 class TestConstants:
