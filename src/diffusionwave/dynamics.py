@@ -9,16 +9,20 @@ Its stages are forward-Euler steps of dt/2, each at Courant number cfl, so
 its step is twice the forward-Euler one.
 
 Kernel contract.  Every Rusanov flux comes from one unchecked core,
-`_rusanov`, which takes the face states as one (2, 2, k) array, (rho, m) by
-(left, right), and evaluates m^2/rho, u, p and sqrt(p') of them all in one
-`_face` pass.  `numerical_flux` is the domain checks plus that core, and
+`_rusanov`, which reads the face states from one (2, 2, k) buffer, (rho, m)
+by (left, right), and evaluates m^2/rho, u, p and sqrt(p') of them all in
+one `_face` pass.  `numerical_flux` is the domain checks plus that core, and
 `_cfl_dt` shares its speed code.  When every face density is > 0 the core
 skips the 0/0 := 0 masks, each of which would pick the quotient there;
 otherwise (vacuum faces) the masked arithmetic runs.  Either way the bits
 equal those of `numerical_flux`.  `_hyperbolic_rhs` reads a stage buffer,
 (rho, m) with two far-field ghost cells at each end; where no density is
 below _NEAR_VACUUM every MUSCL face is > 0, so it skips the clips at 0 and
-the vacuum scans.
+the vacuum scans.  Every ufunc of a step writes with out= into a
+`_Workspace` built for its window, which holds each array the step writes
+and each view of them it reads; `run` keeps it until the window (which only
+grows, by blocks of 16 cells) or the grid changes, so a step that keeps it
+allocates no array.  Only the vacuum branch and a grid's first scan do.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -147,39 +151,50 @@ def _quotient(num, rho, vacuum_free, out=None):
     return q
 
 
-def _speed(rho, m, dp, vacuum_free):
-    """|u| + sqrt(p'); dp >= 0 is overwritten."""
-    s = _quotient(m, rho, vacuum_free)
+def _speed(rho, m, dp, vacuum_free, out=None):
+    """|u| + sqrt(p'), in out if given; dp >= 0 is overwritten."""
+    s = _quotient(m, rho, vacuum_free, out=out)
     np.abs(s, out=s)
     s += np.sqrt(dp, out=dp)
     return s
 
 
-def _face(rho, m, law, vacuum_free):
-    """Momentum flux m^2/rho + p and wavespeed |u| + sqrt(p') of face states."""
-    p, dp = law._p_dp(rho)
-    mm = m * m
-    f_m = _quotient(mm, rho, vacuum_free, out=mm)
+class _Faces:
+    """k face states, (rho, m) by (left, right), and what `_rusanov` writes."""
+
+    def __init__(self, k):
+        self.faces = np.empty((2, 2, k))
+        (self.rho_l, self.rho_r), (self.m_l, self.m_r) = self.rho_f, self.m_f = self.faces
+        self.p, self.dp, self.fm, self.s = np.empty((4, 2, k))
+        (self.fm_l, self.fm_r), (self.s_l, self.s_r) = self.fm, self.s
+        self.f_rho, self.f_m = self.flux = np.empty((2, k))
+        self.jump = np.empty(k)
+
+
+def _face(ws, law, vacuum_free):
+    """Momentum flux m^2/rho + p and wavespeed |u| + sqrt(p') of the face
+    states of ws, into ws.fm and ws.s."""
+    rho, m = ws.rho_f, ws.m_f
+    p, dp = law._p_dp(rho, out=(ws.p, ws.dp))
+    f_m = _quotient(np.multiply(m, m, out=ws.fm), rho, vacuum_free, out=ws.fm)
     f_m += p
-    return f_m, _speed(rho, m, dp, vacuum_free)
+    return f_m, _speed(rho, m, dp, vacuum_free, out=ws.s)
 
 
-def _rusanov(faces, law, vacuum_free):
-    """Rusanov fluxes (f_rho, f_m) of a (2, 2, k) float array of face states,
-    (rho, m) by (left, right); vacuum_free is `_vacuum_free` of its rho."""
-    rho, m = faces
-    (fm_l, fm_r), (s, s_r) = _face(rho, m, law, vacuum_free)
-    np.maximum(s, s_r, out=s)
+def _rusanov(ws, law, vacuum_free):
+    """Rusanov fluxes (f_rho, f_m) of the face states of ws, into ws.flux;
+    vacuum_free is `_vacuum_free` of their rho."""
+    _face(ws, law, vacuum_free)
+    s = np.maximum(ws.s_l, ws.s_r, out=ws.s_l)
     s *= 0.5
-    f_rho = m[0] + m[1]
+    f_rho = np.add(ws.m_l, ws.m_r, out=ws.f_rho)
     f_rho *= 0.5
-    jump = rho[1] - rho[0]
+    jump = np.subtract(ws.rho_r, ws.rho_l, out=ws.jump)
     jump *= s
     f_rho -= jump
-    f_m = fm_l
-    f_m += fm_r
+    f_m = np.add(ws.fm_l, ws.fm_r, out=ws.f_m)
     f_m *= 0.5
-    np.subtract(m[1], m[0], out=jump)
+    np.subtract(ws.m_r, ws.m_l, out=jump)
     jump *= s
     f_m -= jump
     return f_rho, f_m
@@ -193,75 +208,112 @@ def numerical_flux(left, right, law):
     arrays = [np.asarray(a, dtype=float) for a in (left[0], right[0], left[1], right[1])]
     _validate(arrays[0], arrays[2])
     _validate(arrays[1], arrays[3])
-    faces = np.array(np.broadcast_arrays(*np.atleast_1d(*arrays))).reshape(2, 2, -1)
-    f_rho, f_m = _rusanov(faces, law, _vacuum_free(faces[0]))
+    faces = np.broadcast_arrays(*np.atleast_1d(*arrays))
+    ws = _Faces(faces[0].size)
+    ws.faces.reshape(4, *faces[0].shape)[...] = faces
+    f_rho, f_m = _rusanov(ws, law, _vacuum_free(ws.rho_f))
     if np.broadcast(*arrays).ndim == 0:
         return float(f_rho[0]), float(f_m[0])
     return f_rho, f_m
 
 
-def _minmod(a, b):
-    """Where a and b share a sign, the one smaller in magnitude; else 0."""
-    out = np.abs(a)
-    tmp = np.abs(b)
+def _minmod(a, b, out=None, tmp=None, mask=None):
+    """Where a and b share a sign, the one smaller in magnitude; else 0.
+    Into out, with tmp and the bool mask as scratch, where given."""
+    out = np.abs(a, out=out)
+    tmp = np.abs(b, out=tmp)
     np.minimum(out, tmp, out=out)
     np.copysign(out, a, out=out)   # where a value is kept, a and b share a sign
     np.multiply(a, b, out=tmp)
-    return np.where(tmp > 0, out, 0.0)
+    # 0 where a b > 0 fails, NaN included: out *= (a b > 0) would keep a NaN
+    mask = np.logical_not(np.greater(tmp, 0.0, out=mask), out=mask)
+    np.copyto(out, 0.0, where=mask)
+    return out
 
 
 # first-order fallback next to cells below this density
 _NEAR_VACUUM = 1e-8
 
 
-def _hyperbolic_rhs(S, dx, cfg, law):
-    """Flux divergence (and boundary fluxes) of the cells S[:, 2:-2] of a stage
-    buffer, (rho, m) with two far-field ghost cells at each end."""
+class _Workspace(_Faces):
+    """Every array a step on the window [lo, hi) of an n-cell grid writes, and
+    every view of them it reads: the two stage buffers, (rho, m) with two
+    ghost cells at each end frozen at the far field, and the scratch of
+    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`."""
+
+    def __init__(self, lo, hi, n, limits):
+        w, k = hi - lo, hi - lo + 4
+        super().__init__(w + 1)
+        self.key = (lo, hi, n)
+        buffers = np.empty((2, 2, k))
+        buffers[:, 0, :2], buffers[:, 0, -2:] = limits.rho_minus, limits.rho_plus
+        buffers[:, 1, :2] = buffers[:, 1, -2:] = 0.0
+        self.stages = tuple((R, M) for R, M in buffers)
+        self.cells = tuple((R[2:-2], M[2:-2]) for R, M in buffers)
+        ru = np.empty(2 * k)
+        self.ru_r, self.ru_u = ru[:k], ru[k:]
+        self.diff_args = ru[1:], ru[:-1], np.empty(2 * k - 1)
+        d, (self.slopes, tmp) = self.diff_args[2], np.empty((2, 2 * k - 2))
+        self.minmod_args = d[:-1], d[1:], self.slopes, tmp, np.empty(2 * k - 2, bool)
+        self.slope_r, self.slope_u = self.slopes[:k - 2], self.slopes[k:]
+        # (cell, slope) of the left and right face states of rho and u
+        self.sides = tuple((c[1:-2], s[:-1], c[2:-1], s[1:]) for c, s in
+                           ((self.ru_r, self.slope_r), (self.ru_u, self.slope_u)))
+        self.cell_fluxes = tuple((f[1:], f[:-1]) for f in self.flux)   # (right, left)
+        self.acc, self.div = (tuple(a) for a in np.empty((2, 2, w)))
+        self.cfl = np.empty((2, w + 2))
+        flags = np.empty((2, w), bool)
+        self.flags = flags[0], flags[1], flags[1, ::-1]
+        self.loss = np.zeros(n)
+        self.window_loss = self.loss[lo:hi]
+
+
+def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
+    """The boundary fluxes and, into out, the flux divergence of the cells
+    S[:, 2:-2] of a stage buffer S of ws, (rho, m) with two far-field ghost
+    cells at each end."""
     R, M = S
     low = R.min()
     # face states: (rho, m) by (left, right); the right face of cell j meets
-    # the left face of cell j + 1
+    # the left face of cell j + 1.  R and U = M/R (order 1: M) end to end in
+    # one 1-D array: one pass each takes both differences, minmods and
+    # halvings; the slopes at the seam go unread
+    (r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r) = ws.sides
+    np.copyto(ws.ru_r, R)
     if cfg.order == 2:
-        rho_f, m_f = faces = np.empty((2, 2, R.size - 3))
-        # R and U = M/R end to end in one 1-D array: one pass each takes both
-        # differences, minmods and halvings; the slopes at the seam go unread
-        k = R.size
-        RU = np.empty(2 * k)
-        RU[:k] = R
-        U = _quotient(M, R, low > 0, out=RU[k:])
+        _quotient(M, R, low > 0, out=ws.ru_u)
         # a[1:] - a[:-1] is what np.diff computes, without its call overhead
-        D = RU[1:] - RU[:-1]
-        slopes = _minmod(D[:-1], D[1:])
-        slope_r, slope_u = slopes[:k - 2], slopes[k:]
+        np.subtract(*ws.diff_args)
+        slopes = _minmod(*ws.minmod_args)
         # every face lies between its cell and the neighbour mean, so above
         # _NEAR_VACUUM no face density is <= 0 (or NaN: R.min() would be)
         vacuum_free = low >= _NEAR_VACUUM
         if not vacuum_free:
             near = R < _NEAR_VACUUM
             near_vac = near[:-2] | near[1:-1] | near[2:]
-            slope_r[near_vac] = 0.0
-            slope_u[near_vac] = 0.0
+            ws.slope_r[near_vac] = 0.0
+            ws.slope_u[near_vac] = 0.0
         slopes *= 0.5
-        np.add(R[1:-2], slope_r[:-1], out=rho_f[0])
-        np.subtract(R[2:-1], slope_r[1:], out=rho_f[1])
+        np.add(r_l, sr_l, out=ws.rho_l)
+        np.subtract(r_r, sr_r, out=ws.rho_r)
         if not vacuum_free:
-            np.maximum(rho_f, 0.0, out=rho_f)
-            vacuum_free = _vacuum_free(rho_f)
-        np.add(U[1:-2], slope_u[:-1], out=m_f[0])
-        np.subtract(U[2:-1], slope_u[1:], out=m_f[1])
-        m_f *= rho_f
+            np.maximum(ws.rho_f, 0.0, out=ws.rho_f)
+            vacuum_free = _vacuum_free(ws.rho_f)
+        np.add(u_l, su_l, out=ws.m_l)
+        np.subtract(u_r, su_r, out=ws.m_r)
+        ws.m_f *= ws.rho_f
     else:
-        faces = np.stack((S[:, 1:-2], S[:, 2:-1]), axis=1)
+        np.copyto(ws.ru_u, M)
+        for face, cell in ((ws.rho_l, r_l), (ws.rho_r, r_r), (ws.m_l, u_l), (ws.m_r, u_r)):
+            np.copyto(face, cell)
         vacuum_free = low > 0
 
     # N+1 interface fluxes bordering the N physical cells
-    f_rho, f_m = _rusanov(faces, law, vacuum_free)
-    drho = f_rho[1:] - f_rho[:-1]
-    drho /= -dx
-    dm = f_m[1:] - f_m[:-1]
-    dm /= -dx
-    boundary = (f_rho[0], f_rho[-1], f_m[0], f_m[-1])
-    return drho, dm, boundary
+    f_rho, f_m = _rusanov(ws, law, vacuum_free)
+    for div, (right, left) in zip(out, ws.cell_fluxes):
+        np.subtract(right, left, out=div)
+        div /= -dx
+    return f_rho[0], f_rho[-1], f_m[0], f_m[-1]
 
 
 def _check(rho, m):
@@ -275,24 +327,18 @@ def _check(rho, m):
     return low
 
 
-def _cfl_dt(rho, m, t, dx, cfg, law):
+def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
     """ssp cfl dx / max speed of checked states, ssp the step's SSP
     coefficient: 1 for forward Euler, 2 for SSPRK(3,2), whose three stages
-    of dt/2 each keep the Courant number cfl."""
+    of dt/2 each keep the Courant number cfl.  p' and the speeds go into
+    out where given."""
     ssp = 2.0 if cfg.order == 2 else 1.0
-    smax = _speed(rho, m, law._p_dp(rho)[1], _vacuum_free(rho)).max()
+    smax = _speed(rho, m, law._dp(rho, out[0]), _vacuum_free(rho), out[1]).max()
     dt = ssp * cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
             f"CFL time step {dt!r} at t = {t!r} is not finite and positive")
     return dt
-
-
-def _axpy(a, x, y):
-    """a x + y, in x's storage."""
-    x *= a
-    x += y
-    return x
 
 
 # A stage changes a cell only through its two face fluxes, and MUSCL builds
@@ -315,7 +361,7 @@ def _leading(flags):
     return flags.size if flags[k] else k
 
 
-def _window(rho, m, limits, span=None):
+def _window(rho, m, limits, span=None, flags=None):
     """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
     can change.
 
@@ -328,93 +374,101 @@ def _window(rho, m, limits, span=None):
     range.  Given span, the cells [a, b) the last step wrote, only they are
     scanned: the others kept their bits, so the runs reach a and n - b, and
     a run that fills the span meets the other side's far field, or gives the
-    full range either way where both sides share it.
+    full range either way where both sides share it.  The comparisons go
+    into flags, the workspace's for a span of its width, else new ones.
     """
     n = rho.size
     a, b = span or (0, n)
+    if flags is None:
+        still, far = np.empty((2, b - a), bool)
+        flags = still, far, far[::-1]
+    still, far, far_reversed = flags
     bits = rho[a:b].view(np.int64)
-    still = m[a:b].view(np.int64) == 0
-    lead = _leading((bits == _bits(limits.rho_minus)) & still)
-    trail = _leading(((bits == _bits(limits.rho_plus)) & still)[::-1])
+    np.equal(m[a:b].view(np.int64), 0, out=still)
+    lead = _leading(np.logical_and(np.equal(bits, _bits(limits.rho_minus), out=far),
+                                   still, out=far))
+    np.logical_and(np.equal(bits, _bits(limits.rho_plus), out=far), still, out=far)
+    trail = _leading(far_reversed)
     lead, trail = a + lead, n - b + trail
     if lead + trail > n:
         return 0, n
     return max(lead - _MARGIN, 0), min(n - trail + _MARGIN, n)
 
 
-def _sink(before, after, lo, n, dx):
-    """dx sum(before - after), the window's values placed at lo among n
-    zeros: outside the window both are 0, and numpy's pairwise sum adds in
-    the order of the full grid."""
-    loss = np.zeros(n)
-    np.subtract(before, after, out=loss[lo:lo + before.size])
-    return loss.sum() * dx
+def _sink(ws, before, after, dx):
+    """dx sum(before - after) over the window, placed among the zeros of
+    ws.loss: outside the window both are 0, and numpy's pairwise sum adds
+    in the order of the full grid."""
+    np.subtract(before, after, out=ws.window_loss)
+    return ws.loss.sum() * dx
 
 
-def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, span=None):
+def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, span=None,
+             ws=None):
     """One step, in place, of the cells `_window` finds (scanning the span the
-    last step wrote), rounded out to whole blocks; the others keep their bits.
-    The state is written once every check of the step has passed.  Without dt,
-    the CFL step, cut to end at t_stop at the latest.  Returns dt, the boundary
-    fluxes (mass left, right, momentum left, right) and the friction sink
-    integrated over the step, and the cells [lo, hi) written.
+    last step wrote with ws), rounded out to whole blocks; the others keep
+    their bits.  The state is written once every check of the step has
+    passed.  Without dt, the CFL step, cut to end at t_stop at the latest.
+    Returns dt, the boundary fluxes (mass left, right, momentum left, right)
+    and the friction sink integrated over the step, the cells [lo, hi)
+    written, and ws, or a new workspace if the window or the grid moved.
     """
     dx, t, n = state.dx, state.t, state.x.size
-    lo, hi = _window(state.rho, state.m, limits, span)
+    lo, hi = _window(state.rho, state.m, limits, span, ws.flags if span and ws else None)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
+    if ws is None or ws.key != (lo, hi, n):
+        ws = _Workspace(lo, hi, n, limits)
     if dt is None:
         # the cell next to the window on each side carries the far-field speed
         near = slice(max(lo - 1, 0), hi + 1)
-        dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law), t_stop - t)
+        dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law,
+                         ws.cfl[:, :min(hi + 1, n) - near.start]), t_stop - t)
     rho, m = state.rho[lo:hi], state.m[lo:hi]
-    # stage buffers of (rho, m) with two ghost cells at each end, frozen at
-    # the far field; A holds the stage-0 state, B the later ones
-    A, B = buffers = np.empty((2, 2, hi - lo + 4))
-    buffers[:, 0, :2], buffers[:, 0, -2:] = limits.rho_minus, limits.rho_plus
-    buffers[:, 1, :2] = buffers[:, 1, -2:] = 0.0
-    A[0, 2:-2] = rho
+    # A holds the stage-0 state, B the later ones
+    (A, B), ((rho_a, m_a), (rho_s, m_s)) = ws.stages, ws.cells
+    (d, e), (d1, e1) = ws.acc, ws.div
+    np.copyto(rho_a, rho)
 
     sink = 0.0
     if cfg.order == 2:
         decay = np.exp(-alpha * dt / 2.0)
-        m1 = np.multiply(m, decay, out=A[1, 2:-2])
-        sink += _sink(m, m1, lo, n, dx) if alpha > 0 else 0.0
-        rho_s, m_s = B[:, 2:-2]
+        m1 = np.multiply(m, decay, out=m_a)
+        sink += _sink(ws, m, m1, dx) if alpha > 0 else 0.0
         # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
         h = dt / 2.0
-        d, e, b0 = _hyperbolic_rhs(A, dx, cfg, law)
+        b0 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
         np.add(rho, np.multiply(d, h, out=rho_s), out=rho_s)
         np.add(m1, np.multiply(e, h, out=m_s), out=m_s)
         _check(rho_s, m_s)
-        d1, e1, b1 = _hyperbolic_rhs(B, dx, cfg, law)
+        b1 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
         d += d1
         e += e1
-        rho_s += h * d1
-        m_s += h * e1
+        rho_s += np.multiply(d1, h, out=d1)
+        m_s += np.multiply(e1, h, out=e1)
         _check(rho_s, m_s)
-        d2, e2, b2 = _hyperbolic_rhs(B, dx, cfg, law)
-        d += d2
-        e += e2
-        rho_n = _axpy(dt / 3.0, d, rho)
-        m_n = _axpy(dt / 3.0, e, m1)
+        b2 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
+        d += d1
+        e += e1
+        rho_n = np.add(np.multiply(d, dt / 3.0, out=d), rho, out=d)
+        m_n = np.add(np.multiply(e, dt / 3.0, out=e), m1, out=e)
         fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
         decay = np.exp(-alpha * dt)
-        A[1, 2:-2] = m
-        d1, e1, b1 = _hyperbolic_rhs(A, dx, cfg, law)
-        rho_n = _axpy(dt, d1, rho)
-        m_n = _axpy(dt, e1, m)
+        np.copyto(m_a, m)
+        b1 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
+        rho_n = np.add(np.multiply(d, dt, out=d), rho, out=d)
+        m_n = np.add(np.multiply(e, dt, out=e), m, out=e)
         fm = tuple(dt * b for b in b1)
     low = _check(rho_n, m_n)
-    m_d = np.multiply(m_n, decay, out=A[1, 2:-2])
-    sink += _sink(m_n, m_d, lo, n, dx) if alpha > 0 else 0.0
+    m_d = np.multiply(m_n, decay, out=m_a)
+    sink += _sink(ws, m_n, m_d, dx) if alpha > 0 else 0.0
 
     if low == 0:   # only a vacuum cell can carry momentum it must not
         _validate(rho_n, m_d)
     rho[:], m[:], state.t = rho_n, m_d, t + dt
-    return dt, fm, sink, (lo, hi)
+    return dt, fm, sink, (lo, hi), ws
 
 
 def step(state, cfg, law, alpha, limits, dt=None):
@@ -477,7 +531,7 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     pending = list(targets)
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
-    coarsen, span = True, None   # span: the cells the last step wrote
+    coarsen, span, ws = True, None, None   # span: the cells the last step wrote
 
     while state.t < t_end * (1 - 1e-14):
         if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
@@ -485,8 +539,8 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
         # a merged grid needs two cells to have a dx
         coarsen = state.x.size % 2 == 0 and state.x.size >= 4
         t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
-        dt, fm, sink, span = _advance(state, cfg, law, limits.alpha, limits,
-                                      t_stop=t_stop, span=span)
+        dt, fm, sink, span, ws = _advance(state, cfg, law, limits.alpha, limits,
+                                          t_stop=t_stop, span=span, ws=ws)
 
         total_fm += fm[0] - fm[1]
         total_fp += fm[2] - fm[3]
@@ -505,13 +559,14 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
                         abs(state.m[0]), abs(state.m[-1])))
 
         if pending and abs(state.t - pending[0]) <= 1e-12 * (1 + pending[0]):
-            snapshots.append(
-                PhysicalState(state.x, state.rho.copy(), state.m.copy(), pending[0])
-            )
+            # the step has checked the state
+            snapshots.append(PhysicalState._trusted(state.x, state.rho.copy(),
+                                                    state.m.copy(), pending[0]))
             pending.pop(0)
 
     if not targets:
-        snapshots.append(PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t))
+        snapshots.append(PhysicalState._trusted(state.x, state.rho.copy(), state.m.copy(),
+                                                state.t))
 
     meta = {
         "t": np.array(times),

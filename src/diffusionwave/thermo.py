@@ -48,14 +48,18 @@ class PressureLaw:
             return float(p), float(dp)
         return p, dp
 
-    def _p_dp(self, z):
-        """(p, p') at a float array z >= 0, without the domain check.
+    def _p_dp(self, z, out=(None, None)):
+        """(p, p') at a float array z >= 0, into out if given; no domain check.
 
         One formula for every gamma >= 1: z^(gamma-1) at z = 0 is 0 for
         gamma > 1 and 1 for gamma = 1, so p'(0) is 0 and k respectively.
         """
-        k, g = self.k, self.gamma
-        return k * z**g, k * g * z ** (g - 1)
+        p = np.multiply(np.power(z, self.gamma, out=out[0]), self.k, out=out[0])
+        return p, self._dp(z, out[1])
+
+    def _dp(self, z, out=None):
+        """p' alone, as `_p_dp` computes it."""
+        return np.multiply(np.power(z, self.gamma - 1, out=out), self.k * self.gamma, out=out)
 
     # -- potential ----------------------------------------------------------
 

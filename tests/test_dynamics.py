@@ -1,5 +1,6 @@
 """Finite-volume solver: fluxes, stepping, audits, grid self-convergence."""
 
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,11 +17,13 @@ from diffusionwave.dynamics import (
     _check,
     _coarsen,
     _face,
+    _Faces,
     _hyperbolic_rhs,
     _minmod,
     _rusanov,
     _vacuum_free,
     _window,
+    _Workspace,
     numerical_flux,
     run,
     step,
@@ -158,13 +161,20 @@ def _face_states(draw, vacuum=True):
     return out
 
 
+def _faces_of(rho_l, m_l, rho_r, m_r):
+    """A face workspace holding the given left and right face states."""
+    ws = _Faces(rho_l.size)
+    ws.faces[...] = [[rho_l, rho_r], [m_l, m_r]]
+    return ws
+
+
 @given(faces=_face_states(), gamma=_GAMMAS, k=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=300)
 def test_rusanov_matches_numerical_flux(faces, gamma, k):
     law = PressureLaw(k, gamma)
     rho_l, m_l, rho_r, m_r = faces
-    stacked = np.array([[rho_l, rho_r], [m_l, m_r]])
-    fused = _rusanov(stacked, law, _vacuum_free(stacked[0]))
+    ws = _faces_of(*faces)
+    fused = _rusanov(ws, law, _vacuum_free(ws.rho_f))
     public = numerical_flux((rho_l, m_l), (rho_r, m_r), law)
     reference = _ref_rusanov(rho_l, m_l, rho_r, m_r, law)
     assert _same_bits(*zip(fused, public), *zip(fused, reference))
@@ -175,8 +185,9 @@ def test_rusanov_matches_numerical_flux(faces, gamma, k):
 def test_face_fast_path_matches_masked(faces, gamma):
     law = PressureLaw(1.5, gamma)
     # both sides at once, as the stacked face buffer holds them
-    rho, m = np.array(faces[0::2]), np.array(faces[1::2])
-    assert _same_bits(*zip(_face(rho, m, law, True), _face(rho, m, law, False)))
+    ws = _faces_of(*faces)
+    fast = [a.copy() for a in _face(ws, law, True)]
+    assert _same_bits(*zip(fast, _face(ws, law, False)))
 
 
 _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-200, -1e-200,
@@ -185,8 +196,11 @@ _SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 5e-324, -5e-324, 1e-200, -1e-200,
 
 def test_minmod_matches_where_form_on_specials():
     a, b = (np.array(v) for v in zip(*[(x, y) for x in _SPECIAL for y in _SPECIAL]))
+    # and into the scratch arrays of a workspace, as the step calls it
+    out, tmp = np.full((2, a.size), 7.0)
     with np.errstate(all="ignore"):
-        assert _same_bits((_minmod(a, b), _ref_minmod(a, b)))
+        assert _same_bits((_minmod(a, b), _ref_minmod(a, b)),
+                          (_minmod(a, b, out, tmp, np.ones(a.size, bool)), _ref_minmod(a, b)))
 
 
 @given(pairs=st.lists(st.tuples(st.one_of(st.sampled_from(_SPECIAL), st.floats()),
@@ -199,11 +213,14 @@ def test_minmod_matches_where_form(pairs):
         assert _same_bits((_minmod(a, b), _ref_minmod(a, b)))
 
 
-def _rhs(rho, m, dx, order, law, limits):
-    """_hyperbolic_rhs of the cells (rho, m), through a stage buffer."""
-    S = np.array([np.r_[[limits.rho_minus] * 2, rho, [limits.rho_plus] * 2],
-                  np.r_[0.0, 0.0, m, 0.0, 0.0]])
-    return _hyperbolic_rhs(S, dx, SolverConfig(order=order), law)
+def _rhs(rho, m, dx, order, law, limits, ws=None, stage=0):
+    """_hyperbolic_rhs of the cells (rho, m), through a stage buffer of ws
+    (a fresh workspace if not given), as copies."""
+    ws = ws or _Workspace(0, rho.size, rho.size, limits)
+    for cell, value in zip(ws.cells[stage], (rho, m)):
+        cell[...] = value
+    ends = _hyperbolic_rhs(ws, ws.stages[stage], dx, SolverConfig(order=order), law, ws.div)
+    return ws.div[0].copy(), ws.div[1].copy(), ends
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -236,6 +253,22 @@ def test_hyperbolic_rhs_vacuum_free_matches_reference_scheme(gamma, order):
     law = PressureLaw(1.3, gamma)
     drho, dm, _ = _rhs(rho, m, dx, order, law, UNIT)
     assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_one_workspace_serves_both_stage_buffers(order):
+    # RHS calls on buffer A, then B, then A again of one workspace give the
+    # bits of fresh calls: no call reads what another left behind
+    rng = np.random.default_rng(3)
+    n, dx, law = 120, 0.05, PressureLaw(1.3, 1.4)
+    states = [(rng.uniform(0.2, 2.0, n), rng.normal(0.0, 0.5, n)) for _ in range(3)]
+    states[1][0][30:40] = 0.0   # B takes the vacuum branch
+    states[1][1][30:40] = 0.0
+    ws = _Workspace(0, n, n, UNIT)
+    for (rho, m), stage in zip(states, (0, 1, 0)):
+        reused = _rhs(rho, m, dx, order, law, UNIT, ws, stage)
+        fresh = _rhs(rho, m, dx, order, law, UNIT)
+        assert _same_bits(*zip(reused[:2], fresh[:2]), (reused[2], fresh[2]))
 
 
 @pytest.mark.parametrize("rho_bad,m_bad", [(np.inf, 0.0), (np.nan, 0.0), (1.0, -np.inf),
@@ -375,8 +408,7 @@ class TestRun:
 
 def _full_window():
     """Patch the window scan to the whole grid: the scheme without skipping."""
-    return mock.patch.object(dynamics, "_window",
-                             lambda rho, m, limits, span=None: (0, rho.size))
+    return mock.patch.object(dynamics, "_window", lambda rho, m, *_: (0, rho.size))
 
 
 def _same_run(a, b):
@@ -469,22 +501,28 @@ def test_window_run_matches_full_grid_steps(problem):
         assert _same_bits((snap.rho, later[0].rho), (snap.m, later[0].m))
 
 
+def _padded(state, limits):
+    """state inside 100 more far-field cells per side, an even count: a run
+    across the merge at t = 3 whose window grows and leaves cells out on
+    both sides after the merge."""
+    pad = 100 + state.x.size % 2
+    rho = np.r_[np.full(pad, limits.rho_minus), state.rho, np.full(100, limits.rho_plus)]
+    m = np.r_[np.zeros(pad), state.m, np.zeros(100)]
+    return PhysicalState((np.arange(rho.size) + 0.5) * 0.1, rho, m, 0.0)
+
+
 @given(problem=_far_field_problems())
 @settings(max_examples=60, deadline=None)
 def test_incremental_window_matches_full_scan(problem):
     # every scan of the previous step's span finds what a scan of the whole
-    # grid finds, on a run across the merge at t = 3, in far field wide
-    # enough that the window leaves cells out on both sides after the merge
+    # grid finds, on a run across the merge at t = 3
     state, law, limits, order = problem
-    pad = 100 + state.x.size % 2   # an even grid merges
-    rho = np.r_[np.full(pad, limits.rho_minus), state.rho, np.full(100, limits.rho_plus)]
-    m = np.r_[np.zeros(pad), state.m, np.zeros(100)]
-    state = PhysicalState((np.arange(rho.size) + 0.5) * 0.1, rho, m, 0.0)
+    state = _padded(state, limits)
     window, spans = dynamics._window, []
 
-    def checked(rho, m, limits, span=None):
+    def checked(rho, m, limits, span=None, flags=None):
         spans.append(span)
-        found = window(rho, m, limits, span)
+        found = window(rho, m, limits, span, flags)
         assert found == window(rho, m, limits)
         return found
 
@@ -493,6 +531,57 @@ def test_incremental_window_matches_full_scan(problem):
     if not isinstance(out, type):
         assert out.final.x.size == state.x.size // 2
         assert sum(span is not None for span in spans) >= out.meta["dt"].size - 2
+
+
+@given(problem=_far_field_problems())
+@settings(max_examples=40, deadline=None)
+def test_reused_workspace_matches_a_fresh_one_per_step(problem):
+    # the run's workspace, kept while the window holds and rebuilt as it
+    # grows and at the merge, gives the bits of a fresh one per step: no
+    # stale buffer, no ghost cell left unset
+    state, law, limits, order = problem
+    state = _padded(state, limits)
+    cfg = SolverConfig(order=order, snapshot_times=(1.0, 3.0, 3.25))
+    reused = _outcome(lambda: run(state, cfg, law, limits, 3.5))
+    advance = dynamics._advance
+    with mock.patch.object(dynamics, "_advance",
+                           lambda *args, ws=None, **kwargs: advance(*args, **kwargs)):
+        fresh = _outcome(lambda: run(state, cfg, law, limits, 3.5))
+    if isinstance(reused, type):
+        assert reused == fresh
+        return
+    assert _same_run(reused, fresh)
+    assert np.array_equal(reused.meta["active_cells"], fresh.meta["active_cells"])
+    assert reused.final.x.size == state.x.size // 2
+
+
+def test_a_warm_step_allocates_nothing_that_scales_with_the_window():
+    # tracemalloc peaks of a step that keeps its workspace, at a 112-cell
+    # and a 1504-cell window of one 1600-cell grid, differ by under 1 KB
+    n, limits = 1600, LimitSpec(1.05, 0.95, 1.0)
+    x = (np.arange(n) + 0.5) * 0.1
+    peaks = {}
+    for half in (44, 740):
+        rho = np.where(np.arange(n) < n // 2, 1.05, 0.95)
+        rho[n // 2 - half:n // 2 + half - 8] += 0.05 * np.cos(np.arange(2 * half - 8))
+        state = PhysicalState(x, rho, np.zeros(n), 0.0)
+        ws = span = peak = None
+        tracemalloc.start()
+        try:
+            while peak is None:   # until a step keeps its workspace
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                *_, new_span, new_ws = dynamics._advance(state, SolverConfig(), LAW, 1.0,
+                                                        limits, span=span, ws=ws)
+                if new_ws is ws:
+                    peak = tracemalloc.get_traced_memory()[1] - before
+                span, ws = new_span, new_ws
+        finally:
+            tracemalloc.stop()
+        peaks[span[1] - span[0]] = peak
+    (narrow, small), (wide, large) = sorted(peaks.items())
+    assert narrow == 112 and wide == 1504
+    assert abs(small - large) < 1024, peaks
 
 
 @pytest.mark.parametrize("order", [1, 2])
