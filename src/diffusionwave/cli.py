@@ -34,9 +34,7 @@ from .lab import (
     simulate,
     write_csv,
 )
-from .grids import node_grid
 from .profile import LimitSpec, solve_profile
-from .scaling import to_scaled
 from .thermo import PressureLaw
 
 EXIT_OK = 0
@@ -105,13 +103,10 @@ def _cmd_diagnose(args):
     cfg = parse_config(args.config)
     out = Path(args.out)
     if args.in_dir:
-        report = diagnose(cfg, _read_snapshots(args.in_dir))
-        y = node_grid(cfg.L_y, cfg.dy)
-        for i, snap in enumerate(report.run_result.snapshots):
-            fld = to_scaled(snap, y)
-            write_csv(out.parent / f"scaled_{i:06d}.csv",
-                      {"tau": fld.tau},
+        def write_scaled(i, fld):
+            write_csv(out.parent / f"scaled_{i:06d}.csv", {"tau": fld.tau},
                       {"y": fld.y, "rho": fld.rho, "n": fld.n})
+        report = diagnose(cfg, _read_snapshots(args.in_dir), write_scaled)
     else:
         report = run_experiment(cfg)
     emit_report(report, out)
@@ -183,7 +178,8 @@ def build_parser():
     p = sub.add_parser("diagnose", help="entropy diagnostics in scaling variables")
     p.add_argument("--config", required=True)
     p.add_argument("--in-dir", default=None,
-                   help="snapshot directory from a previous simulate run; "
+                   help="snapshot directory from a previous simulate run, whose "
+                        "scaled fields go to scaled_*.csv beside --out; "
                         "omitted: simulate internally")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diagnose)

@@ -35,7 +35,8 @@ the boundary fluxes, the CFL maximum takes one far-field cell on each side,
 and the friction sink is summed over the full grid in numpy's pairwise
 order.  The step writes its window into the state in place once all its
 checks have passed (`run` steps its own copy of the initial state, `step` a
-copy of its argument), and the next scan reads only the cells it wrote.
+copy of its argument), and the next scan reads only the window of the
+workspace it returns, the cells it wrote.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
 inf and negative density after each stage, a step whose CFL dt is not finite
@@ -262,8 +263,8 @@ class _Workspace(_Faces):
         self.cell_fluxes = tuple((f[1:], f[:-1]) for f in self.flux)   # (right, left)
         self.acc, self.div = (tuple(a) for a in np.empty((2, 2, w)))
         self.cfl = np.empty((2, w + 2))
-        flags = np.empty((2, w), bool)
-        self.flags = flags[0], flags[1], flags[1, ::-1]
+        still, far = np.empty((2, w), bool)
+        self.flags = still, far, far[::-1]
         self.loss = np.zeros(n)
         self.window_loss = self.loss[lo:hi]
 
@@ -346,7 +347,8 @@ def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
 _MARGIN = 6
 # The step computes whole blocks of cells, so that a growing window allocates
 # its arrays in few sizes, which malloc reuses; with a new size every few
-# steps the heap fragmented and the peak memory of a run grew.
+# steps the heap fragmented and the peak memory of a run grew.  Blocks also
+# bound the workspace rebuilds: 146 of the 1528 steps of the jump run.
 _BLOCK = 16
 
 
@@ -361,7 +363,7 @@ def _leading(flags):
     return flags.size if flags[k] else k
 
 
-def _window(rho, m, limits, span=None, flags=None):
+def _window(rho, m, limits, ws=None):
     """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
     can change.
 
@@ -371,18 +373,19 @@ def _window(rho, m, limits, span=None, flags=None):
     window sees only far-field data in every stage, so its flux difference
     is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
     bits as they are.  A grid that is far field throughout gets the full
-    range.  Given span, the cells [a, b) the last step wrote, only they are
-    scanned: the others kept their bits, so the runs reach a and n - b, and
-    a run that fills the span meets the other side's far field, or gives the
-    full range either way where both sides share it.  The comparisons go
-    into flags, the workspace's for a span of its width, else new ones.
+    range.  Given the workspace ws of the last step on this grid, only its
+    window [a, b), the cells that step wrote, is scanned, into ws's flags:
+    the others kept their bits, so the runs reach a and n - b, and a run
+    that fills the window meets the other side's far field, or gives the
+    full range either way where both sides share it.  Without ws, or after
+    a merge, the whole grid is scanned into new flags.
     """
     n = rho.size
-    a, b = span or (0, n)
-    if flags is None:
-        still, far = np.empty((2, b - a), bool)
-        flags = still, far, far[::-1]
-    still, far, far_reversed = flags
+    if ws is not None and ws.key[2] == n:
+        (a, b, _), (still, far, far_reversed) = ws.key, ws.flags
+    else:
+        a, b, (still, far) = 0, n, np.empty((2, n), bool)
+        far_reversed = far[::-1]
     bits = rho[a:b].view(np.int64)
     np.equal(m[a:b].view(np.int64), 0, out=still)
     lead = _leading(np.logical_and(np.equal(bits, _bits(limits.rho_minus), out=far),
@@ -403,18 +406,17 @@ def _sink(ws, before, after, dx):
     return ws.loss.sum() * dx
 
 
-def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, span=None,
-             ws=None):
-    """One step, in place, of the cells `_window` finds (scanning the span the
-    last step wrote with ws), rounded out to whole blocks; the others keep
-    their bits.  The state is written once every check of the step has
-    passed.  Without dt, the CFL step, cut to end at t_stop at the latest.
-    Returns dt, the boundary fluxes (mass left, right, momentum left, right)
-    and the friction sink integrated over the step, the cells [lo, hi)
-    written, and ws, or a new workspace if the window or the grid moved.
+def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
+    """One step, in place, of the cells `_window` finds (scanning only the
+    window of ws, the last step's workspace), rounded out to whole blocks;
+    the others keep their bits.  The state is written once every check of the
+    step has passed.  Without dt, the CFL step, cut to end at t_stop at the
+    latest.  Returns dt, the boundary fluxes (mass left, right, momentum left,
+    right), the friction sink integrated over the step, and the workspace
+    whose key (lo, hi, n) names the cells [lo, hi) written: ws, or a new one.
     """
     dx, t, n = state.dx, state.t, state.x.size
-    lo, hi = _window(state.rho, state.m, limits, span, ws.flags if span and ws else None)
+    lo, hi = _window(state.rho, state.m, limits, ws)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if ws is None or ws.key != (lo, hi, n):
         ws = _Workspace(lo, hi, n, limits)
@@ -468,7 +470,7 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, span=None
     if low == 0:   # only a vacuum cell can carry momentum it must not
         _validate(rho_n, m_d)
     rho[:], m[:], state.t = rho_n, m_d, t + dt
-    return dt, fm, sink, (lo, hi), ws
+    return dt, fm, sink, ws
 
 
 def step(state, cfg, law, alpha, limits, dt=None):
@@ -487,6 +489,11 @@ def _coarsen(state):
     return PhysicalState._trusted(x, rho, m, state.t)
 
 
+# `run`'s per-step audit series, in the column order of run_meta.csv
+_AUDIT = ("t", "dt", "dx", "mass", "momentum", "boundary_flux_mass",
+          "boundary_flux_momentum", "damping_sink", "active_cells", "boundary_deviation")
+
+
 @dataclass
 class RunResult:
     snapshots: list
@@ -497,13 +504,13 @@ class RunResult:
         return self.snapshots[-1]
 
 
-def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
+def run(initial, cfg, law, limits, t_end):
     """March to t_end, capturing snapshots at cfg.snapshot_times.
 
     dt is clipped so snapshot and merge times are hit exactly (see the
     module's parabolic coarsening).  Returns a RunResult whose meta carries
-    the per-step audit series, the cumulative boundary fluxes for the
-    conservation checks, `dx`, the cell size of each step, `active_cells`,
+    the per-step audit series `_AUDIT`: the cumulative boundary fluxes for
+    the conservation checks, `dx`, the cell size of each step, `active_cells`,
     the width of the window each step was computed on (see `_window`), and
     `boundary_deviation`, how far the edge cells have moved from the far
     field: max(|rho_0 - rho_-|, |rho_{n-1} - rho_+|, |m_0|, |m_{n-1}|).
@@ -513,50 +520,38 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
     targets = sorted(t for t in cfg.snapshot_times if t > initial.t)
     if any(t > t_end * (1 + 1e-12) for t in targets):
         raise ConfigError("snapshot time beyond t_end")
-    X = float(initial.x[-1] + initial.dx / 2)
-    if scaled_halfwidth is not None and scaled_halfwidth * np.sqrt(1 + t_end) > X:
-        raise ConfigError(
-            "physical domain too small for the requested scaled window"
-        )
 
     # the run's own copy, which each step writes in place
     state = PhysicalState._trusted(initial.x, initial.rho.copy(), initial.m.copy(),
                                    initial.t)
     snapshots = [PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t)]
     # typed arrays: 8 bytes a step each, not a float object and a pointer
-    times, dts, dxs, masses, momenta = (array("d") for _ in range(5))
-    cum_fm, cum_fp, cum_sink, edge = (array("d") for _ in range(4))
-    active = array("q")
+    audit = {name: array("q" if name == "active_cells" else "d") for name in _AUDIT}
     total_fm = total_fp = total_sink = 0.0
     pending = list(targets)
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
-    coarsen, span, ws = True, None, None   # span: the cells the last step wrote
+    coarsen, ws = True, None
 
     while state.t < t_end * (1 - 1e-14):
         if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
-            state, t_merge, span = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0, None
+            state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
         # a merged grid needs two cells to have a dx
         coarsen = state.x.size % 2 == 0 and state.x.size >= 4
         t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
-        dt, fm, sink, span, ws = _advance(state, cfg, law, limits.alpha, limits,
-                                          t_stop=t_stop, span=span, ws=ws)
+        dt, fm, sink, ws = _advance(state, cfg, law, limits.alpha, limits,
+                                    t_stop=t_stop, ws=ws)
 
         total_fm += fm[0] - fm[1]
         total_fp += fm[2] - fm[3]
         total_sink += sink
-        times.append(state.t)
-        dts.append(dt)
-        dxs.append(state.dx)
-        active.append(span[1] - span[0])
-        masses.append(state.mass)
-        momenta.append(state.momentum)
-        cum_fm.append(total_fm)
-        cum_fp.append(total_fp)
-        cum_sink.append(total_sink)
-        edge.append(max(abs(state.rho[0] - limits.rho_minus),
-                        abs(state.rho[-1] - limits.rho_plus),
-                        abs(state.m[0]), abs(state.m[-1])))
+        edge = max(abs(state.rho[0] - limits.rho_minus), abs(state.rho[-1] - limits.rho_plus),
+                   abs(state.m[0]), abs(state.m[-1]))
+        # in the order of _AUDIT
+        values = (state.t, dt, state.dx, state.mass, state.momentum, total_fm, total_fp,
+                  total_sink, ws.key[1] - ws.key[0], edge)
+        for series, value in zip(audit.values(), values):
+            series.append(value)
 
         if pending and abs(state.t - pending[0]) <= 1e-12 * (1 + pending[0]):
             # the step has checked the state
@@ -568,16 +563,4 @@ def run(initial, cfg, law, limits, t_end, *, scaled_halfwidth=None):
         snapshots.append(PhysicalState._trusted(state.x, state.rho.copy(), state.m.copy(),
                                                 state.t))
 
-    meta = {
-        "t": np.array(times),
-        "dt": np.array(dts),
-        "dx": np.array(dxs),
-        "mass": np.array(masses),
-        "momentum": np.array(momenta),
-        "boundary_flux_mass": np.array(cum_fm),
-        "boundary_flux_momentum": np.array(cum_fp),
-        "damping_sink": np.array(cum_sink),
-        "active_cells": np.array(active),
-        "boundary_deviation": np.array(edge),
-    }
-    return RunResult(snapshots, meta)
+    return RunResult(snapshots, {name: np.array(series) for name, series in audit.items()})

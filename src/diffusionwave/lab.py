@@ -96,6 +96,9 @@ class ExperimentConfig:
         if grid_count(self.tau_max, self.tau_step) < 1:
             raise ConfigError(
                 "the schedule tau_max/tau_step has no snapshot after tau = 0")
+        # the scaled window [-L_y, L_y] at the last snapshot, x = y sqrt(1 + t)
+        if self.L_y * np.sqrt(1 + np.expm1(tau_schedule(self)[-1])) > self.X:
+            raise ConfigError("physical domain too small for the requested scaled window")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -224,15 +227,15 @@ def simulate(cfg):
     t_snap = np.expm1(tau_schedule(cfg))
     scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
                         snapshot_times=tuple(t_snap[1:]))
-    return run(PhysicalState(x, rho0, m0, 0.0), scfg, law, limits,
-               float(t_snap[-1]), scaled_halfwidth=cfg.L_y)
+    return run(PhysicalState(x, rho0, m0, 0.0), scfg, law, limits, float(t_snap[-1]))
 
 
-def diagnose(cfg, run_result):
+def diagnose(cfg, run_result, on_scaled=None):
     """Transform each snapshot to scaling variables and assemble the
     relative-entropy report against the reference, which `make_reference`
     evaluates once per run on the y-grid, before any snapshot.  Each
-    snapshot takes one `to_scaled` and one diagnostics pass.
+    snapshot takes one `to_scaled` and one diagnostics pass; `on_scaled`,
+    if given, is called with the index and the ScaledField of each.
     `meta["tail_ok"]` is true when every snapshot's edge integrands are
     within the truncation monitor `entropy.TAIL_MONITOR`.
     """
@@ -260,7 +263,10 @@ def diagnose(cfg, run_result):
     Xi = np.empty((len(taus), 3))
     tail_ok = True
     for j, snap in enumerate(run_result.snapshots):
-        diag = _snapshot(to_scaled(snap, ref.y), ref, cfg.alpha, law)
+        fld = to_scaled(snap, ref.y)
+        if on_scaled is not None:
+            on_scaled(j, fld)
+        diag = _snapshot(fld, ref, cfg.alpha, law)
         E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.Xi
         tail_ok &= diag.totals.tail_ok
 

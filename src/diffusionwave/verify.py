@@ -16,14 +16,13 @@ import numpy as np
 
 from .dynamics import PhysicalState, SolverConfig, run
 from .entropy import (
-    ReferencePair,
     coercivity_constants,
     entropy_identity_residual,
     exchange_identity_residual,
     relative_entropy_density,
     xi_bound_check,
 )
-from .lab import (dissipation_check, envelope_check, node_grid, parse_config,
+from .lab import (dissipation_check, envelope_check, make_reference, parse_config,
                   run_experiment)
 from .profile import LimitSpec, _ode_residual, _spline, solve_profile
 from .thermo import PressureLaw, entropy_generator
@@ -58,11 +57,13 @@ def _report(name, **overrides):
 
 @lru_cache(maxsize=None)
 def _fixture_profile():
-    """Profile, limits, law and scaled y-grid of the jump config."""
+    """Profile, limits, law and the reference (RefData on the scaled y-grid)
+    of the jump config, as the pipeline's `make_reference` builds it."""
     cfg = _config("jump")
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
     law = PressureLaw(cfg.k, cfg.gamma)
-    return solve_profile(limits, law, dy=cfg.dy), limits, law, node_grid(cfg.L_y, cfg.dy)
+    prof = solve_profile(limits, law, dy=cfg.dy)
+    return prof, limits, law, make_reference(cfg, limits, law, prof)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +222,13 @@ def check_inequality_suite():
     msgs.append(f"generator bound violations {v_F}")
 
     # xi-term pointwise bounds against the fixture profile
-    prof, limits, law2, y = _fixture_profile()
-    ref = ReferencePair.from_profile(prof, limits).eval(y, law2)
+    _, limits, law2, ref = _fixture_profile()
     v_xi = 0
     for _ in range(125):
         tau = rng.uniform(0.0, 4.0)
-        rho_s = rng.uniform(0.2, 3.0, y.size)
-        n_s = rng.uniform(-2.0, 2.0, y.size)
-        v_xi += xi_bound_check(tau, y, rho_s, n_s, ref, law2, limits.alpha)
+        rho_s = rng.uniform(0.2, 3.0, ref.y.size)
+        n_s = rng.uniform(-2.0, 2.0, ref.y.size)
+        v_xi += xi_bound_check(tau, ref.y, rho_s, n_s, ref, law2, limits.alpha)
     ok &= v_xi == 0
     msgs.append(f"xi bound violations {v_xi} over 10^5 nodes")
 

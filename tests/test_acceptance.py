@@ -52,12 +52,15 @@ def test_verify_fixtures_follow_the_parsed_configs(monkeypatch):
     monkeypatch.setattr(verify, "parse_config", lambda path: replace(
         shipped(path), rho_minus=1.2, rho_plus=0.8, alpha=2.0, gamma=1.5,
         k=0.5, L_y=5.0, dy=0.05))
-    monkeypatch.setattr(verify, "solve_profile",
-                        lambda limits, law, dy: SimpleNamespace(dy=dy))
-    prof, limits, law, y = verify._fixture_profile.__wrapped__()
+    solve, spacings = verify.solve_profile, []
+    monkeypatch.setattr(verify, "solve_profile", lambda limits, law, dy: (
+        spacings.append(dy) or solve(limits, law, dy=dy)))
+    prof, limits, law, ref = verify._fixture_profile.__wrapped__()
     assert (limits.rho_minus, limits.rho_plus, limits.alpha) == (1.2, 0.8, 2.0)
-    assert (law.gamma, law.k, prof.dy) == (1.5, 0.5, 0.05)
-    assert (y[0], y[-1], y.size) == (-5.0, 5.0, 201)
+    assert (law.gamma, law.k, spacings) == (1.5, 0.5, [0.05])
+    # the pipeline's reference: that profile on the config's y-grid
+    assert (ref.y[0], ref.y[-1], ref.y.size) == (-5.0, 5.0, 201)
+    assert np.allclose(ref.rho, np.interp(ref.y, prof.y, prof.rho_star), atol=1e-5)
     monkeypatch.setattr(verify, "_report",
                         lambda name, **overrides: SimpleNamespace(E=np.zeros(3)))
     assert verify.check_weak_strong().detail.endswith("vs bound 1.00e-09")

@@ -16,11 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffusionwave
-from diffusionwave import verify
+from diffusionwave import scaling, verify
 from diffusionwave.cli import main
-from diffusionwave.dynamics import PhysicalState
-from diffusionwave.lab import (EntropyReport, emit_report, parse_report, read_csv,
-                               theoretical_bound, write_csv)
+from diffusionwave.dynamics import _AUDIT, PhysicalState
+from diffusionwave.errors import ConfigError
+from diffusionwave.lab import (EntropyReport, ExperimentConfig, emit_report, parse_report,
+                               read_csv, theoretical_bound, write_csv)
 
 FAST_CFG = """\
 rho_minus = 1.0
@@ -95,6 +96,48 @@ def test_simulate_then_diagnose(tmp_path, cfg_file):
     assert report.tau[0] == 0.0
     assert np.all(report.E >= 0)
     assert len(list(tmp_path.glob("scaled_*.csv"))) == 3
+
+
+def test_in_dir_samples_each_snapshot_once(tmp_path, cfg_file, monkeypatch):
+    # the scaled_*.csv files are the fields diagnose samples, not a second
+    # to_scaled per snapshot, under whichever module's name it is called
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    to_scaled, calls = scaling.to_scaled, []
+
+    def counted(*args):
+        calls.append(args)
+        return to_scaled(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "diffusionwave" and getattr(module, "to_scaled", None) is to_scaled:
+            monkeypatch.setattr(module, "to_scaled", counted)
+    assert main(["diagnose", "--config", str(cfg_file), "--in-dir", str(snap_dir),
+                 "--out", str(tmp_path / "series.csv")]) == 0
+    assert len(calls) == len(list(tmp_path.glob("scaled_*.csv"))) == 3
+
+
+def test_run_meta_header_is_the_audit_in_readme_order(tmp_path, cfg_file):
+    snap_dir = tmp_path / "snaps"
+    assert main(["simulate", "--config", str(cfg_file),
+                 "--out-dir", str(snap_dir)]) == 0
+    header = [line for line in (snap_dir / "run_meta.csv").read_text().splitlines()
+              if not line.startswith("#")][0]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert header == ",".join(_AUDIT) and f"#   {header}\n" in readme
+
+
+def test_domain_too_small_for_the_window_exits_1(tmp_path, capsys):
+    # 8 e^2 = 59.1 > 20: the scaled window at tau = 4 leaves the domain
+    with pytest.raises(ConfigError, match="too small for the requested scaled window"):
+        ExperimentConfig(X=20.0)
+    cfg, snap_dir = tmp_path / "small.cfg", tmp_path / "snaps"
+    cfg.write_text("X = 20.0\n")
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(snap_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "scaled window" in err, err
+    assert not list(snap_dir.glob("snapshot_*.csv"))
 
 
 def test_run_meta_audits_the_momentum_ledger(tmp_path, cfg_file):

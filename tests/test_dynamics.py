@@ -396,11 +396,6 @@ class TestRun:
         with pytest.raises(ConfigError):
             run(state, SolverConfig(snapshot_times=(2.0,)), LAW, UNIT, 1.0)
 
-    def test_domain_too_small_for_window(self):
-        state = _constant_state(n=100, dx=0.1, m=0.0)
-        with pytest.raises(ConfigError):
-            run(state, SolverConfig(), LAW, UNIT, 3.0, scaled_halfwidth=8.0)
-
 
 # ---------------------------------------------------------------------------
 # the active window: stepping only it changes no bit of the result
@@ -514,15 +509,16 @@ def _padded(state, limits):
 @given(problem=_far_field_problems())
 @settings(max_examples=60, deadline=None)
 def test_incremental_window_matches_full_scan(problem):
-    # every scan of the previous step's span finds what a scan of the whole
-    # grid finds, on a run across the merge at t = 3
+    # every scan of the previous step's window finds what a scan of the
+    # whole grid finds, on a run across the merge at t = 3
     state, law, limits, order = problem
     state = _padded(state, limits)
-    window, spans = dynamics._window, []
+    window, window_scans = dynamics._window, []
 
-    def checked(rho, m, limits, span=None, flags=None):
-        spans.append(span)
-        found = window(rho, m, limits, span, flags)
+    def checked(rho, m, limits, ws=None):
+        # a scan of only the window of the last step's workspace, same grid
+        window_scans.append(ws is not None and ws.key[2] == rho.size)
+        found = window(rho, m, limits, ws)
         assert found == window(rho, m, limits)
         return found
 
@@ -530,7 +526,7 @@ def test_incremental_window_matches_full_scan(problem):
         out = _outcome(lambda: run(state, SolverConfig(order=order), law, limits, 3.5))
     if not isinstance(out, type):
         assert out.final.x.size == state.x.size // 2
-        assert sum(span is not None for span in spans) >= out.meta["dt"].size - 2
+        assert sum(window_scans) >= out.meta["dt"].size - 2
 
 
 @given(problem=_far_field_problems())
@@ -565,20 +561,21 @@ def test_a_warm_step_allocates_nothing_that_scales_with_the_window():
         rho = np.where(np.arange(n) < n // 2, 1.05, 0.95)
         rho[n // 2 - half:n // 2 + half - 8] += 0.05 * np.cos(np.arange(2 * half - 8))
         state = PhysicalState(x, rho, np.zeros(n), 0.0)
-        ws = span = peak = None
+        ws = peak = None
         tracemalloc.start()
         try:
             while peak is None:   # until a step keeps its workspace
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                *_, new_span, new_ws = dynamics._advance(state, SolverConfig(), LAW, 1.0,
-                                                        limits, span=span, ws=ws)
+                *_, new_ws = dynamics._advance(state, SolverConfig(), LAW, 1.0, limits,
+                                               ws=ws)
                 if new_ws is ws:
                     peak = tracemalloc.get_traced_memory()[1] - before
-                span, ws = new_span, new_ws
+                ws = new_ws
         finally:
             tracemalloc.stop()
-        peaks[span[1] - span[0]] = peak
+        lo, hi, _ = ws.key
+        peaks[hi - lo] = peak
     (narrow, small), (wide, large) = sorted(peaks.items())
     assert narrow == 112 and wide == 1504
     assert abs(small - large) < 1024, peaks

@@ -1,5 +1,6 @@
 """Experiment configuration, envelopes, rate fits, and CSV round trips."""
 
+import math
 import warnings
 
 import numpy as np
@@ -164,6 +165,16 @@ class TestConfig:
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(tau_step=0.0)
+
+    def test_domain_too_small_for_window(self):
+        # the scaled window at the last snapshot, L_y sqrt(1 + t_end) =
+        # L_y e^(tau_max/2), must fit in [-X, X]: 8 e^2 = 59.1 at the defaults
+        ExperimentConfig(X=59.2)
+        # 8 sqrt(1 + 3) = 16 on a 100-cell grid of half-width 5
+        for kw in (dict(X=59.0), dict(X=5.0, dx=0.1, tau_max=math.log(4.0),
+                                      tau_step=math.log(4.0))):
+            with pytest.raises(ConfigError, match="too small for the requested scaled window"):
+                ExperimentConfig(**kw)
 
 
 _SMALL = dict(alpha=1.0, amplitude=0.1, X=8.0, dx=0.1,
