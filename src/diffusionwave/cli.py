@@ -47,11 +47,13 @@ def _cmd_profile(args):
     law = PressureLaw(k=args.k, gamma=args.gamma)
     limits = LimitSpec(args.rho_minus, args.rho_plus, args.alpha)
     prof = solve_profile(limits, law, L=args.L, dy=args.dy)
+    # the grid solved on: node_grid keeps L and rounds the count, not --dy
     write_csv(
         args.out,
         {"theta": prof.theta, "mu": prof.mu, "K": prof.K_const,
          "rho_minus": args.rho_minus, "rho_plus": args.rho_plus,
-         "alpha": args.alpha, "gamma": args.gamma, "k": args.k},
+         "alpha": args.alpha, "gamma": args.gamma, "k": args.k,
+         "L": float(prof.y[-1]), "dy": prof.dy},
         {"y": prof.y, "rho_star": prof.rho_star, "n_star": prof.n_star,
          "r_star": prof.r_star, "ode_residual": prof.ode_residual},
     )
@@ -93,7 +95,10 @@ def _read_snapshots(in_dir):
         if not (np.all(np.isfinite([x, rho, m])) and np.all(np.diff(x) > 0)):
             raise ConfigError(
                 f"{path}: x, rho and m must be finite and x strictly increasing")
-        snapshots.append(PhysicalState(x, rho, m, t))
+        try:
+            snapshots.append(PhysicalState(x, rho, m, t))
+        except DomainError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     if not snapshots:
         raise ConfigError(f"no snapshot files in {in_dir}")
     return RunResult(sorted(snapshots, key=lambda snap: snap.t))

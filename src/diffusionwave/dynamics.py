@@ -8,21 +8,21 @@ around the three-stage, second-order SSPRK(3,2) (Ketcheson 2008) for order 2.
 Its stages are forward-Euler steps of dt/2, each at Courant number cfl, so
 its step is twice the forward-Euler one.
 
-Kernel contract.  Every Rusanov flux comes from one unchecked core,
-`_rusanov`, which reads the face states from one (2, 2, k) buffer, (rho, m)
-by (left, right), and evaluates m^2/rho, u, p and sqrt(p') of them all in
-one `_face` pass.  `numerical_flux` is the domain checks plus that core, and
-`_cfl_dt` shares its speed code.  When every face density is > 0 the core
-skips the 0/0 := 0 masks, each of which would pick the quotient there;
-otherwise (vacuum faces) the masked arithmetic runs.  Either way the bits
-equal those of `numerical_flux`.  `_hyperbolic_rhs` reads a stage buffer,
-(rho, m) with two far-field ghost cells at each end; where no density is
-below _NEAR_VACUUM every MUSCL face is > 0, so it skips the clips at 0 and
-the vacuum scans.  Every ufunc of a step writes with out= into a
-`_Workspace` built for its window, which holds each array the step writes
-and each view of them it reads; `run` keeps it until the window (which only
-grows, by blocks of 16 cells) or the grid changes, so a step that keeps it
-allocates no array.  Only the vacuum branch and a grid's first scan do.
+Kernel contract.  Density is > 0 throughout: `PhysicalState`,
+`numerical_flux` and `_Workspace` (the far field) check it where it enters,
+`_check` after each stage, and in between the scheme keeps it > 0 under its
+CFL bound (Perthame-Shu 1996), as every MUSCL face lies between its cell
+and the neighbour mean.  So the kernel divides by density with no vacuum
+case.  Every Rusanov flux comes from one unchecked core, `_rusanov`, which
+reads the face states from one (2, 2, k) buffer, (rho, m) by (left, right),
+and evaluates m^2/rho, u, p and sqrt(p') of them all in one `_face` pass.
+`numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
+its speed code.  `_hyperbolic_rhs` reads a stage buffer, (rho, m) with two
+far-field ghost cells at each end.  Every ufunc of a step writes with out=
+into a `_Workspace` built for its window, which holds each array the step
+writes and each view of them it reads; `run` keeps it until the window
+(which only grows, by blocks of 16 cells) or the grid changes, so a step
+that keeps it allocates no array.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -39,9 +39,8 @@ copy of its argument), and the next scan reads only the window of the
 workspace it returns, the cells it wrote.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
-inf and negative density after each stage, a step whose CFL dt is not finite
-and positive is a NumericalFailure, and a vacuum cell with momentum is a
-VacuumViolation.
+inf and a density that is not > 0 after each stage, and a step whose CFL dt
+is not finite and positive is a NumericalFailure.
 
 Parabolic coarsening.  The diffusion wave spreads like sqrt(1+t), and the
 diagnostics read it in y = x/sqrt(1+t), so `run` keeps the scaled cell size
@@ -63,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, NumericalFailure, VacuumViolation
+from .errors import ConfigError, DomainError, NumericalFailure, check_positive
 
 __all__ = [
     "PhysicalState",
@@ -77,7 +76,8 @@ __all__ = [
 
 @dataclass
 class PhysicalState:
-    """Cell-averaged (rho, m) on uniform cells centred at x, at time t."""
+    """Cell-averaged (rho, m) on uniform cells centred at x, at time t; the
+    density must be > 0 (`errors.check_positive`)."""
 
     x: np.ndarray
     rho: np.ndarray
@@ -88,7 +88,7 @@ class PhysicalState:
         self.x = np.asarray(self.x, dtype=float)
         self.rho = np.asarray(self.rho, dtype=float)
         self.m = np.asarray(self.m, dtype=float)
-        _validate(self.rho, self.m)
+        check_positive(self.rho, self.m)
 
     @classmethod
     def _trusted(cls, x, rho, m, t):
@@ -123,38 +123,14 @@ class SolverConfig:
             raise ConfigError("order must be 1 or 2")
 
 
-def _validate(rho, m):
-    if np.any(rho < 0):
-        raise DomainError("density must be nonnegative")
-    if np.any((rho == 0) & (m != 0)):
-        raise VacuumViolation("vacuum state with nonzero momentum")
-
-
 # -- flux core ---------------------------------------------------------------
-# Unchecked: densities are >= 0 (or NaN) and vacuum carries m = 0.  Each face
-# state's m^2/rho, u, p and sqrt(p') is evaluated once.  Where no density is
-# zero every 0/0 := 0 mask would pick the quotient, so that case skips them;
-# both branches give the same bits.
+# Unchecked: densities are > 0 (or NaN, which the stage checks catch).  Each
+# face state's m^2/rho, u, p and sqrt(p') is evaluated once.
 
 
-def _vacuum_free(rho):
-    # NaN compares false and so takes the masked branch
-    return rho.min(initial=np.inf) > 0
-
-
-def _quotient(num, rho, vacuum_free, out=None):
-    """num/rho, read as 0 where rho = 0 (or NaN), in out if given."""
-    if vacuum_free:
-        return np.divide(num, rho, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.divide(num, np.where(rho > 0, rho, 1.0), out=out)
-    q[~(rho > 0)] = 0.0
-    return q
-
-
-def _speed(rho, m, dp, vacuum_free, out=None):
+def _speed(rho, m, dp, out=None):
     """|u| + sqrt(p'), in out if given; dp >= 0 is overwritten."""
-    s = _quotient(m, rho, vacuum_free, out=out)
+    s = np.divide(m, rho, out=out)
     np.abs(s, out=s)
     s += np.sqrt(dp, out=dp)
     return s
@@ -172,20 +148,19 @@ class _Faces:
         self.jump = np.empty(k)
 
 
-def _face(ws, law, vacuum_free):
+def _face(ws, law):
     """Momentum flux m^2/rho + p and wavespeed |u| + sqrt(p') of the face
     states of ws, into ws.fm and ws.s."""
     rho, m = ws.rho_f, ws.m_f
     p, dp = law._p_dp(rho, out=(ws.p, ws.dp))
-    f_m = _quotient(np.multiply(m, m, out=ws.fm), rho, vacuum_free, out=ws.fm)
+    f_m = np.divide(np.multiply(m, m, out=ws.fm), rho, out=ws.fm)
     f_m += p
-    return f_m, _speed(rho, m, dp, vacuum_free, out=ws.s)
+    return f_m, _speed(rho, m, dp, out=ws.s)
 
 
-def _rusanov(ws, law, vacuum_free):
-    """Rusanov fluxes (f_rho, f_m) of the face states of ws, into ws.flux;
-    vacuum_free is `_vacuum_free` of their rho."""
-    _face(ws, law, vacuum_free)
+def _rusanov(ws, law):
+    """Rusanov fluxes (f_rho, f_m) of the face states of ws, into ws.flux."""
+    _face(ws, law)
     s = np.maximum(ws.s_l, ws.s_r, out=ws.s_l)
     s *= 0.5
     f_rho = np.add(ws.m_l, ws.m_r, out=ws.f_rho)
@@ -204,15 +179,15 @@ def _rusanov(ws, law, vacuum_free):
 def numerical_flux(left, right, law):
     """Rusanov flux: central average minus local-wavespeed upwinding.
 
-    The domain checks of `_validate` on both states, then `_rusanov`.
+    `errors.check_positive` on both states, then `_rusanov`.
     """
     arrays = [np.asarray(a, dtype=float) for a in (left[0], right[0], left[1], right[1])]
-    _validate(arrays[0], arrays[2])
-    _validate(arrays[1], arrays[3])
+    check_positive(arrays[0], arrays[2])
+    check_positive(arrays[1], arrays[3])
     faces = np.broadcast_arrays(*np.atleast_1d(*arrays))
     ws = _Faces(faces[0].size)
     ws.faces.reshape(4, *faces[0].shape)[...] = faces
-    f_rho, f_m = _rusanov(ws, law, _vacuum_free(ws.rho_f))
+    f_rho, f_m = _rusanov(ws, law)
     if np.broadcast(*arrays).ndim == 0:
         return float(f_rho[0]), float(f_m[0])
     return f_rho, f_m
@@ -232,17 +207,16 @@ def _minmod(a, b, out=None, tmp=None, mask=None):
     return out
 
 
-# first-order fallback next to cells below this density
-_NEAR_VACUUM = 1e-8
-
-
 class _Workspace(_Faces):
     """Every array a step on the window [lo, hi) of an n-cell grid writes, and
     every view of them it reads: the two stage buffers, (rho, m) with two
     ghost cells at each end frozen at the far field, and the scratch of
-    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`."""
+    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`.  The far-field
+    densities must be > 0 (DomainError)."""
 
     def __init__(self, lo, hi, n, limits):
+        if not (limits.rho_minus > 0 and limits.rho_plus > 0):
+            raise DomainError("the far-field densities must be positive")
         w, k = hi - lo, hi - lo + 4
         super().__init__(w + 1)
         self.key = (lo, hi, n)
@@ -274,7 +248,6 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
     S[:, 2:-2] of a stage buffer S of ws, (rho, m) with two far-field ghost
     cells at each end."""
     R, M = S
-    low = R.min()
     # face states: (rho, m) by (left, right); the right face of cell j meets
     # the left face of cell j + 1.  R and U = M/R (order 1: M) end to end in
     # one 1-D array: one pass each takes both differences, minmods and
@@ -282,24 +255,14 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
     (r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r) = ws.sides
     np.copyto(ws.ru_r, R)
     if cfg.order == 2:
-        _quotient(M, R, low > 0, out=ws.ru_u)
+        np.divide(M, R, out=ws.ru_u)
         # a[1:] - a[:-1] is what np.diff computes, without its call overhead
         np.subtract(*ws.diff_args)
+        # every face lies between its cell and the neighbour mean, so > 0
         slopes = _minmod(*ws.minmod_args)
-        # every face lies between its cell and the neighbour mean, so above
-        # _NEAR_VACUUM no face density is <= 0 (or NaN: R.min() would be)
-        vacuum_free = low >= _NEAR_VACUUM
-        if not vacuum_free:
-            near = R < _NEAR_VACUUM
-            near_vac = near[:-2] | near[1:-1] | near[2:]
-            ws.slope_r[near_vac] = 0.0
-            ws.slope_u[near_vac] = 0.0
         slopes *= 0.5
         np.add(r_l, sr_l, out=ws.rho_l)
         np.subtract(r_r, sr_r, out=ws.rho_r)
-        if not vacuum_free:
-            np.maximum(ws.rho_f, 0.0, out=ws.rho_f)
-            vacuum_free = _vacuum_free(ws.rho_f)
         np.add(u_l, su_l, out=ws.m_l)
         np.subtract(u_r, su_r, out=ws.m_r)
         ws.m_f *= ws.rho_f
@@ -307,10 +270,9 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
         np.copyto(ws.ru_u, M)
         for face, cell in ((ws.rho_l, r_l), (ws.rho_r, r_r), (ws.m_l, u_l), (ws.m_r, u_r)):
             np.copyto(face, cell)
-        vacuum_free = low > 0
 
     # N+1 interface fluxes bordering the N physical cells
-    f_rho, f_m = _rusanov(ws, law, vacuum_free)
+    f_rho, f_m = _rusanov(ws, law)
     for div, (right, left) in zip(out, ws.cell_fluxes):
         np.subtract(right, left, out=div)
         div /= -dx
@@ -318,14 +280,13 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
 
 
 def _check(rho, m):
-    """The least density, after rejecting NaN, inf and negative density."""
+    """Reject NaN, inf and a density that is not > 0."""
     # a NaN or inf anywhere makes its sum non-finite
     if not (math.isfinite(rho.sum()) and math.isfinite(m.sum())):
         raise NumericalFailure("NaN or inf detected during time stepping")
     low = rho.min()
-    if low < 0:
-        raise NumericalFailure(f"negative density {low:.3e}")
-    return low
+    if not low > 0:
+        raise NumericalFailure(f"{'negative' if low < 0 else 'zero'} density {low:.3e}")
 
 
 def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
@@ -334,7 +295,7 @@ def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
     of dt/2 each keep the Courant number cfl.  p' and the speeds go into
     out where given."""
     ssp = 2.0 if cfg.order == 2 else 1.0
-    smax = _speed(rho, m, law._dp(rho, out[0]), _vacuum_free(rho), out[1]).max()
+    smax = _speed(rho, m, law._dp(rho, out[0]), out[1]).max()
     dt = ssp * cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
@@ -463,12 +424,9 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
         rho_n = np.add(np.multiply(d, dt, out=d), rho, out=d)
         m_n = np.add(np.multiply(e, dt, out=e), m, out=e)
         fm = tuple(dt * b for b in b1)
-    low = _check(rho_n, m_n)
+    _check(rho_n, m_n)
     m_d = np.multiply(m_n, decay, out=m_a)
     sink += _sink(ws, m_n, m_d, dx) if alpha > 0 else 0.0
-
-    if low == 0:   # only a vacuum cell can carry momentum it must not
-        _validate(rho_n, m_d)
     rho[:], m[:], state.t = rho_n, m_d, t + dt
     return dt, fm, sink, ws
 

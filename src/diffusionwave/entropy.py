@@ -13,10 +13,15 @@ that steady part plus e^tau (p(rho_bar)_y + alpha n_bar).
 
 One core, `_relative_core`, computes du, rho - rho_bar, h_rel, p_rel and
 eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
-The pass, `_snapshot`, computes every diagnostic once into one flat record:
-the core, the dissipation, E, D_alpha and the edge monitor, then R2 and the
-xi terms with their integrals.  `lab.diagnose` calls it once per snapshot;
-`total_relative_entropy`, `error_terms` and `xi_bound_check` read it.
+`_snapshot_pass` checks a reference once and returns the pass, which
+computes every diagnostic of a snapshot once into one flat record: the
+core, the dissipation, E, D_alpha and the edge monitor, then R2 and the xi
+terms with their integrals.  `lab.diagnose` builds it once per run;
+`total_relative_entropy`, `error_terms` and `xi_bound_check` read it.  The
+pass divides by the field's density and the reference's directly: the
+solver keeps the one > 0, and the snapshot functions check it
+(`errors.check_positive`); the pass checks the other.  Only
+`relative_entropy_density` takes rho = 0 and a vacuum reference.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, VacuumViolation
+from .errors import DomainError, VacuumViolation, check_positive
 from .profile import _spline
 from .scaling import ScaledField
 
@@ -77,10 +82,11 @@ def entropy_pair(tau, rho, n, law):
     return eta, q
 
 
-def _relative_core(tau, rho, n, rho_bar, u_bar, reference, law):
-    """(du, rho - rho_bar, h_rel, p_rel, eta_rel) of (rho, n) against rho_bar
-    with velocity u_bar and `reference`, the `PressureLaw._reference` terms."""
-    du = _ratio(n, rho) - u_bar
+def _relative_core(tau, rho, u, rho_bar, u_bar, reference, law):
+    """(du, rho - rho_bar, h_rel, p_rel, eta_rel) of rho >= 0 with velocity
+    u against rho_bar with velocity u_bar and `reference`, the
+    `PressureLaw._reference` terms."""
+    du = u - u_bar
     drho = rho - rho_bar
     h_rel, p_rel = law._relative(rho, drho, reference)
     eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
@@ -96,11 +102,13 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
     rho = np.asarray(rho, dtype=float)
     rho_bar = np.asarray(rho_bar, dtype=float)
     n_bar = np.asarray(n_bar, dtype=float)
+    if np.any(rho < 0):
+        raise DomainError("densities must be nonnegative")
     if np.any(rho_bar == 0):
         ok, _ = law.vacuum_admissible()
         if not ok or np.any((rho_bar == 0) & (n_bar != 0)):
             raise DomainError("vacuum reference needs gamma > 1 and n_bar = 0")
-    eta_rel = _relative_core(tau, rho, n, rho_bar, _ratio(n_bar, rho_bar),
+    eta_rel = _relative_core(tau, rho, _ratio(n, rho), rho_bar, _ratio(n_bar, rho_bar),
                              law._reference(rho_bar), law)[-1]
     return float(eta_rel) if eta_rel.ndim == 0 else eta_rel
 
@@ -276,43 +284,53 @@ def _check_grid(ref, y):
 
 
 def _entropy(field, ref, alpha, law):
-    """The relative-entropy half of the pass: (du, rho - rho_bar, h_rel,
-    p_rel, eta_rel, EntropyTotals).  `total_relative_entropy` reads it
-    alone: a vacuum reference has a relative entropy but no xi terms."""
+    """The relative-entropy half of the pass, on a field whose density is
+    > 0: (du, rho - rho_bar, h_rel, p_rel, eta_rel, EntropyTotals).
+    `total_relative_entropy` reads it alone."""
     _check_grid(ref, field.y)
     rho = field.rho
     du, drho, h_rel, p_rel, eta_rel = _relative_core(
-        field.tau, rho, field.n, ref.rho, ref.u, ref.thermo, law)
+        field.tau, rho, field.n / rho, ref.rho, ref.u, ref.thermo, law)
     diss = alpha * rho * du * du
     dy = field.dy
-    E = float(np.sum(eta_rel) * dy)
-    D = float(np.sum(diss) * dy)
+    E = float(eta_rel.sum() * dy)
+    D = float(diss.sum() * dy)
     tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
     return du, drho, h_rel, p_rel, eta_rel, EntropyTotals(E, D, bool(tail <= TAIL_MONITOR))
 
 
-def _snapshot(field, ref, alpha, law):
-    """The per-snapshot pass at tau = field.tau: `_entropy`, then the
-    residual R2 = R2_steady + e^tau (p_y + alpha n) and the xi terms with
-    their midpoint quadratures."""
-    du, drho, h_rel, p_rel, eta_rel, totals = _entropy(field, ref, alpha, law)
-    tau, rho = field.tau, field.rho
-    R2 = ref.R2_steady + np.exp(tau) * (ref.p_y + alpha * ref.n)
-    exp_m = np.exp(-tau)
-    xi1 = ref.neg_u_y * (exp_m * rho * du * du + p_rel)
-    R_bar = ref.u_R1 - R2
-    xi2 = exp_m * R_bar * _ratio(rho, ref.rho) * du
-    xi3 = -drho * ref.d2h * ref.R1
-    dy = field.dy
-    Xi = tuple(float(np.sum(v) * dy) for v in (xi1, xi2, xi3))
-    return _Snapshot(totals=totals, R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
-                     Xi=Xi, eta_rel=eta_rel, h_rel=h_rel, R_bar=R_bar)
+def _snapshot_pass(ref, alpha, law):
+    """The per-snapshot pass against ref, bounded away from 0 (DomainError),
+    at friction alpha: a function of a field on ref.y whose density is > 0,
+    giving `_entropy`, the residual R2 = R2_steady + e^tau (p_y + alpha n)
+    and the xi terms with their midpoint quadratures at tau = field.tau.
+    R2's tau-free forcing p_y + alpha n is computed here, once."""
+    if not np.min(ref.rho) > 0:
+        raise DomainError("the xi terms require the reference bounded away from vacuum")
+    forcing = ref.p_y + alpha * ref.n
+
+    def snapshot(field):
+        du, drho, h_rel, p_rel, eta_rel, totals = _entropy(field, ref, alpha, law)
+        tau, rho = field.tau, field.rho
+        R2 = ref.R2_steady + np.exp(tau) * forcing
+        exp_m = np.exp(-tau)
+        xi1 = ref.neg_u_y * (exp_m * rho * du * du + p_rel)
+        R_bar = ref.u_R1 - R2
+        xi2 = exp_m * R_bar * (rho / ref.rho) * du
+        xi3 = -drho * ref.d2h * ref.R1
+        dy = field.dy
+        Xi = tuple(float(v.sum() * dy) for v in (xi1, xi2, xi3))
+        return _Snapshot(totals=totals, R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
+                         Xi=Xi, eta_rel=eta_rel, h_rel=h_rel, R_bar=R_bar)
+    return snapshot
 
 
 def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
     dissipation against the RefData `ref` over the field's window; tail_ok
-    flags edge integrands below the truncation monitor."""
+    flags edge integrands below the truncation monitor.  The field's
+    density must be > 0."""
+    check_positive(field.rho, field.n)
     return _entropy(field, ref, alpha, law)[-1]
 
 
@@ -321,8 +339,9 @@ def error_terms(field, ref, tau, alpha, law):
     R1 = -(y/2) rho_y + n_y and
     R2 = -(y/2) n_y - n/2 + (n^2/rho)_y + e^tau (p(rho)_y + alpha n),
     and the xi error-term fields with their quadratures, in the snapshot's
-    record."""
-    return _snapshot(ScaledField(tau, field.y, field.rho, field.n), ref, alpha, law)
+    record.  The field's density must be > 0, and the reference's too."""
+    check_positive(field.rho, field.n)
+    return _snapshot_pass(ref, alpha, law)(ScaledField(tau, field.y, field.rho, field.n))
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +405,9 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     """
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)
-    if np.min(ref.rho) <= 0:
-        raise DomainError("xi bounds require the reference bounded away from vacuum")
-    snap = _snapshot(ScaledField(tau, y, rho, n), ref, alpha, law)
+    snapshot = _snapshot_pass(ref, alpha, law)
+    check_positive(rho, n)
+    snap = snapshot(ScaledField(tau, y, rho, n))
     coeff = max(2.0, law.gamma - 1.0)
     exp_h = np.exp(-tau / 2.0)
 

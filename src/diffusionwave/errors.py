@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the density check that
+raises them where states enter it."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -14,8 +17,8 @@ class ConfigError(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """NaN, inf or negative density, or a collapsed CFL step, during time
-    stepping (CLI exit code 2)."""
+    """NaN, inf or a density that is not positive, or a collapsed CFL step,
+    during time stepping (CLI exit code 2)."""
 
 
 class SolverFailure(RuntimeError):
@@ -28,3 +31,12 @@ class SolverFailure(RuntimeError):
 
 class DegenerateFitError(RuntimeError):
     """Least-squares fit requested on data with no usable signal."""
+
+
+def check_positive(rho, m):
+    """Reject states (rho, m) unless every density is > 0: a VacuumViolation
+    where a zero density carries momentum, else a DomainError."""
+    if not np.all(rho > 0):
+        if np.any((rho == 0) & (m != 0)):
+            raise VacuumViolation("vacuum state with nonzero momentum")
+        raise DomainError("density must be positive")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import PhysicalState, RunResult, SolverConfig, run
-from .entropy import ReferencePair, _snapshot
+from .entropy import ReferencePair, _snapshot_pass
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .grids import cell_grid, grid_count, node_grid
 from .profile import LimitSpec, solve_profile
@@ -55,8 +55,8 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    # law and far field; the limits pick the reference: the constant state
-    # when they coincide, else the similarity profile
+    # law and far field (densities > 0); the limits pick the reference: the
+    # constant state when they coincide, else the similarity profile
     rho_minus: float = 1.0
     rho_plus: float = 1.0
     alpha: float = 1.0
@@ -84,6 +84,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        if not (self.rho_minus > 0 and self.rho_plus > 0):
+            raise ConfigError(f"far-field densities must be positive, got rho_minus = "
+                              f"{self.rho_minus!r} and rho_plus = {self.rho_plus!r}")
         if self.tau_max <= 0 or self.tau_step <= 0:
             raise ConfigError("tau_max and tau_step must be positive")
         if self.dx <= 0 or self.dy <= 0 or self.X <= 0 or self.L_y <= 0:
@@ -157,18 +160,13 @@ def build_initial(cfg, x, limits, profile=None):
 
 def make_reference(cfg, limits, law, profile):
     """(RefData, kind): the reference evaluated once on the y-grid of `cfg`,
-    the constant state for coincident limits, else the similarity profile.
-    Its density must be bounded away from 0 on that grid (ConfigError)."""
+    the constant state for coincident limits, else the similarity profile,
+    which lies between the far-field densities, > 0 by the config."""
     if limits.same_limits:
         pair, kind = ReferencePair.constant(limits.rho_plus), "constant"
     else:
         pair, kind = ReferencePair.from_profile(profile, limits), "profile"
-    ref = pair.eval(node_grid(cfg.L_y, cfg.dy), law)
-    if not np.min(ref.rho) > 0:
-        raise ConfigError(
-            f"the {kind} reference density must be bounded away from 0 "
-            f"(rho_minus = {cfg.rho_minus!r}, rho_plus = {cfg.rho_plus!r})")
-    return ref, kind
+    return pair.eval(node_grid(cfg.L_y, cfg.dy), law), kind
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +232,9 @@ def diagnose(cfg, run_result, on_scaled=None):
     """Transform each snapshot to scaling variables and assemble the
     relative-entropy report against the reference, which `make_reference`
     evaluates once per run on the y-grid, before any snapshot.  Each
-    snapshot takes one `to_scaled` and one diagnostics pass; `on_scaled`,
-    if given, is called with the index and the ScaledField of each.
+    snapshot takes one `to_scaled` and one pass, which `_snapshot_pass`
+    builds once per run; `on_scaled`, if given, is called with the index
+    and the ScaledField of each.
     `meta["tail_ok"]` is true when every snapshot's edge integrands are
     within the truncation monitor `entropy.TAIL_MONITOR`.
     """
@@ -262,11 +261,12 @@ def diagnose(cfg, run_result, on_scaled=None):
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
     tail_ok = True
+    snapshot = _snapshot_pass(ref, cfg.alpha, law)
     for j, snap in enumerate(run_result.snapshots):
         fld = to_scaled(snap, ref.y)
         if on_scaled is not None:
             on_scaled(j, fld)
-        diag = _snapshot(fld, ref, cfg.alpha, law)
+        diag = snapshot(fld)
         E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.Xi
         tail_ok &= diag.totals.tail_ok
 

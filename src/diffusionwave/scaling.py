@@ -28,9 +28,10 @@ class ScaledField:
 
 
 def to_scaled(state, y_grid):
-    """Sample a physical snapshot onto a fixed y-grid in scaling variables.
-    The grid must map into the snapshot's cells [x0 - dx/2, x1 + dx/2] at
-    both ends, up to a relative 1e-12 (DomainError)."""
+    """Sample a physical snapshot onto a fixed y-grid in scaling variables;
+    linear interpolation keeps the snapshot's density > 0.  The grid must
+    map into the snapshot's cells [x0 - dx/2, x1 + dx/2] at both ends, up to
+    a relative 1e-12 (DomainError)."""
     y_grid = np.asarray(y_grid, dtype=float)
     t = state.t
     stretch = np.sqrt(1.0 + t)
@@ -45,5 +46,4 @@ def to_scaled(state, y_grid):
     # monotone piecewise-linear sampling; stays inside the local data range
     rho = np.interp(xq, state.x, state.rho)
     n = stretch * np.interp(xq, state.x, state.m)
-    n = np.where(rho > 0, n, 0.0)
     return ScaledField(tau=float(np.log1p(t)), y=y_grid, rho=rho, n=n)

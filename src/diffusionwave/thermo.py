@@ -54,8 +54,11 @@ class PressureLaw:
         One formula for every gamma >= 1: z^(gamma-1) at z = 0 is 0 for
         gamma > 1 and 1 for gamma = 1, so p'(0) is 0 and k respectively.
         """
-        p = np.multiply(np.power(z, self.gamma, out=out[0]), self.k, out=out[0])
-        return p, self._dp(z, out[1])
+        return self._p(z, out[0]), self._dp(z, out[1])
+
+    def _p(self, z, out=None):
+        """p alone, as `_p_dp` computes it."""
+        return np.multiply(np.power(z, self.gamma, out=out), self.k, out=out)
 
     def _dp(self, z, out=None):
         """p' alone, as `_p_dp` computes it."""
@@ -98,6 +101,8 @@ class PressureLaw:
         """
         rho = np.asarray(rho, dtype=float)
         rho_bar = np.asarray(rho_bar, dtype=float)
+        if np.any(rho < 0):
+            raise DomainError("densities must be nonnegative")
         h_rel, p_rel = self._relative(rho, rho - rho_bar, self._reference(rho_bar))
         if h_rel.ndim == 0:
             return float(h_rel), float(p_rel)
@@ -113,13 +118,11 @@ class PressureLaw:
         return h, dh, p, dp
 
     def _relative(self, rho, drho, reference):
-        """(h_rel, p_rel) of the float array rho against rho_bar, given
-        drho = rho - rho_bar and the `_reference` terms of rho_bar."""
-        if np.any(rho < 0):
-            raise DomainError("densities must be nonnegative")
+        """(h_rel, p_rel) of the float array rho >= 0 (unchecked) against
+        rho_bar, given drho = rho - rho_bar and the `_reference` terms."""
         hb, dhb, pb, dpb = reference
         h_rel = self._h_value(rho) - hb - dhb * drho
-        p_rel = self._p_dp(rho)[0] - pb - dpb * drho
+        p_rel = self._p(rho) - pb - dpb * drho
         return h_rel, p_rel
 
     def _h_value(self, z):

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import diffusionwave
-from diffusionwave import scaling, verify
+from diffusionwave import dynamics, scaling, verify
 from diffusionwave.cli import main
 from diffusionwave.dynamics import _AUDIT, PhysicalState
 from diffusionwave.errors import ConfigError
@@ -59,6 +59,20 @@ def test_profile_command(tmp_path, capsys):
     assert 0 < comments["theta"] < 0.5
     assert np.all(np.diff(cols["rho_star"]) <= 1e-12)
     assert "theta=" in capsys.readouterr().out
+
+
+def test_profile_header_reads_the_grid_solved_on(tmp_path):
+    # at alpha = 2 the half-width is 20/sqrt(2) = 14.142..., which --dy 0.05
+    # does not divide: node_grid keeps L and rounds the node count to 566
+    out = tmp_path / "prof.csv"
+    assert main(["profile", "--rho-minus", "1.05", "--rho-plus", "0.95", "--alpha", "2",
+                 "--dy", "0.05", "--out", str(out)]) == 0
+    comments, cols = read_csv(out)
+    y = cols["y"]
+    assert comments["L"] == y[-1] == -y[0] == 20.0 / np.sqrt(2.0)
+    assert comments["dy"] == y[1] - y[0] == pytest.approx(2.0 * comments["L"] / 566,
+                                                         rel=1e-12)
+    assert 0.04997 < comments["dy"] < 0.04998
 
 
 def test_profile_bad_input_exits_1(tmp_path, capsys):
@@ -418,7 +432,45 @@ def test_vacuum_reference_exits_1(tmp_path, capsys):
     assert main(["diagnose", "--config", str(cfg),
                  "--out", str(tmp_path / "s.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "bounded away from 0" in err, err
+    assert err.count("\n") == 1 and "far-field densities must be positive" in err, err
+
+
+@pytest.mark.parametrize("limits", [("0", "1.0"), ("1.0", "0"), ("0.0", "-0.0"),
+                                    ("-1.0", "1.0"), ("1.0", "-0.5")])
+def test_far_field_not_positive_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
+                                                       limits):
+    # refused with the config: no step is taken and no directory is made
+    steps = []
+    monkeypatch.setattr(dynamics, "_advance", lambda *args, **kwargs: steps.append(args))
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(FAST_CFG.replace("rho_minus = 1.0", f"rho_minus = {limits[0]}")
+                   .replace("rho_plus = 1.0", f"rho_plus = {limits[1]}"))
+    for command in (["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+                    ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "far-field densities must be positive" in err, err
+    assert steps == [] and not (tmp_path / "o").exists()
+
+
+def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
+    # a first step of dt = 1/4 whose first stage (h = dt/2) empties every
+    # cell of its window exactly: d rho = -8 rho, and rho - (8 rho)/8 = 0
+    advance, rhs = dynamics._advance, dynamics._hyperbolic_rhs
+
+    def emptying(ws, S, dx, cfg, law, out):
+        ends = rhs(ws, S, dx, cfg, law, out)
+        np.multiply(S[0][2:-2], -8.0, out=out[0])
+        return ends
+
+    monkeypatch.setattr(dynamics, "_advance",
+                        lambda *args, **kwargs: advance(*args, **{**kwargs, "dt": 0.25}))
+    monkeypatch.setattr(dynamics, "_hyperbolic_rhs", emptying)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(JUMP_CFG)
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "zero density" in err, err
 
 
 # a valid toy value for every numeric config key: a jump on 160 cells
@@ -477,10 +529,13 @@ def _swap_rows_70_90(rows):
     return rows
 
 
-def _nan_density(rows):
-    x, _, m = rows[40].split(",")
-    rows[40] = f"{x},nan,{m}"
-    return rows
+def _density(value):
+    """A row edit that sets the density of row 40."""
+    def edit(rows):
+        x, _, m = rows[40].split(",")
+        rows[40] = f"{x},{value},{m}"
+        return rows
+    return edit
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -490,8 +545,10 @@ def _nan_density(rows):
     _rows(lambda rows: rows[:1]),
     _rows(lambda rows: []),
     _rows(_swap_rows_70_90),
-    _rows(_nan_density),
-], ids=["t-abc", "t-list", "t-nan", "one-row", "no-rows", "x-unsorted", "rho-nan"])
+    _rows(_density("nan")),
+    _rows(_density("0.0")),
+], ids=["t-abc", "t-list", "t-nan", "one-row", "no-rows", "x-unsorted", "rho-nan",
+        "rho-zero"])
 def test_diagnose_rejects_a_malformed_snapshot(tmp_path, cfg_file, capsys, corrupt):
     snap_dir = tmp_path / "snaps"
     assert main(["simulate", "--config", str(cfg_file),

@@ -399,15 +399,16 @@ class TestOnePass:
         assert np.all(report.E > 0) and np.any(report.D_alpha > 0)
         assert np.any(Xi != 0) != lim.same_limits
 
-    def test_vacuum_cells(self, jump_profile):
-        # zero density and momentum on some nodes: the masked 0/0 := 0 branch
+    def test_public_entry_points_match_the_separate_formulas(self, jump_profile):
+        # a random positive field, near vacuum on some nodes
         prof, limits = jump_profile
         y = np.linspace(-4, 4, 161)
         ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
         rng = np.random.default_rng(31)
         rho = rng.uniform(0.8, 1.2, y.size)
         n = rng.uniform(-0.1, 0.1, y.size)
-        rho[40:50] = n[40:50] = 0.0
+        rho[40:50] = 10.0 ** rng.uniform(-12, -3, 10)
+        n[40:50] *= rho[40:50]
         for tau, alpha in ((0.0, 1.0), (0.9, 0.7), (3.1, 2.0)):
             fld = ScaledField(tau, y, rho, n)
             E, D, Xi, _, _ = _separate_formulas(fld, ref, alpha, LAW)
@@ -427,6 +428,14 @@ class TestOnePass:
                      lambda: xi_bound_check(0.5, y, rho, n, ref, LAW, 1.0)):
             with pytest.raises(VacuumViolation):
                 call()
+        # and a zero density at rest, or a negative one, is a DomainError
+        for bad in (0.0, -1e-3):
+            rho[80], n[80] = bad, 0.0
+            for call in (lambda: total_relative_entropy(fld, ref, 1.0, LAW),
+                         lambda: error_terms(fld, ref, 0.5, 1.0, LAW),
+                         lambda: xi_bound_check(0.5, y, rho, n, ref, LAW, 1.0)):
+                with pytest.raises(DomainError, match="density must be positive"):
+                    call()
 
     def test_hoisted_residuals_match_the_unhoisted_formula(self, jump_profile):
         # R1 and the steady part of R2 come from the RefData; R2 at tau adds

@@ -1,7 +1,6 @@
 """Experiment configuration, envelopes, rate fits, and CSV round trips."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -207,15 +206,23 @@ class TestDiagnose:
 
     def test_one_scaling_and_one_pass_per_snapshot(self, monkeypatch):
         # to_scaled, the diagnostics pass and the Bregman terms run once
-        # per snapshot each
+        # per snapshot each, and the pass is built once per run
         cfg = ExperimentConfig(rho_minus=1.05, rho_plus=0.95, **_SMALL)
         run_result = simulate(cfg)
         calls = []
-        for name in ("to_scaled", "_snapshot"):
-            def counted(*args, _original=getattr(lab_module, name), _name=name):
-                calls.append(_name)
-                return _original(*args)
-            monkeypatch.setattr(lab_module, name, counted)
+
+        def counted(name, original):
+            def call(*args):
+                calls.append(name)
+                return original(*args)
+            return call
+
+        def build(*args, _original=lab_module._snapshot_pass):
+            calls.append("build")
+            return counted("pass", _original(*args))
+
+        monkeypatch.setattr(lab_module, "to_scaled", counted("to_scaled", to_scaled))
+        monkeypatch.setattr(lab_module, "_snapshot_pass", build)
 
         def relative(self, *args, _original=PressureLaw._relative):
             calls.append("_relative")
@@ -224,8 +231,8 @@ class TestDiagnose:
         diagnose(cfg, run_result)
         count = len(run_result.snapshots)
         assert count == 5
-        assert [calls.count(name) for name in ("to_scaled", "_snapshot", "_relative")] \
-            == [count] * 3
+        assert [calls.count(name) for name in ("build", "to_scaled", "pass", "_relative")] \
+            == [1] + [count] * 3
 
     @pytest.mark.parametrize("width, expected", [(0.5, True), (1.0, False)])
     def test_tail_ok_in_the_series_header(self, tmp_path, width, expected):
@@ -246,14 +253,11 @@ class TestDiagnose:
         assert f"# tail_ok={expected}" in path.read_text().splitlines()
         assert parse_report(path).meta["tail_ok"] is expected
 
-    def test_vacuum_reference_rejected_before_the_snapshots(self, monkeypatch):
-        cfg = ExperimentConfig(rho_minus=0.0, rho_plus=0.0, **_SMALL)
-        run_result = simulate(cfg)
-        monkeypatch.setattr("diffusionwave.lab.to_scaled", None)  # never reached
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ConfigError, match="bounded away from 0"):
-                diagnose(cfg, run_result)
+    def test_vacuum_reference_rejected_before_the_snapshots(self):
+        # a far field that is not > 0 is refused with the config, before the run
+        for limits in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, -1.0), (1.0, -0.5)):
+            with pytest.raises(ConfigError, match="far-field densities must be positive"):
+                ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_SMALL)
 
 
 class TestCsvRoundTrip:
