@@ -29,6 +29,7 @@ from .lab import (
     header_float,
     parse_config,
     parse_report,
+    plan,
     read_csv,
     run_experiment,
     simulate,
@@ -44,9 +45,8 @@ EXIT_VIOLATION = 3
 
 
 def _cmd_profile(args):
-    law = PressureLaw(k=args.k, gamma=args.gamma)
-    limits = LimitSpec(args.rho_minus, args.rho_plus, args.alpha)
-    prof = solve_profile(limits, law, L=args.L, dy=args.dy)
+    prof = solve_profile(LimitSpec(args.rho_minus, args.rho_plus, args.alpha),
+                         PressureLaw(k=args.k, gamma=args.gamma), L=args.L, dy=args.dy)
     # the grid solved on: node_grid keeps L and rounds the count, not --dy
     write_csv(
         args.out,
@@ -64,9 +64,10 @@ def _cmd_profile(args):
 
 def _cmd_simulate(args):
     cfg = parse_config(args.config)
+    result = simulate(plan(cfg))
+    # made only now: a run that fails (exit 1 or 2) leaves no directory
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = simulate(cfg)
     header = {"gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
               "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
               "dx": cfg.dx}
@@ -111,7 +112,7 @@ def _cmd_diagnose(args):
         def write_scaled(i, fld):
             write_csv(out.parent / f"scaled_{i:06d}.csv", {"tau": fld.tau},
                       {"y": fld.y, "rho": fld.rho, "n": fld.n})
-        report = diagnose(cfg, _read_snapshots(args.in_dir), write_scaled)
+        report = diagnose(plan(cfg), _read_snapshots(args.in_dir), write_scaled)
     else:
         report = run_experiment(cfg)
     emit_report(report, out)

@@ -16,12 +16,12 @@ eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
 `_snapshot_pass` checks a reference once and returns the pass, which
 computes every diagnostic of a snapshot once into one flat record: the
 core, the dissipation, E, D_alpha and the edge monitor, then R2 and the xi
-terms with their integrals.  `lab.diagnose` builds it once per run;
-`total_relative_entropy`, `error_terms` and `xi_bound_check` read it.  The
-pass divides by the field's density and the reference's directly: the
-solver keeps the one > 0, and the snapshot functions check it
-(`errors.check_positive`); the pass checks the other.  Only
-`relative_entropy_density` takes rho = 0 and a vacuum reference.
+terms with their integrals.  `lab.plan` builds it once per experiment;
+`total_relative_entropy` and `error_terms` return its record, and
+`xi_bound_check` reads it.  The pass divides by the field's density and the
+reference's directly: the solver keeps the one > 0, and the snapshot
+functions check it (`errors.check_positive`); the pass checks the other.
+Only `relative_entropy_density` takes rho = 0 and a vacuum reference.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .scaling import ScaledField
 __all__ = [
     "ReferencePair",
     "RefData",
-    "EntropyTotals",
     "relative_entropy_density",
     "total_relative_entropy",
     "error_terms",
@@ -256,17 +255,12 @@ class ReferencePair:
 
 
 @dataclass
-class EntropyTotals:
-    E: float
-    D_alpha: float
-    tail_ok: bool
-
-
-@dataclass
 class _Snapshot:
     """Every diagnostic of one snapshot against a RefData, computed once."""
 
-    totals: EntropyTotals
+    E: float
+    D_alpha: float
+    tail_ok: bool  # edge integrands within TAIL_MONITOR
     R1: np.ndarray
     R2: np.ndarray
     xi1: np.ndarray
@@ -278,60 +272,47 @@ class _Snapshot:
     R_bar: np.ndarray  # u R1 - R2
 
 
-def _check_grid(ref, y):
-    if y is not ref.y and not np.array_equal(ref.y, y):
-        raise DomainError("the field is not on the y-grid of the reference")
-
-
-def _entropy(field, ref, alpha, law):
-    """The relative-entropy half of the pass, on a field whose density is
-    > 0: (du, rho - rho_bar, h_rel, p_rel, eta_rel, EntropyTotals).
-    `total_relative_entropy` reads it alone."""
-    _check_grid(ref, field.y)
-    rho = field.rho
-    du, drho, h_rel, p_rel, eta_rel = _relative_core(
-        field.tau, rho, field.n / rho, ref.rho, ref.u, ref.thermo, law)
-    diss = alpha * rho * du * du
-    dy = field.dy
-    E = float(eta_rel.sum() * dy)
-    D = float(diss.sum() * dy)
-    tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
-    return du, drho, h_rel, p_rel, eta_rel, EntropyTotals(E, D, bool(tail <= TAIL_MONITOR))
-
-
 def _snapshot_pass(ref, alpha, law):
     """The per-snapshot pass against ref, bounded away from 0 (DomainError),
-    at friction alpha: a function of a field on ref.y whose density is > 0,
-    giving `_entropy`, the residual R2 = R2_steady + e^tau (p_y + alpha n)
-    and the xi terms with their midpoint quadratures at tau = field.tau.
-    R2's tau-free forcing p_y + alpha n is computed here, once."""
+    at friction alpha: a function of a field on ref.y (DomainError if not)
+    whose density is > 0, giving the relative entropy E and dissipation
+    D_alpha by midpoint quadrature with their edge monitor, the residual
+    R2 = R2_steady + e^tau (p_y + alpha n) and the xi terms with their
+    quadratures at tau = field.tau.  R2's tau-free forcing p_y + alpha n is
+    computed here, once."""
     if not np.min(ref.rho) > 0:
         raise DomainError("the xi terms require the reference bounded away from vacuum")
     forcing = ref.p_y + alpha * ref.n
 
     def snapshot(field):
-        du, drho, h_rel, p_rel, eta_rel, totals = _entropy(field, ref, alpha, law)
-        tau, rho = field.tau, field.rho
+        if field.y is not ref.y and not np.array_equal(ref.y, field.y):
+            raise DomainError("the field is not on the y-grid of the reference")
+        tau, rho, dy = field.tau, field.rho, field.dy
+        du, drho, h_rel, p_rel, eta_rel = _relative_core(
+            tau, rho, field.n / rho, ref.rho, ref.u, ref.thermo, law)
+        diss = alpha * rho * du * du
+        tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
         R2 = ref.R2_steady + np.exp(tau) * forcing
         exp_m = np.exp(-tau)
         xi1 = ref.neg_u_y * (exp_m * rho * du * du + p_rel)
         R_bar = ref.u_R1 - R2
         xi2 = exp_m * R_bar * (rho / ref.rho) * du
         xi3 = -drho * ref.d2h * ref.R1
-        dy = field.dy
         Xi = tuple(float(v.sum() * dy) for v in (xi1, xi2, xi3))
-        return _Snapshot(totals=totals, R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
-                         Xi=Xi, eta_rel=eta_rel, h_rel=h_rel, R_bar=R_bar)
+        return _Snapshot(E=float(eta_rel.sum() * dy), D_alpha=float(diss.sum() * dy),
+                         tail_ok=bool(tail <= TAIL_MONITOR), R1=ref.R1, R2=R2,
+                         xi1=xi1, xi2=xi2, xi3=xi3, Xi=Xi, eta_rel=eta_rel,
+                         h_rel=h_rel, R_bar=R_bar)
     return snapshot
 
 
 def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
-    dissipation against the RefData `ref` over the field's window; tail_ok
-    flags edge integrands below the truncation monitor.  The field's
-    density must be > 0."""
-    check_positive(field.rho, field.n)
-    return _entropy(field, ref, alpha, law)[-1]
+    dissipation against the RefData `ref` over the field's window, in the
+    snapshot's record: .E, .D_alpha, and .tail_ok, which flags edge
+    integrands below the truncation monitor.  The field's density must be
+    > 0, and the reference's too."""
+    return error_terms(field, ref, field.tau, alpha, law)
 
 
 def error_terms(field, ref, tau, alpha, law):
@@ -405,9 +386,7 @@ def xi_bound_check(tau, y, rho, n, ref, law, alpha):
     """
     rho = np.asarray(rho, dtype=float)
     n = np.asarray(n, dtype=float)
-    snapshot = _snapshot_pass(ref, alpha, law)
-    check_positive(rho, n)
-    snap = snapshot(ScaledField(tau, y, rho, n))
+    snap = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
     coeff = max(2.0, law.gamma - 1.0)
     exp_h = np.exp(-tau / 2.0)
 

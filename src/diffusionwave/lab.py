@@ -1,10 +1,11 @@
 """Experiment harness: configuration, end-to-end runs, envelopes, reports.
 
-One pipeline, config -> simulate -> snapshots -> diagnose -> report:
-`simulate(cfg)` builds the initial data and runs the solver to a RunResult,
-`diagnose(cfg, run_result)` maps each snapshot to scaling variables and
+One pipeline, config -> plan -> simulate -> snapshots -> diagnose -> report:
+`plan(cfg)` builds and checks all that reads no snapshot, before the first
+step; `simulate(plan)` runs the solver to a RunResult,
+`diagnose(plan, run_result)` maps each snapshot to scaling variables and
 measures the relative entropy against the reference in an EntropyReport,
-and `run_experiment(cfg)` chains the two.  Also the theoretical decay
+and `run_experiment(cfg)` chains the three.  Also the theoretical decay
 envelopes, rate fitting, the acceptance rules with their slacks (defined
 here once), and CSV emission and parsing for all artifacts.  The envelope
 and dissipation rules each return one Verdict, which `report` and `verify`
@@ -18,15 +19,15 @@ import ast
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .dynamics import PhysicalState, RunResult, SolverConfig, run
-from .entropy import ReferencePair, _snapshot_pass
+from .entropy import RefData, ReferencePair, _snapshot_pass
 from .errors import ConfigError, DegenerateFitError, DomainError
 from .grids import cell_grid, grid_count, node_grid
-from .profile import LimitSpec, solve_profile
+from .profile import LimitSpec, SimilarityProfile, solve_profile
 from .scaling import to_scaled
 from .thermo import PressureLaw
 
@@ -34,6 +35,8 @@ __all__ = [
     "ExperimentConfig",
     "EntropyReport",
     "parse_config",
+    "Plan",
+    "plan",
     "simulate",
     "diagnose",
     "run_experiment",
@@ -169,6 +172,37 @@ def make_reference(cfg, limits, law, profile):
     return pair.eval(node_grid(cfg.L_y, cfg.dy), law), kind
 
 
+@dataclass(frozen=True)
+class Plan:
+    """Everything of one experiment that reads no snapshot, built by `plan`."""
+
+    cfg: ExperimentConfig
+    law: PressureLaw
+    limits: LimitSpec
+    solver: SolverConfig  # its snapshot times are expm1(taus[1:])
+    taus: np.ndarray  # tau_schedule(cfg)
+    initial: PhysicalState
+    profile: SimilarityProfile | None  # None for coincident limits
+    ref: RefData
+    ref_kind: str  # "constant" or "profile"
+    snapshot: Callable  # the per-snapshot pass, `entropy._snapshot_pass`
+
+
+def plan(cfg):
+    """The Plan of `cfg`; each piece is built, and so checked, here once."""
+    law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
+    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
+    taus = tau_schedule(cfg)
+    solver = SolverConfig(cfl=cfg.cfl, order=cfg.order,
+                          snapshot_times=tuple(np.expm1(taus)[1:]))
+    x = cell_grid(cfg.X, cfg.dx)
+    initial = PhysicalState(x, *build_initial(cfg, x, limits), 0.0)
+    profile = None if limits.same_limits else solve_profile(limits, law, dy=cfg.dy)
+    ref, ref_kind = make_reference(cfg, limits, law, profile)
+    return Plan(cfg, law, limits, solver, taus, initial, profile, ref, ref_kind,
+                _snapshot_pass(ref, cfg.alpha, law))
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -215,32 +249,21 @@ def theoretical_bound(tau, E0, theta, mu, K_const, same_limits):
     return float(out) if out.ndim == 0 else out
 
 
-def simulate(cfg):
-    """Build the initial data and run the solver through the snapshot
-    times expm1(tau_schedule(cfg))."""
-    law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
-    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-    x = cell_grid(cfg.X, cfg.dx)
-    rho0, m0 = build_initial(cfg, x, limits)
-    t_snap = np.expm1(tau_schedule(cfg))
-    scfg = SolverConfig(cfl=cfg.cfl, order=cfg.order,
-                        snapshot_times=tuple(t_snap[1:]))
-    return run(PhysicalState(x, rho0, m0, 0.0), scfg, law, limits, float(t_snap[-1]))
+def simulate(plan):
+    """Run the solver from the plan's initial state through its snapshots."""
+    return run(plan.initial, plan.solver, plan.law, plan.limits,
+               float(plan.solver.snapshot_times[-1]))
 
 
-def diagnose(cfg, run_result, on_scaled=None):
+def diagnose(plan, run_result, on_scaled=None):
     """Transform each snapshot to scaling variables and assemble the
-    relative-entropy report against the reference, which `make_reference`
-    evaluates once per run on the y-grid, before any snapshot.  Each
-    snapshot takes one `to_scaled` and one pass, which `_snapshot_pass`
-    builds once per run; `on_scaled`, if given, is called with the index
-    and the ScaledField of each.
+    relative-entropy report against the plan's reference.  Each snapshot
+    takes one `to_scaled` and one call of the plan's pass; `on_scaled`, if
+    given, is called with the index and the ScaledField of each.
     `meta["tail_ok"]` is true when every snapshot's edge integrands are
     within the truncation monitor `entropy.TAIL_MONITOR`.
     """
-    law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
-    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-    taus = tau_schedule(cfg)
+    cfg, taus, ref = plan.cfg, plan.taus, plan.ref
     t_snap = np.expm1(taus)
     times = np.array([snap.t for snap in run_result.snapshots])
     if times.shape != t_snap.shape or np.any(
@@ -250,28 +273,22 @@ def diagnose(cfg, run_result, on_scaled=None):
             f"({len(times)} snapshots, {len(t_snap)} scheduled)"
         )
 
-    profile = None
-    theta = mu = K_const = 0.0
-    if not limits.same_limits:
-        profile = solve_profile(limits, law, dy=cfg.dy)
-        theta, mu, K_const = profile.theta, profile.mu, profile.K_const
-    ref, ref_kind = make_reference(cfg, limits, law, profile)
-
+    prof = plan.profile
+    theta, mu, K_const = (prof.theta, prof.mu, prof.K_const) if prof else (0.0, 0.0, 0.0)
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
     tail_ok = True
-    snapshot = _snapshot_pass(ref, cfg.alpha, law)
     for j, snap in enumerate(run_result.snapshots):
         fld = to_scaled(snap, ref.y)
         if on_scaled is not None:
             on_scaled(j, fld)
-        diag = snapshot(fld)
-        E[j], D[j], Xi[j] = diag.totals.E, diag.totals.D_alpha, diag.Xi
-        tail_ok &= diag.totals.tail_ok
+        diag = plan.snapshot(fld)
+        E[j], D[j], Xi[j] = diag.E, diag.D_alpha, diag.Xi
+        tail_ok &= diag.tail_ok
 
     E0 = float(E[0])
-    same = limits.same_limits
+    same = plan.limits.same_limits
     if same or theta > 0:
         envelope = theoretical_bound(taus, E0, theta, mu, K_const, same)
     else:
@@ -286,7 +303,7 @@ def diagnose(cfg, run_result, on_scaled=None):
         "gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
         "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
         "dx": cfg.dx, "dy": cfg.dy, "dtau": dtau,
-        "reference": ref_kind, "same_limits": same,
+        "reference": plan.ref_kind, "same_limits": same,
         "theta": theta, "mu": mu, "K_const": K_const,
         "theta_lt_half": bool(same or (0.0 < theta < 0.5)),
         "E0": E0, "ineq_tol": tol, "tail_ok": tail_ok,
@@ -300,8 +317,10 @@ def diagnose(cfg, run_result, on_scaled=None):
 
 
 def run_experiment(cfg):
-    """Simulate, transform to scaling variables, and assemble the report."""
-    return diagnose(cfg, simulate(cfg))
+    """Plan, simulate, transform to scaling variables, and assemble the
+    report."""
+    p = plan(cfg)
+    return diagnose(p, simulate(p))
 
 
 # ---------------------------------------------------------------------------

@@ -28,16 +28,16 @@ class ScaledField:
 
 
 def to_scaled(state, y_grid):
-    """Sample a physical snapshot onto a fixed y-grid in scaling variables;
-    linear interpolation keeps the snapshot's density > 0.  The grid must
-    map into the snapshot's cells [x0 - dx/2, x1 + dx/2] at both ends, up to
-    a relative 1e-12 (DomainError)."""
+    """Sample a physical snapshot onto a fixed, increasing y-grid in scaling
+    variables; linear interpolation keeps the snapshot's density > 0.  The
+    grid's ends y_grid[0] and y_grid[-1] must map into the snapshot's cells
+    [x0 - dx/2, x1 + dx/2], up to a relative 1e-12 (DomainError)."""
     y_grid = np.asarray(y_grid, dtype=float)
     t = state.t
     stretch = np.sqrt(1.0 + t)
     left = float(state.x[0] - state.dx / 2)
     right = float(state.x[-1] + state.dx / 2)
-    lo, hi = y_grid.min() * stretch, y_grid.max() * stretch
+    lo, hi = y_grid[0] * stretch, y_grid[-1] * stretch
     if lo < left - 1e-12 * abs(left) or hi > right + 1e-12 * abs(right):
         raise DomainError(
             f"scaled window [{lo:g}, {hi:g}] exceeds the physical domain "

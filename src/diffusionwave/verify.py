@@ -22,8 +22,7 @@ from .entropy import (
     relative_entropy_density,
     xi_bound_check,
 )
-from .lab import (dissipation_check, envelope_check, make_reference, parse_config,
-                  run_experiment)
+from .lab import dissipation_check, envelope_check, parse_config, plan, run_experiment
 from .profile import LimitSpec, _ode_residual, _spline, solve_profile
 from .thermo import PressureLaw, entropy_generator
 
@@ -56,14 +55,10 @@ def _report(name, **overrides):
 
 
 @lru_cache(maxsize=None)
-def _fixture_profile():
-    """Profile, limits, law and the reference (RefData on the scaled y-grid)
-    of the jump config, as the pipeline's `make_reference` builds it."""
-    cfg = _config("jump")
-    limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-    law = PressureLaw(cfg.k, cfg.gamma)
-    prof = solve_profile(limits, law, dy=cfg.dy)
-    return prof, limits, law, make_reference(cfg, limits, law, prof)[0]
+def _plan(name):
+    """The plan of the shipped config `name`: its profile, limits, law and
+    reference, as the pipeline builds them."""
+    return plan(_config(name))
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +84,8 @@ def check_jump_dissipation(): return _dissipation("jump", "jump-case")
 
 
 def check_profile_suite():
-    prof, limits, law, _ = _fixture_profile()
+    jump = _plan("jump")
+    prof, limits, law = jump.profile, jump.limits, jump.law
     msgs, ok = [], True
 
     # Darcy residual at interior nodes
@@ -221,14 +217,15 @@ def check_inequality_suite():
     ok &= v_F == 0
     msgs.append(f"generator bound violations {v_F}")
 
-    # xi-term pointwise bounds against the fixture profile
-    _, limits, law2, ref = _fixture_profile()
+    # xi-term pointwise bounds against the jump config's reference
+    jump = _plan("jump")
+    ref = jump.ref
     v_xi = 0
     for _ in range(125):
         tau = rng.uniform(0.0, 4.0)
         rho_s = rng.uniform(0.2, 3.0, ref.y.size)
         n_s = rng.uniform(-2.0, 2.0, ref.y.size)
-        v_xi += xi_bound_check(tau, ref.y, rho_s, n_s, ref, law2, limits.alpha)
+        v_xi += xi_bound_check(tau, ref.y, rho_s, n_s, ref, jump.law, jump.limits.alpha)
     ok &= v_xi == 0
     msgs.append(f"xi bound violations {v_xi} over 10^5 nodes")
 

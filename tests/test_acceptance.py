@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diffusionwave import verify
+from diffusionwave import lab, verify
 from diffusionwave.lab import EntropyReport, cell_grid, parse_config
 from diffusionwave.verify import ALL_CHECKS
 
@@ -46,16 +46,17 @@ def test_fine_runs_use_the_shipped_configs(monkeypatch, name, rho_minus,
 
 
 def test_verify_fixtures_follow_the_parsed_configs(monkeypatch):
-    # the profile fixture, its y-grid and the weak-strong window come from
-    # the shipped configs, so an edited config moves them
+    # the jump plan, its profile and y-grid, and the weak-strong window come
+    # from the shipped configs, so an edited config moves them
     shipped = verify.parse_config
     monkeypatch.setattr(verify, "parse_config", lambda path: replace(
         shipped(path), rho_minus=1.2, rho_plus=0.8, alpha=2.0, gamma=1.5,
         k=0.5, L_y=5.0, dy=0.05))
-    solve, spacings = verify.solve_profile, []
-    monkeypatch.setattr(verify, "solve_profile", lambda limits, law, dy: (
+    solve, spacings = lab.solve_profile, []
+    monkeypatch.setattr(lab, "solve_profile", lambda limits, law, dy: (
         spacings.append(dy) or solve(limits, law, dy=dy)))
-    prof, limits, law, ref = verify._fixture_profile.__wrapped__()
+    jump = verify._plan.__wrapped__("jump")
+    prof, limits, law, ref = jump.profile, jump.limits, jump.law, jump.ref
     assert (limits.rho_minus, limits.rho_plus, limits.alpha) == (1.2, 0.8, 2.0)
     assert (law.gamma, law.k, spacings) == (1.5, 0.5, [0.05])
     # the pipeline's reference: that profile on the config's y-grid

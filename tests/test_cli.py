@@ -435,22 +435,40 @@ def test_vacuum_reference_exits_1(tmp_path, capsys):
     assert err.count("\n") == 1 and "far-field densities must be positive" in err, err
 
 
-@pytest.mark.parametrize("limits", [("0", "1.0"), ("1.0", "0"), ("0.0", "-0.0"),
-                                    ("-1.0", "1.0"), ("1.0", "-0.5")])
+_FAR_FIELD = "far-field densities must be positive"
+
+
+# each case: edits of the toy config, and the one line that refuses it
+@pytest.mark.parametrize("limits", [
+    ({"rho_minus": "0", "rho_plus": "1.0"}, _FAR_FIELD),
+    ({"rho_minus": "1.0", "rho_plus": "0"}, _FAR_FIELD),
+    ({"rho_minus": "0.0", "rho_plus": "-0.0"}, _FAR_FIELD),
+    ({"rho_minus": "-1.0", "rho_plus": "1.0"}, _FAR_FIELD),
+    ({"rho_minus": "1.0", "rho_plus": "-0.5"}, _FAR_FIELD),
+    # refused by the plan: a profile it cannot solve, a bump that empties
+    # cells, a cfl above 1/2
+    ({"rho_plus": "0.001"}, "Newton line search stalled"),
+    ({"amplitude": "-2.0"}, "initial density must stay positive"),
+    ({"cfl": "0.7"}, "cfl must lie in (0, 1/2]"),
+])
 def test_far_field_not_positive_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
                                                        limits):
-    # refused with the config: no step is taken and no directory is made
+    # refused before the first step: no step is taken and nothing is written
+    edits, message = limits
     steps = []
     monkeypatch.setattr(dynamics, "_advance", lambda *args, **kwargs: steps.append(args))
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text(FAST_CFG.replace("rho_minus = 1.0", f"rho_minus = {limits[0]}")
-                   .replace("rho_plus = 1.0", f"rho_plus = {limits[1]}"))
-    for command in (["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
-                    ["diagnose", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]):
+    cfg = tmp_path / "bad.cfg"
+    values = {**{key: repr(v) for key, v in _TOY_VALUES.items()}, **edits}
+    cfg.write_text("".join(f"{key} = {v}\n" for key, v in values.items()))
+    out_dir, series = tmp_path / "o", tmp_path / "s.csv"
+    for command in (["simulate", "--config", str(cfg), "--out-dir", str(out_dir)],
+                    ["diagnose", "--config", str(cfg), "--out", str(series)],
+                    ["diagnose", "--config", str(cfg), "--in-dir", str(out_dir),
+                     "--out", str(series)]):
         assert main(command) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "far-field densities must be positive" in err, err
-    assert steps == [] and not (tmp_path / "o").exists()
+        assert err.count("\n") == 1 and message in err, (command, err)
+    assert steps == [] and not out_dir.exists() and not series.exists()
 
 
 def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
@@ -471,6 +489,7 @@ def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "zero density" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 # a valid toy value for every numeric config key: a jump on 160 cells

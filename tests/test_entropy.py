@@ -16,7 +16,7 @@ from diffusionwave.entropy import (
     xi_bound_check,
 )
 from diffusionwave.errors import DomainError, VacuumViolation
-from diffusionwave.lab import ExperimentConfig, make_reference, run_experiment
+from diffusionwave.lab import ExperimentConfig, diagnose, plan, simulate
 from diffusionwave.profile import LimitSpec, solve_profile
 from diffusionwave.scaling import ScaledField, to_scaled
 from diffusionwave.thermo import PressureLaw
@@ -385,11 +385,9 @@ class TestOnePass:
                              ids=["coincident", "jump"])
     def test_diagnose_matches_the_separate_formulas(self, limits):
         cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_TOY)
-        report = run_experiment(cfg)
-        law = PressureLaw(cfg.k, cfg.gamma)
-        lim = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
-        prof = None if lim.same_limits else solve_profile(lim, law, dy=cfg.dy)
-        ref, _ = make_reference(cfg, lim, law, prof)
+        p = plan(cfg)
+        report = diagnose(p, simulate(p))
+        law, ref = p.law, p.ref
         Xi = np.column_stack([report.Xi1, report.Xi2, report.Xi3])
         for j, snap in enumerate(report.run_result.snapshots):
             fld = to_scaled(snap, ref.y)
@@ -397,7 +395,7 @@ class TestOnePass:
             assert (report.E[j], report.D_alpha[j], tuple(Xi[j])) == (E, D, xi), j
         # nothing trivial: the xi terms vanish against the constant state only
         assert np.all(report.E > 0) and np.any(report.D_alpha > 0)
-        assert np.any(Xi != 0) != lim.same_limits
+        assert np.any(Xi != 0) != p.limits.same_limits
 
     def test_public_entry_points_match_the_separate_formulas(self, jump_profile):
         # a random positive field, near vacuum on some nodes

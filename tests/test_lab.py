@@ -15,11 +15,10 @@ from diffusionwave.lab import (
     dissipation_check,
     emit_report,
     fit_decay_rate,
-    make_reference,
     parse_config,
     parse_report,
+    plan,
     read_csv,
-    run_experiment,
     simulate,
     theoretical_bound,
     write_csv,
@@ -189,7 +188,7 @@ class TestDiagnose:
         cfgs = [ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
                                  **{**_SMALL, "tau_step": step})
                 for step in (0.125, 0.0625)]
-        runs = [simulate(cfg) for cfg in cfgs]
+        runs = [simulate(plan(cfg)) for cfg in cfgs]
         calls = []
         for cls, name in ((ReferencePair, "eval"), (PressureLaw, "potential")):
             def counted(self, *args, _original=getattr(cls, name), _name=name):
@@ -199,16 +198,15 @@ class TestDiagnose:
         counts = []
         for cfg, run_result in zip(cfgs, runs):
             calls.clear()
-            diagnose(cfg, run_result)
+            diagnose(plan(cfg), run_result)
             counts.append((calls.count("eval"), calls.count("potential")))
         assert [n_eval for n_eval, _ in counts] == [1, 1]
         assert counts[1][1] == counts[0][1]
 
     def test_one_scaling_and_one_pass_per_snapshot(self, monkeypatch):
         # to_scaled, the diagnostics pass and the Bregman terms run once
-        # per snapshot each, and the pass is built once per run
+        # per snapshot each, and the plan builds the pass once per run
         cfg = ExperimentConfig(rho_minus=1.05, rho_plus=0.95, **_SMALL)
-        run_result = simulate(cfg)
         calls = []
 
         def counted(name, original):
@@ -221,14 +219,16 @@ class TestDiagnose:
             calls.append("build")
             return counted("pass", _original(*args))
 
-        monkeypatch.setattr(lab_module, "to_scaled", counted("to_scaled", to_scaled))
         monkeypatch.setattr(lab_module, "_snapshot_pass", build)
+        p = plan(cfg)
+        run_result = simulate(p)
+        monkeypatch.setattr(lab_module, "to_scaled", counted("to_scaled", to_scaled))
 
         def relative(self, *args, _original=PressureLaw._relative):
             calls.append("_relative")
             return _original(self, *args)
         monkeypatch.setattr(PressureLaw, "_relative", relative)
-        diagnose(cfg, run_result)
+        diagnose(p, run_result)
         count = len(run_result.snapshots)
         assert count == 5
         assert [calls.count(name) for name in ("build", "to_scaled", "pass", "_relative")] \
@@ -240,11 +240,10 @@ class TestDiagnose:
         # the header line reads back as a bool
         cfg = ExperimentConfig(rho_minus=1.0, rho_plus=1.0,
                                **{**_SMALL, "width": width})
-        report = run_experiment(cfg)
-        law = PressureLaw(cfg.k, cfg.gamma)
-        ref, _ = make_reference(cfg, LimitSpec(1.0, 1.0, cfg.alpha), law, None)
-        per_snapshot = [total_relative_entropy(to_scaled(snap, ref.y), ref,
-                                               cfg.alpha, law).tail_ok
+        p = plan(cfg)
+        report = diagnose(p, simulate(p))
+        per_snapshot = [total_relative_entropy(to_scaled(snap, p.ref.y), p.ref,
+                                               cfg.alpha, p.law).tail_ok
                         for snap in report.run_result.snapshots]
         assert report.meta["tail_ok"] is all(per_snapshot) is expected
         assert any(per_snapshot)  # at width 1.0 some snapshots pass, the run does not
