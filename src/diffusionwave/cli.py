@@ -47,7 +47,8 @@ EXIT_VIOLATION = 3
 def _cmd_profile(args):
     prof = solve_profile(LimitSpec(args.rho_minus, args.rho_plus, args.alpha),
                          PressureLaw(k=args.k, gamma=args.gamma), L=args.L, dy=args.dy)
-    # the grid solved on: node_grid keeps L and rounds the count, not --dy
+    # the grid solved on: the default L is a whole number of --dy, so its
+    # spacing is --dy to rounding; a given --L keeps L and rounds the count
     write_csv(
         args.out,
         {"theta": prof.theta, "mu": prof.mu, "K": prof.K_const,

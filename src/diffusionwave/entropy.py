@@ -5,34 +5,34 @@ residuals of a reference pair against the scaled system, the xi error terms
 with their pointwise bounds, and the coercivity constants.
 
 References are functions of y alone: the constant state and the similarity
-profile, which is a stationary solution in scaling variables.  So on a fixed
-y-grid a reference is one read-only table, a `RefData`, with u, u_y, the
-thermodynamics of rho_bar and the tau-free parts of its residuals: R1, the
-steady part of R2, u R1 and -u_y.  At scaling time tau the residual R2 is
-that steady part plus e^tau (p(rho_bar)_y + alpha n_bar).
+profile, which is a stationary solution in scaling variables.  A
+`ReferencePair` holds one as node values, on a y-grid and one node beyond
+each end, and `eval` turns it into one read-only table, a `RefData`, with
+u, u_y, the thermodynamics of rho_bar and the tau-free parts of its
+residuals: R1, the steady part of R2, u R1 and -u_y.  At scaling time tau
+the residual R2 is that steady part plus e^tau (p(rho_bar)_y + alpha n).
 
 One core, `_relative_core`, computes du, rho - rho_bar, h_rel, p_rel and
 eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
-`_snapshot_pass` checks a reference once and returns the pass, which
-computes every diagnostic of a snapshot once into one flat record: the
-core, the dissipation, E, D_alpha and the edge monitor, then R2 and the xi
-terms with their integrals.  `lab.plan` builds it once per experiment;
+`_snapshot_pass` returns the pass against a RefData, which computes every
+diagnostic of a snapshot once into one flat record: the core, the
+dissipation, E, D_alpha and the edge monitor, then R2 and the xi terms
+with their integrals.  `lab.plan` builds it once per experiment;
 `total_relative_entropy` and `error_terms` return its record, and
 `xi_bound_check` reads it.  The pass divides by the field's density and the
 reference's directly: the solver keeps the one > 0, and the snapshot
-functions check it (`errors.check_positive`); the pass checks the other.
-Only `relative_entropy_density` takes rho = 0 and a vacuum reference.
+functions check it (`errors.check_positive`); `ReferencePair.eval` checks
+the other.  Every reference density is > 0; only the field of
+`relative_entropy_density` may touch rho = 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, VacuumViolation, check_positive
-from .profile import _spline
 from .scaling import ScaledField
 
 __all__ = [
@@ -93,21 +93,17 @@ def _relative_core(tau, rho, u, rho_bar, u_bar, reference, law):
 
 
 def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
-    """Relative entropy density of (rho, n) against (rho_bar, n_bar),
+    """Relative entropy density of (rho, n), rho >= 0, against (rho_bar,
+    n_bar), rho_bar > 0 as in `ReferencePair.eval` (DomainError otherwise):
     eta_rel = (1/2) e^-tau rho |n/rho - n_bar/rho_bar|^2 + h(rho | rho_bar).
-    A vacuum reference requires a vacuum-admissible law (then h'(0) is
-    finite and the velocity ratio is zero).
     """
     rho = np.asarray(rho, dtype=float)
     rho_bar = np.asarray(rho_bar, dtype=float)
-    n_bar = np.asarray(n_bar, dtype=float)
     if np.any(rho < 0):
         raise DomainError("densities must be nonnegative")
-    if np.any(rho_bar == 0):
-        ok, _ = law.vacuum_admissible()
-        if not ok or np.any((rho_bar == 0) & (n_bar != 0)):
-            raise DomainError("vacuum reference needs gamma > 1 and n_bar = 0")
-    eta_rel = _relative_core(tau, rho, _ratio(n, rho), rho_bar, _ratio(n_bar, rho_bar),
+    if not np.all(rho_bar > 0):
+        raise DomainError("the reference density must be positive")
+    eta_rel = _relative_core(tau, rho, _ratio(n, rho), rho_bar, n_bar / rho_bar,
                              law._reference(rho_bar), law)[-1]
     return float(eta_rel) if eta_rel.ndim == 0 else eta_rel
 
@@ -163,91 +159,41 @@ class RefData:
 
 @dataclass(frozen=True)
 class ReferencePair:
-    """Steady reference (rho_bar, n_bar) as callables of y; `eval` tabulates
-    it on a grid, with derivatives by centered differences."""
+    """A steady reference (rho_bar, n_bar) as node values: `rho` and `n`
+    hold y.size + 2 values, at the nodes of the y-grid `y` and at one node
+    beyond each end, spaced as y."""
 
-    rho: Callable
-    n: Callable
+    y: np.ndarray
+    rho: np.ndarray
+    n: np.ndarray
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def constant(cls, rho_bar):
-        if rho_bar < 0:
-            raise DomainError("reference density must be nonnegative")
-        return cls(rho=lambda y: np.full_like(np.asarray(y, dtype=float), rho_bar),
-                   n=lambda y: np.zeros_like(np.asarray(y, dtype=float)))
-
-    @classmethod
-    def from_profile(cls, profile, limits):
-        """Similarity profile as a reference pair: not-a-knot cubic splines
-        (`profile._spline`) of rho* and n* on its nodes, (rho_-+, 0) beyond."""
-        rho_sp = _spline(profile.y, profile.rho_star)
-        n_sp = _spline(profile.y, profile.n_star)
-        lo, hi = profile.y[0], profile.y[-1]
-
-        def rho(y):
-            yv = np.asarray(y, dtype=float)
-            out = rho_sp(np.clip(yv, lo, hi))
-            out = np.where(yv < lo, limits.rho_minus, out)
-            return np.where(yv > hi, limits.rho_plus, out)
-
-        def n(y):
-            yv = np.asarray(y, dtype=float)
-            out = n_sp(np.clip(yv, lo, hi))
-            return np.where((yv < lo) | (yv > hi), 0.0, out)
-
-        return cls(rho=rho, n=n)
-
-    # -- evaluation ---------------------------------------------------------
-
-    def eval(self, y, law):
-        """Evaluate values, first derivatives and the steady residual terms
-        on a grid.
+    def eval(self, law):
+        """The RefData on y: values, first derivatives and the steady
+        residual terms; DomainError unless every rho_bar > 0.
 
         The derivatives of rho_bar, n_bar and p(rho_bar) are centered
-        differences with step h, the grid spacing, so discrete Darcy
-        closures cancel exactly; (n^2/rho)_y = 2 u n_y - u^2 rho_y.
+        differences of the neighbour nodes with h, the grid spacing, so
+        discrete Darcy closures cancel exactly; (n^2/rho)_y = 2 u n_y - u^2 rho_y.
         """
-        y = np.asarray(y, dtype=float)
-        h = float(y[1] - y[0]) if y.size > 1 else 1e-4
-
-        rho = np.asarray(self.rho(y), dtype=float)
-        n = np.asarray(self.n(y), dtype=float)
-        if np.any(rho < 0):
-            raise DomainError("reference density must be nonnegative")
-
-        rho_plus, rho_minus = (np.asarray(self.rho(y + s), float) for s in (h, -h))
-        n_plus, n_minus = (np.asarray(self.n(y + s), float) for s in (h, -h))
-        p_plus, _ = law.pressure(rho_plus)
-        p_minus, _ = law.pressure(rho_minus)
-        p_y = (np.asarray(p_plus) - p_minus) / (2 * h)
-        rho_y = (rho_plus - rho_minus) / (2 * h)
-        n_y = (n_plus - n_minus) / (2 * h)
+        y = np.asarray(self.y, dtype=float)
+        rho_nodes = np.asarray(self.rho, dtype=float)
+        n_nodes = np.asarray(self.n, dtype=float)
+        if not np.min(rho_nodes) > 0:
+            raise DomainError("the reference density must be positive")
+        span = 2 * float(y[1] - y[0])
+        centred = lambda v: (v[2:] - v[:-2]) / span
+        rho, n = rho_nodes[1:-1], n_nodes[1:-1]
+        rho_y, n_y = centred(rho_nodes), centred(n_nodes)
+        p_y = centred(law.pressure(rho_nodes)[0])
         h, dh, p, dp = law._reference(rho)
-        u = _ratio(n, rho)
-        u_y = _ratio(n_y * rho - n * rho_y, rho**2)
+        u = n / rho
+        u_y = (n_y * rho - n * rho_y) / rho**2
         R1 = -0.5 * y * rho_y + n_y
         nsq_y = 2.0 * u * n_y - u * u * rho_y
-        return RefData(
-            y=y,
-            rho=rho,
-            n=n,
-            rho_y=rho_y,
-            n_y=n_y,
-            p_y=p_y,
-            u=u,
-            u_y=u_y,
-            h=h,
-            dh=dh,
-            d2h=law.potential(rho)[2],
-            p=p,
-            dp=dp,
-            R1=R1,
-            R2_steady=-0.5 * y * n_y - 0.5 * n + nsq_y,
-            u_R1=u * R1,
-            neg_u_y=-u_y,
-        )
+        return RefData(y=y, rho=rho, n=n, rho_y=rho_y, n_y=n_y, p_y=p_y, u=u, u_y=u_y,
+                       h=h, dh=dh, d2h=law.potential(rho)[2], p=p, dp=dp, R1=R1,
+                       R2_steady=-0.5 * y * n_y - 0.5 * n + nsq_y, u_R1=u * R1,
+                       neg_u_y=-u_y)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +219,13 @@ class _Snapshot:
 
 
 def _snapshot_pass(ref, alpha, law):
-    """The per-snapshot pass against ref, bounded away from 0 (DomainError),
-    at friction alpha: a function of a field on ref.y (DomainError if not)
-    whose density is > 0, giving the relative entropy E and dissipation
-    D_alpha by midpoint quadrature with their edge monitor, the residual
-    R2 = R2_steady + e^tau (p_y + alpha n) and the xi terms with their
-    quadratures at tau = field.tau.  R2's tau-free forcing p_y + alpha n is
-    computed here, once."""
-    if not np.min(ref.rho) > 0:
-        raise DomainError("the xi terms require the reference bounded away from vacuum")
+    """The per-snapshot pass against the RefData ref at friction alpha: a
+    function of a field on ref.y (DomainError if not) whose density is > 0,
+    giving the relative entropy E and dissipation D_alpha by midpoint
+    quadrature with their edge monitor, the residual R2 = R2_steady +
+    e^tau (p_y + alpha n) and the xi terms with their quadratures at
+    tau = field.tau.  R2's tau-free forcing p_y + alpha n is computed here,
+    once."""
     forcing = ref.p_y + alpha * ref.n
 
     def snapshot(field):

@@ -2,7 +2,8 @@
 
 Every cell, node or snapshot count in the package comes from `grid_count`:
 an extent over a spacing, rounded, and refused with a `ConfigError` before
-anything is allocated when the ratio is not finite or exceeds `MAX_COUNT`.
+anything is allocated when the ratio is not finite or exceeds `MAX_COUNT`;
+`cover_count` rounds the same ratio up.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["MAX_COUNT", "grid_count", "cell_grid", "node_grid"]
+__all__ = ["MAX_COUNT", "grid_count", "cover_count", "cell_grid", "node_grid"]
 
 # most cells, y-nodes or snapshots a grid may have: ~170x the acceptance
 # grids, and small enough that nothing huge is allocated before a run fails
@@ -26,6 +27,13 @@ def grid_count(extent, spacing):
             f"{extent!r}/{spacing!r} asks for {ratio:.3g} cells, nodes or "
             f"snapshots; at most {MAX_COUNT} are allowed")
     return int(round(ratio))
+
+
+def cover_count(extent, spacing):
+    """The fewest whole spacings that reach `extent`, forgiving a ratio that
+    exceeds a whole number by rounding (1e-9); refused as by `grid_count`."""
+    n = grid_count(extent, spacing)
+    return n if n >= extent / spacing - 1e-9 else n + 1
 
 
 def cell_grid(halfwidth, spacing):

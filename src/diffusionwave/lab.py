@@ -26,8 +26,8 @@ import numpy as np
 from .dynamics import PhysicalState, RunResult, SolverConfig, run
 from .entropy import RefData, ReferencePair, _snapshot_pass
 from .errors import ConfigError, DegenerateFitError, DomainError
-from .grids import cell_grid, grid_count, node_grid
-from .profile import LimitSpec, SimilarityProfile, solve_profile
+from .grids import cell_grid, cover_count, grid_count, node_grid
+from .profile import LimitSpec, SimilarityProfile, default_halfwidth, solve_profile
 from .scaling import to_scaled
 from .thermo import PressureLaw
 
@@ -164,12 +164,22 @@ def build_initial(cfg, x, limits, profile=None):
 def make_reference(cfg, limits, law, profile):
     """(RefData, kind): the reference evaluated once on the y-grid of `cfg`,
     the constant state for coincident limits, else the similarity profile,
-    which lies between the far-field densities, > 0 by the config."""
+    read off its nodes at the y-grid and one node beyond each end.  Those
+    must be nodes of `profile` (to 1e-9 of the spacing), or DomainError."""
+    y = node_grid(cfg.L_y, cfg.dy)
     if limits.same_limits:
-        pair, kind = ReferencePair.constant(limits.rho_plus), "constant"
-    else:
-        pair, kind = ReferencePair.from_profile(profile, limits), "profile"
-    return pair.eval(node_grid(cfg.L_y, cfg.dy), law), kind
+        rho, n = np.full(y.size + 2, limits.rho_plus), np.zeros(y.size + 2)
+        return ReferencePair(y, rho, n).eval(law), "constant"
+    h = y[1] - y[0]
+    lo = grid_count(y[0] - h - profile.y[0], profile.dy)  # the left neighbour
+    run = slice(lo, lo + y.size + 2)
+    if not (0 <= lo and run.stop <= profile.y.size
+            and np.allclose(profile.y[run][1:-1], y, rtol=0, atol=1e-9 * h)):
+        raise DomainError(
+            f"the y-grid on [-{cfg.L_y:g}, {cfg.L_y:g}] at spacing {h:.6g} and its "
+            f"two neighbours are not nodes of the profile on "
+            f"[{profile.y[0]:g}, {profile.y[-1]:g}] at spacing {profile.dy:.6g}")
+    return ReferencePair(y, profile.rho_star[run], profile.n_star[run]).eval(law), "profile"
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,14 @@ def plan(cfg):
                           snapshot_times=tuple(np.expm1(taus)[1:]))
     x = cell_grid(cfg.X, cfg.dx)
     initial = PhysicalState(x, *build_initial(cfg, x, limits), 0.0)
-    profile = None if limits.same_limits else solve_profile(limits, law, dy=cfg.dy)
+    profile = None
+    if not limits.same_limits:
+        # one lattice: the profile's nodes, at the y-grid's spacing h, run a
+        # whole number of h, at least one, beyond each end of the y-grid, so
+        # that make_reference reads the reference off them
+        h = 2.0 * cfg.L_y / grid_count(2.0 * cfg.L_y, cfg.dy)
+        beyond = max(1, cover_count(default_halfwidth(limits, law) - cfg.L_y, h))
+        profile = solve_profile(limits, law, L=cfg.L_y + beyond * h, dy=h)
     ref, ref_kind = make_reference(cfg, limits, law, profile)
     return Plan(cfg, law, limits, solver, taus, initial, profile, ref, ref_kind,
                 _snapshot_pass(ref, cfg.alpha, law))

@@ -7,8 +7,10 @@ truncated interval with a damped Newton iteration on a second-order
 finite-difference discretization, and carries the flatness constants
 (theta, mu, K) that control the entropy decay envelope.
 
-The Newton steps and the spline between nodes (`_spline`) solve their
-tridiagonal systems by cyclic reduction (`_tridiag`), in numpy alone.
+Each Newton step solves its tridiagonal Jacobian by cyclic reduction
+(`_tridiag`), in numpy alone.  The profile is its node values and nothing
+between them: a reference on a y-grid is read off the nodes
+(`lab.make_reference`), so the grid must be a run of them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SolverFailure
-from .grids import node_grid
+from .grids import cover_count, node_grid
 
 __all__ = [
     "LimitSpec",
@@ -130,47 +132,6 @@ def _tridiag(a, b, c, d):
     return x
 
 
-def _spline(x, v):
-    """Not-a-knot cubic spline through (x, v), x increasing, as a callable
-    that extrapolates with its end pieces.
-
-    The recipe of scipy's CubicSpline (de Boor, A Practical Guide to
-    Splines, 1978): the slopes s at the knots solve a tridiagonal system,
-    each interval gets the cubic Hermite coefficients of its end values and
-    slopes, and evaluation finds the interval by `searchsorted` and runs
-    Horner's rule.
-    """
-    h = np.diff(x)
-    m = np.diff(v) / h
-    # end rows (off-diagonal, diagonal, right side): not-a-knot, a continuous
-    # third derivative at x[1] and x[-2]; below four knots, s[0] + k s[1] =
-    # (1 + k) m[0] and its mirror give the line (k = 0), the parabola (k = 1)
-    if len(x) < 4:
-        k = len(x) - 2.0
-        first, last = (k, 1.0, (1 + k) * m[0]), (k, 1.0, (1 + k) * m[-1])
-    else:
-        w0, w1 = x[2] - x[0], x[-1] - x[-3]
-        first = w0, h[1], ((h[0] + 2 * w0) * h[1] * m[0] + h[0] ** 2 * m[1]) / w0
-        last = w1, h[-2], (h[-1] ** 2 * m[-2] + (2 * w1 + h[-1]) * h[-2] * m[-1]) / w1
-    s = _tridiag(np.concatenate(([0.0], h[1:], [last[0]])),
-                 np.concatenate(([first[1]], 2 * (h[:-1] + h[1:]), [last[1]])),
-                 np.concatenate(([first[0]], h[:-1], [0.0])),
-                 np.concatenate(([first[2]], 3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
-                                 [last[2]])))
-    t = (s[:-1] + s[1:] - 2 * m) / h
-    # one row per coefficient, and the left knot, for one gather per call
-    table = np.stack([t / h, (m - s[:-1]) / h - t, s[:-1], v[:-1], x[:-1]])
-    inner = x[1:-1]
-
-    def spline(y):
-        i = np.searchsorted(inner, y, side="right")
-        c3, c2, c1, c0, left = table.take(i, axis=1)
-        z = y - left
-        return ((c3 * z + c2) * z + c1) * z + c0
-
-    return spline
-
-
 def _ode_residual(rho, y, dy, law, alpha):
     """Second-order FD residual of (1/alpha) p(rho)_yy + (y/2) rho_y."""
     p, _ = law.pressure(rho)
@@ -181,7 +142,9 @@ def _ode_residual(rho, y, dy, law, alpha):
 # non-finite numbers, which are a SolverFailure, not a warning
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
-    """Solve the profile boundary-value problem on [-L, L].
+    """Solve the profile boundary-value problem on [-L, L]; L defaults to
+    `default_halfwidth` rounded up to a whole number of dy, so that the
+    nodes are dy apart (a given L keeps its value and rounds the count).
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
     tolerance `NEWTON_TOL` in max norm, or, once the line search stalls, the
@@ -194,6 +157,8 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     """
     if L is None:
         L = default_halfwidth(limits, law, tail_tol)
+        if 0 < dy < L:
+            L = dy * cover_count(L, dy)
     if not 0 < dy < L < math.inf:
         raise DomainError(
             f"the profile grid needs 0 < dy < L < inf, got dy={dy!r}, L={L!r}")

@@ -53,8 +53,8 @@ def test_verify_fixtures_follow_the_parsed_configs(monkeypatch):
         shipped(path), rho_minus=1.2, rho_plus=0.8, alpha=2.0, gamma=1.5,
         k=0.5, L_y=5.0, dy=0.05))
     solve, spacings = lab.solve_profile, []
-    monkeypatch.setattr(lab, "solve_profile", lambda limits, law, dy: (
-        spacings.append(dy) or solve(limits, law, dy=dy)))
+    monkeypatch.setattr(lab, "solve_profile", lambda limits, law, L, dy: (
+        spacings.append(dy) or solve(limits, law, L=L, dy=dy)))
     jump = verify._plan.__wrapped__("jump")
     prof, limits, law, ref = jump.profile, jump.limits, jump.law, jump.ref
     assert (limits.rho_minus, limits.rho_plus, limits.alpha) == (1.2, 0.8, 2.0)

@@ -19,9 +19,11 @@ import diffusionwave
 from diffusionwave import dynamics, scaling, verify
 from diffusionwave.cli import main
 from diffusionwave.dynamics import _AUDIT, PhysicalState
-from diffusionwave.errors import ConfigError
-from diffusionwave.lab import (EntropyReport, ExperimentConfig, emit_report, parse_report,
-                               read_csv, theoretical_bound, write_csv)
+from diffusionwave.errors import ConfigError, DomainError
+from diffusionwave.lab import (EntropyReport, ExperimentConfig, emit_report, make_reference,
+                               parse_config, parse_report, plan, read_csv,
+                               theoretical_bound, write_csv)
+from diffusionwave.profile import default_halfwidth, solve_profile
 
 FAST_CFG = """\
 rho_minus = 1.0
@@ -62,17 +64,38 @@ def test_profile_command(tmp_path, capsys):
 
 
 def test_profile_header_reads_the_grid_solved_on(tmp_path):
-    # at alpha = 2 the half-width is 20/sqrt(2) = 14.142..., which --dy 0.05
-    # does not divide: node_grid keeps L and rounds the node count to 566
+    # at alpha = 2 the default half-width is 20/sqrt(2) = 14.142..., which
+    # rounds up to 283 steps of --dy 0.05: the profile is solved on --dy
     out = tmp_path / "prof.csv"
     assert main(["profile", "--rho-minus", "1.05", "--rho-plus", "0.95", "--alpha", "2",
                  "--dy", "0.05", "--out", str(out)]) == 0
     comments, cols = read_csv(out)
     y = cols["y"]
-    assert comments["L"] == y[-1] == -y[0] == 20.0 / np.sqrt(2.0)
-    assert comments["dy"] == y[1] - y[0] == pytest.approx(2.0 * comments["L"] / 566,
-                                                         rel=1e-12)
-    assert 0.04997 < comments["dy"] < 0.04998
+    assert comments["L"] == y[-1] == -y[0] == 283 * 0.05
+    assert comments["dy"] == y[1] - y[0] == pytest.approx(0.05, rel=1e-12)
+
+
+WIDE_CFG = (JUMP_CFG.replace("alpha = 1.0", "alpha = 100.0").replace("X = 8.0", "X = 30.0")
+            .replace("L_y = 4.0", "L_y = 9.0").replace("dy = 0.1", "dy = 0.05"))
+
+
+def test_window_wider_than_the_default_profile(tmp_path, capsys):
+    # at alpha = 100 the profile's default half-width, 8, is short of
+    # L_y + dy = 9.05: the plan solves the profile wider, at the y-grid's
+    # spacing, so that the reference is read off its nodes
+    path = tmp_path / "wide.cfg"
+    path.write_text(WIDE_CFG)
+    cfg = parse_config(path)
+    p = plan(cfg)
+    assert default_halfwidth(p.limits, p.law) == 8.0
+    assert (p.profile.y[-1], p.profile.dy) == (pytest.approx(9.05), pytest.approx(0.05))
+    assert main(["diagnose", "--config", str(path), "--out", str(tmp_path / "s.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    # a profile at another dy, or one that ends inside L_y + dy, is refused
+    for L, dy in ((12.0, 0.025), (12.0, 0.06), (None, 0.05)):
+        prof = solve_profile(p.limits, p.law, L=L, dy=dy)
+        with pytest.raises(DomainError, match="not nodes of the profile"):
+            make_reference(cfg, p.limits, p.law, prof)
 
 
 def test_profile_bad_input_exits_1(tmp_path, capsys):

@@ -1,7 +1,5 @@
 """Relative entropy densities, residuals, identities, bounds."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -41,11 +39,31 @@ class TestDensity:
         )
         assert np.all(eta >= -1e-14)
 
-    def test_vacuum_reference_needs_admissible_law(self):
-        eta = relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, LAW)
-        assert eta == pytest.approx(1.0)  # h(1|0) = h(1) for gamma = 2
-        with pytest.raises(DomainError):
-            relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, PressureLaw(1.0, 1.0))
+
+def _nodes(y):
+    """The nodes of the grid y and one node beyond each end."""
+    h = y[1] - y[0]
+    return np.concatenate(([y[0] - h], y, [y[-1] + h]))
+
+
+def _pair(y, rho, n):
+    """The pair of the functions rho and n of y, at `_nodes(y)`."""
+    return ReferencePair(y, rho(_nodes(y)), n(_nodes(y)))
+
+
+def _constant(y, rho_bar):
+    """The constant state rho_bar at rest, on the grid y."""
+    return ReferencePair(y, np.full(y.size + 2, rho_bar), np.zeros(y.size + 2))
+
+
+def _profile_pair(prof, y):
+    """The profile's node values on the grid y, whose nodes, and one node
+    beyond each end, are profile nodes a whole number of prof.dy apart."""
+    step = round((y[1] - y[0]) / prof.dy)
+    lo = round((y[0] - prof.y[0]) / prof.dy) - step
+    run = slice(lo, lo + step * (y.size + 1) + 1, step)
+    assert lo >= 0 and np.allclose(prof.y[run], _nodes(y), rtol=0, atol=1e-9)
+    return ReferencePair(y, prof.rho_star[run], prof.n_star[run])
 
 
 class TestTotals:
@@ -54,7 +72,7 @@ class TestTotals:
 
     def test_field_equals_reference(self):
         y = np.linspace(-2, 2, 101)
-        ref = ReferencePair.constant(1.0).eval(y, LAW)
+        ref = _constant(y, 1.0).eval(LAW)
         field = self._grid_field(0.0, y, np.ones_like(y), np.zeros_like(y))
         totals = total_relative_entropy(field, ref, 1.0, LAW)
         assert totals.E == 0.0 and totals.D_alpha == 0.0
@@ -65,7 +83,7 @@ class TestTotals:
         y = np.arange(-200, 201) * dy
         n = np.where((y >= 0) & (y < 1.0), 1.0, 0.0)
         field = self._grid_field(0.0, y, np.ones_like(y), n)
-        ref = ReferencePair.constant(1.0).eval(y, LAW)
+        ref = _constant(y, 1.0).eval(LAW)
         totals = total_relative_entropy(field, ref, 2.0, LAW)
         assert totals.E == pytest.approx(0.5, rel=1e-12)
         assert totals.D_alpha == pytest.approx(2.0, rel=1e-12)
@@ -73,7 +91,7 @@ class TestTotals:
     def test_additivity_under_support_doubling(self):
         dy = 0.01
         y = np.arange(-300, 301) * dy
-        ref = ReferencePair.constant(1.0).eval(y, LAW)
+        ref = _constant(y, 1.0).eval(LAW)
         out = []
         for width in (1.0, 2.0):
             n = np.where((y >= 0) & (y < width), 1.0, 0.0)
@@ -84,7 +102,7 @@ class TestTotals:
 
     def test_tail_monitor(self):
         y = np.linspace(-2, 2, 101)
-        ref = ReferencePair.constant(1.0).eval(y, LAW)
+        ref = _constant(y, 1.0).eval(LAW)
         field = self._grid_field(0.0, y, np.full_like(y, 1.1), np.zeros_like(y))
         assert not total_relative_entropy(field, ref, 1.0, LAW).tail_ok
 
@@ -114,8 +132,7 @@ class TestExchangeIdentity:
 
 @pytest.fixture(scope="module")
 def jump_profile():
-    limits = LimitSpec(1.05, 0.95, 1.0)
-    return solve_profile(limits, LAW, dy=0.02), limits
+    return solve_profile(LimitSpec(1.05, 0.95, 1.0), LAW, dy=0.02)
 
 
 class TestErrorTerms:
@@ -124,7 +141,7 @@ class TestErrorTerms:
         rng = np.random.default_rng(14)
         field = ScaledField(0.5, y, rng.uniform(0.5, 2, y.size),
                             rng.uniform(-1, 1, y.size))
-        ref = ReferencePair.constant(1.3).eval(y, LAW)
+        ref = _constant(y, 1.3).eval(LAW)
         terms = error_terms(field, ref, 0.5, 1.0, LAW)
         for arr in (terms.R1, terms.R2, terms.xi1, terms.xi2, terms.xi3):
             assert np.all(arr == 0.0)
@@ -134,9 +151,9 @@ class TestErrorTerms:
         # R1 vanishes up to the difference of the two discrete derivative
         # stencils; the exponentially weighted bracket in R2 cancels exactly,
         # leaving the profile residual field
-        prof, limits = jump_profile
+        prof = jump_profile
         y = np.linspace(-8.0, 8.0, 801)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        ref = _profile_pair(prof, y).eval(LAW)
         rng = np.random.default_rng(15)
         field = ScaledField(3.0, y, rng.uniform(0.9, 1.1, y.size),
                             rng.uniform(-0.1, 0.1, y.size))
@@ -159,11 +176,11 @@ class TestErrorTerms:
                             rng.uniform(-1, 1, y.size))
 
         # a smooth step at rest: only the transport and pressure terms remain
-        step = lambda y: 1.0 - 0.05 * np.tanh(y)
-        data = ReferencePair(rho=step, n=np.zeros_like).eval(y, LAW)
+        step = _pair(y, lambda y: 1.0 - 0.05 * np.tanh(y), np.zeros_like)
+        data = step.eval(LAW)
         terms = error_terms(field, data, tau, alpha, LAW)
         h = y[1] - y[0]
-        assert np.array_equal(data.rho_y, (step(y + h) - step(y - h)) / (2 * h))
+        assert np.array_equal(data.rho_y, (step.rho[2:] - step.rho[:-2]) / (2 * h))
         assert np.all(data.n_y == 0.0) and np.any(data.rho_y != 0)
         assert np.array_equal(terms.R1, -0.5 * y * data.rho_y)
         assert np.array_equal(terms.R2, np.exp(tau) * data.p_y)
@@ -171,8 +188,8 @@ class TestErrorTerms:
         # constant density with constant momentum n0: R1 = 0 and
         # R2 = (alpha e^tau - 1/2) n0, derivatives by centered differences
         rho0, n0 = 1.3, 0.5
-        ref = ReferencePair(rho=lambda y: np.full_like(y, rho0),
-                            n=lambda y: np.full_like(y, n0)).eval(y, LAW)
+        ref = _pair(y, lambda y: np.full_like(y, rho0),
+                    lambda y: np.full_like(y, n0)).eval(LAW)
         terms = error_terms(field, ref, tau, alpha, LAW)
         assert np.all(terms.R1 == 0.0)
         expected = (alpha * np.exp(tau) - 0.5) * n0
@@ -207,17 +224,22 @@ class TestEntropyIdentity:
                for h in (0.1, 0.05)]
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.2)
 
-    def test_profile_pair_not_a_solution(self, jump_profile):
-        # inserting the steady profile leaves a nonzero, h-stable residual
-        prof, limits = jump_profile
-        ref = ReferencePair.from_profile(prof, limits)
+    def test_profile_pair_not_a_solution(self):
+        # inserting the steady profile leaves a nonzero, h-stable residual;
+        # at dy = 0.01, 0.5 -+ 0.01 and 0.5 -+ 0.02 are nodes
+        prof = solve_profile(LimitSpec(1.05, 0.95, 1.0), LAW, dy=0.01)
+
+        def node(values, y):
+            i = round((y - prof.y[0]) / prof.dy)
+            assert abs(prof.y[i] - y) <= 1e-9
+            return float(values[i])
 
         class Field:
             def rho(self, tau, y):
-                return float(ref.rho(np.asarray([y]))[0])
+                return node(prof.rho_star, y)
 
             def n(self, tau, y):
-                return float(ref.n(np.asarray([y]))[0])
+                return node(prof.n_star, y)
 
         vals = [entropy_identity_residual(Field(), 1.0, 0.5, 1.0, LAW, h)
                 for h in (0.02, 0.01)]
@@ -227,16 +249,16 @@ class TestEntropyIdentity:
 
 class TestXiBounds:
     def test_state_equals_reference(self, jump_profile):
-        prof, limits = jump_profile
+        prof = jump_profile
         y = np.linspace(-6, 6, 301)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        ref = _profile_pair(prof, y).eval(LAW)
         assert xi_bound_check(1.0, y, ref.rho, ref.n, ref, LAW, 1.0) == 0
 
     def test_random_states(self, jump_profile):
-        prof, limits = jump_profile
+        prof = jump_profile
         rng = np.random.default_rng(17)
         y = np.linspace(-6, 6, 301)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        ref = _profile_pair(prof, y).eval(LAW)
         violations = 0
         for _ in range(20):
             violations += xi_bound_check(
@@ -246,9 +268,9 @@ class TestXiBounds:
 
     def test_field_on_another_grid_rejected(self, jump_profile):
         # same length and spacing as the reference's grid, other nodes
-        prof, limits = jump_profile
+        prof = jump_profile
         y = np.linspace(-6, 6, 301)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        ref = _profile_pair(prof, y).eval(LAW)
         moved = y + 0.01
         rho, n = np.ones_like(y), np.zeros_like(y)
         field = ScaledField(1.0, moved, rho, n)
@@ -284,7 +306,7 @@ class TestSteadyReferenceMemo:
     def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
         # h, h', p and p' of rho_bar come from eval, once per grid,
         # and the snapshot totals keep the bits of the public formulas
-        prof, limits = jump_profile
+        prof = jump_profile
         calls = []
         original = PressureLaw._reference
 
@@ -293,8 +315,8 @@ class TestSteadyReferenceMemo:
             return original(self, rho_bar)
 
         monkeypatch.setattr(PressureLaw, "_reference", counted)
-        y = np.linspace(-4, 4, 161)
-        data = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        y = np.linspace(-4, 4, 201)
+        data = _profile_pair(prof, y).eval(LAW)
         rng = np.random.default_rng(23)
         fields = [ScaledField(tau, y, rng.uniform(0.8, 1.2, y.size),
                               rng.uniform(-0.1, 0.1, y.size)) for tau in (0.1, 0.7, 2.5)]
@@ -315,11 +337,10 @@ class TestSteadyReferenceMemo:
             assert terms.xi1.tobytes() == xi1.tobytes()
 
     def test_ref_data_is_read_only(self, jump_profile):
-        prof, limits = jump_profile
-        y = np.linspace(-4, 4, 161)
-        for ref in (ReferencePair.from_profile(prof, limits),
-                    ReferencePair.constant(1.1)):
-            data = ref.eval(y, LAW)
+        prof = jump_profile
+        y = np.linspace(-4, 4, 201)
+        for ref in (_profile_pair(prof, y), _constant(y, 1.1)):
+            data = ref.eval(LAW)
             for name in ("y", "rho", "n", "rho_y", "n_y", "p_y",
                          "u", "u_y", "h", "dh", "d2h", "p", "dp"):
                 with pytest.raises(ValueError, match="read-only"):
@@ -329,23 +350,23 @@ class TestSteadyReferenceMemo:
             assert data.rho[0] != 7.0 and y.flags.writeable
 
     def test_read_only_views_leave_caller_arrays_writable(self):
-        base = np.full(41, 1.5)
-        ref = ReferencePair(rho=lambda y: base, n=lambda y: np.zeros(41))
-        data = ref.eval(np.linspace(-1, 1, 41), LAW)
+        base = np.full(43, 1.5)
+        data = ReferencePair(np.linspace(-1, 1, 41), base, np.zeros(43)).eval(LAW)
         assert not data.rho.flags.writeable
-        base[0] = 2.0  # the callable's own array is untouched
+        base[1] = 2.0  # the pair's own array stays writable
         assert data.rho[0] == 2.0
 
     def test_vacuum_reference(self):
-        # u and u_y of a vacuum reference follow the 0/0 := 0 convention
-        # without a warning; the xi bounds reject it
+        # a reference density that is not > 0, at a node of the grid or one
+        # beyond it, is refused, and so is it by the relative entropy density
         y = np.linspace(-2, 2, 81)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = ReferencePair.constant(0.0).eval(y, LAW)
-        assert np.all(data.u == 0.0) and np.all(data.u_y == 0.0)
-        with pytest.raises(DomainError, match="bounded away from vacuum"):
-            xi_bound_check(0.0, y, np.ones_like(y), np.zeros_like(y), data, LAW, 1.0)
+        for i, rho_bar in ((0, 0.0), (40, 0.0), (82, -1.0)):
+            pair = _constant(y, 1.0)
+            pair.rho[i] = rho_bar
+            with pytest.raises(DomainError, match="reference density must be positive"):
+                pair.eval(LAW)
+        with pytest.raises(DomainError, match="reference density must be positive"):
+            relative_entropy_density(0.0, 1.0, 0.0, 0.0, 0.0, LAW)
 
 
 def _separate_formulas(fld, ref, alpha, law):
@@ -399,9 +420,9 @@ class TestOnePass:
 
     def test_public_entry_points_match_the_separate_formulas(self, jump_profile):
         # a random positive field, near vacuum on some nodes
-        prof, limits = jump_profile
-        y = np.linspace(-4, 4, 161)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        prof = jump_profile
+        y = np.linspace(-4, 4, 201)
+        ref = _profile_pair(prof, y).eval(LAW)
         rng = np.random.default_rng(31)
         rho = rng.uniform(0.8, 1.2, y.size)
         n = rng.uniform(-0.1, 0.1, y.size)
@@ -415,9 +436,9 @@ class TestOnePass:
             assert error_terms(fld, ref, tau, alpha, LAW).Xi == Xi
 
     def test_momentum_at_vacuum_raises(self, jump_profile):
-        prof, limits = jump_profile
-        y = np.linspace(-4, 4, 161)
-        ref = ReferencePair.from_profile(prof, limits).eval(y, LAW)
+        prof = jump_profile
+        y = np.linspace(-4, 4, 201)
+        ref = _profile_pair(prof, y).eval(LAW)
         rho, n = np.ones_like(y), np.zeros_like(y)
         rho[80], n[80] = 0.0, 0.01
         fld = ScaledField(0.5, y, rho, n)
@@ -438,13 +459,13 @@ class TestOnePass:
     def test_hoisted_residuals_match_the_unhoisted_formula(self, jump_profile):
         # R1 and the steady part of R2 come from the RefData; R2 at tau adds
         # e^tau (p_y + alpha n) and keeps the bits of the one-line formula
-        prof, limits = jump_profile
-        y = np.linspace(-4, 4, 161)
-        moving = ReferencePair(rho=lambda z: 1.0 - 0.05 * np.tanh(z),
-                               n=lambda z: 0.1 * np.exp(-z * z))
+        prof = jump_profile
+        y = np.linspace(-4, 4, 201)
+        moving = _pair(y, lambda z: 1.0 - 0.05 * np.tanh(z),
+                       lambda z: 0.1 * np.exp(-z * z))
         fld = ScaledField(0.0, y, np.ones_like(y), np.zeros_like(y))
-        for pair in (ReferencePair.from_profile(prof, limits), moving):
-            ref = pair.eval(y, LAW)
+        for pair in (_profile_pair(prof, y), moving):
+            ref = pair.eval(LAW)
             assert np.any(ref.n != 0) and np.any(ref.R2_steady != 0)
             for tau, alpha in ((0.0, 1.0), (0.37, 0.5), (1.7, 1.0), (4.0, 2.5)):
                 terms = error_terms(fld, ref, tau, alpha, LAW)

@@ -4,7 +4,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 from diffusionwave import profile
@@ -15,7 +14,6 @@ from diffusionwave.profile import (
     LimitSpec,
     SimilarityProfile,
     _ode_residual,
-    _spline,
     _tridiag,
     default_halfwidth,
     profile_constants,
@@ -164,12 +162,13 @@ class TestConstants:
 
 class TestRefinement:
     def test_ode_residual_second_order(self):
+        # every 8th and 4th node of a fine solution on [-14, 14]
         fine = solve_profile(GOLDEN_LIMITS, LAW, L=20.0, dy=0.01)
-        sp = CubicSpline(fine.y, fine.rho_star)
+        on = np.abs(fine.y) <= 14.0 + fine.dy / 2
         norms = []
-        for dy in (0.08, 0.04):
-            y = np.arange(-14.0, 14.0 + dy / 2, dy)
-            r = _ode_residual(sp(y), y, dy, LAW, 1.0)
+        for step in (8, 4):
+            y = fine.y[on][::step]
+            r = _ode_residual(fine.rho_star[on][::step], y, step * fine.dy, LAW, 1.0)
             inner = np.abs(y[1:-1]) <= 10.0
             norms.append(np.max(np.abs(r[1:-1][inner])))
         factor = norms[0] / norms[1]
@@ -177,7 +176,7 @@ class TestRefinement:
 
 
 # ---------------------------------------------------------------------------
-# the numpy tridiagonal solve and spline against their scipy oracles
+# the numpy tridiagonal solve against its scipy oracle
 
 
 def _rel(a, b):
@@ -194,24 +193,3 @@ class TestNumpyKernels:
         ab = np.zeros((3, n))
         ab[0, 1:], ab[1], ab[2, :-1] = c[:-1], b, a[1:]
         assert _rel(_tridiag(a, b, c, d), solve_banded((1, 1), ab, d)) <= 1e-12
-
-    # 2 knots: a line, 3: a parabola, 4: the first not-a-knot system; the
-    # not-a-knot end rows are never diagonally dominant
-    @pytest.mark.parametrize("n", [2, 3, 4, 50])
-    def test_spline_matches_cubic_spline(self, n):
-        rng = np.random.default_rng(n)
-        x = np.sort(rng.uniform(-3.0, 3.0, n))
-        v = rng.normal(size=n)
-        yq = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
-                             np.linspace(x[0] - 1.0, x[-1] + 1.0, 501)])
-        assert _rel(_spline(x, v)(yq), CubicSpline(x, v)(yq)) <= 1e-12
-
-    @pytest.mark.parametrize("dy", [0.02, 0.005])
-    def test_spline_of_profile_matches_cubic_spline(self, dy):
-        prof = solve_profile(LimitSpec(1.05, 0.95, 1.0), LAW, dy=dy)
-        y = prof.y
-        # at knots, between knots and outside the range
-        yq = np.concatenate([y, 0.5 * (y[1:] + y[:-1]),
-                             y[0] - [1.0, 0.01], y[-1] + [0.01, 1.0]])
-        for v in (prof.rho_star, prof.n_star):
-            assert _rel(_spline(y, v)(yq), CubicSpline(y, v)(yq)) <= 1e-12

@@ -88,6 +88,13 @@ class TestRelative:
         with pytest.raises(DomainError):
             PressureLaw(1.0, 1.0).relative(1.0, 0.0)
 
+    def test_vacuum_reference_needs_admissible_law(self):
+        # h(1|0) = h(1) = 1 for gamma = 2, k = 1: the identity that the
+        # vacuum-admissibility inequality reads; gamma = 1 has no h'(0)
+        assert PressureLaw(1.0, 2.0).relative(1.0, 0.0)[0] == pytest.approx(1.0)
+        with pytest.raises(DomainError):
+            PressureLaw(1.0, 1.0).relative(1.0, 0.0)
+
     def test_vacuum_state_against_positive_reference(self):
         # h(0|1) = h(0) - h(1) + h'(1) is finite for every gamma >= 1
         h_rel, _ = PressureLaw(1.0, 1.0).relative(0.0, 1.0)
