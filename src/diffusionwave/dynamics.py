@@ -114,7 +114,6 @@ class PhysicalState:
 class SolverConfig:
     cfl: float = 0.45
     order: int = 2
-    snapshot_times: tuple = ()
 
     def __post_init__(self):
         if not 0 < self.cfl <= 0.5:
@@ -462,22 +461,23 @@ class RunResult:
         return self.snapshots[-1]
 
 
-def run(initial, cfg, law, limits, t_end):
-    """March to t_end, capturing snapshots at cfg.snapshot_times.
+def run(initial, cfg, law, limits, times):
+    """March from `initial` through `times`, which must be finite and
+    increase from after initial.t (ConfigError), snapshotting each and
+    stopping at the last.
 
-    dt is clipped so snapshot and merge times are hit exactly (see the
-    module's parabolic coarsening).  Returns a RunResult whose meta carries
-    the per-step audit series `_AUDIT`: the cumulative boundary fluxes for
-    the conservation checks, `dx`, the cell size of each step, `active_cells`,
-    the width of the window each step was computed on (see `_window`), and
-    `boundary_deviation`, how far the edge cells have moved from the far
-    field: max(|rho_0 - rho_-|, |rho_{n-1} - rho_+|, |m_0|, |m_{n-1}|).
+    dt is clipped so snapshot and merge times are hit exactly, to 1e-12
+    (1 + t) (see the module's parabolic coarsening).  Returns a RunResult,
+    the initial state and a snapshot per time, whose meta carries the per-step
+    audit series `_AUDIT`: the cumulative boundary fluxes for the conservation
+    checks, `dx`, the cell size of each step, `active_cells`, the width of the
+    window each step was computed on (see `_window`), and `boundary_deviation`,
+    how far the edge cells have moved from the far field:
+    max(|rho_0 - rho_-|, |rho_{n-1} - rho_+|, |m_0|, |m_{n-1}|).
     """
-    if t_end <= initial.t:
-        raise ConfigError("t_end must exceed the initial time")
-    targets = sorted(t for t in cfg.snapshot_times if t > initial.t)
-    if any(t > t_end * (1 + 1e-12) for t in targets):
-        raise ConfigError("snapshot time beyond t_end")
+    ts = [initial.t, *map(float, times)]
+    if not (len(ts) > 1 and all(a < b for a, b in zip(ts, ts[1:])) and math.isfinite(ts[-1])):
+        raise ConfigError(f"snapshot times must be finite and increase past t = {initial.t!r}")
 
     # the run's own copy, which each step writes in place
     state = PhysicalState._trusted(initial.x, initial.rho.copy(), initial.m.copy(),
@@ -486,39 +486,32 @@ def run(initial, cfg, law, limits, t_end):
     # typed arrays: 8 bytes a step each, not a float object and a pointer
     audit = {name: array("q" if name == "active_cells" else "d") for name in _AUDIT}
     total_fm = total_fp = total_sink = 0.0
-    pending = list(targets)
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
     coarsen, ws = True, None
 
-    while state.t < t_end * (1 - 1e-14):
-        if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
-            state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
-        # a merged grid needs two cells to have a dx
-        coarsen = state.x.size % 2 == 0 and state.x.size >= 4
-        t_stop = min(*pending[:1], t_end, t_merge if coarsen else t_end)
-        dt, fm, sink, ws = _advance(state, cfg, law, limits.alpha, limits,
-                                    t_stop=t_stop, ws=ws)
+    for target in ts[1:]:
+        while abs(state.t - target) > 1e-12 * (1 + target):
+            if coarsen and t_merge - state.t <= 1e-12 * (1 + t_merge):
+                state, t_merge = _coarsen(state), 4.0 * (1.0 + t_merge) - 1.0
+            # a merged grid needs two cells to have a dx
+            coarsen = state.x.size % 2 == 0 and state.x.size >= 4
+            t_stop = min(target, t_merge) if coarsen else target
+            dt, fm, sink, ws = _advance(state, cfg, law, limits.alpha, limits,
+                                        t_stop=t_stop, ws=ws)
 
-        total_fm += fm[0] - fm[1]
-        total_fp += fm[2] - fm[3]
-        total_sink += sink
-        edge = max(abs(state.rho[0] - limits.rho_minus), abs(state.rho[-1] - limits.rho_plus),
-                   abs(state.m[0]), abs(state.m[-1]))
-        # in the order of _AUDIT
-        values = (state.t, dt, state.dx, state.mass, state.momentum, total_fm, total_fp,
-                  total_sink, ws.key[1] - ws.key[0], edge)
-        for series, value in zip(audit.values(), values):
-            series.append(value)
-
-        if pending and abs(state.t - pending[0]) <= 1e-12 * (1 + pending[0]):
-            # the step has checked the state
-            snapshots.append(PhysicalState._trusted(state.x, state.rho.copy(),
-                                                    state.m.copy(), pending[0]))
-            pending.pop(0)
-
-    if not targets:
+            total_fm += fm[0] - fm[1]
+            total_fp += fm[2] - fm[3]
+            total_sink += sink
+            edge = max(abs(state.rho[0] - limits.rho_minus), abs(state.m[0]),
+                       abs(state.rho[-1] - limits.rho_plus), abs(state.m[-1]))
+            # in the order of _AUDIT
+            values = (state.t, dt, state.dx, state.mass, state.momentum, total_fm,
+                      total_fp, total_sink, ws.key[1] - ws.key[0], edge)
+            for series, value in zip(audit.values(), values):
+                series.append(value)
+        # the step has checked the state
         snapshots.append(PhysicalState._trusted(state.x, state.rho.copy(), state.m.copy(),
-                                                state.t))
+                                                target))
 
     return RunResult(snapshots, {name: np.array(series) for name, series in audit.items()})

@@ -1,16 +1,17 @@
 """Experiment harness: configuration, end-to-end runs, envelopes, reports.
 
 One pipeline, config -> plan -> simulate -> snapshots -> diagnose -> report:
-`plan(cfg)` builds and checks all that reads no snapshot, before the first
-step; `simulate(plan)` runs the solver to a RunResult,
-`diagnose(plan, run_result)` maps each snapshot to scaling variables and
-measures the relative entropy against the reference in an EntropyReport,
-and `run_experiment(cfg)` chains the three.  Also the theoretical decay
-envelopes, rate fitting, the acceptance rules with their slacks (defined
-here once), and CSV emission and parsing for all artifacts.  The envelope
-and dissipation rules each return one Verdict, which `report` and `verify`
-print as is; both fail unless `meta["theta_lt_half"]` (the paper proves no
-envelope for theta >= 1/2).
+`plan(cfg)` builds and checks all that reads no snapshot before the first
+step, the reference included, read off the similarity profile (the constant
+state for coincident limits); `simulate(plan)` runs the solver through the
+snapshot times to a RunResult, `diagnose(plan, run_result)` maps each
+snapshot to scaling variables and measures the relative entropy against the
+reference in an EntropyReport, and `run_experiment(cfg)` chains the three.
+Also the theoretical decay envelopes, rate fitting, the acceptance rules with
+their slacks (defined here once), and CSV emission and parsing for all
+artifacts.  The envelope and dissipation rules each return one Verdict, which
+`report` and `verify` print as is; both fail unless `meta["theta_lt_half"]`
+(the paper proves no envelope for theta >= 1/2).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    # law and far field (densities > 0); the limits pick the reference: the
-    # constant state when they coincide, else the similarity profile
+    # law and far field (densities > 0); the reference is the limits'
+    # similarity profile, the constant state when they coincide
     rho_minus: float = 1.0
     rho_plus: float = 1.0
     alpha: float = 1.0
@@ -163,13 +164,10 @@ def build_initial(cfg, x, limits, profile=None):
 
 def make_reference(cfg, limits, law, profile):
     """(RefData, kind): the reference evaluated once on the y-grid of `cfg`,
-    the constant state for coincident limits, else the similarity profile,
-    read off its nodes at the y-grid and one node beyond each end.  Those
-    must be nodes of `profile` (to 1e-9 of the spacing), or DomainError."""
+    read off the nodes of `profile` at the y-grid and one node beyond each end
+    (to 1e-9 of the spacing, or DomainError); kind is "constant" for coincident
+    limits, whose profile is the constant state, else "profile"."""
     y = node_grid(cfg.L_y, cfg.dy)
-    if limits.same_limits:
-        rho, n = np.full(y.size + 2, limits.rho_plus), np.zeros(y.size + 2)
-        return ReferencePair(y, rho, n).eval(law), "constant"
     h = y[1] - y[0]
     lo = grid_count(y[0] - h - profile.y[0], profile.dy)  # the left neighbour
     run = slice(lo, lo + y.size + 2)
@@ -179,7 +177,8 @@ def make_reference(cfg, limits, law, profile):
             f"the y-grid on [-{cfg.L_y:g}, {cfg.L_y:g}] at spacing {h:.6g} and its "
             f"two neighbours are not nodes of the profile on "
             f"[{profile.y[0]:g}, {profile.y[-1]:g}] at spacing {profile.dy:.6g}")
-    return ReferencePair(y, profile.rho_star[run], profile.n_star[run]).eval(law), "profile"
+    return (ReferencePair(y, profile.rho_star[run], profile.n_star[run]).eval(law),
+            "constant" if limits.same_limits else "profile")
 
 
 @dataclass(frozen=True)
@@ -189,10 +188,10 @@ class Plan:
     cfg: ExperimentConfig
     law: PressureLaw
     limits: LimitSpec
-    solver: SolverConfig  # its snapshot times are expm1(taus[1:])
-    taus: np.ndarray  # tau_schedule(cfg)
+    solver: SolverConfig
+    taus: np.ndarray  # tau_schedule(cfg); the run's snapshot times are expm1(taus[1:])
     initial: PhysicalState
-    profile: SimilarityProfile | None  # None for coincident limits
+    profile: SimilarityProfile  # the constant state for coincident limits
     ref: RefData
     ref_kind: str  # "constant" or "profile"
     snapshot: Callable  # the per-snapshot pass, `entropy._snapshot_pass`
@@ -203,18 +202,15 @@ def plan(cfg):
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
     taus = tau_schedule(cfg)
-    solver = SolverConfig(cfl=cfg.cfl, order=cfg.order,
-                          snapshot_times=tuple(np.expm1(taus)[1:]))
+    solver = SolverConfig(cfl=cfg.cfl, order=cfg.order)
     x = cell_grid(cfg.X, cfg.dx)
     initial = PhysicalState(x, *build_initial(cfg, x, limits), 0.0)
-    profile = None
-    if not limits.same_limits:
-        # one lattice: the profile's nodes, at the y-grid's spacing h, run a
-        # whole number of h, at least one, beyond each end of the y-grid, so
-        # that make_reference reads the reference off them
-        h = 2.0 * cfg.L_y / grid_count(2.0 * cfg.L_y, cfg.dy)
-        beyond = max(1, cover_count(default_halfwidth(limits, law) - cfg.L_y, h))
-        profile = solve_profile(limits, law, L=cfg.L_y + beyond * h, dy=h)
+    # one lattice: the profile's nodes, at the y-grid's spacing h, run a
+    # whole number of h, at least one, beyond each end of the y-grid, so
+    # that make_reference reads the reference off them
+    h = 2.0 * cfg.L_y / grid_count(2.0 * cfg.L_y, cfg.dy)
+    beyond = max(1, cover_count(default_halfwidth(limits, law) - cfg.L_y, h))
+    profile = solve_profile(limits, law, L=cfg.L_y + beyond * h, dy=h)
     ref, ref_kind = make_reference(cfg, limits, law, profile)
     return Plan(cfg, law, limits, solver, taus, initial, profile, ref, ref_kind,
                 _snapshot_pass(ref, cfg.alpha, law))
@@ -267,9 +263,8 @@ def theoretical_bound(tau, E0, theta, mu, K_const, same_limits):
 
 
 def simulate(plan):
-    """Run the solver from the plan's initial state through its snapshots."""
-    return run(plan.initial, plan.solver, plan.law, plan.limits,
-               float(plan.solver.snapshot_times[-1]))
+    """Run the solver from the plan's initial state through its snapshot times."""
+    return run(plan.initial, plan.solver, plan.law, plan.limits, np.expm1(plan.taus)[1:])
 
 
 def diagnose(plan, run_result, on_scaled=None):
@@ -290,8 +285,7 @@ def diagnose(plan, run_result, on_scaled=None):
             f"({len(times)} snapshots, {len(t_snap)} scheduled)"
         )
 
-    prof = plan.profile
-    theta, mu, K_const = (prof.theta, prof.mu, prof.K_const) if prof else (0.0, 0.0, 0.0)
+    theta, mu, K_const = plan.profile.theta, plan.profile.mu, plan.profile.K_const
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))

@@ -1,11 +1,11 @@
 """Similarity profile of the porous medium equation with Darcy momentum.
 
 The steady profile rho*(y) solves (1/alpha) p(rho*)_yy + (y/2) rho*_y = 0 on
-the line with limits rho_-+ at -+infinity; the scaled momentum is slaved to
-it by Darcy's law, alpha n* = -p(rho*)_y.  The profile is computed on a
-truncated interval with a damped Newton iteration on a second-order
-finite-difference discretization, and carries the flatness constants
-(theta, mu, K) that control the entropy decay envelope.
+the line with limits rho_-+ at -+infinity; the scaled momentum is slaved to it
+by Darcy's law, alpha n* = -p(rho*)_y.  It is computed on a truncated interval
+by damped Newton on a second-order finite-difference discretization, and
+carries the flatness constants (theta, mu, K) that control the entropy decay
+envelope; for coincident limits it is the constant state, theta = mu = K = 0.
 
 Each Newton step solves its tridiagonal Jacobian by cyclic reduction
 (`_tridiag`), in numpy alone.  The profile is its node values and nothing
@@ -27,7 +27,6 @@ __all__ = [
     "LimitSpec",
     "SimilarityProfile",
     "solve_profile",
-    "profile_constants",
     "default_halfwidth",
 ]
 
@@ -39,7 +38,7 @@ TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LimitSpec:
-    """Far-field densities and the friction coefficient."""
+    """Far-field densities > 0 and the friction coefficient, > 0 unless they coincide."""
 
     rho_minus: float
     rho_plus: float
@@ -48,15 +47,11 @@ class LimitSpec:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.rho_minus, self.rho_plus, self.alpha))):
             raise DomainError("far-field densities and alpha must be finite")
-        if self.rho_minus < 0 or self.rho_plus < 0:
-            raise DomainError("far-field densities must be nonnegative")
-        if self.alpha < 0:
-            raise DomainError("friction coefficient must be nonnegative")
-        if self.rho_minus != self.rho_plus:
-            if self.rho_minus <= 0 or self.rho_plus <= 0 or self.alpha <= 0:
-                raise DomainError(
-                    "a non-constant profile requires positive limits and alpha > 0"
-                )
+        if not (self.rho_minus > 0 and self.rho_plus > 0):
+            raise DomainError(f"far-field densities must be positive, got rho_minus = "
+                              f"{self.rho_minus!r} and rho_plus = {self.rho_plus!r}")
+        if self.alpha < 0 or (self.alpha == 0 and not self.same_limits):
+            raise DomainError("friction coefficient must be > 0, or 0 for coincident limits")
 
     @property
     def same_limits(self):
@@ -150,8 +145,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     tolerance `NEWTON_TOL` in max norm, or, once the line search stalls, the
     rounding floor `NEWTON_FLOOR_ULPS` eps max p(rho+-)/(alpha dy^2); each
     Newton step solves the tridiagonal Jacobian by cyclic reduction
-    (`_tridiag`).  Raises SolverFailure on non-convergence or a singular
-    Newton system, DomainError if the truncated domain leaves a tail above
+    (`_tridiag`).  Coincident limits give the constant state, theta = mu =
+    K = 0.  Raises SolverFailure on non-convergence, a singular Newton system
+    or a non-monotone or out-of-range solution (naming the grid and the
+    profile's width), DomainError if the truncated domain leaves a tail above
     `tail_tol` or unless 0 < dy < L < inf, and ConfigError (before
     allocating) if the grid would have more than `grids.MAX_COUNT` nodes.
     """
@@ -166,9 +163,7 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     dy = float(y[1] - y[0])
 
     if limits.same_limits:
-        rho = np.full_like(y, limits.rho_plus)
-        zeros = np.zeros_like(y)
-        return SimilarityProfile(y, rho, zeros.copy(), zeros.copy(), zeros.copy())
+        return SimilarityProfile(y, np.full_like(y, limits.rho_plus), *np.zeros((3, y.size)))
 
     rm, rp, alpha = limits.rho_minus, limits.rho_plus, limits.alpha
     rho = 0.5 * (rm + rp) + 0.5 * (rp - rm) * np.tanh(y)
@@ -230,7 +225,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     monotone = np.all(np.diff(rho) <= eps) if rm > rp else np.all(np.diff(rho) >= -eps)
     lo, hi = min(rm, rp), max(rm, rp)
     if not monotone or np.min(rho) < lo - 1e-14 or np.max(rho) > hi + 1e-14:
-        raise SolverFailure("profile violates monotonicity/range bounds")
+        width = np.sqrt(4.0 * max(law.pressure(rm)[1], law.pressure(rp)[1]) / alpha)
+        raise SolverFailure(f"profile violates monotonicity/range bounds on the grid "
+                            f"[-{L:g}, {L:g}] at dy = {dy:g}; the profile's width "
+                            f"sqrt(4 max p'(rho+-)/alpha) is {width:.3g}")
 
     p, _ = law.pressure(rho)
     n_star = -_central_first(p, dy) / alpha
@@ -238,12 +236,12 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     prof = SimilarityProfile(
         y, rho, n_star, np.zeros_like(y), _ode_residual(rho, y, dy, law, alpha)
     )
-    prof.theta, prof.mu, prof.K_const, prof.r_star = profile_constants(prof, law, limits)
+    prof.theta, prof.mu, prof.K_const, prof.r_star = _profile_constants(prof, law, limits)
     return prof
 
 
-def profile_constants(profile, law, limits):
-    """Flatness constants (theta, mu, K) and the residual field R*.
+def _profile_constants(profile, law, limits):
+    """Flatness constants (theta, mu, K) and the residual field R* of a checked profile.
 
     theta = max{2, gamma-1} sup_+ [(1/alpha) h'(rho*)_yy],
     mu    = sup(|R*| / (2 k rho*^gamma) + 3 |R*| / (2 rho*)),
@@ -251,18 +249,7 @@ def profile_constants(profile, law, limits):
     with R* = -(y/2) n*_y - n*/2 + ((n*)^2 / rho*)_y from centered differences.
     """
     y, rho, n = profile.y, profile.rho_star, profile.n_star
-    if np.any(rho <= 0):
-        raise DomainError("profile density must be positive everywhere")
-    dy = profile.dy
-
-    if np.allclose(rho, rho[0], rtol=0, atol=0) and not np.any(n):
-        zeros = np.zeros_like(y)
-        return 0.0, 0.0, 0.0, zeros
-
-    alpha = limits.alpha
-    if alpha <= 0:
-        raise DomainError("non-constant profile requires alpha > 0")
-
+    dy, alpha = profile.dy, limits.alpha
     _, dh, _ = law.potential(rho)
     dh_yy = _central_second(dh, dy)
     theta = max(2.0, law.gamma - 1.0) * float(

@@ -308,7 +308,7 @@ def check_solver_audits():
     limits = LimitSpec(1.0, 1.0, 1.0)
     x = (np.arange(240) + 0.5) * 0.1 - 12.0
     init = PhysicalState(x, np.ones_like(x), np.ones_like(x), 0.0)
-    out = run(init, SolverConfig(cfl=0.45), law, limits, float(np.log(2.0)))
+    out = run(init, SolverConfig(cfl=0.45), law, limits, [np.log(2.0)])
     mid = out.final.m[x.size // 2]
     err = abs(mid - 0.5) / 0.5
     rho_err = abs(out.final.rho[x.size // 2] - 1.0)

@@ -20,7 +20,6 @@ numpy build, whose version bits.json records.
 import dataclasses
 import hashlib
 import json
-import subprocess
 import sys
 from importlib.resources import files
 from itertools import zip_longest
@@ -41,6 +40,15 @@ BITS = "bits"
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+def source_sha256():
+    """sha256 of the package source, each file's path under src/ and bytes in
+    path order, as perfbench records `src_sha256`: unlike the commit, it
+    names the tree that ran, committed or not."""
+    src = ROOT / "src"
+    return _sha256(b"".join(path.relative_to(src).as_posix().encode() + path.read_bytes()
+                            for path in sorted((src / "diffusionwave").rglob("*.py"))))
 
 
 def bits_record():
@@ -114,11 +122,10 @@ def check(names):
 
 
 def main(names):
-    sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                         text=True, check=False).stdout.strip() or None
+    sha = source_sha256()
     for name in names:
         if name == BITS:
-            record = {"source_commit": sha, **bits_record()}
+            record = {"src_sha256": sha, **bits_record()}
             path = HERE / "bits.json"
             path.write_text(json.dumps(record, indent=1) + "\n")
             print(f"wrote {path.relative_to(ROOT)}: numpy {record['numpy']}, "
@@ -132,7 +139,7 @@ def main(names):
         cfg = parse_config(files("diffusionwave") / "configs" / f"{name}.cfg")
         record = {
             "config": name,
-            "source_commit": sha,
+            "src_sha256": sha,
             "settings": dataclasses.asdict(cfg),
             "coarse": verify._COARSE,
             "gap": gap,

@@ -79,6 +79,18 @@ WIDE_CFG = (JUMP_CFG.replace("alpha = 1.0", "alpha = 100.0").replace("X = 8.0", 
             .replace("L_y = 4.0", "L_y = 9.0").replace("dy = 0.1", "dy = 0.05"))
 
 
+def test_profile_too_coarse_for_its_width_names_the_grid(tmp_path, capsys):
+    # at alpha = 100 the profile is about sqrt(4 p'(1.05)/100) = 0.29 wide:
+    # dy = 0.1 cannot resolve it, and the one line says on what grid
+    path = tmp_path / "coarse.cfg"
+    path.write_text(WIDE_CFG.replace("dy = 0.05", "dy = 0.1"))
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "dy = 0.1" in err and "width" in err and "0.29" in err, err
+    assert not out_dir.exists()
+
+
 def test_window_wider_than_the_default_profile(tmp_path, capsys):
     # at alpha = 100 the profile's default half-width, 8, is short of
     # L_y + dy = 9.05: the plan solves the profile wider, at the y-grid's
@@ -100,12 +112,14 @@ def test_window_wider_than_the_default_profile(tmp_path, capsys):
 
 def test_profile_bad_input_exits_1(tmp_path, capsys):
     # grids are rejected before any allocation: 1e-7 would ask for 4e8 nodes;
-    # the last inputs overflow or make the Newton system singular
+    # limits at 0 are no profile, not even a constant one; the last inputs
+    # overflow or make the Newton system singular
     out = tmp_path / "prof.csv"
     for flags in (["--dy", "1e-320"], ["--dy", "-0.5"], ["--dy", "0"],
                   ["--dy", "1e-7"], ["--dy", "nan"], ["--dy", "inf"],
                   ["--L", "0"], ["--L", "-1"], ["--L", "inf"], ["--L", "nan"],
-                  ["--L", "1e300"], ["--rho-minus", "nan"], ["--alpha", "inf"],
+                  ["--L", "1e300"], ["--rho-minus", "0", "--rho-plus", "0"],
+                  ["--rho-minus", "nan"], ["--alpha", "inf"],
                   ["--rho-minus", "1e200"], ["--gamma", "1e10"],
                   ["--gamma", "1e300", "--rho-minus", "1.0"],
                   ["--alpha", "1e300", "--k", "1e-300"]):

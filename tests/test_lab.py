@@ -1,12 +1,13 @@
 """Experiment configuration, envelopes, rate fits, and CSV round trips."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import diffusionwave.lab as lab_module
-from diffusionwave.entropy import ReferencePair, total_relative_entropy
+from diffusionwave.entropy import RefData, ReferencePair, total_relative_entropy
 from diffusionwave.errors import ConfigError, DegenerateFitError, DomainError
 from diffusionwave.lab import (
     EntropyReport,
@@ -23,6 +24,7 @@ from diffusionwave.lab import (
     theoretical_bound,
     write_csv,
 )
+from diffusionwave.grids import node_grid
 from diffusionwave.profile import LimitSpec
 from diffusionwave.scaling import to_scaled
 from diffusionwave.thermo import PressureLaw
@@ -177,6 +179,24 @@ class TestConfig:
 
 _SMALL = dict(alpha=1.0, amplitude=0.1, X=8.0, dx=0.1,
               L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
+
+
+class TestPlan:
+    def test_coincident_reference_is_the_constant_state(self):
+        # the plan reads the coincident reference off the constant profile:
+        # field by field, rho = rho_+, the thermodynamics of rho_+, and every
+        # momentum, derivative and residual 0
+        cfg = ExperimentConfig(rho_minus=1.3, rho_plus=1.3, **_SMALL)
+        p = plan(cfg)
+        assert p.ref_kind == "constant"
+        assert (p.profile.theta, p.profile.mu, p.profile.K_const) == (0.0, 0.0, 0.0)
+        y = node_grid(cfg.L_y, cfg.dy)
+        rho = np.full(y.size, 1.3)
+        (h, dh, d2h), (pr, dp) = p.law.potential(rho), p.law.pressure(rho)
+        expected = dict(y=y, rho=rho, h=h, dh=dh, d2h=d2h, p=pr, dp=dp)
+        for f in fields(RefData):
+            want = expected.get(f.name, np.zeros(y.size))
+            assert np.array_equal(getattr(p.ref, f.name), want), f.name
 
 
 class TestDiagnose:

@@ -14,9 +14,9 @@ from diffusionwave.profile import (
     LimitSpec,
     SimilarityProfile,
     _ode_residual,
+    _profile_constants,
     _tridiag,
     default_halfwidth,
-    profile_constants,
     solve_profile,
 )
 from diffusionwave.thermo import PressureLaw
@@ -93,6 +93,12 @@ class TestSolve:
             LimitSpec(1.2, 0.0, 1.0)
         with pytest.raises(DomainError):
             LimitSpec(-1.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            LimitSpec(1.0, 1.0, -1.0)
+        # alpha = 0 only where the profile is the constant state
+        with pytest.raises(DomainError, match="> 0, or 0 for coincident limits"):
+            LimitSpec(1.05, 0.95, 0.0)
+        assert LimitSpec(1.0, 1.0, 0.0).same_limits
 
     def test_undersized_domain_rejected(self):
         with pytest.raises(DomainError):
@@ -129,10 +135,12 @@ class TestSolve:
 
 class TestConstants:
     def test_constant_profile_zeroes(self):
+        # the formulas, with no branch of their own, give the constant state
+        # the zeros that solve_profile's constant profile carries
         prof = solve_profile(LimitSpec(2.0, 2.0, 1.0), LAW, L=4.0, dy=0.1)
-        theta, mu, K, r_star = profile_constants(prof, LAW, LimitSpec(2.0, 2.0, 1.0))
-        assert (theta, mu, K) == (0.0, 0.0, 0.0)
-        assert np.all(r_star == 0.0)
+        theta, mu, K, r_star = _profile_constants(prof, LAW, LimitSpec(2.0, 2.0, 1.0))
+        assert (theta, mu, K) == (prof.theta, prof.mu, prof.K_const) == (0.0, 0.0, 0.0)
+        assert np.all(r_star == 0.0) and np.all(prof.r_star == 0.0)
 
     def test_synthetic_parabola_theta(self):
         # rho*(y) = (1+y^2)/2 with gamma=2, k=1, alpha=1: h'(rho*) = 1+y^2,
@@ -141,7 +149,7 @@ class TestConstants:
         rho = 0.5 * (1.0 + y**2)
         prof = SimilarityProfile(y, rho, np.zeros_like(y), np.zeros_like(y),
                                  np.zeros_like(y))
-        theta, _, _, _ = profile_constants(prof, LAW, LimitSpec(1.0, 1.0, 1.0))
+        theta, _, _, _ = _profile_constants(prof, LAW, LimitSpec(1.0, 1.0, 1.0))
         assert theta == pytest.approx(4.0, rel=1e-10)
 
     def test_jump_fixture_flat(self, jump_profile):
@@ -153,11 +161,11 @@ class TestConstants:
         assert coarse.theta == pytest.approx(fine.theta, rel=1e-3)
 
     def test_nonpositive_density_rejected(self):
-        y = np.linspace(-1.0, 1.0, 11)
-        prof = SimilarityProfile(y, np.zeros_like(y), np.zeros_like(y),
-                                 np.zeros_like(y), np.zeros_like(y))
-        with pytest.raises(DomainError):
-            profile_constants(prof, LAW, LimitSpec(1.0, 1.0, 1.0))
+        # the constants take no density that is not > 0: the limits refuse it,
+        # vacuum included, before solve_profile runs
+        for rho_minus, rho_plus in ((0.0, 0.0), (-0.0, 0.0), (0.0, 1.0), (1.0, -0.5)):
+            with pytest.raises(DomainError, match="far-field densities must be positive"):
+                LimitSpec(rho_minus, rho_plus, 1.0)
 
 
 class TestRefinement:
