@@ -395,7 +395,7 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     if cfg.order == 2:
         decay = np.exp(-alpha * dt / 2.0)
         m1 = np.multiply(m, decay, out=m_a)
-        sink += _sink(ws, m, m1, dx) if alpha > 0 else 0.0
+        sink += _sink(ws, m, m1, dx)
         # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
@@ -425,7 +425,7 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
         fm = tuple(dt * b for b in b1)
     _check(rho_n, m_n)
     m_d = np.multiply(m_n, decay, out=m_a)
-    sink += _sink(ws, m_n, m_d, dx) if alpha > 0 else 0.0
+    sink += _sink(ws, m_n, m_d, dx)
     rho[:], m[:], state.t = rho_n, m_d, t + dt
     return dt, fm, sink, ws
 

@@ -59,8 +59,8 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    # law and far field (densities > 0); the reference is the limits'
-    # similarity profile, the constant state when they coincide
+    # law and far field (rho_-+, alpha > 0: plan's LimitSpec checks them); the
+    # reference is the limits' similarity profile, constant if they coincide
     rho_minus: float = 1.0
     rho_plus: float = 1.0
     alpha: float = 1.0
@@ -88,9 +88,6 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if not (self.rho_minus > 0 and self.rho_plus > 0):
-            raise ConfigError(f"far-field densities must be positive, got rho_minus = "
-                              f"{self.rho_minus!r} and rho_plus = {self.rho_plus!r}")
         if self.tau_max <= 0 or self.tau_step <= 0:
             raise ConfigError("tau_max and tau_step must be positive")
         if self.dx <= 0 or self.dy <= 0 or self.X <= 0 or self.L_y <= 0:
@@ -129,14 +126,8 @@ def parse_config(path):
             raise ConfigError(
                 f"{path}:{lineno}: key {key!r} repeated from line {lines[key]}")
         lines[key] = lineno
-        kind = _CONFIG_TYPES[key]
         try:
-            if kind in ("float", float):
-                values[key] = float(value)
-            elif kind in ("int", int):
-                values[key] = int(value)
-            else:
-                values[key] = value
+            values[key] = (int if _CONFIG_TYPES[key] == "int" else float)(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return ExperimentConfig(**values)
@@ -246,19 +237,15 @@ def _inequality_residual(tau, E, D, Xi_total):
     return np.diff(E) / np.diff(tau) + avg(D) + 0.5 * avg(E) - avg(Xi_total)
 
 
-def theoretical_bound(tau, E0, theta, mu, K_const, same_limits):
-    """Decay envelope: e^{-tau/2} E0 for coincident limits, else
-    e^{-(1/2-theta)tau + mu/2} (E0 + K/theta)."""
+def theoretical_bound(tau, E0, theta, mu, K_const):
+    """Decay envelope e^{-(1/2-theta)tau + mu/2} (E0 + K/theta), with K/theta
+    read as 0 when K = 0: coincident limits, theta = mu = K = 0, give
+    E0 e^{-tau/2}.  DomainError if K > 0 and theta <= 0."""
     tau = np.asarray(tau, dtype=float)
-    if same_limits:
-        out = E0 * np.exp(-0.5 * tau)
-    else:
-        if theta <= 0:
-            raise DomainError(
-                "the jump-case envelope needs theta > 0; "
-                "use the coincident-limit branch instead"
-            )
-        out = np.exp(-(0.5 - theta) * tau + 0.5 * mu) * (E0 + K_const / theta)
+    if K_const > 0 and theta <= 0:
+        raise DomainError(f"the envelope needs theta > 0 when K > 0, got theta = {theta!r}")
+    out = (np.exp(-(0.5 - theta) * tau + 0.5 * mu)
+           * (E0 + (K_const / theta if K_const else 0.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -299,11 +286,9 @@ def diagnose(plan, run_result, on_scaled=None):
         tail_ok &= diag.tail_ok
 
     E0 = float(E[0])
-    same = plan.limits.same_limits
-    if same or theta > 0:
-        envelope = theoretical_bound(taus, E0, theta, mu, K_const, same)
-    else:
-        envelope = np.full_like(taus, np.nan)
+    proved = theta > 0 or K_const == 0  # else the envelope's K/theta has no value
+    envelope = (theoretical_bound(taus, E0, theta, mu, K_const) if proved
+                else np.full_like(taus, np.nan))
 
     dtau = cfg.tau_step
     tol = INEQ_SLACK * E0 * (dtau + cfg.dy**2 + cfg.dx / cfg.dy)
@@ -314,9 +299,9 @@ def diagnose(plan, run_result, on_scaled=None):
         "gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
         "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
         "dx": cfg.dx, "dy": cfg.dy, "dtau": dtau,
-        "reference": plan.ref_kind, "same_limits": same,
+        "reference": plan.ref_kind, "same_limits": plan.limits.same_limits,
         "theta": theta, "mu": mu, "K_const": K_const,
-        "theta_lt_half": bool(same or (0.0 < theta < 0.5)),
+        "theta_lt_half": proved and theta < 0.5,
         "E0": E0, "ineq_tol": tol, "tail_ok": tail_ok,
     }
     return EntropyReport(
@@ -402,7 +387,7 @@ def dissipation_check(report):
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
     valid = tau >= threshold
-    env = theoretical_bound(tau[valid], E0, theta, mu, K_const, m["same_limits"])
+    env = theoretical_bound(tau[valid], E0, theta, mu, K_const)
     bound = DISSIPATION_SLACK * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
     gap = bound - tail[valid]
     margin = float(np.min(gap / np.maximum(bound, 1e-300)))

@@ -5,7 +5,7 @@ the line with limits rho_-+ at -+infinity; the scaled momentum is slaved to it
 by Darcy's law, alpha n* = -p(rho*)_y.  It is computed on a truncated interval
 by damped Newton on a second-order finite-difference discretization, and
 carries the flatness constants (theta, mu, K) that control the entropy decay
-envelope; for coincident limits it is the constant state, theta = mu = K = 0.
+envelope; coincident limits take the same path to the constant state, theta = mu = K = 0.
 
 Each Newton step solves its tridiagonal Jacobian by cyclic reduction
 (`_tridiag`), in numpy alone.  The profile is its node values and nothing
@@ -16,7 +16,7 @@ between them: a reference on a y-grid is read off the nodes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LimitSpec:
-    """Far-field densities > 0 and the friction coefficient, > 0 unless they coincide."""
+    """Far-field densities > 0 and the friction coefficient alpha > 0."""
 
     rho_minus: float
     rho_plus: float
@@ -50,8 +50,8 @@ class LimitSpec:
         if not (self.rho_minus > 0 and self.rho_plus > 0):
             raise DomainError(f"far-field densities must be positive, got rho_minus = "
                               f"{self.rho_minus!r} and rho_plus = {self.rho_plus!r}")
-        if self.alpha < 0 or (self.alpha == 0 and not self.same_limits):
-            raise DomainError("friction coefficient must be > 0, or 0 for coincident limits")
+        if not self.alpha > 0:
+            raise DomainError(f"friction coefficient must be > 0, got alpha = {self.alpha!r}")
 
     @property
     def same_limits(self):
@@ -81,12 +81,10 @@ class SimilarityProfile:
 
 
 def default_halfwidth(limits, law, tail_tol=TAIL_TOL):
-    """Half-width, at least 8 and 20/sqrt(alpha), and for distinct limits at
-    least the y where the Gaussian tail exp(-y^2/(4D)) of the profile
-    deviation falls to `tail_tol`, with diffusivity D = max p'(rho_-+)/alpha."""
+    """Half-width, for any limits at least 8, 20/sqrt(alpha) and the y where
+    the Gaussian tail exp(-y^2/(4D)) of the profile deviation falls to
+    `tail_tol`, with diffusivity D = max p'(rho_-+)/alpha."""
     alpha = limits.alpha
-    if limits.same_limits:
-        return float(max(8.0, 20.0 / np.sqrt(alpha))) if alpha > 0 else 8.0
     D = np.max(law.pressure(np.array([limits.rho_minus, limits.rho_plus]))[1]) / alpha
     return float(max(8.0, 20.0 / np.sqrt(alpha), np.sqrt(4.0 * D * np.log(1.0 / tail_tol))))
 
@@ -145,10 +143,11 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     tolerance `NEWTON_TOL` in max norm, or, once the line search stalls, the
     rounding floor `NEWTON_FLOOR_ULPS` eps max p(rho+-)/(alpha dy^2); each
     Newton step solves the tridiagonal Jacobian by cyclic reduction
-    (`_tridiag`).  Coincident limits give the constant state, theta = mu =
-    K = 0.  Raises SolverFailure on non-convergence, a singular Newton system
-    or a non-monotone or out-of-range solution (naming the grid and the
-    profile's width), DomainError if the truncated domain leaves a tail above
+    (`_tridiag`).  Coincident limits start at their constant state, residual
+    0, so theta = mu = K = 0.  Raises SolverFailure naming the grid and the
+    profile's width on overflow, a singular Newton system, a stall (with its
+    residual and floor), non-convergence or a non-monotone or out-of-range
+    solution, DomainError if the truncated domain leaves a tail above
     `tail_tol` or unless 0 < dy < L < inf, and ConfigError (before
     allocating) if the grid would have more than `grids.MAX_COUNT` nodes.
     """
@@ -162,10 +161,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     y = node_grid(L, dy)
     dy = float(y[1] - y[0])
 
-    if limits.same_limits:
-        return SimilarityProfile(y, np.full_like(y, limits.rho_plus), *np.zeros((3, y.size)))
-
     rm, rp, alpha = limits.rho_minus, limits.rho_plus, limits.alpha
+    width = np.sqrt(4.0 * max(law.pressure(rm)[1], law.pressure(rp)[1]) / alpha)
+    where = (f"on the grid [-{L:g}, {L:g}] at dy = {dy:g}; the profile's width "
+             f"sqrt(4 max p'(rho+-)/alpha) is {width:.3g}")  # named by each failure
     rho = 0.5 * (rm + rp) + 0.5 * (rp - rm) * np.tanh(y)
     rho[0], rho[-1] = rm, rp
 
@@ -186,10 +185,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
         lower[0] = upper[-1] = 0.0  # couplings to the pinned ends
         if not (np.isfinite(res_norm)
                 and all(np.isfinite(v).all() for v in (lower, diag, upper))):
-            raise SolverFailure("Newton system overflowed", residual=res_norm)
+            raise SolverFailure(f"Newton system overflowed {where}", residual=res_norm)
         delta = _tridiag(lower, diag, upper, -res)
         if not np.isfinite(delta).all():
-            raise SolverFailure("singular Newton system", residual=res_norm)
+            raise SolverFailure(f"singular Newton system {where}", residual=res_norm)
 
         s = 1.0
         while s > 1e-8:
@@ -203,14 +202,17 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
             s *= 0.5
         else:
             scale = max(law.pressure(rm)[0], law.pressure(rp)[0]) / (alpha * dy**2)
-            if res_norm > NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale:
-                raise SolverFailure("Newton line search stalled", residual=res_norm)
+            floor = NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale
+            if res_norm > floor:
+                raise SolverFailure(f"Newton line search stalled at residual {res_norm:.3g}, "
+                                    f"above its rounding floor {floor:.3g}, {where}",
+                                    residual=res_norm)
             break
         rho, res, res_norm = trial, trial_res, trial_norm
     else:
         raise SolverFailure(
             f"Newton did not reach tolerance {NEWTON_TOL:g} in "
-            f"{NEWTON_MAX_ITER} iterations",
+            f"{NEWTON_MAX_ITER} iterations {where}",
             residual=res_norm,
         )
 
@@ -225,10 +227,7 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     monotone = np.all(np.diff(rho) <= eps) if rm > rp else np.all(np.diff(rho) >= -eps)
     lo, hi = min(rm, rp), max(rm, rp)
     if not monotone or np.min(rho) < lo - 1e-14 or np.max(rho) > hi + 1e-14:
-        width = np.sqrt(4.0 * max(law.pressure(rm)[1], law.pressure(rp)[1]) / alpha)
-        raise SolverFailure(f"profile violates monotonicity/range bounds on the grid "
-                            f"[-{L:g}, {L:g}] at dy = {dy:g}; the profile's width "
-                            f"sqrt(4 max p'(rho+-)/alpha) is {width:.3g}")
+        raise SolverFailure(f"profile violates monotonicity/range bounds {where}")
 
     p, _ = law.pressure(rho)
     n_star = -_central_first(p, dy) / alpha

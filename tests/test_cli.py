@@ -91,6 +91,18 @@ def test_profile_too_coarse_for_its_width_names_the_grid(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_profile_stall_names_the_grid(tmp_path, capsys):
+    # rho_+ = 1e-3 at dy = 0.05: the line search stalls far above its floor,
+    # and the one line says at what residual and on what grid
+    out = tmp_path / "prof.csv"
+    assert main(["profile", "--rho-minus", "1", "--rho-plus", "1e-3", "--dy", "0.05",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Newton line search stalled at residual" in err, err
+    assert "rounding floor" in err and "dy = 0.05" in err and "width" in err, err
+    assert not out.exists()
+
+
 def test_window_wider_than_the_default_profile(tmp_path, capsys):
     # at alpha = 100 the profile's default half-width, 8, is short of
     # L_y + dy = 9.05: the plan solves the profile wider, at the y-grid's
@@ -112,13 +124,15 @@ def test_window_wider_than_the_default_profile(tmp_path, capsys):
 
 def test_profile_bad_input_exits_1(tmp_path, capsys):
     # grids are rejected before any allocation: 1e-7 would ask for 4e8 nodes;
-    # limits at 0 are no profile, not even a constant one; the last inputs
+    # limits at 0 are no profile, not even a constant one, nor is alpha = 0
+    # at coincident limits; the last inputs
     # overflow or make the Newton system singular
     out = tmp_path / "prof.csv"
     for flags in (["--dy", "1e-320"], ["--dy", "-0.5"], ["--dy", "0"],
                   ["--dy", "1e-7"], ["--dy", "nan"], ["--dy", "inf"],
                   ["--L", "0"], ["--L", "-1"], ["--L", "inf"], ["--L", "nan"],
                   ["--L", "1e300"], ["--rho-minus", "0", "--rho-plus", "0"],
+                  ["--rho-minus", "1", "--rho-plus", "1", "--alpha", "0"],
                   ["--rho-minus", "nan"], ["--alpha", "inf"],
                   ["--rho-minus", "1e200"], ["--gamma", "1e10"],
                   ["--gamma", "1e300", "--rho-minus", "1.0"],
@@ -356,7 +370,7 @@ def _synthetic_series(theta, mu, tau_max):
     """A jump-limit series under its envelope with a small dissipation."""
     tau = np.linspace(0.0, tau_max, 21)
     K_const, E0 = 0.1, 1e-2
-    envelope = theoretical_bound(tau, E0, theta, mu, K_const, False)
+    envelope = theoretical_bound(tau, E0, theta, mu, K_const)
     z = np.zeros_like(tau)
     return EntropyReport(
         tau=tau, E=0.18 * envelope, D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z,
@@ -482,6 +496,9 @@ _FAR_FIELD = "far-field densities must be positive"
     ({"rho_minus": "0.0", "rho_plus": "-0.0"}, _FAR_FIELD),
     ({"rho_minus": "-1.0", "rho_plus": "1.0"}, _FAR_FIELD),
     ({"rho_minus": "1.0", "rho_plus": "-0.5"}, _FAR_FIELD),
+    # no friction: the paper's system is damped, coincident limits included
+    ({"rho_minus": "1.0", "rho_plus": "1.0", "alpha": "0"},
+     "friction coefficient must be > 0"),
     # refused by the plan: a profile it cannot solve, a bump that empties
     # cells, a cfl above 1/2
     ({"rho_plus": "0.001"}, "Newton line search stalled"),

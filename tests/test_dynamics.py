@@ -333,11 +333,14 @@ class TestStep:
         assert out.final.rho[mid] == pytest.approx(1.0, rel=1e-13)
 
     def test_zero_damping_equilibrium(self):
-        state = _constant_state(m=0.0)
-        limits = LimitSpec(1.0, 1.0, 0.0)
-        new = step(state, SolverConfig(), LAW, 0.0, limits)
+        # step's own alpha = 0 runs undamped (LimitSpec itself takes alpha > 0
+        # only): the state at rest keeps its bits, and a moving one keeps its
+        # momentum away from the far field at rest
+        new = step(_constant_state(m=0.0), SolverConfig(), LAW, 0.0, UNIT)
         assert np.all(new.rho == 1.0)
         assert np.all(new.m == 0.0)
+        new = step(_constant_state(m=0.5), SolverConfig(), LAW, 0.0, UNIT)
+        assert np.all(new.m[100:140] == 0.5)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -32,24 +32,38 @@ from diffusionwave.thermo import PressureLaw
 
 class TestTheoreticalBound:
     def test_unit_at_zero(self):
-        assert theoretical_bound(0.0, 1.0, 0.1, 0.0, 0.0, False) == pytest.approx(1.0)
+        assert theoretical_bound(0.0, 1.0, 0.1, 0.0, 0.0) == pytest.approx(1.0)
 
     def test_coincident_branch(self):
-        assert theoretical_bound(2.0, 2.0, 0.0, 0.0, 0.0, True) == pytest.approx(
+        # theta = mu = K = 0, the constant profile's constants
+        assert theoretical_bound(2.0, 2.0, 0.0, 0.0, 0.0) == pytest.approx(
             2.0 * np.exp(-1.0))
 
+    def test_coincident_case_is_E0_exp_to_the_bit(self):
+        # the one formula at theta = mu = K = 0 is E0 e^{-tau/2} to the bit,
+        # on arrays and on scalars, with int or float zeros
+        tau = np.linspace(0.0, 6.0, 61)
+        for E0 in (7.089e-2, 1.0, 3.5e-7):
+            expected = E0 * np.exp(-0.5 * tau)
+            for zero in (0, 0.0):
+                got = theoretical_bound(tau, E0, zero, zero, zero)
+                assert np.array_equal(got, expected), (E0, zero)
+                assert [theoretical_bound(t, E0, zero, zero, zero) for t in tau] == list(expected)
+
     def test_jump_branch(self):
-        val = theoretical_bound(2.0, 1.0, 0.1, 0.3, 0.2, False)
+        val = theoretical_bound(2.0, 1.0, 0.1, 0.3, 0.2)
         assert val == pytest.approx(3.0 * np.exp(-0.65), rel=1e-12)
 
     def test_zero_theta_jump_rejected(self):
-        with pytest.raises(DomainError):
-            theoretical_bound(1.0, 1.0, 0.0, 0.1, 0.1, False)
+        # K > 0 needs theta > 0: K/theta has no value at theta = 0
+        for theta in (0.0, -0.0, -0.1):
+            with pytest.raises(DomainError, match="needs theta > 0 when K > 0"):
+                theoretical_bound(1.0, 1.0, theta, 0.1, 0.1)
 
     def test_monotone_decreasing(self):
         tau = np.linspace(0, 6, 200)
-        jump = theoretical_bound(tau, 1.0, 0.2, 0.3, 0.2, False)
-        coin = theoretical_bound(tau, 1.0, 0.0, 0.0, 0.0, True)
+        jump = theoretical_bound(tau, 1.0, 0.2, 0.3, 0.2)
+        coin = theoretical_bound(tau, 1.0, 0.0, 0.0, 0.0)
         assert np.all(np.diff(jump) < 0)
         assert np.all(np.diff(coin) < 0)
 
@@ -273,10 +287,17 @@ class TestDiagnose:
         assert parse_report(path).meta["tail_ok"] is expected
 
     def test_vacuum_reference_rejected_before_the_snapshots(self):
-        # a far field that is not > 0 is refused with the config, before the run
+        # a far field that is not > 0 is refused by the plan's LimitSpec,
+        # before the run; so is alpha = 0, coincident limits included
         for limits in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (-1.0, -1.0), (1.0, -0.5)):
-            with pytest.raises(ConfigError, match="far-field densities must be positive"):
-                ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_SMALL)
+            cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_SMALL)
+            with pytest.raises(DomainError, match="far-field densities must be positive"):
+                plan(cfg)
+        for limits in ((1.0, 1.0), (1.05, 0.95)):
+            cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1],
+                                   **{**_SMALL, "alpha": 0.0})
+            with pytest.raises(DomainError, match="friction coefficient must be > 0"):
+                plan(cfg)
 
 
 class TestCsvRoundTrip:

@@ -95,10 +95,29 @@ class TestSolve:
             LimitSpec(-1.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             LimitSpec(1.0, 1.0, -1.0)
-        # alpha = 0 only where the profile is the constant state
-        with pytest.raises(DomainError, match="> 0, or 0 for coincident limits"):
-            LimitSpec(1.05, 0.95, 0.0)
-        assert LimitSpec(1.0, 1.0, 0.0).same_limits
+        # alpha > 0 for every pair of limits, coincident ones included
+        for rho_minus, rho_plus, alpha in ((1.05, 0.95, 0.0), (1.0, 1.0, 0.0),
+                                           (1.0, 1.0, -0.0), (1.0, 1.0, -1.0)):
+            with pytest.raises(DomainError, match="friction coefficient must be > 0"):
+                LimitSpec(rho_minus, rho_plus, alpha)
+        assert LimitSpec(1.0, 1.0, 1.0).same_limits
+
+    @pytest.mark.parametrize("gamma", [1.0, 2.0])
+    @pytest.mark.parametrize("k", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_coincident_limits_solve_to_the_constant_state(self, gamma, k, alpha):
+        # no branch: Newton starts at the constant state, whose residual is 0
+        limits, law = LimitSpec(1.3, 1.3, alpha), PressureLaw(k, gamma)
+        prof = solve_profile(limits, law, dy=0.05)
+        assert np.all(prof.rho_star == 1.3)
+        assert np.all(prof.n_star == 0.0) and np.all(prof.r_star == 0.0)
+        assert np.all(prof.ode_residual == 0.0)
+        assert (prof.theta, prof.mu, prof.K_const) == (0.0, 0.0, 0.0)
+        # one half-width rule: the Gaussian tail's, where it is the widest
+        D = gamma * k * 1.3 ** (gamma - 1.0) / alpha
+        assert default_halfwidth(limits, law) == pytest.approx(
+            max(8.0, 20.0 / np.sqrt(alpha), np.sqrt(4.0 * D * np.log(1.0 / TAIL_TOL))),
+            rel=1e-12)
 
     def test_undersized_domain_rejected(self):
         with pytest.raises(DomainError):
