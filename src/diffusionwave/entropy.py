@@ -81,15 +81,18 @@ def entropy_pair(tau, rho, n, law):
     return eta, q
 
 
-def _relative_core(tau, rho, u, rho_bar, u_bar, reference, law):
+def _relative_core(exp_m, rho, u, rho_bar, u_bar, reference, law, out=(None,) * 6):
     """(du, rho - rho_bar, h_rel, p_rel, eta_rel) of rho >= 0 with velocity
     u against rho_bar with velocity u_bar and `reference`, the
-    `PressureLaw._reference` terms."""
-    du = u - u_bar
-    drho = rho - rho_bar
-    h_rel, p_rel = law._relative(rho, drho, reference)
-    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
-    return du, drho, h_rel, p_rel, eta_rel
+    `PressureLaw._reference` terms, at exp_m = e^-tau; into
+    out = (du, drho, h_rel, p_rel, eta_rel, work) if given, work a scratch
+    array, and u may be du."""
+    du_out, drho_out, h_out, p_out, eta_out, work = out
+    du = np.subtract(u, u_bar, du_out)
+    drho = np.subtract(rho, rho_bar, drho_out)
+    h_rel, p_rel = law._relative(rho, drho, reference, (h_out, p_out, work))
+    eta_rel = np.multiply(np.multiply(rho, 0.5 * exp_m, eta_out), du, eta_out)
+    return du, drho, h_rel, p_rel, np.add(np.multiply(eta_rel, du, eta_out), h_rel, eta_out)
 
 
 def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
@@ -103,7 +106,7 @@ def relative_entropy_density(tau, rho, n, rho_bar, n_bar, law):
         raise DomainError("densities must be nonnegative")
     if not np.all(rho_bar > 0):
         raise DomainError("the reference density must be positive")
-    eta_rel = _relative_core(tau, rho, _ratio(n, rho), rho_bar, n_bar / rho_bar,
+    eta_rel = _relative_core(np.exp(-tau), rho, _ratio(n, rho), rho_bar, n_bar / rho_bar,
                              law._reference(rho_bar), law)[-1]
     return float(eta_rel) if eta_rel.ndim == 0 else eta_rel
 
@@ -225,27 +228,43 @@ def _snapshot_pass(ref, alpha, law):
     quadrature with their edge monitor, the residual R2 = R2_steady +
     e^tau (p_y + alpha n) and the xi terms with their quadratures at
     tau = field.tau.  R2's tau-free forcing p_y + alpha n is computed here,
-    once."""
-    forcing = ref.p_y + alpha * ref.n
+    once.  The pass owns du, rho - rho_bar and two scratch rows, and writes
+    every temporary into them: a call allocates only the arrays of the
+    record it returns, which the next call leaves as they are."""
+    forcing, neg_d2h = ref.p_y + alpha * ref.n, -ref.d2h
+    dy = float(ref.y[1] - ref.y[0])  # the dy of every field on ref.y
+    total = lambda v: float(np.add.reduce(v) * dy)  # v.sum() * dy
+    du, drho, p_rel, work = np.empty((4, ref.y.size))
 
     def snapshot(field):
         if field.y is not ref.y and not np.array_equal(ref.y, field.y):
             raise DomainError("the field is not on the y-grid of the reference")
-        tau, rho, dy = field.tau, field.rho, field.dy
-        du, drho, h_rel, p_rel, eta_rel = _relative_core(
-            tau, rho, field.n / rho, ref.rho, ref.u, ref.thermo, law)
-        diss = alpha * rho * du * du
+        tau, rho = field.tau, field.rho
+        exp_m, exp_p = np.exp(-tau), np.exp(tau)
+        h_rel, eta_rel = np.empty_like(du), np.empty_like(du)
+        _relative_core(exp_m, rho, np.divide(field.n, rho, du), ref.rho, ref.u, ref.thermo,
+                       law, (du, drho, h_rel, p_rel, eta_rel, work))
+        diss = np.multiply(rho, alpha, work)
+        diss *= du
+        diss *= du
         tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
-        R2 = ref.R2_steady + np.exp(tau) * forcing
-        exp_m = np.exp(-tau)
-        xi1 = ref.neg_u_y * (exp_m * rho * du * du + p_rel)
+        E, D_alpha = total(eta_rel), total(diss)
+        R2 = forcing * exp_p
+        R2 += ref.R2_steady
+        xi1 = rho * exp_m
+        xi1 *= du
+        xi1 *= du
+        xi1 += p_rel
+        xi1 *= ref.neg_u_y
         R_bar = ref.u_R1 - R2
-        xi2 = exp_m * R_bar * (rho / ref.rho) * du
-        xi3 = -drho * ref.d2h * ref.R1
-        Xi = tuple(float(v.sum() * dy) for v in (xi1, xi2, xi3))
-        return _Snapshot(E=float(eta_rel.sum() * dy), D_alpha=float(diss.sum() * dy),
-                         tail_ok=bool(tail <= TAIL_MONITOR), R1=ref.R1, R2=R2,
-                         xi1=xi1, xi2=xi2, xi3=xi3, Xi=Xi, eta_rel=eta_rel,
+        xi2 = R_bar * exp_m
+        xi2 *= np.divide(rho, ref.rho, work)
+        xi2 *= du
+        xi3 = drho * neg_d2h  # (-drho) d2h, bit for bit
+        xi3 *= ref.R1
+        return _Snapshot(E=E, D_alpha=D_alpha, tail_ok=bool(tail <= TAIL_MONITOR), R1=ref.R1,
+                         R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
+                         Xi=(total(xi1), total(xi2), total(xi3)), eta_rel=eta_rel,
                          h_rel=h_rel, R_bar=R_bar)
     return snapshot
 

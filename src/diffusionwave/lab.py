@@ -286,8 +286,10 @@ def diagnose(plan, run_result, on_scaled=None):
         tail_ok &= diag.tail_ok
 
     E0 = float(E[0])
-    proved = theta > 0 or K_const == 0  # else the envelope's K/theta has no value
-    envelope = (theoretical_bound(taus, E0, theta, mu, K_const) if proved
+    # the paper proves the envelope for theta < 1/2 only, and its K/theta has
+    # no value at K > 0, theta <= 0; elsewhere it is NaN, e^{mu/2} unevaluated
+    theta_lt_half = theta < 0.5 and (theta > 0 or K_const == 0)
+    envelope = (theoretical_bound(taus, E0, theta, mu, K_const) if theta_lt_half
                 else np.full_like(taus, np.nan))
 
     dtau = cfg.tau_step
@@ -301,7 +303,7 @@ def diagnose(plan, run_result, on_scaled=None):
         "dx": cfg.dx, "dy": cfg.dy, "dtau": dtau,
         "reference": plan.ref_kind, "same_limits": plan.limits.same_limits,
         "theta": theta, "mu": mu, "K_const": K_const,
-        "theta_lt_half": proved and theta < 0.5,
+        "theta_lt_half": theta_lt_half,
         "E0": E0, "ineq_tol": tol, "tail_ok": tail_ok,
     }
     return EntropyReport(
@@ -408,9 +410,9 @@ def write_csv(path, comments, columns):
         lines.append(f"# {key}={value!r}")
     names = list(columns)
     lines.append(",".join(names))
-    cols = [np.asarray(columns[name]) for name in names]
+    cols = [np.asarray(columns[name], dtype=float).tolist() for name in names]
     for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
+        lines.append(",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -117,21 +117,31 @@ class PressureLaw:
         p, dp = self._p_dp(rho_bar)
         return h, dh, p, dp
 
-    def _relative(self, rho, drho, reference):
+    def _relative(self, rho, drho, reference, out=(None, None, None)):
         """(h_rel, p_rel) of the float array rho >= 0 (unchecked) against
-        rho_bar, given drho = rho - rho_bar and the `_reference` terms."""
+        rho_bar, given drho = rho - rho_bar and the `_reference` terms; into
+        out = (h_rel, p_rel, work) if given, work a scratch array."""
         hb, dhb, pb, dpb = reference
-        h_rel = self._h_value(rho) - hb - dhb * drho
-        p_rel = self._p(rho) - pb - dpb * drho
+        h_out, p_out, work = out
+        h_rel = np.subtract(self._h_value(rho, h_out, work), hb, h_out)
+        h_rel -= np.multiply(dhb, drho, work)
+        p_rel = np.subtract(self._p(rho, p_out), pb, p_out)
+        p_rel -= np.multiply(dpb, drho, work)
         return h_rel, p_rel
 
-    def _h_value(self, z):
-        # h alone, with the limit value h(0) = 0 taken for gamma = 1 as well
+    def _h_value(self, z, out=None, work=None):
+        """h alone, into out if given, with work a scratch array; the limit
+        value h(0) = 0 is taken for gamma = 1 as well."""
         z = np.asarray(z, dtype=float)
-        if self.gamma == 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(z > 0, self.k * z * np.log(np.where(z > 0, z, 1.0)), 0.0)
-        return self.k * z * _log_ratio(z, self.gamma)
+        h = np.multiply(z, self.k, out)
+        if self.gamma != 1.0:
+            h *= _log_ratio(z, self.gamma, work)
+            return h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h *= _log_ratio(z, 1.0, work)
+        h = np.asarray(h)
+        np.copyto(h, 0.0, where=~(z > 0))
+        return h
 
     # -- vacuum admissibility ----------------------------------------------
 
@@ -147,20 +157,25 @@ class PressureLaw:
         return False, None
 
 
-def _log_ratio(z, g):
-    """(z^(g-1) - 1)/(g-1), read as log z at g = 1.
+def _log_ratio(z, g, out=None):
+    """(z^(g-1) - 1)/(g-1), read as log z at g = 1, into out if given.
 
     For g >= 2 the power is used as it stands: dividing by g - 1 >= 1 loses
     nothing, and exact powers stay exact.  Below that the difference goes
     through expm1((g-1) log z), so nothing cancels as g -> 1.
     """
     if g >= 2.0:
-        return (z ** (g - 1.0) - 1.0) / (g - 1.0)
-    with np.errstate(divide="ignore"):
-        lz = np.log(z)
-    if g == 1.0:
-        return lz
-    return np.expm1((g - 1.0) * lz) / (g - 1.0)
+        r = np.power(z, g - 1.0, out)
+        r -= 1.0
+    else:
+        with np.errstate(divide="ignore"):
+            r = np.log(z, out)
+        if g == 1.0:
+            return r
+        r *= g - 1.0
+        r = np.expm1(r, out)
+    r /= g - 1.0
+    return r
 
 
 def _d2h_at_zero(k, g):

@@ -414,6 +414,31 @@ def test_report_names_an_inconclusive_dissipation_check(tmp_path, capsys):
     assert "passed=" not in out and "margin=nan" not in out
 
 
+# rho_+ = 0.004 at alpha = 0.3: theta = 30.4 and mu = 1780, so e^{mu/2} overflows
+OVERFLOW_CFG = (JUMP_CFG.replace("rho_plus = 0.95", "rho_plus = 0.004")
+                .replace("alpha = 1.0", "alpha = 0.3").replace("dy = 0.1", "dy = 0.02"))
+
+
+def test_no_envelope_without_theta_below_one_half(tmp_path, capsys):
+    # the envelope is NaN, not evaluated, and report fails both rules on theta
+    cfg, series = tmp_path / "overflow.cfg", tmp_path / "series.csv"
+    cfg.write_text(OVERFLOW_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["diagnose", "--config", str(cfg), "--out", str(series)]) == 0
+    assert "inf" not in series.read_text()
+    report = parse_report(series)
+    assert report.meta["theta"] > 0.5 and report.meta["theta_lt_half"] is False
+    assert np.all(np.isnan(report.envelope)) and np.all(np.isfinite(report.E))
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 3
+    out, err = capsys.readouterr()
+    assert err == ""
+    theta = f"theta = {report.meta['theta']:.4f}"
+    assert f"[FAIL] entropy decay envelope: {theta}, theta_lt_half = False" in out
+    assert f"[FAIL] dissipation tail bound: {theta}: the bound needs theta < 1/2" in out
+
+
 def test_report_command(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])

@@ -1,10 +1,14 @@
 """Relative entropy densities, residuals, identities, bounds."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
 from diffusionwave.entropy import (
     ReferencePair,
+    _snapshot_pass,
     coercivity_constants,
     entropy_identity_residual,
     error_terms,
@@ -130,9 +134,14 @@ class TestExchangeIdentity:
         assert np.max(res / scale) <= 1e-12
 
 
+@functools.cache
+def _jump_profile_at(law):
+    return solve_profile(LimitSpec(1.05, 0.95, 1.0), law, dy=0.02)
+
+
 @pytest.fixture(scope="module")
 def jump_profile():
-    return solve_profile(LimitSpec(1.05, 0.95, 1.0), LAW, dy=0.02)
+    return _jump_profile_at(LAW)
 
 
 class TestErrorTerms:
@@ -397,18 +406,24 @@ def _separate_formulas(fld, ref, alpha, law):
 
 _TOY = dict(alpha=1.3, amplitude=0.1, X=8.0, dx=0.1,
             L_y=4.0, dy=0.05, tau_max=0.5, tau_step=0.125)
+# every branch of thermo._log_ratio: log z, expm1 below gamma = 2, the power
+# above; k = 1.3 off gamma = 2, so that a product by k taken in another order shows
+_LAWS = tuple(PressureLaw(1.0 if gamma == 2.0 else 1.3, gamma) for gamma in (1.0, 1.4, 2.0, 3.0))
 
 
 class TestOnePass:
     """One pass per snapshot keeps the bits of the separate formulas."""
 
-    @pytest.mark.parametrize("limits", [(1.0, 1.0), (1.05, 0.95)],
-                             ids=["coincident", "jump"])
-    def test_diagnose_matches_the_separate_formulas(self, limits):
-        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], **_TOY)
+    @pytest.mark.parametrize("limits, law", [
+        (limits, law) for limits in ((1.0, 1.0), (1.05, 0.95)) for law in _LAWS],
+        ids=[name + ("" if law == LAW else f"-gamma={law.gamma:g}")
+             for name in ("coincident", "jump") for law in _LAWS])
+    def test_diagnose_matches_the_separate_formulas(self, limits, law):
+        cfg = ExperimentConfig(rho_minus=limits[0], rho_plus=limits[1], gamma=law.gamma,
+                               k=law.k, **_TOY)
         p = plan(cfg)
         report = diagnose(p, simulate(p))
-        law, ref = p.law, p.ref
+        ref = p.ref
         Xi = np.column_stack([report.Xi1, report.Xi2, report.Xi3])
         for j, snap in enumerate(report.run_result.snapshots):
             fld = to_scaled(snap, ref.y)
@@ -418,11 +433,11 @@ class TestOnePass:
         assert np.all(report.E > 0) and np.any(report.D_alpha > 0)
         assert np.any(Xi != 0) != p.limits.same_limits
 
-    def test_public_entry_points_match_the_separate_formulas(self, jump_profile):
+    @pytest.mark.parametrize("law", _LAWS, ids=lambda law: f"gamma={law.gamma:g}")
+    def test_public_entry_points_match_the_separate_formulas(self, law):
         # a random positive field, near vacuum on some nodes
-        prof = jump_profile
         y = np.linspace(-4, 4, 201)
-        ref = _profile_pair(prof, y).eval(LAW)
+        ref = _profile_pair(_jump_profile_at(law), y).eval(law)
         rng = np.random.default_rng(31)
         rho = rng.uniform(0.8, 1.2, y.size)
         n = rng.uniform(-0.1, 0.1, y.size)
@@ -430,10 +445,29 @@ class TestOnePass:
         n[40:50] *= rho[40:50]
         for tau, alpha in ((0.0, 1.0), (0.9, 0.7), (3.1, 2.0)):
             fld = ScaledField(tau, y, rho, n)
-            E, D, Xi, _, _ = _separate_formulas(fld, ref, alpha, LAW)
-            totals = total_relative_entropy(fld, ref, alpha, LAW)
+            E, D, Xi, _, _ = _separate_formulas(fld, ref, alpha, law)
+            totals = total_relative_entropy(fld, ref, alpha, law)
             assert (totals.E, totals.D_alpha) == (E, D)
-            assert error_terms(fld, ref, tau, alpha, LAW).Xi == Xi
+            assert error_terms(fld, ref, tau, alpha, law).Xi == Xi
+
+    def test_a_record_outlives_the_next_call(self, jump_profile):
+        # the pass writes its temporaries into its own buffers, never into
+        # the arrays of a record it returned
+        y = np.linspace(-4, 4, 201)
+        snapshot = _snapshot_pass(_profile_pair(jump_profile, y).eval(LAW), 1.0, LAW)
+        rng = np.random.default_rng(5)
+        first, second = (
+            ScaledField(tau, y, rng.uniform(0.8, 1.2, y.size), rng.uniform(-0.1, 0.1, y.size))
+            for tau in (0.3, 1.7))
+        record = snapshot(first)
+        names = [f.name for f in dataclasses.fields(record)]
+        kept = {name: np.asarray(getattr(record, name)).tobytes() for name in names}
+        later = snapshot(second)
+        for name in names:
+            assert np.asarray(getattr(record, name)).tobytes() == kept[name], name
+        assert later.E != record.E and later.Xi != record.Xi
+        for name in ("eta_rel", "h_rel", "R2", "R_bar", "xi1", "xi2", "xi3"):
+            assert not np.shares_memory(getattr(record, name), getattr(later, name)), name
 
     def test_momentum_at_vacuum_raises(self, jump_profile):
         prof = jump_profile

@@ -311,6 +311,20 @@ class TestCsvRoundTrip:
         for key in cols:
             assert np.array_equal(back[key], cols[key])
 
+    def test_column_text_is_pinned(self, tmp_path):
+        # each column is converted to float once: ints are written as floats,
+        # and -0.0, nan and the infinities keep their text
+        path = tmp_path / "t.csv"
+        write_csv(path, {}, {"x": np.array([0.1, -0.0, np.nan, np.inf, -np.inf]),
+                             "n": np.array([1200, 0, -3, 7, 2**53 + 1]),
+                             "mixed": [1, 2.5, -0.0, float("nan"), -1e-17]})
+        assert path.read_text() == ("x,n,mixed\n"
+                                    "0.1,1200.0,1.0\n"
+                                    "-0.0,0.0,2.5\n"
+                                    "nan,-3.0,-0.0\n"
+                                    "inf,7.0,nan\n"
+                                    "-inf,9007199254740992.0,-1e-17\n")
+
     def test_report_field_for_field(self, tmp_path):
         tau = np.linspace(0, 4, 41)
         rng = np.random.default_rng(21)
