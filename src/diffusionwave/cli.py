@@ -136,7 +136,7 @@ def _cmd_report(args):
                 "dissipation tail bound": dissipation_check(report)}
     for name, (passed, detail) in verdicts.items():
         print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail}")
-    print(f"max inequality residual = {np.max(report.ineq_residual):.3e} "
+    print(f"max inequality residual = {report.worst_ineq_residual:.3e} "
           f"(tol {report.meta['ineq_tol']:.3e})")
     return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VIOLATION
 

@@ -22,7 +22,11 @@ far-field ghost cells at each end.  Every ufunc of a step writes with out=
 into a `_Workspace` built for its window, which holds each array the step
 writes and each view of them it reads; `run` keeps it until the window
 (which only grows, by blocks of 16 cells) or the grid changes, so a step
-that keeps it allocates no array.
+that keeps it allocates no array.  Scalar operands are 0-d arrays, module
+constants or workspace slots the step writes in place (-dx, dt/2, dt/3,
+the friction decay, the far-field bits), and the step's reductions call
+the ufunc's reduce directly, not the ndarray methods that wrap it: on a
+window of a few hundred cells, most of a call is its fixed cost.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -126,6 +130,9 @@ class SolverConfig:
 # Unchecked: densities are > 0 (or NaN, which the stage checks catch).  Each
 # face state's m^2/rho, u, p and sqrt(p') is evaluated once.
 
+# 0-d arrays: a ufunc converts a Python or NumPy scalar operand on every call
+_HALF, _ZERO = np.array(0.5), np.array(0.0)
+
 
 def _speed(rho, m, dp, out=None):
     """|u| + sqrt(p'), in out if given; dp >= 0 is overwritten."""
@@ -161,14 +168,14 @@ def _rusanov(ws, law):
     """Rusanov fluxes (f_rho, f_m) of the face states of ws, into ws.flux."""
     _face(ws, law)
     s = np.maximum(ws.s_l, ws.s_r, out=ws.s_l)
-    s *= 0.5
+    s *= _HALF
     f_rho = np.add(ws.m_l, ws.m_r, out=ws.f_rho)
-    f_rho *= 0.5
+    f_rho *= _HALF
     jump = np.subtract(ws.rho_r, ws.rho_l, out=ws.jump)
     jump *= s
     f_rho -= jump
     f_m = np.add(ws.fm_l, ws.fm_r, out=ws.f_m)
-    f_m *= 0.5
+    f_m *= _HALF
     np.subtract(ws.m_r, ws.m_l, out=jump)
     jump *= s
     f_m -= jump
@@ -201,8 +208,8 @@ def _minmod(a, b, out=None, tmp=None, mask=None):
     np.copysign(out, a, out=out)   # where a value is kept, a and b share a sign
     np.multiply(a, b, out=tmp)
     # 0 where a b > 0 fails, NaN included: out *= (a b > 0) would keep a NaN
-    mask = np.logical_not(np.greater(tmp, 0.0, out=mask), out=mask)
-    np.copyto(out, 0.0, where=mask)
+    mask = np.logical_not(np.greater(tmp, _ZERO, out=mask), out=mask)
+    np.copyto(out, _ZERO, where=mask)
     return out
 
 
@@ -210,8 +217,9 @@ class _Workspace(_Faces):
     """Every array a step on the window [lo, hi) of an n-cell grid writes, and
     every view of them it reads: the two stage buffers, (rho, m) with two
     ghost cells at each end frozen at the far field, and the scratch of
-    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`.  The far-field
-    densities must be > 0 (DomainError)."""
+    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`; and, as 0-d arrays,
+    the scalar operands of a step.  The far-field densities must be > 0
+    (DomainError)."""
 
     def __init__(self, lo, hi, n, limits):
         if not (limits.rho_minus > 0 and limits.rho_plus > 0):
@@ -222,6 +230,7 @@ class _Workspace(_Faces):
         buffers = np.empty((2, 2, k))
         buffers[:, 0, :2], buffers[:, 0, -2:] = limits.rho_minus, limits.rho_plus
         buffers[:, 1, :2] = buffers[:, 1, -2:] = 0.0
+        self.blocks = tuple(buffers)   # each stage buffer as one (2, k) block
         self.stages = tuple((R, M) for R, M in buffers)
         self.cells = tuple((R[2:-2], M[2:-2]) for R, M in buffers)
         ru = np.empty(2 * k)
@@ -234,12 +243,18 @@ class _Workspace(_Faces):
         self.sides = tuple((c[1:-2], s[:-1], c[2:-1], s[1:]) for c, s in
                            ((self.ru_r, self.slope_r), (self.ru_u, self.slope_u)))
         self.cell_fluxes = tuple((f[1:], f[:-1]) for f in self.flux)   # (right, left)
-        self.acc, self.div = (tuple(a) for a in np.empty((2, 2, w)))
+        self.acc_block, div = np.empty((2, 2, w))
+        self.acc, self.div = tuple(self.acc_block), tuple(div)
         self.cfl = np.empty((2, w + 2))
         still, far = np.empty((2, w), bool)
         self.flags = still, far, far[::-1]
         self.loss = np.zeros(n)
         self.window_loss = self.loss[lo:hi]
+        self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
+        # -dx, which `_hyperbolic_rhs` sets for its grid; the stage step (dt/2
+        # or dt), dt/3 and the friction decay, which `_advance` sets each step
+        self.dx, self.neg_dx = None, np.empty(())
+        self.h, self.third, self.decay = (np.empty(()) for _ in range(3))
 
 
 def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
@@ -272,18 +287,21 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
 
     # N+1 interface fluxes bordering the N physical cells
     f_rho, f_m = _rusanov(ws, law)
+    if dx != ws.dx:
+        ws.dx, ws.neg_dx[()] = dx, -dx
     for div, (right, left) in zip(out, ws.cell_fluxes):
         np.subtract(right, left, out=div)
-        div /= -dx
+        div /= ws.neg_dx
     return f_rho[0], f_rho[-1], f_m[0], f_m[-1]
 
 
-def _check(rho, m):
-    """Reject NaN, inf and a density that is not > 0."""
-    # a NaN or inf anywhere makes its sum non-finite
-    if not (math.isfinite(rho.sum()) and math.isfinite(m.sum())):
+def _check(block):
+    """Reject NaN, inf and a density that is not > 0 in a (2, k) block of
+    rows (rho, m)."""
+    # a NaN or inf anywhere makes the sum non-finite
+    if not math.isfinite(np.add.reduce(block, axis=None)):
         raise NumericalFailure("NaN or inf detected during time stepping")
-    low = rho.min()
+    low = np.minimum.reduce(block[0])
     if not low > 0:
         raise NumericalFailure(f"{'negative' if low < 0 else 'zero'} density {low:.3e}")
 
@@ -294,7 +312,7 @@ def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
     of dt/2 each keep the Courant number cfl.  p' and the speeds go into
     out where given."""
     ssp = 2.0 if cfg.order == 2 else 1.0
-    smax = _speed(rho, m, law._dp(rho, out[0]), out[1]).max()
+    smax = np.maximum.reduce(_speed(rho, m, law._dp(rho, out[0]), out[1]))
     dt = ssp * cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
@@ -313,8 +331,11 @@ _BLOCK = 16
 
 
 def _bits(value):
-    """The bit pattern of a float, as an int64."""
-    return np.float64(value).view(np.int64)
+    """The bit pattern of a float, as a 0-d int64 array."""
+    return np.array(value, dtype=float).view(np.int64)
+
+
+_ZERO_BITS = _bits(0.0)
 
 
 def _leading(flags):
@@ -343,14 +364,14 @@ def _window(rho, m, limits, ws=None):
     n = rho.size
     if ws is not None and ws.key[2] == n:
         (a, b, _), (still, far, far_reversed) = ws.key, ws.flags
+        minus, plus = ws.far_bits
     else:
         a, b, (still, far) = 0, n, np.empty((2, n), bool)
-        far_reversed = far[::-1]
+        far_reversed, minus, plus = far[::-1], _bits(limits.rho_minus), _bits(limits.rho_plus)
     bits = rho[a:b].view(np.int64)
-    np.equal(m[a:b].view(np.int64), 0, out=still)
-    lead = _leading(np.logical_and(np.equal(bits, _bits(limits.rho_minus), out=far),
-                                   still, out=far))
-    np.logical_and(np.equal(bits, _bits(limits.rho_plus), out=far), still, out=far)
+    np.equal(m[a:b].view(np.int64), _ZERO_BITS, out=still)
+    lead = _leading(np.logical_and(np.equal(bits, minus, out=far), still, out=far))
+    np.logical_and(np.equal(bits, plus, out=far), still, out=far)
     trail = _leading(far_reversed)
     lead, trail = a + lead, n - b + trail
     if lead + trail > n:
@@ -363,7 +384,7 @@ def _sink(ws, before, after, dx):
     ws.loss: outside the window both are 0, and numpy's pairwise sum adds
     in the order of the full grid."""
     np.subtract(before, after, out=ws.window_loss)
-    return ws.loss.sum() * dx
+    return np.add.reduce(ws.loss) * dx
 
 
 def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
@@ -389,41 +410,44 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     # A holds the stage-0 state, B the later ones
     (A, B), ((rho_a, m_a), (rho_s, m_s)) = ws.stages, ws.cells
     (d, e), (d1, e1) = ws.acc, ws.div
+    h, third, decay, B_block = ws.h, ws.third, ws.decay, ws.blocks[1]
     np.copyto(rho_a, rho)
 
     sink = 0.0
     if cfg.order == 2:
-        decay = np.exp(-alpha * dt / 2.0)
+        decay[()] = np.exp(-alpha * dt / 2.0)
         m1 = np.multiply(m, decay, out=m_a)
         sink += _sink(ws, m, m1, dx)
         # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
-        h = dt / 2.0
+        h[()] = dt / 2.0
         b0 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
         np.add(rho, np.multiply(d, h, out=rho_s), out=rho_s)
         np.add(m1, np.multiply(e, h, out=m_s), out=m_s)
-        _check(rho_s, m_s)
+        _check(B_block)
         b1 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
         d += d1
         e += e1
         rho_s += np.multiply(d1, h, out=d1)
         m_s += np.multiply(e1, h, out=e1)
-        _check(rho_s, m_s)
+        _check(B_block)
         b2 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
         d += d1
         e += e1
-        rho_n = np.add(np.multiply(d, dt / 3.0, out=d), rho, out=d)
-        m_n = np.add(np.multiply(e, dt / 3.0, out=e), m1, out=e)
+        third[()] = dt / 3.0
+        rho_n = np.add(np.multiply(d, third, out=d), rho, out=d)
+        m_n = np.add(np.multiply(e, third, out=e), m1, out=e)
         fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
-        decay = np.exp(-alpha * dt)
+        decay[()] = np.exp(-alpha * dt)
+        h[()] = dt
         np.copyto(m_a, m)
         b1 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
-        rho_n = np.add(np.multiply(d, dt, out=d), rho, out=d)
-        m_n = np.add(np.multiply(e, dt, out=e), m, out=e)
+        rho_n = np.add(np.multiply(d, h, out=d), rho, out=d)
+        m_n = np.add(np.multiply(e, h, out=e), m, out=e)
         fm = tuple(dt * b for b in b1)
-    _check(rho_n, m_n)
+    _check(ws.acc_block)
     m_d = np.multiply(m_n, decay, out=m_a)
     sink += _sink(ws, m_n, m_d, dx)
     rho[:], m[:], state.t = rho_n, m_d, t + dt
@@ -505,9 +529,11 @@ def run(initial, cfg, law, limits, times):
             total_sink += sink
             edge = max(abs(state.rho[0] - limits.rho_minus), abs(state.m[0]),
                        abs(state.rho[-1] - limits.rho_plus), abs(state.m[-1]))
-            # in the order of _AUDIT
-            values = (state.t, dt, state.dx, state.mass, state.momentum, total_fm,
-                      total_fp, total_sink, ws.key[1] - ws.key[0], edge)
+            # in the order of _AUDIT; mass and momentum as `state.mass` sums
+            dx = state.dx
+            values = (state.t, dt, dx, float(np.add.reduce(state.rho) * dx),
+                      float(np.add.reduce(state.m) * dx), total_fm, total_fp, total_sink,
+                      ws.key[1] - ws.key[0], edge)
             for series, value in zip(audit.values(), values):
                 series.append(value)
         # the step has checked the state

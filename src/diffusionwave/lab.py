@@ -228,6 +228,12 @@ class EntropyReport:
     def E0(self):
         return float(self.E[0])
 
+    @property
+    def worst_ineq_residual(self):
+        """The largest residual over the intervals; row 0 ends none and holds
+        a placeholder 0.  -inf for a single sample."""
+        return float(np.max(self.ineq_residual[1:], initial=-np.inf))
+
 
 def _inequality_residual(tau, E, D, Xi_total):
     """Per-interval defect of the relative-entropy inequality,
@@ -357,11 +363,13 @@ def envelope_check(report):
     """The envelope rule: E <= ENVELOPE_SLACK * envelope at every tau, and
     `meta["theta_lt_half"]`, without which the paper proves no envelope."""
     m, bound = report.meta, ENVELOPE_SLACK * report.envelope
-    return Verdict(m["theta_lt_half"] and bool(np.all(report.E <= bound)),
-                   f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
-                   f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}, "
-                   f"max E/({ENVELOPE_SLACK} envelope) = {np.max(report.E / bound):.4f}, "
-                   f"worst gap {np.max(report.E - bound):.2e}")
+    params = (f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
+              f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}")
+    if not m["theta_lt_half"]:
+        return Verdict(False, f"{params}: the paper proves no envelope unless theta < 1/2")
+    return Verdict(bool(np.all(report.E <= bound)),
+                   f"{params}, max E/({ENVELOPE_SLACK} envelope) = "
+                   f"{np.max(report.E / bound):.4f}, worst gap {np.max(report.E - bound):.2e}")
 
 
 def dissipation_check(report):

@@ -340,7 +340,7 @@ def check_discrete_inequality():
         fine, coarse = _report(label), _report(label, **_COARSE)
         for tag, rep in (("fine", fine), ("coarse", coarse)):
             tol = rep.meta["ineq_tol"]
-            worst = float(np.max(rep.ineq_residual))
+            worst = rep.worst_ineq_residual
             ok &= worst <= tol
             msgs.append(f"{label}/{tag}: max residual {worst:.2e} vs tol {tol:.2e}")
         mf, mc = _violation_measure(fine), _violation_measure(coarse)

@@ -436,7 +436,27 @@ def test_no_envelope_without_theta_below_one_half(tmp_path, capsys):
     assert err == ""
     theta = f"theta = {report.meta['theta']:.4f}"
     assert f"[FAIL] entropy decay envelope: {theta}, theta_lt_half = False" in out
+    assert "the paper proves no envelope unless theta < 1/2\n" in out
     assert f"[FAIL] dissipation tail bound: {theta}: the bound needs theta < 1/2" in out
+    worst = np.max(report.ineq_residual[1:])
+    assert f"max inequality residual = {worst:.3e} " in out and "nan" not in out
+
+
+def test_report_and_verify_read_the_worst_interval(tmp_path, capsys, monkeypatch):
+    # every interval's residual is negative; row 0 holds diagnose's
+    # placeholder 0, which ends no interval and is not read
+    report = _synthetic_series(0.025, 0.04, 4.0)
+    report.ineq_residual = np.linspace(-1e-4, -2e-5, report.tau.size)
+    report.ineq_residual[0] = 0.0
+    report.meta["dtau"] = 0.2
+    series = tmp_path / "series.csv"
+    emit_report(report, series)
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 0
+    assert "max inequality residual = -2.000e-05 (tol 1.000e-03)\n" in capsys.readouterr().out
+    monkeypatch.setattr(verify, "_report", lambda name, **overrides: parse_report(series))
+    check = verify.check_discrete_inequality()
+    assert "jump/fine: max residual -2.00e-05 vs tol 1.00e-03" in check.detail
 
 
 def test_report_command(tmp_path, cfg_file, capsys):

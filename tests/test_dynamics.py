@@ -271,11 +271,15 @@ def test_one_workspace_serves_both_stage_buffers(order):
                                            # a stage that reaches vacuum, momentum or not
                                            (0.0, 0.0), (-0.0, 0.0), (0.0, 1.0)])
 def test_check_rejects_nonfinite_and_negative(rho_bad, m_bad):
-    rho, m = np.ones(5), np.zeros(5)
-    _check(rho, m)
-    rho[2], m[2] = rho_bad, m_bad
-    with pytest.raises(NumericalFailure):
-        _check(rho, m)
+    # in a stage buffer's (2, k) block, far-field ghost cells included, and
+    # in the (2, w) block of the accumulated update
+    ws = _Workspace(0, 5, 5, UNIT)
+    for block, (rho, m) in ((ws.blocks[1], ws.cells[1]), (ws.acc_block, ws.acc)):
+        rho[...], m[...] = 1.0, 0.0
+        _check(block)
+        rho[2], m[2] = rho_bad, m_bad
+        with pytest.raises(NumericalFailure):
+            _check(block)
 
 
 def test_run_rejects_nonfinite_cfl_step():

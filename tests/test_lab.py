@@ -15,6 +15,7 @@ from diffusionwave.lab import (
     diagnose,
     dissipation_check,
     emit_report,
+    envelope_check,
     fit_decay_rate,
     parse_config,
     parse_report,
@@ -98,6 +99,31 @@ class TestFitDecayRate:
         E = np.array([1.0, 0.5, 0.0, 0.5, 1.0])
         with pytest.raises(DegenerateFitError):
             fit_decay_rate(_report_from_E(tau, E), (0, 4))
+
+
+def test_envelope_check_without_an_envelope_says_so():
+    # theta >= 1/2: diagnose writes a NaN envelope, and the verdict names
+    # the parameters and the missing envelope, not a NaN ratio
+    tau = np.linspace(0, 1, 11)
+    rep = _report_from_E(tau, np.exp(-tau))
+    rep.envelope = np.full_like(tau, np.nan)
+    rep.meta.update(theta_lt_half=False, theta=0.6, mu=0.1, K_const=0.1)
+    res = envelope_check(rep)
+    assert not res.passed
+    assert res.detail == ("theta = 0.6000, theta_lt_half = False, mu = 0.1000, K = 0.1000, "
+                          "E0 = 1.0000e+00: the paper proves no envelope unless theta < 1/2")
+
+
+def test_worst_ineq_residual_skips_the_placeholder_row():
+    # row 0 ends no interval; every interval here has a negative residual
+    tau = np.linspace(0, 1, 5)
+    rep = _report_from_E(tau, np.exp(-tau))
+    rep.ineq_residual = np.array([0.0, -3e-5, -8e-5, -2e-5, -6e-5])
+    assert rep.worst_ineq_residual == -2e-5
+    rep.ineq_residual[3] = 4e-6
+    assert rep.worst_ineq_residual == 4e-6
+    rep.ineq_residual = np.zeros(1)   # a single sample: no interval
+    assert rep.worst_ineq_residual == -math.inf
 
 
 class TestDissipationCheck:
