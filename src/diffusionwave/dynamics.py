@@ -17,16 +17,23 @@ case.  Every Rusanov flux comes from one unchecked core, `_rusanov`, which
 reads the face states from one (2, 2, k) buffer, (rho, m) by (left, right),
 and evaluates m^2/rho, u, p and sqrt(p') of them all in one `_face` pass.
 `numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
-its speed code.  `_hyperbolic_rhs` reads a stage buffer, (rho, m) with two
-far-field ghost cells at each end.  Every ufunc of a step writes with out=
-into a `_Workspace` built for its window, which holds each array the step
-writes and each view of them it reads; `run` keeps it until the window
-(which only grows, by blocks of 16 cells) or the grid changes, so a step
-that keeps it allocates no array.  Scalar operands are 0-d arrays, module
-constants or workspace slots the step writes in place (-dx, dt/2, dt/3,
-the friction decay, the far-field bits), and the step's reductions call
-the ufunc's reduce directly, not the ndarray methods that wrap it: on a
-window of a few hundred cells, most of a call is its fixed cost.
+its speed code.  `_hyperbolic_rhs` reads a stage buffer, rows (U, R, M)
+with two ghost cells at each end, (R, M) frozen at the far field: U|R is
+one flat array for the slope pass, and (R, M) the (2, k) block that is
+checked and summed.  Its minmod, fmax(min(a, b), 0) + fmin(0, max(a, b)),
+maps NaN to +0.0 and keeps same-sign values whose product underflows,
+which a test of a b > 0 sets to 0.  The divergences go into (2, k) pads
+whose ghost columns stay +-0, so each SSPRK sum is one call on a block.
+Every ufunc of a step writes with out= into a `_Workspace` built for its
+window, which holds each array the step writes and each view of them it
+reads; `run` keeps it until the window (which only grows, by blocks of 16
+cells) or the grid changes, so a step that keeps it allocates no array.
+Scalar operands are 0-d arrays, module constants or workspace slots the
+step writes in place (1/2, -dx, dt/2, dt/3, the friction decay, the
+far-field bits); `thermo._p` and `_dp` take k and gamma as Python floats,
+which as 0-d arrays measured no gain.  Reductions call the ufunc's reduce,
+not the ndarray methods that wrap it: on a window of a few hundred cells,
+most of a call is its fixed cost.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -199,27 +206,27 @@ def numerical_flux(left, right, law):
     return f_rho, f_m
 
 
-def _minmod(a, b, out=None, tmp=None, mask=None):
-    """Where a and b share a sign, the one smaller in magnitude; else 0.
-    Into out, with tmp and the bool mask as scratch, where given."""
-    out = np.abs(a, out=out)
-    tmp = np.abs(b, out=tmp)
-    np.minimum(out, tmp, out=out)
-    np.copysign(out, a, out=out)   # where a value is kept, a and b share a sign
-    np.multiply(a, b, out=tmp)
-    # 0 where a b > 0 fails, NaN included: out *= (a b > 0) would keep a NaN
-    mask = np.logical_not(np.greater(tmp, _ZERO, out=mask), out=mask)
-    np.copyto(out, _ZERO, where=mask)
+def _minmod(a, b, out=None, tmp=None):
+    """fmax(min(a, b), 0) + fmin(0, max(a, b)), into out with tmp as scratch
+    where given: the one of a and b smaller in magnitude where they share a
+    sign, else +0.0, NaN included.  numpy's scalar and SIMD loops keep
+    opposite operands of a tie of -0.0 and +0.0, each alike for fmax and
+    fmin, so with the zero on opposite sides one clamp returns it."""
+    out = np.minimum(a, b, out=out)
+    np.fmax(out, _ZERO, out=out)
+    tmp = np.maximum(a, b, out=tmp)
+    np.fmin(_ZERO, tmp, out=tmp)
+    out += tmp
     return out
 
 
 class _Workspace(_Faces):
     """Every array a step on the window [lo, hi) of an n-cell grid writes, and
-    every view of them it reads: the two stage buffers, (rho, m) with two
-    ghost cells at each end frozen at the far field, and the scratch of
+    every view of them it reads: two stage buffers, rows (U, R, M) of k =
+    hi - lo + 4 cells, (R, M) far field in two ghost cells at each end; two
+    (2, k) pads, acc and div, whose ghost columns stay +-0; the scratch of
     `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`; and, as 0-d arrays,
-    the scalar operands of a step.  The far-field densities must be > 0
-    (DomainError)."""
+    the scalar operands of a step.  Far-field densities are > 0 (DomainError)."""
 
     def __init__(self, lo, hi, n, limits):
         if not (limits.rho_minus > 0 and limits.rho_plus > 0):
@@ -227,61 +234,61 @@ class _Workspace(_Faces):
         w, k = hi - lo, hi - lo + 4
         super().__init__(w + 1)
         self.key = (lo, hi, n)
-        buffers = np.empty((2, 2, k))
-        buffers[:, 0, :2], buffers[:, 0, -2:] = limits.rho_minus, limits.rho_plus
-        buffers[:, 1, :2] = buffers[:, 1, -2:] = 0.0
-        self.blocks = tuple(buffers)   # each stage buffer as one (2, k) block
-        self.stages = tuple((R, M) for R, M in buffers)
-        self.cells = tuple((R[2:-2], M[2:-2]) for R, M in buffers)
-        ru = np.empty(2 * k)
-        self.ru_r, self.ru_u = ru[:k], ru[k:]
-        self.diff_args = ru[1:], ru[:-1], np.empty(2 * k - 1)
-        d, (self.slopes, tmp) = self.diff_args[2], np.empty((2, 2 * k - 2))
-        self.minmod_args = d[:-1], d[1:], self.slopes, tmp, np.empty(2 * k - 2, bool)
-        self.slope_r, self.slope_u = self.slopes[:k - 2], self.slopes[k:]
-        # (cell, slope) of the left and right face states of rho and u
-        self.sides = tuple((c[1:-2], s[:-1], c[2:-1], s[1:]) for c, s in
-                           ((self.ru_r, self.slope_r), (self.ru_u, self.slope_u)))
+        buffers = np.empty((2, 3, k))
+        buffers[:, 1, :2], buffers[:, 1, -2:] = limits.rho_minus, limits.rho_plus
+        buffers[:, 2, :2] = buffers[:, 2, -2:] = 0.0
+        # (R, M) of each stage buffer: the (2, k) block checked and summed
+        self.blocks = tuple(buffers[:, 1:])
+        self.cells = tuple((R[2:-2], M[2:-2]) for R, M in self.blocks)
+        d, (self.slopes, tmp) = np.empty(2 * k - 1), np.empty((2, 2 * k - 2))
+        self.minmod_args = d[:-1], d[1:], self.slopes, tmp
+        slope_u, slope_r = self.slopes[:k - 2], self.slopes[k:]
+        # what `_hyperbolic_rhs` reads of each stage buffer: R, M, U, the
+        # difference pass over U|R, one flat array, and the (cell, slope) of
+        # the left and right face states of rho and u
+        self.stages = tuple(
+            (R, M, U, (ur[1:], ur[:-1], d),
+             tuple((c[1:-2], s[:-1], c[2:-1], s[1:]) for c, s in ((R, slope_r), (U, slope_u))))
+            for (U, R, M), ur in zip(buffers, buffers[:, :2].reshape(2, -1)))
         self.cell_fluxes = tuple((f[1:], f[:-1]) for f in self.flux)   # (right, left)
-        self.acc_block, div = np.empty((2, 2, w))
-        self.acc, self.div = tuple(self.acc_block), tuple(div)
+        self.pads = np.zeros((2, 2, k))
+        # each pad as an RHS writes it: its rows' window cells, then itself
+        self.acc, self.div = ((*(row[2:-2] for row in pad), pad) for pad in self.pads)
         self.cfl = np.empty((2, w + 2))
         still, far = np.empty((2, w), bool)
         self.flags = still, far, far[::-1]
         self.loss = np.zeros(n)
         self.window_loss = self.loss[lo:hi]
         self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
-        # -dx, which `_hyperbolic_rhs` sets for its grid; the stage step (dt/2
-        # or dt), dt/3 and the friction decay, which `_advance` sets each step
+        # -dx, set by `_hyperbolic_rhs` for its grid; set by `_advance` each
+        # step: the stage step dt/2, acc's weight dt/3 (order 1: dt), the decay
         self.dx, self.neg_dx = None, np.empty(())
-        self.h, self.third, self.decay = (np.empty(()) for _ in range(3))
+        self.h, self.weight, self.decay = (np.empty(()) for _ in range(3))
 
 
 def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
-    """The boundary fluxes and, into out, the flux divergence of the cells
-    S[:, 2:-2] of a stage buffer S of ws, (rho, m) with two far-field ghost
-    cells at each end."""
-    R, M = S
+    """The boundary fluxes and, into out = (d_rho, d_m, pad), a pad of ws and
+    its rows' window cells, the flux divergence of the window cells of the
+    stage buffer S = ws.stages[i]."""
+    R, M, U, diff_args, ((r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r)) = S
     # face states: (rho, m) by (left, right); the right face of cell j meets
-    # the left face of cell j + 1.  R and U = M/R (order 1: M) end to end in
-    # one 1-D array: one pass each takes both differences, minmods and
+    # the left face of cell j + 1.  U = M/R (order 1: M) and R lie end to end
+    # in one 1-D array: one pass each takes both differences, minmods and
     # halvings; the slopes at the seam go unread
-    (r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r) = ws.sides
-    np.copyto(ws.ru_r, R)
     if cfg.order == 2:
-        np.divide(M, R, out=ws.ru_u)
+        np.divide(M, R, out=U)
         # a[1:] - a[:-1] is what np.diff computes, without its call overhead
-        np.subtract(*ws.diff_args)
+        np.subtract(*diff_args)
         # every face lies between its cell and the neighbour mean, so > 0
         slopes = _minmod(*ws.minmod_args)
-        slopes *= 0.5
+        slopes *= _HALF
         np.add(r_l, sr_l, out=ws.rho_l)
         np.subtract(r_r, sr_r, out=ws.rho_r)
         np.add(u_l, su_l, out=ws.m_l)
         np.subtract(u_r, su_r, out=ws.m_r)
         ws.m_f *= ws.rho_f
     else:
-        np.copyto(ws.ru_u, M)
+        np.copyto(U, M)
         for face, cell in ((ws.rho_l, r_l), (ws.rho_r, r_r), (ws.m_l, u_l), (ws.m_r, u_r)):
             np.copyto(face, cell)
 
@@ -289,9 +296,10 @@ def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
     f_rho, f_m = _rusanov(ws, law)
     if dx != ws.dx:
         ws.dx, ws.neg_dx[()] = dx, -dx
-    for div, (right, left) in zip(out, ws.cell_fluxes):
+    *rows, pad = out
+    for div, (right, left) in zip(rows, ws.cell_fluxes):
         np.subtract(right, left, out=div)
-        div /= ws.neg_dx
+    pad /= ws.neg_dx   # the ghost columns stay +-0
     return f_rho[0], f_rho[-1], f_m[0], f_m[-1]
 
 
@@ -407,50 +415,39 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
         dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law,
                          ws.cfl[:, :min(hi + 1, n) - near.start]), t_stop - t)
     rho, m = state.rho[lo:hi], state.m[lo:hi]
-    # A holds the stage-0 state, B the later ones
-    (A, B), ((rho_a, m_a), (rho_s, m_s)) = ws.stages, ws.cells
-    (d, e), (d1, e1) = ws.acc, ws.div
-    h, third, decay, B_block = ws.h, ws.third, ws.decay, ws.blocks[1]
+    # A holds the stage-0 state, B the later ones and the result; a stage sum
+    # is one call on (2, k) blocks, whose far-field ghost cells keep their bits
+    (A, B), ((rho_a, m_a), (rho_b, m_b)), (acc, div) = ws.blocks, ws.cells, ws.pads
+    h, weight, decay = ws.h, ws.weight, ws.decay
     np.copyto(rho_a, rho)
 
     sink = 0.0
     if cfg.order == 2:
         decay[()] = np.exp(-alpha * dt / 2.0)
-        m1 = np.multiply(m, decay, out=m_a)
-        sink += _sink(ws, m, m1, dx)
+        sink += _sink(ws, m, np.multiply(m, decay, out=m_a), dx)
         # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
         # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
         # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
-        h[()] = dt / 2.0
-        b0 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
-        np.add(rho, np.multiply(d, h, out=rho_s), out=rho_s)
-        np.add(m1, np.multiply(e, h, out=m_s), out=m_s)
-        _check(B_block)
-        b1 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
-        d += d1
-        e += e1
-        rho_s += np.multiply(d1, h, out=d1)
-        m_s += np.multiply(e1, h, out=e1)
-        _check(B_block)
-        b2 = _hyperbolic_rhs(ws, B, dx, cfg, law, ws.div)
-        d += d1
-        e += e1
-        third[()] = dt / 3.0
-        rho_n = np.add(np.multiply(d, third, out=d), rho, out=d)
-        m_n = np.add(np.multiply(e, third, out=e), m1, out=e)
+        h[()], weight[()] = dt / 2.0, dt / 3.0
+        b0 = _hyperbolic_rhs(ws, ws.stages[0], dx, cfg, law, ws.acc)
+        np.add(A, np.multiply(acc, h, out=B), out=B)
+        _check(B)
+        b1 = _hyperbolic_rhs(ws, ws.stages[1], dx, cfg, law, ws.div)
+        acc += div
+        B += np.multiply(div, h, out=div)
+        _check(B)
+        b2 = _hyperbolic_rhs(ws, ws.stages[1], dx, cfg, law, ws.div)
+        acc += div
         fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     else:
-        decay[()] = np.exp(-alpha * dt)
-        h[()] = dt
+        decay[()], weight[()] = np.exp(-alpha * dt), dt
         np.copyto(m_a, m)
-        b1 = _hyperbolic_rhs(ws, A, dx, cfg, law, ws.acc)
-        rho_n = np.add(np.multiply(d, h, out=d), rho, out=d)
-        m_n = np.add(np.multiply(e, h, out=e), m, out=e)
-        fm = tuple(dt * b for b in b1)
-    _check(ws.acc_block)
-    m_d = np.multiply(m_n, decay, out=m_a)
-    sink += _sink(ws, m_n, m_d, dx)
-    rho[:], m[:], state.t = rho_n, m_d, t + dt
+        fm = tuple(dt * b for b in _hyperbolic_rhs(ws, ws.stages[0], dx, cfg, law, ws.acc))
+    np.add(A, np.multiply(acc, weight, out=B), out=B)
+    _check(B)
+    m_d = np.multiply(m_b, decay, out=m_a)
+    sink += _sink(ws, m_b, m_d, dx)
+    rho[:], m[:], state.t = rho_b, m_d, t + dt
     return dt, fm, sink, ws
 
 
