@@ -16,13 +16,12 @@ One core, `_relative_core`, computes du, rho - rho_bar, h_rel, p_rel and
 eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
 `_snapshot_pass` returns the pass against a RefData, which computes every
 diagnostic of a snapshot once into one flat record: the core, the
-dissipation, E, D_alpha and the edge monitor, then R2 and the xi terms
-with their integrals.  `lab.plan` builds it once per experiment;
-`total_relative_entropy` and `error_terms` return its record, and
-`xi_bound_check` reads it.  The pass divides by the field's density and the
-reference's directly: the solver keeps the one > 0, and the snapshot
-functions check it (`errors.check_positive`); `ReferencePair.eval` checks
-the other.  Every reference density is > 0; only the field of
+dissipation, E and D_alpha, then R2 and the xi terms with their integrals.
+`lab.plan` builds it once per experiment; `total_relative_entropy` and
+`error_terms` return its record, and `xi_bound_check` reads it.  The pass
+divides by the field's density and the reference's directly: the solver
+keeps the one > 0, and the snapshot functions check it
+(`errors.check_positive`); `ReferencePair.eval` checks the other.  Every reference density is > 0; only the field of
 `relative_entropy_density` may touch rho = 0.
 """
 
@@ -47,8 +46,6 @@ __all__ = [
     "coercivity_constants",
     "CoercivityConstants",
 ]
-
-TAIL_MONITOR = 1e-10
 
 
 def _ratio(num, den):
@@ -209,7 +206,6 @@ class _Snapshot:
 
     E: float
     D_alpha: float
-    tail_ok: bool  # edge integrands within TAIL_MONITOR
     R1: np.ndarray
     R2: np.ndarray
     xi1: np.ndarray
@@ -225,9 +221,8 @@ def _snapshot_pass(ref, alpha, law):
     """The per-snapshot pass against the RefData ref at friction alpha: a
     function of a field on ref.y (DomainError if not) whose density is > 0,
     giving the relative entropy E and dissipation D_alpha by midpoint
-    quadrature with their edge monitor, the residual R2 = R2_steady +
-    e^tau (p_y + alpha n) and the xi terms with their quadratures at
-    tau = field.tau.  R2's tau-free forcing p_y + alpha n is computed here,
+    quadrature, the residual R2 = R2_steady + e^tau (p_y + alpha n) and the
+    xi terms with their quadratures at tau = field.tau.  R2's tau-free forcing p_y + alpha n is computed here,
     once.  The pass owns du, rho - rho_bar and two scratch rows, and writes
     every temporary into them: a call allocates only the arrays of the
     record it returns, which the next call leaves as they are."""
@@ -247,7 +242,6 @@ def _snapshot_pass(ref, alpha, law):
         diss = np.multiply(rho, alpha, work)
         diss *= du
         diss *= du
-        tail = max(abs(eta_rel[0]), abs(eta_rel[-1]), abs(diss[0]), abs(diss[-1]))
         E, D_alpha = total(eta_rel), total(diss)
         R2 = forcing * exp_p
         R2 += ref.R2_steady
@@ -262,8 +256,7 @@ def _snapshot_pass(ref, alpha, law):
         xi2 *= du
         xi3 = drho * neg_d2h  # (-drho) d2h, bit for bit
         xi3 *= ref.R1
-        return _Snapshot(E=E, D_alpha=D_alpha, tail_ok=bool(tail <= TAIL_MONITOR), R1=ref.R1,
-                         R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
+        return _Snapshot(E=E, D_alpha=D_alpha, R1=ref.R1, R2=R2, xi1=xi1, xi2=xi2, xi3=xi3,
                          Xi=(total(xi1), total(xi2), total(xi3)), eta_rel=eta_rel,
                          h_rel=h_rel, R_bar=R_bar)
     return snapshot
@@ -272,9 +265,8 @@ def _snapshot_pass(ref, alpha, law):
 def total_relative_entropy(field, ref, alpha, law):
     """Midpoint quadrature of the relative entropy and the friction
     dissipation against the RefData `ref` over the field's window, in the
-    snapshot's record: .E, .D_alpha, and .tail_ok, which flags edge
-    integrands below the truncation monitor.  The field's density must be
-    > 0, and the reference's too."""
+    snapshot's record: .E and .D_alpha.  The field's density must be > 0, and
+    the reference's too."""
     return error_terms(field, ref, field.tau, alpha, law)
 
 

@@ -9,9 +9,11 @@ snapshot to scaling variables and measures the relative entropy against the
 reference in an EntropyReport, and `run_experiment(cfg)` chains the three.
 Also the theoretical decay envelopes, rate fitting, the acceptance rules with
 their slacks (defined here once), and CSV emission and parsing for all
-artifacts.  The envelope and dissipation rules each return one Verdict, which
-`report` and `verify` print as is; both fail unless `meta["theta_lt_half"]`
-(the paper proves no envelope for theta >= 1/2).
+artifacts.  `theoretical_bound` alone decides where the paper proves its
+envelope (theta < 1/2, and theta > 0 unless K = 0), NaN elsewhere; `diagnose`
+and the envelope and dissipation rules all call it on the report's tau, E[0],
+theta, mu and K.  The rules each return one Verdict, which `report` and
+`verify` print as is.
 """
 
 from __future__ import annotations
@@ -157,7 +159,8 @@ def make_reference(cfg, limits, law, profile):
     """(RefData, kind): the reference evaluated once on the y-grid of `cfg`,
     read off the nodes of `profile` at the y-grid and one node beyond each end
     (to 1e-9 of the spacing, or DomainError); kind is "constant" for coincident
-    limits, whose profile is the constant state, else "profile"."""
+    limits, whose profile is the constant state, else "profile".  `plan`
+    reads only the RefData; the kind stays for callers that unpack it."""
     y = node_grid(cfg.L_y, cfg.dy)
     h = y[1] - y[0]
     lo = grid_count(y[0] - h - profile.y[0], profile.dy)  # the left neighbour
@@ -184,7 +187,6 @@ class Plan:
     initial: PhysicalState
     profile: SimilarityProfile  # the constant state for coincident limits
     ref: RefData
-    ref_kind: str  # "constant" or "profile"
     snapshot: Callable  # the per-snapshot pass, `entropy._snapshot_pass`
 
 
@@ -202,8 +204,8 @@ def plan(cfg):
     h = 2.0 * cfg.L_y / grid_count(2.0 * cfg.L_y, cfg.dy)
     beyond = max(1, cover_count(default_halfwidth(limits, law) - cfg.L_y, h))
     profile = solve_profile(limits, law, L=cfg.L_y + beyond * h, dy=h)
-    ref, ref_kind = make_reference(cfg, limits, law, profile)
-    return Plan(cfg, law, limits, solver, taus, initial, profile, ref, ref_kind,
+    ref, _ = make_reference(cfg, limits, law, profile)
+    return Plan(cfg, law, limits, solver, taus, initial, profile, ref,
                 _snapshot_pass(ref, cfg.alpha, law))
 
 
@@ -246,12 +248,15 @@ def _inequality_residual(tau, E, D, Xi_total):
 def theoretical_bound(tau, E0, theta, mu, K_const):
     """Decay envelope e^{-(1/2-theta)tau + mu/2} (E0 + K/theta), with K/theta
     read as 0 when K = 0: coincident limits, theta = mu = K = 0, give
-    E0 e^{-tau/2}.  DomainError if K > 0 and theta <= 0."""
+    E0 e^{-tau/2}.  The paper proves it for theta < 1/2 only, and K/theta has
+    no value at K > 0, theta <= 0; there it is NaN, e^{mu/2} unevaluated (it
+    may overflow at theta >= 1/2)."""
     tau = np.asarray(tau, dtype=float)
-    if K_const > 0 and theta <= 0:
-        raise DomainError(f"the envelope needs theta > 0 when K > 0, got theta = {theta!r}")
-    out = (np.exp(-(0.5 - theta) * tau + 0.5 * mu)
-           * (E0 + (K_const / theta if K_const else 0.0)))
+    if theta < 0.5 and (theta > 0 or K_const == 0):
+        out = (np.exp(-(0.5 - theta) * tau + 0.5 * mu)
+               * (E0 + (K_const / theta if K_const else 0.0)))
+    else:
+        out = np.full_like(tau, np.nan)
     return float(out) if out.ndim == 0 else out
 
 
@@ -265,8 +270,6 @@ def diagnose(plan, run_result, on_scaled=None):
     relative-entropy report against the plan's reference.  Each snapshot
     takes one `to_scaled` and one call of the plan's pass; `on_scaled`, if
     given, is called with the index and the ScaledField of each.
-    `meta["tail_ok"]` is true when every snapshot's edge integrands are
-    within the truncation monitor `entropy.TAIL_MONITOR`.
     """
     cfg, taus, ref = plan.cfg, plan.taus, plan.ref
     t_snap = np.expm1(taus)
@@ -282,21 +285,15 @@ def diagnose(plan, run_result, on_scaled=None):
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
-    tail_ok = True
     for j, snap in enumerate(run_result.snapshots):
         fld = to_scaled(snap, ref.y)
         if on_scaled is not None:
             on_scaled(j, fld)
         diag = plan.snapshot(fld)
         E[j], D[j], Xi[j] = diag.E, diag.D_alpha, diag.Xi
-        tail_ok &= diag.tail_ok
 
     E0 = float(E[0])
-    # the paper proves the envelope for theta < 1/2 only, and its K/theta has
-    # no value at K > 0, theta <= 0; elsewhere it is NaN, e^{mu/2} unevaluated
-    theta_lt_half = theta < 0.5 and (theta > 0 or K_const == 0)
-    envelope = (theoretical_bound(taus, E0, theta, mu, K_const) if theta_lt_half
-                else np.full_like(taus, np.nan))
+    envelope = theoretical_bound(taus, E0, theta, mu, K_const)
 
     dtau = cfg.tau_step
     tol = INEQ_SLACK * E0 * (dtau + cfg.dy**2 + cfg.dx / cfg.dy)
@@ -307,10 +304,7 @@ def diagnose(plan, run_result, on_scaled=None):
         "gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
         "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
         "dx": cfg.dx, "dy": cfg.dy, "dtau": dtau,
-        "reference": plan.ref_kind, "same_limits": plan.limits.same_limits,
-        "theta": theta, "mu": mu, "K_const": K_const,
-        "theta_lt_half": theta_lt_half,
-        "E0": E0, "ineq_tol": tol, "tail_ok": tail_ok,
+        "theta": theta, "mu": mu, "K_const": K_const, "ineq_tol": tol,
     }
     return EntropyReport(
         tau=taus, E=E, D_alpha=D,
@@ -360,12 +354,16 @@ class Verdict(NamedTuple):
 
 
 def envelope_check(report):
-    """The envelope rule: E <= ENVELOPE_SLACK * envelope at every tau, and
-    `meta["theta_lt_half"]`, without which the paper proves no envelope."""
-    m, bound = report.meta, ENVELOPE_SLACK * report.envelope
-    params = (f"theta = {m['theta']:.4f}, theta_lt_half = {m['theta_lt_half']}, "
+    """The envelope rule: E <= ENVELOPE_SLACK * `theoretical_bound` at every
+    tau, with theta, mu, K from `report.meta` and E0 = `report.E0`; it fails
+    where the bound is NaN, for the paper proves no envelope there."""
+    m = report.meta
+    bound = ENVELOPE_SLACK * theoretical_bound(report.tau, report.E0, m["theta"], m["mu"],
+                                               m["K_const"])
+    proved = not np.isnan(bound).all()
+    params = (f"theta = {m['theta']:.4f}, theta_lt_half = {proved}, "
               f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}")
-    if not m["theta_lt_half"]:
+    if not proved:
         return Verdict(False, f"{params}: the paper proves no envelope unless theta < 1/2")
     return Verdict(bool(np.all(report.E <= bound)),
                    f"{params}, max E/({ENVELOPE_SLACK} envelope) = "
@@ -377,16 +375,17 @@ def dissipation_check(report):
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
     requires int_tau^end D_alpha <= DISSIPATION_SLACK (envelope(tau)
-    + 2 K e^{-tau/2}), with theta, mu, K from `report.meta` and E0 = `report.E0`.
-    Fails unless `meta["theta_lt_half"]`, or when the threshold is past the end.
+    + 2 K e^{-tau/2}), with envelope = `theoretical_bound` of theta, mu, K from
+    `report.meta` and E0 = `report.E0`.  Fails where that is NaN, or when the
+    threshold is past the end.
     """
-    m = report.meta
-    theta, mu, K_const, E0 = m["theta"], m["mu"], m["K_const"], report.E0
-    if not m["theta_lt_half"]:
+    m, tau = report.meta, report.tau
+    theta, mu, K_const = m["theta"], m["mu"], m["K_const"]
+    env = theoretical_bound(tau, report.E0, theta, mu, K_const)
+    if np.isnan(env).all():
         return Verdict(False, f"theta = {theta:.4f}: the bound needs theta < 1/2")
     arg = 2.0 * mu / (1.0 - 2.0 * theta)
     threshold = 2.0 * np.log(arg) if arg > 0 else -np.inf
-    tau = report.tau
     if threshold > tau[-1]:
         return Verdict(False, f"inconclusive (threshold tau = {threshold:.2f} "
                               f"past the series end tau = {tau[-1]:g})")
@@ -397,8 +396,7 @@ def dissipation_check(report):
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
 
     valid = tau >= threshold
-    env = theoretical_bound(tau[valid], E0, theta, mu, K_const)
-    bound = DISSIPATION_SLACK * (env + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
+    bound = DISSIPATION_SLACK * (env[valid] + 2.0 * K_const * np.exp(-0.5 * tau[valid]))
     gap = bound - tail[valid]
     margin = float(np.min(gap / np.maximum(bound, 1e-300)))
     return Verdict(bool(np.all(gap >= 0)),
@@ -478,9 +476,10 @@ def parse_report(path):
             f"{path}: not an entropy series, no column {', '.join(missing)}")
     if not cols["tau"].size:
         raise ConfigError(f"{path}: the entropy series has no rows")
-    for key in ("theta", "mu", "K_const", "E0", "ineq_tol"):
+    for key in ("theta", "mu", "K_const", "ineq_tol"):
         header_float(path, meta, key)
-    for key in ("same_limits", "theta_lt_half"):
-        if type(meta.get(key)) is not bool:
-            raise ConfigError(f"{path}: header {key} must be a bool, got {meta.get(key)!r}")
+    E0 = float(cols["E"][0])  # the E0 the envelope reads
+    if not math.isfinite(E0):
+        raise ConfigError(f"{path}: E0, the E column's first row, must be a finite "
+                          f"number, got {E0!r}")
     return EntropyReport(**{name: cols[name] for name in _SERIES_COLUMNS}, meta=meta)

@@ -145,11 +145,12 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     Newton step solves the tridiagonal Jacobian by cyclic reduction
     (`_tridiag`).  Coincident limits start at their constant state, residual
     0, so theta = mu = K = 0.  Raises SolverFailure naming the grid and the
-    profile's width on overflow, a singular Newton system, a stall (with its
-    residual and floor), non-convergence or a non-monotone or out-of-range
-    solution, DomainError if the truncated domain leaves a tail above
-    `tail_tol` or unless 0 < dy < L < inf, and ConfigError (before
-    allocating) if the grid would have more than `grids.MAX_COUNT` nodes.
+    width of the profile's low-density side on overflow, a singular Newton
+    system, a stall (with its residual and floor), non-convergence or a
+    non-monotone or out-of-range solution, DomainError if the truncated
+    domain leaves a tail above `tail_tol` or unless 0 < dy < L < inf, and
+    ConfigError (before allocating) if the grid would have more than
+    `grids.MAX_COUNT` nodes.
     """
     if L is None:
         L = default_halfwidth(limits, law, tail_tol)
@@ -162,9 +163,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     dy = float(y[1] - y[0])
 
     rm, rp, alpha = limits.rho_minus, limits.rho_plus, limits.alpha
-    width = np.sqrt(4.0 * max(law.pressure(rm)[1], law.pressure(rp)[1]) / alpha)
-    where = (f"on the grid [-{L:g}, {L:g}] at dy = {dy:g}; the profile's width "
-             f"sqrt(4 max p'(rho+-)/alpha) is {width:.3g}")  # named by each failure
+    # the low-density side is the narrower, so the one a coarse dy fails
+    width = np.sqrt(4.0 * min(law.pressure(rm)[1], law.pressure(rp)[1]) / alpha)
+    where = (f"on the grid [-{L:g}, {L:g}] at dy = {dy:g}; the low side's width "
+             f"sqrt(4 min p'(rho+-)/alpha) is {width:.3g}")  # named by each failure
     rho = 0.5 * (rm + rp) + 0.5 * (rp - rm) * np.tanh(y)
     rho[0], rho[-1] = rm, rp
 

@@ -74,12 +74,13 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
     report = EntropyReport(
         tau=tau, E=np.full_like(tau, 1e-3), D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
         envelope=np.ones_like(tau), ineq_residual=z,
-        meta={"theta": 0.6, "mu": 0.1, "K_const": 0.1, "theta_lt_half": False})
+        meta={"theta": 0.6, "mu": 0.1, "K_const": 0.1})
     monkeypatch.setattr(verify, "_report", lambda name: report)
     result = verify.check_jump_envelope()
     assert not result.passed and "theta_lt_half = False" in result.detail
-    report.meta["theta_lt_half"] = True
-    assert verify.check_jump_envelope().passed
+    report.meta["theta"] = 0.25
+    result = verify.check_jump_envelope()
+    assert result.passed and "theta_lt_half = True" in result.detail
 
 
 # A tenth of the fine-coarse gap: a first-order scheme sits at about 1.0 of

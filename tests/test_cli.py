@@ -80,14 +80,14 @@ WIDE_CFG = (JUMP_CFG.replace("alpha = 1.0", "alpha = 100.0").replace("X = 8.0", 
 
 
 def test_profile_too_coarse_for_its_width_names_the_grid(tmp_path, capsys):
-    # at alpha = 100 the profile is about sqrt(4 p'(1.05)/100) = 0.29 wide:
-    # dy = 0.1 cannot resolve it, and the one line says on what grid
+    # at alpha = 100 the profile's low side is about sqrt(4 p'(0.95)/100) =
+    # 0.276 wide: dy = 0.1 cannot resolve it, and the one line says on what grid
     path = tmp_path / "coarse.cfg"
     path.write_text(WIDE_CFG.replace("dy = 0.05", "dy = 0.1"))
     out_dir = tmp_path / "o"
     assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "dy = 0.1" in err and "width" in err and "0.29" in err, err
+    assert err.count("\n") == 1 and "dy = 0.1" in err and "width" in err and "0.276" in err, err
     assert not out_dir.exists()
 
 
@@ -247,7 +247,10 @@ def test_diagnose_self_contained(tmp_path, cfg_file):
     assert main(["diagnose", "--config", str(cfg_file),
                  "--out", str(series)]) == 0
     report = parse_report(series)
-    assert report.meta["same_limits"] is True
+    # coincident limits; the header restates neither them nor E[0]
+    assert (report.meta["theta"], report.meta["mu"], report.meta["K_const"]) == (0, 0, 0)
+    assert not report.meta.keys() & {"theta_lt_half", "E0", "tail_ok", "same_limits",
+                                     "reference"}
     assert report.E[-1] < report.E[0]
 
 
@@ -314,7 +317,8 @@ def test_report_exit_codes(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
     report = parse_report(series)
-    report.E = 2.0 * report.envelope
+    # past E[0], the E0 of the envelope: E above the envelope
+    report.E[1:] = 2.0 * report.envelope[1:]
     emit_report(report, series)
     assert main(["report", str(series)]) == 3
     del report.meta["ineq_tol"]
@@ -338,46 +342,29 @@ def test_report_rejects_a_non_numeric_header(tmp_path, cfg_file, capsys, key, va
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
     report = parse_report(series)
-    report.meta[key] = value
-    emit_report(report, series)
-    capsys.readouterr()
-    assert main(["report", str(series)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"header {key} must be a finite number" in err, err
-
-
-@pytest.mark.parametrize("key, value", [
-    ("same_limits", None), ("theta_lt_half", None), ("same_limits", 1),
-    ("theta_lt_half", "True"), ("theta_lt_half", 0.0),
-])
-def test_report_rejects_a_non_bool_header(tmp_path, cfg_file, capsys, key, value):
-    # None: the key is missing from the header
-    series = tmp_path / "series.csv"
-    main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
-    report = parse_report(series)
-    if value is None:
-        del report.meta[key]
+    if key == "E0":  # not a header key: the E column's first row
+        report.E[0] = value
+        name = "E0, the E column's first row,"
     else:
         report.meta[key] = value
+        name = f"header {key}"
     emit_report(report, series)
     capsys.readouterr()
     assert main(["report", str(series)]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"header {key} must be a bool" in err, err
+    assert err.count("\n") == 1 and f"{name} must be a finite number" in err, err
 
 
-def _synthetic_series(theta, mu, tau_max):
-    """A jump-limit series under its envelope with a small dissipation."""
+def _synthetic_series(theta, mu, tau_max, K_const=0.1):
+    """A jump-limit series, E = E0 e^{-tau}, with a small dissipation and the
+    envelope column diagnose writes."""
     tau = np.linspace(0.0, tau_max, 21)
-    K_const, E0 = 0.1, 1e-2
-    envelope = theoretical_bound(tau, E0, theta, mu, K_const)
+    E = 1e-2 * np.exp(-tau)
     z = np.zeros_like(tau)
     return EntropyReport(
-        tau=tau, E=0.18 * envelope, D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z,
-        Xi3=z, envelope=envelope, ineq_residual=z,
-        meta={"theta": theta, "mu": mu, "K_const": K_const, "E0": E0,
-              "ineq_tol": 1e-3, "same_limits": False,
-              "theta_lt_half": 0.0 < theta < 0.5})
+        tau=tau, E=E, D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z, Xi3=z,
+        envelope=theoretical_bound(tau, E[0], theta, mu, K_const), ineq_residual=z,
+        meta={"theta": theta, "mu": mu, "K_const": K_const, "ineq_tol": 1e-3})
 
 
 @pytest.mark.parametrize("theta, mu, tau_max, verdicts", [
@@ -399,6 +386,25 @@ def test_report_and_verify_give_one_verdict(tmp_path, capsys, monkeypatch,
     for check, name in zip(checks, ("entropy decay envelope", "dissipation tail bound")):
         assert f"[{'PASS' if check.passed else 'FAIL'}] {name}: {check.detail}\n" in out
     assert "nan" not in out
+
+
+@pytest.mark.parametrize("theta, K_const", [(0.6, 0.1), (0.0, 0.1)])
+def test_no_stored_flag_grants_an_envelope(tmp_path, capsys, monkeypatch, theta, K_const):
+    # theta >= 1/2, or K > 0 at theta = 0: the paper proves no envelope, so
+    # both rules fail, whatever the envelope column and a stale header say
+    report = _synthetic_series(theta, 0.04, 4.0, K_const)
+    report.envelope = np.ones_like(report.tau)
+    report.meta.update(theta_lt_half=True, E0=123.0, same_limits=False)
+    series = tmp_path / "series.csv"
+    emit_report(report, series)
+    monkeypatch.setattr(verify, "_report", lambda name: parse_report(series))
+    for check in (verify.check_jump_envelope, verify.check_jump_dissipation):
+        assert not check().passed
+    capsys.readouterr()
+    assert main(["report", str(series)]) == 3
+    out = capsys.readouterr().out
+    assert (f"theta = {theta:.4f}, theta_lt_half = False, mu = 0.0400, K = 0.1000, "
+            "E0 = 1.0000e-02: the paper proves no envelope unless theta < 1/2\n") in out
 
 
 def test_report_names_an_inconclusive_dissipation_check(tmp_path, capsys):
@@ -428,7 +434,7 @@ def test_no_envelope_without_theta_below_one_half(tmp_path, capsys):
         assert main(["diagnose", "--config", str(cfg), "--out", str(series)]) == 0
     assert "inf" not in series.read_text()
     report = parse_report(series)
-    assert report.meta["theta"] > 0.5 and report.meta["theta_lt_half"] is False
+    assert report.meta["theta"] > 0.5
     assert np.all(np.isnan(report.envelope)) and np.all(np.isfinite(report.E))
     capsys.readouterr()
     assert main(["report", str(series)]) == 3

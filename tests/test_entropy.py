@@ -104,12 +104,6 @@ class TestTotals:
         assert out[1].E == pytest.approx(2 * out[0].E, rel=1e-12)
         assert out[1].D_alpha == pytest.approx(2 * out[0].D_alpha, rel=1e-12)
 
-    def test_tail_monitor(self):
-        y = np.linspace(-2, 2, 101)
-        ref = _constant(y, 1.0).eval(LAW)
-        field = self._grid_field(0.0, y, np.full_like(y, 1.1), np.zeros_like(y))
-        assert not total_relative_entropy(field, ref, 1.0, LAW).tail_ok
-
 
 class TestExchangeIdentity:
     def test_spec_triple(self):
