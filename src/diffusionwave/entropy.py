@@ -18,11 +18,12 @@ eta_rel; `relative_entropy_density` and the per-snapshot pass share it.
 diagnostic of a snapshot once into one flat record: the core, the
 dissipation, E and D_alpha, then R2 and the xi terms with their integrals.
 `lab.plan` builds it once per experiment; `total_relative_entropy` and
-`error_terms` return its record, and `xi_bound_check` reads it.  The pass
-divides by the field's density and the reference's directly: the solver
+`error_terms` return its record, and `xi_bound_check` reads a record.  The
+pass divides by the field's density and the reference's directly: the solver
 keeps the one > 0, and the snapshot functions check it
-(`errors.check_positive`); `ReferencePair.eval` checks the other.  Every reference density is > 0; only the field of
-`relative_entropy_density` may touch rho = 0.
+(`errors.check_positive`); `ReferencePair.eval` checks the other.  Every
+reference density is > 0; only the field of `relative_entropy_density` may
+touch rho = 0.
 """
 
 from __future__ import annotations
@@ -332,16 +333,13 @@ def entropy_identity_residual(field, tau, y, alpha, law, h_step):
 # pointwise bounds on the xi terms
 
 
-def xi_bound_check(tau, y, rho, n, ref, law, alpha):
+def xi_bound_check(snap, tau, ref, law):
     """Count pointwise violations of the three xi-term bounds.
 
-    Evaluates the three bounding inequalities at each node for the given
-    states against the RefData `ref`, with a rounding slack of 1e-12
-    relative to the bound.
+    Evaluates the three bounding inequalities at each node of `snap`, the
+    record of a field at `tau` against the RefData `ref` (of `error_terms`
+    or a pass), with a rounding slack of 1e-12 relative to the bound.
     """
-    rho = np.asarray(rho, dtype=float)
-    n = np.asarray(n, dtype=float)
-    snap = error_terms(ScaledField(tau, y, rho, n), ref, tau, alpha, law)
     coeff = max(2.0, law.gamma - 1.0)
     exp_h = np.exp(-tau / 2.0)
 

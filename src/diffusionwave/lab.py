@@ -9,11 +9,11 @@ snapshot to scaling variables and measures the relative entropy against the
 reference in an EntropyReport, and `run_experiment(cfg)` chains the three.
 Also the theoretical decay envelopes, rate fitting, the acceptance rules with
 their slacks (defined here once), and CSV emission and parsing for all
-artifacts.  `theoretical_bound` alone decides where the paper proves its
-envelope (theta < 1/2, and theta > 0 unless K = 0), NaN elsewhere; `diagnose`
-and the envelope and dissipation rules all call it on the report's tau, E[0],
-theta, mu and K.  The rules each return one Verdict, which `report` and
-`verify` print as is.
+artifacts.  An EntropyReport stores what the run measured and derives its
+envelope and inequality residual from that.  `theoretical_bound` alone decides
+where the paper proves its envelope (theta < 1/2, and theta > 0 unless K = 0),
+NaN elsewhere; the report's `envelope` calls it, and the envelope and
+dissipation rules read that.  Each rule returns one Verdict, printed as is.
 """
 
 from __future__ import annotations
@@ -221,8 +221,6 @@ class EntropyReport:
     Xi1: np.ndarray
     Xi2: np.ndarray
     Xi3: np.ndarray
-    envelope: np.ndarray
-    ineq_residual: np.ndarray
     meta: dict = field(default_factory=dict)
     run_result: RunResult | None = None  # the diagnosed run
 
@@ -231,10 +229,20 @@ class EntropyReport:
         return float(self.E[0])
 
     @property
+    def envelope(self):
+        """`theoretical_bound` at each tau, of E0 and the header's theta, mu, K."""
+        m = self.meta
+        return theoretical_bound(self.tau, self.E0, m["theta"], m["mu"], m["K_const"])
+
+    @property
+    def ineq_residual(self):
+        """The inequality's defect on each of the n - 1 intervals."""
+        return _inequality_residual(self.tau, self.E, self.D_alpha, self.Xi1 + self.Xi2 + self.Xi3)
+
+    @property
     def worst_ineq_residual(self):
-        """The largest residual over the intervals; row 0 ends none and holds
-        a placeholder 0.  -inf for a single sample."""
-        return float(np.max(self.ineq_residual[1:], initial=-np.inf))
+        """The largest residual over the intervals; -inf for a single sample."""
+        return float(np.max(self.ineq_residual, initial=-np.inf))
 
 
 def _inequality_residual(tau, E, D, Xi_total):
@@ -281,7 +289,6 @@ def diagnose(plan, run_result, on_scaled=None):
             f"({len(times)} snapshots, {len(t_snap)} scheduled)"
         )
 
-    theta, mu, K_const = plan.profile.theta, plan.profile.mu, plan.profile.K_const
     E = np.empty(len(taus))
     D = np.empty(len(taus))
     Xi = np.empty((len(taus), 3))
@@ -292,26 +299,15 @@ def diagnose(plan, run_result, on_scaled=None):
         diag = plan.snapshot(fld)
         E[j], D[j], Xi[j] = diag.E, diag.D_alpha, diag.Xi
 
-    E0 = float(E[0])
-    envelope = theoretical_bound(taus, E0, theta, mu, K_const)
-
-    dtau = cfg.tau_step
-    tol = INEQ_SLACK * E0 * (dtau + cfg.dy**2 + cfg.dx / cfg.dy)
-    residual = np.zeros_like(taus)
-    residual[1:] = _inequality_residual(taus, E, D, Xi.sum(axis=1))
-
     meta = {
         "gamma": cfg.gamma, "k": cfg.k, "alpha": cfg.alpha,
         "rho_minus": cfg.rho_minus, "rho_plus": cfg.rho_plus,
-        "dx": cfg.dx, "dy": cfg.dy, "dtau": dtau,
-        "theta": theta, "mu": mu, "K_const": K_const, "ineq_tol": tol,
+        "dx": cfg.dx, "dy": cfg.dy, "dtau": cfg.tau_step, "theta": plan.profile.theta,
+        "mu": plan.profile.mu, "K_const": plan.profile.K_const,
+        "ineq_tol": INEQ_SLACK * float(E[0]) * (cfg.tau_step + cfg.dy**2 + cfg.dx / cfg.dy),
     }
-    return EntropyReport(
-        tau=taus, E=E, D_alpha=D,
-        Xi1=Xi[:, 0], Xi2=Xi[:, 1], Xi3=Xi[:, 2],
-        envelope=envelope, ineq_residual=residual, meta=meta,
-        run_result=run_result,
-    )
+    return EntropyReport(tau=taus, E=E, D_alpha=D, Xi1=Xi[:, 0], Xi2=Xi[:, 1], Xi3=Xi[:, 2],
+                         meta=meta, run_result=run_result)
 
 
 def run_experiment(cfg):
@@ -353,18 +349,22 @@ class Verdict(NamedTuple):
     detail: str
 
 
+def _envelope_needs(theta):
+    """Where the envelope is NaN, what it needs: theta < 1/2, or theta > 0 at K > 0."""
+    return "theta < 1/2" if theta >= 0.5 else "0 < theta < 1/2 at K > 0"
+
+
 def envelope_check(report):
-    """The envelope rule: E <= ENVELOPE_SLACK * `theoretical_bound` at every
-    tau, with theta, mu, K from `report.meta` and E0 = `report.E0`; it fails
-    where the bound is NaN, for the paper proves no envelope there."""
+    """The envelope rule: E <= ENVELOPE_SLACK * `report.envelope` at every
+    tau; it fails where the envelope is NaN, for the paper proves none there."""
     m = report.meta
-    bound = ENVELOPE_SLACK * theoretical_bound(report.tau, report.E0, m["theta"], m["mu"],
-                                               m["K_const"])
+    bound = ENVELOPE_SLACK * report.envelope
     proved = not np.isnan(bound).all()
     params = (f"theta = {m['theta']:.4f}, theta_lt_half = {proved}, "
               f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}")
     if not proved:
-        return Verdict(False, f"{params}: the paper proves no envelope unless theta < 1/2")
+        return Verdict(False, f"{params}: the paper proves no envelope unless "
+                              f"{_envelope_needs(m['theta'])}")
     return Verdict(bool(np.all(report.E <= bound)),
                    f"{params}, max E/({ENVELOPE_SLACK} envelope) = "
                    f"{np.max(report.E / bound):.4f}, worst gap {np.max(report.E - bound):.2e}")
@@ -375,15 +375,14 @@ def dissipation_check(report):
 
     For every sampled tau past the threshold 2 log(2 mu / (1 - 2 theta)),
     requires int_tau^end D_alpha <= DISSIPATION_SLACK (envelope(tau)
-    + 2 K e^{-tau/2}), with envelope = `theoretical_bound` of theta, mu, K from
-    `report.meta` and E0 = `report.E0`.  Fails where that is NaN, or when the
-    threshold is past the end.
+    + 2 K e^{-tau/2}), with envelope = `report.envelope`.  Fails where that
+    is NaN, or when the threshold is past the end.
     """
     m, tau = report.meta, report.tau
     theta, mu, K_const = m["theta"], m["mu"], m["K_const"]
-    env = theoretical_bound(tau, report.E0, theta, mu, K_const)
+    env = report.envelope
     if np.isnan(env).all():
-        return Verdict(False, f"theta = {theta:.4f}: the bound needs theta < 1/2")
+        return Verdict(False, f"theta = {theta:.4f}: the bound needs {_envelope_needs(theta)}")
     arg = 2.0 * mu / (1.0 - 2.0 * theta)
     threshold = 2.0 * np.log(arg) if arg > 0 else -np.inf
     if threshold > tau[-1]:
@@ -459,8 +458,8 @@ def header_float(path, meta, key):
     return float(value)
 
 
-_SERIES_COLUMNS = ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
-                   "ineq_residual")
+# what the run measured; parse_report reads no other column
+_SERIES_COLUMNS = ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3")
 
 
 def emit_report(report, path):

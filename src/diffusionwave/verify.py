@@ -24,6 +24,7 @@ from .entropy import (
 )
 from .lab import dissipation_check, envelope_check, parse_config, plan, run_experiment
 from .profile import LimitSpec, _ode_residual, solve_profile
+from .scaling import ScaledField
 from .thermo import PressureLaw, entropy_generator
 
 __all__ = ["CheckResult", "ALL_CHECKS", "run_all"]
@@ -218,7 +219,7 @@ def check_inequality_suite():
     ok &= v_F == 0
     msgs.append(f"generator bound violations {v_F}")
 
-    # xi-term pointwise bounds against the jump config's reference
+    # xi-term pointwise bounds on records of the jump plan's own pass
     jump = _plan("jump")
     ref = jump.ref
     v_xi = 0
@@ -226,7 +227,8 @@ def check_inequality_suite():
         tau = rng.uniform(0.0, 4.0)
         rho_s = rng.uniform(0.2, 3.0, ref.y.size)
         n_s = rng.uniform(-2.0, 2.0, ref.y.size)
-        v_xi += xi_bound_check(tau, ref.y, rho_s, n_s, ref, jump.law, jump.limits.alpha)
+        snap = jump.snapshot(ScaledField(tau, ref.y, rho_s, n_s))
+        v_xi += xi_bound_check(snap, tau, ref, jump.law)
     ok &= v_xi == 0
     msgs.append(f"xi bound violations {v_xi} over 10^5 nodes")
 

@@ -83,8 +83,11 @@ def first_difference(stored, current):
             keys = sorted(k for k in old["header"].keys() | new["header"].keys()
                           if old["header"].get(k) != new["header"].get(k))
             return f"{name} series header {keys[0]}"
+        if old["columns"].keys() != new["columns"].keys():
+            cols = sorted(old["columns"].keys() ^ new["columns"].keys())
+            return f"{name} series columns {', '.join(cols)} in one record only"
         tau = np.asarray(new["columns"]["tau"])
-        for col in lab._SERIES_COLUMNS:
+        for col in new["columns"]:
             a, b = (np.asarray(s["columns"][col], dtype=float) for s in (old, new))
             if a.shape != b.shape:
                 return f"{name} series column {col}: {a.size} rows stored, {b.size} now"

@@ -73,7 +73,6 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
     z = np.zeros_like(tau)
     report = EntropyReport(
         tau=tau, E=np.full_like(tau, 1e-3), D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
-        envelope=np.ones_like(tau), ineq_residual=z,
         meta={"theta": 0.6, "mu": 0.1, "K_const": 0.1})
     monkeypatch.setattr(verify, "_report", lambda name: report)
     result = verify.check_jump_envelope()

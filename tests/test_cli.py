@@ -21,8 +21,7 @@ from diffusionwave.cli import main
 from diffusionwave.dynamics import _AUDIT, PhysicalState
 from diffusionwave.errors import ConfigError, DomainError
 from diffusionwave.lab import (EntropyReport, ExperimentConfig, emit_report, make_reference,
-                               parse_config, parse_report, plan, read_csv,
-                               theoretical_bound, write_csv)
+                               parse_config, parse_report, plan, read_csv, write_csv)
 from diffusionwave.profile import default_halfwidth, solve_profile
 
 FAST_CFG = """\
@@ -356,15 +355,46 @@ def test_report_rejects_a_non_numeric_header(tmp_path, cfg_file, capsys, key, va
 
 
 def _synthetic_series(theta, mu, tau_max, K_const=0.1):
-    """A jump-limit series, E = E0 e^{-tau}, with a small dissipation and the
-    envelope column diagnose writes."""
+    """A jump-limit series, E = E0 e^{-tau}, with a small dissipation."""
     tau = np.linspace(0.0, tau_max, 21)
-    E = 1e-2 * np.exp(-tau)
     z = np.zeros_like(tau)
     return EntropyReport(
-        tau=tau, E=E, D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z, Xi3=z,
-        envelope=theoretical_bound(tau, E[0], theta, mu, K_const), ineq_residual=z,
+        tau=tau, E=1e-2 * np.exp(-tau), D_alpha=1e-3 * np.exp(-tau), Xi1=z, Xi2=z, Xi3=z,
         meta={"theta": theta, "mu": mu, "K_const": K_const, "ineq_tol": 1e-3})
+
+
+def _add_stale_columns(series, **columns):
+    """Append `columns` to the series file, as an older diagnose wrote them."""
+    meta, cols = read_csv(series)
+    write_csv(series, meta, {**cols, **columns})
+
+
+def _interval_residuals(tau, E, D, Xi):
+    """dE/dtau + D + E/2 - Xi on each interval, written out apart from lab's:
+    the forward difference of E against trapezoid averages."""
+    avg = lambda v: 0.5 * (v[1:] + v[:-1])
+    return np.diff(E) / np.diff(tau) + avg(D) + 0.5 * avg(E) - avg(Xi)
+
+
+def test_report_derives_the_residual_past_stale_columns(tmp_path, capsys):
+    # an older series' envelope (1.0) and ineq_residual (5.0) columns are
+    # not read: report prints the residual of the series' own E, D and Xi,
+    # and the same verdicts as on the series without those columns
+    cfg, series = tmp_path / "jump.cfg", tmp_path / "series.csv"
+    cfg.write_text(JUMP_CFG)
+    assert main(["diagnose", "--config", str(cfg), "--out", str(series)]) == 0
+    capsys.readouterr()
+    rc = main(["report", str(series)])
+    clean = capsys.readouterr().out
+    meta, cols = read_csv(series)
+    worst = np.max(_interval_residuals(cols["tau"], cols["E"], cols["D_alpha"],
+                                       cols["Xi1"] + cols["Xi2"] + cols["Xi3"]))
+    ones = np.ones_like(cols["tau"])
+    _add_stale_columns(series, envelope=ones, ineq_residual=5.0 * ones)
+    assert main(["report", str(series)]) == rc
+    out = capsys.readouterr().out
+    assert out == clean and "[PASS] entropy decay envelope" in out
+    assert f"max inequality residual = {worst:.3e} (tol {meta['ineq_tol']:.3e})\n" in out
 
 
 @pytest.mark.parametrize("theta, mu, tau_max, verdicts", [
@@ -391,20 +421,23 @@ def test_report_and_verify_give_one_verdict(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("theta, K_const", [(0.6, 0.1), (0.0, 0.1)])
 def test_no_stored_flag_grants_an_envelope(tmp_path, capsys, monkeypatch, theta, K_const):
     # theta >= 1/2, or K > 0 at theta = 0: the paper proves no envelope, so
-    # both rules fail, whatever the envelope column and a stale header say
+    # both rules fail, whatever a stale envelope column and header say
     report = _synthetic_series(theta, 0.04, 4.0, K_const)
-    report.envelope = np.ones_like(report.tau)
     report.meta.update(theta_lt_half=True, E0=123.0, same_limits=False)
     series = tmp_path / "series.csv"
     emit_report(report, series)
+    _add_stale_columns(series, envelope=np.ones_like(report.tau))
     monkeypatch.setattr(verify, "_report", lambda name: parse_report(series))
     for check in (verify.check_jump_envelope, verify.check_jump_dissipation):
         assert not check().passed
     capsys.readouterr()
     assert main(["report", str(series)]) == 3
     out = capsys.readouterr().out
+    # each detail names the condition that fails: theta > 0 at theta = 0
+    needs = "theta < 1/2" if theta >= 0.5 else "0 < theta < 1/2 at K > 0"
     assert (f"theta = {theta:.4f}, theta_lt_half = False, mu = 0.0400, K = 0.1000, "
-            "E0 = 1.0000e-02: the paper proves no envelope unless theta < 1/2\n") in out
+            f"E0 = 1.0000e-02: the paper proves no envelope unless {needs}\n") in out
+    assert f"[FAIL] dissipation tail bound: theta = {theta:.4f}: the bound needs {needs}\n" in out
 
 
 def test_report_names_an_inconclusive_dissipation_check(tmp_path, capsys):
@@ -444,25 +477,29 @@ def test_no_envelope_without_theta_below_one_half(tmp_path, capsys):
     assert f"[FAIL] entropy decay envelope: {theta}, theta_lt_half = False" in out
     assert "the paper proves no envelope unless theta < 1/2\n" in out
     assert f"[FAIL] dissipation tail bound: {theta}: the bound needs theta < 1/2" in out
-    worst = np.max(report.ineq_residual[1:])
+    worst = np.max(report.ineq_residual)
     assert f"max inequality residual = {worst:.3e} " in out and "nan" not in out
 
 
 def test_report_and_verify_read_the_worst_interval(tmp_path, capsys, monkeypatch):
-    # every interval's residual is negative; row 0 holds diagnose's
-    # placeholder 0, which ends no interval and is not read
+    # every interval's residual is negative; a stale ineq_residual column,
+    # the placeholder 0 of older series in row 0 and 1e-4 elsewhere, is not read
     report = _synthetic_series(0.025, 0.04, 4.0)
-    report.ineq_residual = np.linspace(-1e-4, -2e-5, report.tau.size)
-    report.ineq_residual[0] = 0.0
     report.meta["dtau"] = 0.2
     series = tmp_path / "series.csv"
     emit_report(report, series)
+    stale = np.full_like(report.tau, 1e-4)
+    stale[0] = 0.0
+    _add_stale_columns(series, ineq_residual=stale)
+    residual = _interval_residuals(report.tau, report.E, report.D_alpha, report.Xi1)
+    assert residual.size == report.tau.size - 1 and np.all(residual < 0)
+    worst = np.max(residual)
     capsys.readouterr()
     assert main(["report", str(series)]) == 0
-    assert "max inequality residual = -2.000e-05 (tol 1.000e-03)\n" in capsys.readouterr().out
+    assert f"max inequality residual = {worst:.3e} (tol 1.000e-03)\n" in capsys.readouterr().out
     monkeypatch.setattr(verify, "_report", lambda name, **overrides: parse_report(series))
     check = verify.check_discrete_inequality()
-    assert "jump/fine: max residual -2.00e-05 vs tol 1.00e-03" in check.detail
+    assert f"jump/fine: max residual {worst:.2e} vs tol 1.00e-03" in check.detail
 
 
 def test_report_command(tmp_path, cfg_file, capsys):
@@ -492,8 +529,7 @@ def test_report_skips_a_degenerate_fit(tmp_path, cfg_file, capsys):
     series = tmp_path / "series.csv"
     main(["diagnose", "--config", str(cfg_file), "--out", str(series)])
     report = parse_report(series)
-    for name in ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3", "envelope",
-                 "ineq_residual"):
+    for name in ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3"):
         setattr(report, name, getattr(report, name)[[0, -1]])
     report.tau = np.array([0.0, 0.6])
     emit_report(report, series)

@@ -255,18 +255,19 @@ class TestXiBounds:
         prof = jump_profile
         y = np.linspace(-6, 6, 301)
         ref = _profile_pair(prof, y).eval(LAW)
-        assert xi_bound_check(1.0, y, ref.rho, ref.n, ref, LAW, 1.0) == 0
+        snap = error_terms(ScaledField(1.0, y, ref.rho, ref.n), ref, 1.0, 1.0, LAW)
+        assert xi_bound_check(snap, 1.0, ref, LAW) == 0
 
     def test_random_states(self, jump_profile):
         prof = jump_profile
         rng = np.random.default_rng(17)
         y = np.linspace(-6, 6, 301)
         ref = _profile_pair(prof, y).eval(LAW)
-        violations = 0
+        snapshot, violations = _snapshot_pass(ref, 1.0, LAW), 0
         for _ in range(20):
-            violations += xi_bound_check(
-                rng.uniform(0, 4), y, rng.uniform(0.2, 3, y.size),
-                rng.uniform(-2, 2, y.size), ref, LAW, 1.0)
+            tau = rng.uniform(0, 4)
+            fld = ScaledField(tau, y, rng.uniform(0.2, 3, y.size), rng.uniform(-2, 2, y.size))
+            violations += xi_bound_check(snapshot(fld), tau, ref, LAW)
         assert violations == 0
 
     def test_field_on_another_grid_rejected(self, jump_profile):
@@ -278,8 +279,7 @@ class TestXiBounds:
         rho, n = np.ones_like(y), np.zeros_like(y)
         field = ScaledField(1.0, moved, rho, n)
         for call in (lambda: total_relative_entropy(field, ref, 1.0, LAW),
-                     lambda: error_terms(field, ref, 1.0, 1.0, LAW),
-                     lambda: xi_bound_check(1.0, moved, rho, n, ref, LAW, 1.0)):
+                     lambda: error_terms(field, ref, 1.0, 1.0, LAW)):
             with pytest.raises(DomainError, match="y-grid"):
                 call()
 
@@ -471,16 +471,14 @@ class TestOnePass:
         rho[80], n[80] = 0.0, 0.01
         fld = ScaledField(0.5, y, rho, n)
         for call in (lambda: total_relative_entropy(fld, ref, 1.0, LAW),
-                     lambda: error_terms(fld, ref, 0.5, 1.0, LAW),
-                     lambda: xi_bound_check(0.5, y, rho, n, ref, LAW, 1.0)):
+                     lambda: error_terms(fld, ref, 0.5, 1.0, LAW)):
             with pytest.raises(VacuumViolation):
                 call()
         # and a zero density at rest, or a negative one, is a DomainError
         for bad in (0.0, -1e-3):
             rho[80], n[80] = bad, 0.0
             for call in (lambda: total_relative_entropy(fld, ref, 1.0, LAW),
-                         lambda: error_terms(fld, ref, 0.5, 1.0, LAW),
-                         lambda: xi_bound_check(0.5, y, rho, n, ref, LAW, 1.0)):
+                         lambda: error_terms(fld, ref, 0.5, 1.0, LAW)):
                 with pytest.raises(DomainError, match="density must be positive"):
                     call()
 

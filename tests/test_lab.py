@@ -73,7 +73,6 @@ class TestTheoreticalBound:
 def _report_from_E(tau, E):
     z = np.zeros_like(tau)
     return EntropyReport(tau=tau, E=E, D_alpha=z, Xi1=z, Xi2=z, Xi3=z,
-                         envelope=z, ineq_residual=z,
                          meta={"dtau": float(tau[1] - tau[0])})
 
 
@@ -102,29 +101,38 @@ class TestFitDecayRate:
             fit_decay_rate(_report_from_E(tau, E), (0, 4))
 
 
-def test_envelope_check_without_an_envelope_says_so():
-    # theta >= 1/2: diagnose writes a NaN envelope, and the verdict names
-    # the parameters and the missing envelope, not a NaN ratio
+def test_envelope_check_without_an_envelope_says_so(tmp_path):
+    # theta >= 1/2: the envelope is NaN, whatever envelope column an older
+    # series holds, and the verdict names the parameters and the missing
+    # envelope, not a NaN ratio
     tau = np.linspace(0, 1, 11)
     rep = _report_from_E(tau, np.exp(-tau))
-    rep.envelope = np.full_like(tau, np.nan)
-    rep.meta.update(theta=0.6, mu=0.1, K_const=0.1)
+    rep.meta.update(theta=0.6, mu=0.1, K_const=0.1, ineq_tol=1e-3)
+    path = tmp_path / "series.csv"
+    emit_report(rep, path)
+    meta, cols = read_csv(path)
+    write_csv(path, meta, {**cols, "envelope": np.ones_like(tau)})
+    rep = parse_report(path)
+    assert np.isnan(rep.envelope).all()
     res = envelope_check(rep)
     assert not res.passed
     assert res.detail == ("theta = 0.6000, theta_lt_half = False, mu = 0.1000, K = 0.1000, "
                           "E0 = 1.0000e+00: the paper proves no envelope unless theta < 1/2")
 
 
-def test_worst_ineq_residual_skips_the_placeholder_row():
-    # row 0 ends no interval; every interval here has a negative residual
+def test_ineq_residual_has_one_entry_per_interval():
+    # dE/dtau + D + E/2 - (Xi1 + Xi2 + Xi3) on each interval: the forward
+    # difference of E against trapezoid averages, exact in binary here
     tau = np.linspace(0, 1, 5)
-    rep = _report_from_E(tau, np.exp(-tau))
-    rep.ineq_residual = np.array([0.0, -3e-5, -8e-5, -2e-5, -6e-5])
-    assert rep.worst_ineq_residual == -2e-5
-    rep.ineq_residual[3] = 4e-6
-    assert rep.worst_ineq_residual == 4e-6
-    rep.ineq_residual = np.zeros(1)   # a single sample: no interval
-    assert rep.worst_ineq_residual == -math.inf
+    rep = _report_from_E(tau, np.array([1.0, 0.5, 0.25, 0.5, 0.25]))
+    rep.D_alpha = np.full_like(tau, 0.5)
+    rep.Xi1 = np.array([0.0, 0.0, 1.0, 1.0, 0.0])
+    rep.Xi2 = rep.Xi3 = 0.5 * rep.Xi1
+    assert rep.ineq_residual.tolist() == [-1.125, -1.3125, -0.3125, -1.3125]
+    assert rep.worst_ineq_residual == -0.3125
+    single = EntropyReport(*np.zeros((6, 1)))  # one sample: no interval
+    assert single.ineq_residual.shape == (0,)
+    assert single.worst_ineq_residual == -math.inf
 
 
 class TestDissipationCheck:
@@ -339,13 +347,14 @@ class TestCsvRoundTrip:
             tau=tau, E=np.exp(-0.5 * tau) * (1 + 1e-3 * rng.standard_normal(41)),
             D_alpha=rng.random(41), Xi1=rng.standard_normal(41),
             Xi2=rng.standard_normal(41), Xi3=rng.standard_normal(41),
-            envelope=np.exp(-0.4 * tau), ineq_residual=1e-6 * rng.standard_normal(41),
             meta={"theta": 0.025013278003306282, "mu": 0.04, "K_const": 0.1,
                   "ineq_tol": 1e-3},
         )
         path = tmp_path / "report.csv"
         emit_report(rep, path)
         back = parse_report(path)
+        # the measured columns alone are written; the derived ones follow
+        assert list(read_csv(path)[1]) == ["tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3"]
         for name in ("tau", "E", "D_alpha", "Xi1", "Xi2", "Xi3",
                      "envelope", "ineq_residual"):
             assert np.array_equal(getattr(back, name), getattr(rep, name)), name
