@@ -1,12 +1,11 @@
 """Finite-volume solver for the damped Euler system in physical variables.
 
-Rusanov (local Lax-Friedrichs) fluxes with optional MUSCL/minmod
-reconstruction, Dirichlet ghost cells frozen at the far-field states, and the
-friction term integrated exactly (m <- m exp(-alpha dt)) in a splitting that
-matches the spatial order: Godunov around forward Euler for order 1, Strang
-around the three-stage, second-order SSPRK(3,2) (Ketcheson 2008) for order 2.
-Its stages are forward-Euler steps of dt/2, each at Courant number cfl, so
-its step is twice the forward-Euler one.
+Rusanov (local Lax-Friedrichs) fluxes of MUSCL/minmod face states, Dirichlet
+ghost cells frozen at the far-field states, and the friction term integrated
+exactly (m <- m exp(-alpha dt)) in a Strang splitting around the three-stage,
+second-order SSPRK(3,2) (Ketcheson 2008).  Its stages are forward-Euler steps
+of dt/2, each at Courant number cfl, so its step is twice the forward-Euler
+one.
 
 Kernel contract.  Density is > 0 throughout: `PhysicalState`,
 `numerical_flux` and `_Workspace` (the far field) check it where it enters,
@@ -129,8 +128,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.cfl <= 0.5:
             raise ConfigError("cfl must lie in (0, 1/2]")
-        if self.order not in (1, 2):
-            raise ConfigError("order must be 1 or 2")
+        if self.order != 2:
+            raise ConfigError(f"order must be 2, not {self.order!r}")
 
 
 # -- flux core ---------------------------------------------------------------
@@ -261,36 +260,31 @@ class _Workspace(_Faces):
         self.window_loss = self.loss[lo:hi]
         self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
         # -dx, set by `_hyperbolic_rhs` for its grid; set by `_advance` each
-        # step: the stage step dt/2, acc's weight dt/3 (order 1: dt), the decay
+        # step: the stage step dt/2, acc's weight dt/3, the decay
         self.dx, self.neg_dx = None, np.empty(())
         self.h, self.weight, self.decay = (np.empty(()) for _ in range(3))
 
 
-def _hyperbolic_rhs(ws, S, dx, cfg, law, out):
+def _hyperbolic_rhs(ws, S, dx, law, out):
     """The boundary fluxes and, into out = (d_rho, d_m, pad), a pad of ws and
     its rows' window cells, the flux divergence of the window cells of the
     stage buffer S = ws.stages[i]."""
     R, M, U, diff_args, ((r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r)) = S
     # face states: (rho, m) by (left, right); the right face of cell j meets
-    # the left face of cell j + 1.  U = M/R (order 1: M) and R lie end to end
-    # in one 1-D array: one pass each takes both differences, minmods and
-    # halvings; the slopes at the seam go unread
-    if cfg.order == 2:
-        np.divide(M, R, out=U)
-        # a[1:] - a[:-1] is what np.diff computes, without its call overhead
-        np.subtract(*diff_args)
-        # every face lies between its cell and the neighbour mean, so > 0
-        slopes = _minmod(*ws.minmod_args)
-        slopes *= _HALF
-        np.add(r_l, sr_l, out=ws.rho_l)
-        np.subtract(r_r, sr_r, out=ws.rho_r)
-        np.add(u_l, su_l, out=ws.m_l)
-        np.subtract(u_r, su_r, out=ws.m_r)
-        ws.m_f *= ws.rho_f
-    else:
-        np.copyto(U, M)
-        for face, cell in ((ws.rho_l, r_l), (ws.rho_r, r_r), (ws.m_l, u_l), (ws.m_r, u_r)):
-            np.copyto(face, cell)
+    # the left face of cell j + 1.  U = M/R and R lie end to end in one 1-D
+    # array: one pass each takes both differences, minmods and halvings; the
+    # slopes at the seam go unread
+    np.divide(M, R, out=U)
+    # a[1:] - a[:-1] is what np.diff computes, without its call overhead
+    np.subtract(*diff_args)
+    # every face lies between its cell and the neighbour mean, so > 0
+    slopes = _minmod(*ws.minmod_args)
+    slopes *= _HALF
+    np.add(r_l, sr_l, out=ws.rho_l)
+    np.subtract(r_r, sr_r, out=ws.rho_r)
+    np.add(u_l, su_l, out=ws.m_l)
+    np.subtract(u_r, su_r, out=ws.m_r)
+    ws.m_f *= ws.rho_f
 
     # N+1 interface fluxes bordering the N physical cells
     f_rho, f_m = _rusanov(ws, law)
@@ -315,13 +309,11 @@ def _check(block):
 
 
 def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
-    """ssp cfl dx / max speed of checked states, ssp the step's SSP
-    coefficient: 1 for forward Euler, 2 for SSPRK(3,2), whose three stages
-    of dt/2 each keep the Courant number cfl.  p' and the speeds go into
-    out where given."""
-    ssp = 2.0 if cfg.order == 2 else 1.0
+    """2 cfl dx / max speed of checked states, 2 the SSP coefficient of
+    SSPRK(3,2), whose three stages of dt/2 each keep the Courant number cfl.
+    p' and the speeds go into out where given."""
     smax = np.maximum.reduce(_speed(rho, m, law._dp(rho, out[0]), out[1]))
-    dt = ssp * cfg.cfl * dx / max(smax, 1e-14)
+    dt = 2.0 * cfg.cfl * dx / max(smax, 1e-14)
     if not (math.isfinite(dt) and dt > 0):
         raise NumericalFailure(
             f"CFL time step {dt!r} at t = {t!r} is not finite and positive")
@@ -421,28 +413,23 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     h, weight, decay = ws.h, ws.weight, ws.decay
     np.copyto(rho_a, rho)
 
-    sink = 0.0
-    if cfg.order == 2:
-        decay[()] = np.exp(-alpha * dt / 2.0)
-        sink += _sink(ws, m, np.multiply(m, decay, out=m_a), dx)
-        # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
-        # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form
-        # keeps every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
-        h[()], weight[()] = dt / 2.0, dt / 3.0
-        b0 = _hyperbolic_rhs(ws, ws.stages[0], dx, cfg, law, ws.acc)
-        np.add(A, np.multiply(acc, h, out=B), out=B)
-        _check(B)
-        b1 = _hyperbolic_rhs(ws, ws.stages[1], dx, cfg, law, ws.div)
-        acc += div
-        B += np.multiply(div, h, out=div)
-        _check(B)
-        b2 = _hyperbolic_rhs(ws, ws.stages[1], dx, cfg, law, ws.div)
-        acc += div
-        fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
-    else:
-        decay[()], weight[()] = np.exp(-alpha * dt), dt
-        np.copyto(m_a, m)
-        fm = tuple(dt * b for b in _hyperbolic_rhs(ws, ws.stages[0], dx, cfg, law, ws.acc))
+    # libm's exp, whose bits hold on any x86-64 CPU, unlike numpy's
+    decay[()] = math.exp(-alpha * dt / 2.0)
+    sink = _sink(ws, m, np.multiply(m, decay, out=m_a), dx)
+    # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
+    # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form keeps
+    # every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
+    h[()], weight[()] = dt / 2.0, dt / 3.0
+    b0 = _hyperbolic_rhs(ws, ws.stages[0], dx, law, ws.acc)
+    np.add(A, np.multiply(acc, h, out=B), out=B)
+    _check(B)
+    b1 = _hyperbolic_rhs(ws, ws.stages[1], dx, law, ws.div)
+    acc += div
+    B += np.multiply(div, h, out=div)
+    _check(B)
+    b2 = _hyperbolic_rhs(ws, ws.stages[1], dx, law, ws.div)
+    acc += div
+    fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     np.add(A, np.multiply(acc, weight, out=B), out=B)
     _check(B)
     m_d = np.multiply(m_b, decay, out=m_a)

@@ -28,6 +28,7 @@ touch rho = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -236,7 +237,8 @@ def _snapshot_pass(ref, alpha, law):
         if field.y is not ref.y and not np.array_equal(ref.y, field.y):
             raise DomainError("the field is not on the y-grid of the reference")
         tau, rho = field.tau, field.rho
-        exp_m, exp_p = np.exp(-tau), np.exp(tau)
+        # libm's exp: numpy's AVX-512 exp differs from it in the last bit
+        exp_m, exp_p = math.exp(-tau), math.exp(tau)
         h_rel, eta_rel = np.empty_like(du), np.empty_like(du)
         _relative_core(exp_m, rho, np.divide(field.n, rho, du), ref.rho, ref.u, ref.thermo,
                        law, (du, drho, h_rel, p_rel, eta_rel, work))

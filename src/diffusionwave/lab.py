@@ -105,6 +105,8 @@ class ExperimentConfig:
         # the scaled window [-L_y, L_y] at the last snapshot, x = y sqrt(1 + t)
         if self.L_y * np.sqrt(1 + np.expm1(tau_schedule(self)[-1])) > self.X:
             raise ConfigError("physical domain too small for the requested scaled window")
+        # the solver keys, by the solver's own checks
+        SolverConfig(self.cfl, self.order)
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -195,7 +197,7 @@ def plan(cfg):
     law = PressureLaw(k=cfg.k, gamma=cfg.gamma)
     limits = LimitSpec(cfg.rho_minus, cfg.rho_plus, cfg.alpha)
     taus = tau_schedule(cfg)
-    solver = SolverConfig(cfl=cfg.cfl, order=cfg.order)
+    solver = SolverConfig(cfl=cfg.cfl)
     x = cell_grid(cfg.X, cfg.dx)
     initial = PhysicalState(x, *build_initial(cfg, x, limits), 0.0)
     # one lattice: the profile's nodes, at the y-grid's spacing h, run a
@@ -268,9 +270,14 @@ def theoretical_bound(tau, E0, theta, mu, K_const):
     return float(out) if out.ndim == 0 else out
 
 
+def _snapshot_times(taus):
+    """e^tau - 1 of each tau by libm, whose bits hold on any x86-64 CPU."""
+    return np.array([math.expm1(tau) for tau in taus])
+
+
 def simulate(plan):
     """Run the solver from the plan's initial state through its snapshot times."""
-    return run(plan.initial, plan.solver, plan.law, plan.limits, np.expm1(plan.taus)[1:])
+    return run(plan.initial, plan.solver, plan.law, plan.limits, _snapshot_times(plan.taus[1:]))
 
 
 def diagnose(plan, run_result, on_scaled=None):
@@ -280,7 +287,7 @@ def diagnose(plan, run_result, on_scaled=None):
     given, is called with the index and the ScaledField of each.
     """
     cfg, taus, ref = plan.cfg, plan.taus, plan.ref
-    t_snap = np.expm1(taus)
+    t_snap = _snapshot_times(taus)
     times = np.array([snap.t for snap in run_result.snapshots])
     if times.shape != t_snap.shape or np.any(
             np.abs(times - t_snap) > 1e-12 * (1.0 + t_snap)):

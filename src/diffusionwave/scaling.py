@@ -6,6 +6,7 @@ n = sqrt(1+t) * m so Darcy's law can balance asymptotically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,4 +47,5 @@ def to_scaled(state, y_grid):
     # monotone piecewise-linear sampling; stays inside the local data range
     rho = np.interp(xq, state.x, state.rho)
     n = stretch * np.interp(xq, state.x, state.m)
-    return ScaledField(tau=float(np.log1p(t)), y=y_grid, rho=rho, n=n)
+    # libm's log1p, whose bits hold on any x86-64 CPU, unlike numpy's
+    return ScaledField(tau=math.log1p(t), y=y_grid, rho=rho, n=n)

@@ -6,6 +6,8 @@ the bits of what the program prints for the acceptance runs.
 
     PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident] [bits]
 
+With no name it does all three; an unknown name exits 2 before any run.
+
 The discretization gate in tests/test_acceptance.py holds the acceptance
 runs to a tenth of that gap from the stored series.  Regenerate only when
 the program's answer is meant to change, and record why in CHANGES.md.
@@ -14,9 +16,13 @@ current solver's E(tau) is from the stored one: max |E - stored E| as a
 fraction of the stored gap, the number the gate bounds.  For `bits` it
 prints `bits: identical`, or the first artifact, column and tau whose bits
 differ from bits.json.  That line is not a test: the bits depend on the
-numpy build, whose version bits.json records.
+numpy build, whose version bits.json records.  They do not depend on the
+SIMD extensions numpy dispatches to on x86-64 (for gamma in {1, 2}), which
+bits.json records too, as provenance: a difference there is a note on
+stderr, never a difference in bits.
 """
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -36,6 +42,7 @@ from diffusionwave.lab import parse_config  # noqa: E402
 
 NAMES = ("jump", "coincident")
 BITS = "bits"
+CHOICES = (*NAMES, BITS)
 
 
 def _sha256(data):
@@ -69,6 +76,7 @@ def bits_record():
     # through JSON, so a fresh record compares like a stored one
     return json.loads(json.dumps({
         "numpy": np.__version__,
+        "numpy_simd": np.show_config(mode="dicts")["SIMD Extensions"],
         "series": series,
         "run_meta": run_meta,
         "verify": [_sha256(line.encode()) for line in lines],
@@ -114,6 +122,9 @@ def check(names):
             note = ("" if stored["numpy"] == current["numpy"] else
                     f" (numpy {current['numpy']} here, {stored['numpy']} in bits.json)")
             print(f"bits: {'identical' if where is None else 'differ: ' + where}{note}")
+            if stored["numpy_simd"] != current["numpy_simd"]:
+                print(f"note: numpy SIMD extensions {current['numpy_simd']} here, "
+                      f"{stored['numpy_simd']} in bits.json", file=sys.stderr)
             continue
         stored = json.loads((HERE / f"{name}.json").read_text())
         report = verify._report(name)
@@ -154,7 +165,28 @@ def main(names):
         print(f"wrote {path.relative_to(ROOT)}: {len(fine.E)} samples, gap {gap:.3e}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument is one line on stderr and exit 2, not a usage dump."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def parse_args():
+    parser = _Parser(description="Write or check the stored acceptance series and bits.json.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print how far the program is from the stored files")
+    # not choices=: argparse checks the empty list of a bare --check against them
+    parser.add_argument("names", nargs="*", metavar="name",
+                        help=f"one of {', '.join(CHOICES)}; all of them if none is given")
+    args = parser.parse_args()
+    for name in args.names:
+        if name not in CHOICES:
+            parser.error(f"argument name: invalid choice: {name!r} "
+                         f"(choose from {', '.join(CHOICES)})")
+    return args.check, args.names or list(CHOICES)
+
+
 if __name__ == "__main__":
-    args = sys.argv[1:]
-    names = [a for a in args if a != "--check"] or [*NAMES, BITS]
-    (check if "--check" in args else main)(names)
+    do_check, names = parse_args()
+    (check if do_check else main)(names)

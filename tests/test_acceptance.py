@@ -7,6 +7,8 @@ config files shipped in the package.
 """
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from importlib.resources import files
 from pathlib import Path
@@ -82,10 +84,11 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
     assert result.passed and "theta_lt_half = True" in result.detail
 
 
-# A tenth of the fine-coarse gap: a first-order scheme sits at about 1.0 of
-# the jump gap and 18 of the coincident one, doubling dx at about 1.0 of
-# both, so a degraded scheme cannot pass; parabolic coarsening sat at 0.012
-# and 0.046, and with the SSPRK(3,2) step it sits at 0.021 and 0.054
+# A tenth of the fine-coarse gap: zeroed MUSCL slopes (`slopes *= 0` in
+# `_hyperbolic_rhs`, a first-order space discretization) sit at 1.72 of the
+# jump gap and 24.9 of the coincident one, doubling dx at about 1.0 of both,
+# so a degraded scheme cannot pass; parabolic coarsening sat at 0.012 and
+# 0.046, and with the SSPRK(3,2) step it sits at 0.021 and 0.054
 # (tests/data/make_series.py --check prints both).
 GATE = 0.1
 
@@ -101,3 +104,18 @@ def test_discretization_gate(name):
     assert deviation <= GATE * stored["gap"], (
         f"{name}: E moved {deviation:.3e} from the stored series, "
         f"{deviation / stored['gap']:.3f} of the fine-coarse gap {stored['gap']:.3e}")
+
+
+def test_make_series_parses_its_arguments_before_any_run():
+    # --help prints the usage; a misspelt name is one line on stderr and
+    # exit 2, not a traceback from a run or a missing <name>.json
+    script = Path(__file__).parent / "data" / "make_series.py"
+    run = lambda *args: subprocess.run([sys.executable, str(script), *args],
+                                       capture_output=True, text=True, timeout=120)
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage:"), shown
+    assert "jump, coincident, bits" in shown.stdout and shown.stderr == ""
+    for args in (["jmup"], ["--check", "bits", "jmup"]):
+        refused = run(*args)
+        assert refused.returncode == 2 and refused.stdout == "", refused
+        assert refused.stderr.count("\n") == 1 and "'jmup'" in refused.stderr, refused

@@ -586,11 +586,12 @@ _FAR_FIELD = "far-field densities must be positive"
     # no friction: the paper's system is damped, coincident limits included
     ({"rho_minus": "1.0", "rho_plus": "1.0", "alpha": "0"},
      "friction coefficient must be > 0"),
-    # refused by the plan: a profile it cannot solve, a bump that empties
-    # cells, a cfl above 1/2
+    # refused before the first step: a profile the plan cannot solve, a bump
+    # that empties cells, a cfl above 1/2, an order other than 2
     ({"rho_plus": "0.001"}, "Newton line search stalled"),
     ({"amplitude": "-2.0"}, "initial density must stay positive"),
     ({"cfl": "0.7"}, "cfl must lie in (0, 1/2]"),
+    ({"order": "1"}, "order must be 2"),
 ])
 def test_far_field_not_positive_rejected_at_parse_time(tmp_path, capsys, monkeypatch,
                                                        limits):
@@ -617,8 +618,8 @@ def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
     # cell of its window exactly: d rho = -8 rho, and rho - (8 rho)/8 = 0
     advance, rhs = dynamics._advance, dynamics._hyperbolic_rhs
 
-    def emptying(ws, S, dx, cfg, law, out):
-        ends = rhs(ws, S, dx, cfg, law, out)
+    def emptying(ws, S, dx, law, out):
+        ends = rhs(ws, S, dx, law, out)
         np.multiply(S[0][2:-2], -8.0, out=out[0])
         return ends
 

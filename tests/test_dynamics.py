@@ -37,6 +37,9 @@ from diffusionwave.thermo import PressureLaw
 
 LAW = PressureLaw(1.0, 2.0)
 UNIT = LimitSpec(1.0, 1.0, 1.0)
+# the scheme's order, the one value `SolverConfig.order` accepts: a parameter
+# while the config key exists, so that each case keeps its ID
+_ORDER = pytest.mark.parametrize("order", [2])
 
 
 def _physical_flux(rho, m, law):
@@ -96,11 +99,11 @@ class TestFlux:
         assert f_m == pytest.approx(8.5, rel=1e-14)
 
     def test_wavespeed(self):
-        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2); forward Euler's
-        # CFL step is cfl dx / that speed
-        cfg = SolverConfig(cfl=0.5, order=1)
+        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2); the CFL step is
+        # 2 cfl dx / that speed
+        cfg = SolverConfig(cfl=0.5)
         dt = _cfl_dt(np.array([1.0]), np.array([2.0]), 0.0, 1.0, cfg, LAW)
-        assert 0.5 / dt == pytest.approx(2.0 + np.sqrt(2.0))
+        assert 1.0 / dt == pytest.approx(2.0 + np.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -133,21 +136,18 @@ def _ref_minmod(a, b):
     return np.where(np.sign(a) * np.sign(b) > 0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def _ref_rhs(rho, m, dx, order, law, limits):
+def _ref_rhs(rho, m, dx, law, limits):
     R = np.concatenate([[limits.rho_minus] * 2, rho, [limits.rho_plus] * 2])
     M = np.concatenate([[0.0, 0.0], m, [0.0, 0.0]])
-    if order == 2:
-        U = _ref_velocity(R, M)
-        slope_r = _ref_minmod(R[1:-1] - R[:-2], R[2:] - R[1:-1])
-        slope_u = _ref_minmod(U[1:-1] - U[:-2], U[2:] - U[1:-1])
-        r_minus = R[1:-1] - 0.5 * slope_r
-        r_plus = R[1:-1] + 0.5 * slope_r
-        u_minus = U[1:-1] - 0.5 * slope_u
-        u_plus = U[1:-1] + 0.5 * slope_u
-        faces = (r_plus[:-1], r_plus[:-1] * u_plus[:-1],
-                 r_minus[1:], r_minus[1:] * u_minus[1:])
-    else:
-        faces = (R[1:-2], M[1:-2], R[2:-1], M[2:-1])
+    U = _ref_velocity(R, M)
+    slope_r = _ref_minmod(R[1:-1] - R[:-2], R[2:] - R[1:-1])
+    slope_u = _ref_minmod(U[1:-1] - U[:-2], U[2:] - U[1:-1])
+    r_minus = R[1:-1] - 0.5 * slope_r
+    r_plus = R[1:-1] + 0.5 * slope_r
+    u_minus = U[1:-1] - 0.5 * slope_u
+    u_plus = U[1:-1] + 0.5 * slope_u
+    faces = (r_plus[:-1], r_plus[:-1] * u_plus[:-1],
+             r_minus[1:], r_minus[1:] * u_minus[1:])
     f_rho, f_m = _ref_rusanov(*faces, law)
     return -(f_rho[1:] - f_rho[:-1]) / dx, -(f_m[1:] - f_m[:-1]) / dx
 
@@ -231,17 +231,17 @@ def test_minmod_of_same_sign_values_whose_product_underflows():
     assert _same_bits((_minmod(a, b), [1e-200, 5e-324]), (_minmod(-a, -b), [-1e-200, -5e-324]))
 
 
-def _rhs(rho, m, dx, order, law, limits, ws=None, stage=0):
+def _rhs(rho, m, dx, law, limits, ws=None, stage=0):
     """_hyperbolic_rhs of the cells (rho, m), through a stage buffer of ws
     (a fresh workspace if not given), as copies."""
     ws = ws or _Workspace(0, rho.size, rho.size, limits)
     for cell, value in zip(ws.cells[stage], (rho, m)):
         cell[...] = value
-    ends = _hyperbolic_rhs(ws, ws.stages[stage], dx, SolverConfig(order=order), law, ws.div)
+    ends = _hyperbolic_rhs(ws, ws.stages[stage], dx, law, ws.div)
     return ws.div[0].copy(), ws.div[1].copy(), ends
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@_ORDER
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_hyperbolic_rhs_matches_reference_scheme(gamma, order):
     # a block of densities down to 1e-300 and a few at 1e-9, at rest or
@@ -253,11 +253,11 @@ def test_hyperbolic_rhs_matches_reference_scheme(gamma, order):
     rho[[100, 101, 180]] = 1e-9
     m = np.where(rho > 1e-6, rng.normal(0.0, 0.5, n), 0.0)
     law = PressureLaw(1.3, gamma)
-    drho, dm, _ = _rhs(rho, m, dx, order, law, UNIT)
-    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
+    drho, dm, _ = _rhs(rho, m, dx, law, UNIT)
+    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, law, UNIT)))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@_ORDER
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0, 3.0])
 def test_hyperbolic_rhs_vacuum_free_matches_reference_scheme(gamma, order):
     # every density >= 1e-8, one exactly at it beside a jump to 2.0, with
@@ -269,11 +269,11 @@ def test_hyperbolic_rhs_vacuum_free_matches_reference_scheme(gamma, order):
     rho[100], rho[101] = 1e-8, 2.0
     m = rng.normal(0.0, 0.5, n) * rho
     law = PressureLaw(1.3, gamma)
-    drho, dm, _ = _rhs(rho, m, dx, order, law, UNIT)
-    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, order, law, UNIT)))
+    drho, dm, _ = _rhs(rho, m, dx, law, UNIT)
+    assert _same_bits(*zip((drho, dm), _ref_rhs(rho, m, dx, law, UNIT)))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@_ORDER
 def test_one_workspace_serves_both_stage_buffers(order):
     # RHS calls on buffer A, then B, then A again of one workspace give the
     # bits of fresh calls: no call reads what another left behind
@@ -284,8 +284,8 @@ def test_one_workspace_serves_both_stage_buffers(order):
     states[1][1][30:40] = 0.0
     ws = _Workspace(0, n, n, UNIT)
     for (rho, m), stage in zip(states, (0, 1, 0)):
-        reused = _rhs(rho, m, dx, order, law, UNIT, ws, stage)
-        fresh = _rhs(rho, m, dx, order, law, UNIT)
+        reused = _rhs(rho, m, dx, law, UNIT, ws, stage)
+        fresh = _rhs(rho, m, dx, law, UNIT)
         assert _same_bits(*zip(reused[:2], fresh[:2]), (reused[2], fresh[2]))
 
 
@@ -320,12 +320,10 @@ def _constant_state(n=240, dx=0.1, rho=1.0, m=1.0):
 class TestStep:
     def test_dt_formula(self):
         state = _constant_state(rho=1.0, m=0.0, dx=0.01)
-        # wavespeed sqrt(2); order 2 takes three stages of dt/2, each at
-        # cfl 0.45 -> dt = 2*0.45*0.01/sqrt(2); order 1 one stage of dt
+        # wavespeed sqrt(2); three stages of dt/2, each at cfl 0.45 ->
+        # dt = 2*0.45*0.01/sqrt(2)
         new = step(state, SolverConfig(cfl=0.45), LAW, 0.0, UNIT)
         assert new.t == pytest.approx(2 * 0.45 * 0.01 / np.sqrt(2.0), rel=1e-14)
-        new = step(state, SolverConfig(cfl=0.45, order=1), LAW, 0.0, UNIT)
-        assert new.t == pytest.approx(0.45 * 0.01 / np.sqrt(2.0), rel=1e-14)
 
     @pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf])
     def test_bad_dt_rejected(self, dt):
@@ -372,8 +370,9 @@ class TestStep:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             SolverConfig(cfl=0.6)
-        with pytest.raises(ConfigError):
-            SolverConfig(order=3)
+        for order in (1, 3):
+            with pytest.raises(ConfigError, match="order must be 2"):
+                SolverConfig(order=order)
 
 
 class TestRun:
@@ -467,8 +466,7 @@ def _far_field_problems(draw):
                             min_size=hi - lo, max_size=hi - lo)),
               np.full(n - hi, draw(zero))]
     x = (np.arange(n) + 0.5) * 0.1
-    return (PhysicalState(x, rho, m, 0.0), PressureLaw(1.0, gamma), limits,
-            draw(st.sampled_from([1, 2])))
+    return PhysicalState(x, rho, m, 0.0), PressureLaw(1.0, gamma), limits
 
 
 def _outcome(fn):
@@ -486,15 +484,15 @@ def _signed_zero_problem():
     rho, m = np.full(24, 1.0), np.full(24, -0.0)
     rho[-1], m[-2:] = 2.0, 0.0
     return (PhysicalState(x, rho, m, 0.0), PressureLaw(1.0, 2.0),
-            SimpleNamespace(rho_minus=1.0, rho_plus=2.0, alpha=0.0), 1)
+            SimpleNamespace(rho_minus=1.0, rho_plus=2.0, alpha=0.0))
 
 
 @given(problem=_far_field_problems())
 @example(problem=_signed_zero_problem())
 @settings(max_examples=150, deadline=None)
 def test_window_run_matches_full_grid_steps(problem):
-    state, law, limits, order = problem
-    cfg, times = SolverConfig(order=order), (0.25, 0.5)
+    state, law, limits = problem
+    cfg, times = SolverConfig(), (0.25, 0.5)
     runs = [_outcome(lambda: run(state, cfg, law, limits, times))]
     # and on the window itself, not rounded out to whole blocks
     with mock.patch.object(dynamics, "_BLOCK", 1):
@@ -537,7 +535,7 @@ def _padded(state, limits):
 def test_incremental_window_matches_full_scan(problem):
     # every scan of the previous step's window finds what a scan of the
     # whole grid finds, on a run across the merge at t = 3
-    state, law, limits, order = problem
+    state, law, limits = problem
     state = _padded(state, limits)
     window, window_scans = dynamics._window, []
 
@@ -549,7 +547,7 @@ def test_incremental_window_matches_full_scan(problem):
         return found
 
     with mock.patch.object(dynamics, "_window", checked):
-        out = _outcome(lambda: run(state, SolverConfig(order=order), law, limits, [3.5]))
+        out = _outcome(lambda: run(state, SolverConfig(), law, limits, [3.5]))
     if not isinstance(out, type):
         assert out.final.x.size == state.x.size // 2
         assert sum(window_scans) >= out.meta["dt"].size - 2
@@ -561,9 +559,9 @@ def test_reused_workspace_matches_a_fresh_one_per_step(problem):
     # the run's workspace, kept while the window holds and rebuilt as it
     # grows and at the merge, gives the bits of a fresh one per step: no
     # stale buffer, no ghost cell left unset
-    state, law, limits, order = problem
+    state, law, limits = problem
     state = _padded(state, limits)
-    cfg, times = SolverConfig(order=order), (1.0, 3.0, 3.25, 3.5)
+    cfg, times = SolverConfig(), (1.0, 3.0, 3.25, 3.5)
     reused = _outcome(lambda: run(state, cfg, law, limits, times))
     advance = dynamics._advance
     with mock.patch.object(dynamics, "_advance",
@@ -607,7 +605,7 @@ def test_a_warm_step_allocates_nothing_that_scales_with_the_window():
     assert abs(small - large) < 1024, peaks
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@_ORDER
 def test_step_and_run_leave_the_callers_arrays(order):
     state = _jump_state()
     rho, m = state.rho.copy(), state.m.copy()
@@ -628,7 +626,7 @@ def test_step_and_run_leave_the_callers_arrays(order):
     assert _same_bits((state.rho, rho), (state.m, m))
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@_ORDER
 def test_full_grid_step_leaves_cells_outside_the_window(order):
     # the scheme itself, on the whole grid, keeps every cell that _window
     # leaves out at exactly (rho_-, 0) or (rho_+, 0), step after step
@@ -806,7 +804,7 @@ def _tanh_final(n, order):
     return out.final
 
 
-@pytest.mark.parametrize("order,min_rate", [(1, 0.8), (2, 1.7)])
+@pytest.mark.parametrize("order,min_rate", [(2, 1.7)])
 def test_grid_self_convergence(order, min_rate):
     finals = [_tanh_final(n, order) for n in (150, 300, 600, 1200)]
     errors = np.array([[np.mean(np.abs(getattr(a, f) - getattr(_coarsen(b), f)))

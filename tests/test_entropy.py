@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -384,13 +385,14 @@ def _separate_formulas(fld, ref, alpha, law):
     du = u - ref.u
     h_rel = law.potential(rho)[0] - ref.h - ref.dh * (rho - ref.rho)
     p_rel = law.pressure(rho)[0] - ref.p - ref.dp * (rho - ref.rho)
-    eta_rel = 0.5 * np.exp(-tau) * rho * du * du + h_rel
+    # e^{-+tau} by libm, as the pass takes them
+    exp_m = math.exp(-tau)
+    eta_rel = 0.5 * exp_m * rho * du * du + h_rel
     diss = alpha * rho * du * du
     R1 = -0.5 * y * ref.rho_y + ref.n_y
     nsq_y = 2.0 * ref.u * ref.n_y - ref.u * ref.u * ref.rho_y
     R2 = (-0.5 * y * ref.n_y - 0.5 * ref.n + nsq_y
-          + np.exp(tau) * (ref.p_y + alpha * ref.n))
-    exp_m = np.exp(-tau)
+          + math.exp(tau) * (ref.p_y + alpha * ref.n))
     xi1 = -ref.u_y * (exp_m * rho * du * du + p_rel)
     xi2 = exp_m * (ref.u * R1 - R2) * ratio * du
     xi3 = -(rho - ref.rho) * ref.d2h * R1

@@ -174,11 +174,11 @@ class TestConfig:
             "rho_minus = 1.05\n"
             "rho_plus = 0.95  # far field\n"
             "tau_max = 2.0\n"
-            "order = 1\n"
+            "order = 2\n"
         )
         cfg = parse_config(f)
         assert cfg.rho_minus == 1.05
-        assert cfg.order == 1
+        assert cfg.order == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "bad.cfg"
