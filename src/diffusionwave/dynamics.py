@@ -15,8 +15,9 @@ and the neighbour mean.  So the kernel divides by density with no vacuum
 case.  Every Rusanov flux comes from one unchecked core, `_rusanov`, which
 reads the face states from one (2, 2, k) buffer, (rho, m) by (left, right),
 and evaluates m^2/rho, u, p and sqrt(p') of them all in one `_face` pass.
-`numerical_flux` is the domain checks plus that core, and `_cfl_dt` shares
-its speed code.  `_hyperbolic_rhs` reads a stage buffer, rows (U, R, M)
+It returns twice the flux: the divergence divides by -2 dx, `numerical_flux`
+(the domain checks plus that core) halves it, and `_cfl_dt` shares its
+speed code.  `_hyperbolic_rhs` reads a stage buffer, rows (U, R, M)
 with two ghost cells at each end, (R, M) frozen at the far field: U|R is
 one flat array for the slope pass, and (R, M) the (2, k) block that is
 checked and summed.  Its minmod, fmax(min(a, b), 0) + fmin(0, max(a, b)),
@@ -27,12 +28,13 @@ Every ufunc of a step writes with out= into a `_Workspace` built for its
 window, which holds each array the step writes and each view of them it
 reads; `run` keeps it until the window (which only grows, by blocks of 16
 cells) or the grid changes, so a step that keeps it allocates no array.
-Scalar operands are 0-d arrays, module constants or workspace slots the
-step writes in place (1/2, -dx, dt/2, dt/3, the friction decay, the
-far-field bits); `thermo._p` and `_dp` take k and gamma as Python floats,
-which as 0-d arrays measured no gain.  Reductions call the ufunc's reduce,
-not the ndarray methods that wrap it: on a window of a few hundred cells,
-most of a call is its fixed cost.
+Scalar operands are 0-d arrays, module constants or workspace slots (1/2;
+-2 dx and the far-field bits, fixed for the workspace's grid; dt/2, dt/3
+and the friction decay, which the step writes in place); `thermo._p` and
+`_dp` take k and gamma as Python floats, which as 0-d arrays measured no
+gain.  Reductions call the ufunc's reduce, not the ndarray methods that
+wrap it: on a window of a few hundred cells, most of a call is its fixed
+cost.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -149,7 +151,7 @@ def _speed(rho, m, dp, out=None):
 
 
 class _Faces:
-    """k face states, (rho, m) by (left, right), and what `_rusanov` writes."""
+    """k face states, (rho, m) by (left, right), and what `_rusanov` writes: 2F in flux."""
 
     def __init__(self, k):
         self.faces = np.empty((2, 2, k))
@@ -171,27 +173,25 @@ def _face(ws, law):
 
 
 def _rusanov(ws, law):
-    """Rusanov fluxes (f_rho, f_m) of the face states of ws, into ws.flux."""
+    """ws.flux, rows (f_rho, f_m): twice the Rusanov fluxes of the face states
+    of ws, (f_l + f_r) - s_max (u_r - u_l), exactly double the halved form."""
     _face(ws, law)
     s = np.maximum(ws.s_l, ws.s_r, out=ws.s_l)
-    s *= _HALF
     f_rho = np.add(ws.m_l, ws.m_r, out=ws.f_rho)
-    f_rho *= _HALF
     jump = np.subtract(ws.rho_r, ws.rho_l, out=ws.jump)
     jump *= s
     f_rho -= jump
     f_m = np.add(ws.fm_l, ws.fm_r, out=ws.f_m)
-    f_m *= _HALF
     np.subtract(ws.m_r, ws.m_l, out=jump)
     jump *= s
     f_m -= jump
-    return f_rho, f_m
+    return ws.flux
 
 
 def numerical_flux(left, right, law):
     """Rusanov flux: central average minus local-wavespeed upwinding.
 
-    `errors.check_positive` on both states, then `_rusanov`.
+    `errors.check_positive` on both states, then half of `_rusanov`.
     """
     arrays = [np.asarray(a, dtype=float) for a in (left[0], right[0], left[1], right[1])]
     check_positive(arrays[0], arrays[2])
@@ -199,7 +199,7 @@ def numerical_flux(left, right, law):
     faces = np.broadcast_arrays(*np.atleast_1d(*arrays))
     ws = _Faces(faces[0].size)
     ws.faces.reshape(4, *faces[0].shape)[...] = faces
-    f_rho, f_m = _rusanov(ws, law)
+    f_rho, f_m = np.multiply(_rusanov(ws, law), 0.5, out=ws.flux)
     if np.broadcast(*arrays).ndim == 0:
         return float(f_rho[0]), float(f_m[0])
     return f_rho, f_m
@@ -220,14 +220,15 @@ def _minmod(a, b, out=None, tmp=None):
 
 
 class _Workspace(_Faces):
-    """Every array a step on the window [lo, hi) of an n-cell grid writes, and
-    every view of them it reads: two stage buffers, rows (U, R, M) of k =
-    hi - lo + 4 cells, (R, M) far field in two ghost cells at each end; two
-    (2, k) pads, acc and div, whose ghost columns stay +-0; the scratch of
-    `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`; and, as 0-d arrays,
-    the scalar operands of a step.  Far-field densities are > 0 (DomainError)."""
+    """Every array a step on the window [lo, hi) of an n-cell grid of cell
+    size dx writes, and every view of them it reads: two stage buffers, rows
+    (U, R, M) of k = hi - lo + 4 cells, (R, M) far field in two ghost cells
+    at each end; two (2, k) pads, acc and div, whose ghost columns stay +-0;
+    the scratch of `_hyperbolic_rhs`, `_cfl_dt`, `_window` and `_sink`; and,
+    as 0-d arrays, the scalar operands of a step, -2 dx among them (a merge
+    changes n, and so the key).  Far-field densities are > 0 (DomainError)."""
 
-    def __init__(self, lo, hi, n, limits):
+    def __init__(self, lo, hi, n, dx, limits):
         if not (limits.rho_minus > 0 and limits.rho_plus > 0):
             raise DomainError("the far-field densities must be positive")
         w, k = hi - lo, hi - lo + 4
@@ -259,16 +260,16 @@ class _Workspace(_Faces):
         self.loss = np.zeros(n)
         self.window_loss = self.loss[lo:hi]
         self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
-        # -dx, set by `_hyperbolic_rhs` for its grid; set by `_advance` each
-        # step: the stage step dt/2, acc's weight dt/3, the decay
-        self.dx, self.neg_dx = None, np.empty(())
+        # the divergence's divisor -2 dx; set by `_advance` each step: the
+        # stage step dt/2, acc's weight dt/3, the decay
+        self.neg_dx = np.array(-2.0 * dx)
         self.h, self.weight, self.decay = (np.empty(()) for _ in range(3))
 
 
-def _hyperbolic_rhs(ws, S, dx, law, out):
-    """The boundary fluxes and, into out = (d_rho, d_m, pad), a pad of ws and
-    its rows' window cells, the flux divergence of the window cells of the
-    stage buffer S = ws.stages[i]."""
+def _hyperbolic_rhs(ws, S, law, out):
+    """Twice the boundary fluxes and, into out = (d_rho, d_m, pad), a pad of
+    ws and its rows' window cells, the flux divergence of the window cells of
+    the stage buffer S = ws.stages[i], on the grid of ws."""
     R, M, U, diff_args, ((r_l, sr_l, r_r, sr_r), (u_l, su_l, u_r, su_r)) = S
     # face states: (rho, m) by (left, right); the right face of cell j meets
     # the left face of cell j + 1.  U = M/R and R lie end to end in one 1-D
@@ -287,14 +288,12 @@ def _hyperbolic_rhs(ws, S, dx, law, out):
     ws.m_f *= ws.rho_f
 
     # N+1 interface fluxes bordering the N physical cells
-    f_rho, f_m = _rusanov(ws, law)
-    if dx != ws.dx:
-        ws.dx, ws.neg_dx[()] = dx, -dx
+    flux = _rusanov(ws, law)
     *rows, pad = out
     for div, (right, left) in zip(rows, ws.cell_fluxes):
         np.subtract(right, left, out=div)
-    pad /= ws.neg_dx   # the ghost columns stay +-0
-    return f_rho[0], f_rho[-1], f_m[0], f_m[-1]
+    pad /= ws.neg_dx   # -2 dx; the ghost columns stay +-0
+    return flux[0, 0], flux[0, -1], flux[1, 0], flux[1, -1]
 
 
 def _check(block):
@@ -400,7 +399,7 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     lo, hi = _window(state.rho, state.m, limits, ws)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if ws is None or ws.key != (lo, hi, n):
-        ws = _Workspace(lo, hi, n, limits)
+        ws = _Workspace(lo, hi, n, dx, limits)
     if dt is None:
         # the cell next to the window on each side carries the far-field speed
         near = slice(max(lo - 1, 0), hi + 1)
@@ -420,16 +419,17 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form keeps
     # every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
     h[()], weight[()] = dt / 2.0, dt / 3.0
-    b0 = _hyperbolic_rhs(ws, ws.stages[0], dx, law, ws.acc)
+    b0 = _hyperbolic_rhs(ws, ws.stages[0], law, ws.acc)
     np.add(A, np.multiply(acc, h, out=B), out=B)
     _check(B)
-    b1 = _hyperbolic_rhs(ws, ws.stages[1], dx, law, ws.div)
+    b1 = _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)
     acc += div
     B += np.multiply(div, h, out=div)
     _check(B)
-    b2 = _hyperbolic_rhs(ws, ws.stages[1], dx, law, ws.div)
+    b2 = _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)
     acc += div
-    fm = tuple(dt / 3.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
+    # the RHS returns twice the boundary fluxes: dt/6 is dt/3 times the 1/2
+    fm = tuple(dt / 6.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
     np.add(A, np.multiply(acc, weight, out=B), out=B)
     _check(B)
     m_d = np.multiply(m_b, decay, out=m_a)

@@ -187,15 +187,14 @@ class ReferencePair:
         rho, n = rho_nodes[1:-1], n_nodes[1:-1]
         rho_y, n_y = centred(rho_nodes), centred(n_nodes)
         p_y = centred(law.pressure(rho_nodes)[0])
-        h, dh, p, dp = law._reference(rho)
+        (h, dh, d2h), (p, dp) = law.potential(rho), law._p_dp(rho)
         u = n / rho
         u_y = (n_y * rho - n * rho_y) / rho**2
         R1 = -0.5 * y * rho_y + n_y
         nsq_y = 2.0 * u * n_y - u * u * rho_y
         return RefData(y=y, rho=rho, n=n, rho_y=rho_y, n_y=n_y, p_y=p_y, u=u, u_y=u_y,
-                       h=h, dh=dh, d2h=law.potential(rho)[2], p=p, dp=dp, R1=R1,
-                       R2_steady=-0.5 * y * n_y - 0.5 * n + nsq_y, u_R1=u * R1,
-                       neg_u_y=-u_y)
+                       h=h, dh=dh, d2h=d2h, p=p, dp=dp, R1=R1, u_R1=u * R1, neg_u_y=-u_y,
+                       R2_steady=-0.5 * y * n_y - 0.5 * n + nsq_y)
 
 
 # ---------------------------------------------------------------------------

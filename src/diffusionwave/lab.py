@@ -148,10 +148,10 @@ def tau_schedule(cfg):
 
 def build_initial(cfg, x, limits, profile=None):
     """Initial (rho, m): the far-field step at rest plus the density bump,
-    which adds exactly 0 at amplitude 0.  `profile` is unused; it stays for
-    callers that pass it."""
-    rho = (limits.step_density(x).astype(float)
-           + cfg.amplitude * np.exp(-((x - cfg.center) ** 2) / (2.0 * cfg.width**2)))
+    which adds exactly 0 at amplitude 0, its exp from libm, whose bits hold on
+    any x86-64 CPU.  `profile` is unused; it stays for callers that pass it."""
+    bump = np.fromiter(map(math.exp, -((x - cfg.center) ** 2) / (2.0 * cfg.width**2)), float)
+    rho = limits.step_density(x).astype(float) + cfg.amplitude * bump
     if np.any(rho <= 0):
         raise ConfigError("initial density must stay positive")
     return rho, np.zeros_like(x)

@@ -32,7 +32,7 @@ __all__ = [
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 100
-NEWTON_FLOOR_ULPS = 16   # a stalled line search's tolerance; see solve_profile
+NEWTON_FLOOR_ULPS = 16   # the rounding floor of Newton's tolerance; see solve_profile
 TAIL_TOL = 1e-10
 
 
@@ -140,13 +140,13 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     nodes are dy apart (a given L keeps its value and rounds the count).
 
     Dirichlet ends pinned to rho_-+, damped Newton from a tanh ramp, residual
-    tolerance `NEWTON_TOL` in max norm, or, once the line search stalls, the
-    rounding floor `NEWTON_FLOOR_ULPS` eps max p(rho+-)/(alpha dy^2); each
+    tolerance in max norm `NEWTON_TOL` or, when larger, the rounding floor
+    `NEWTON_FLOOR_ULPS` eps max p(rho+-)/(alpha dy^2); each
     Newton step solves the tridiagonal Jacobian by cyclic reduction
     (`_tridiag`).  Coincident limits start at their constant state, residual
     0, so theta = mu = K = 0.  Raises SolverFailure naming the grid and the
     width of the profile's low-density side on overflow, a singular Newton
-    system, a stall (with its residual and floor), non-convergence or a
+    system, a stall (with its residual and tolerance), non-convergence or a
     non-monotone or out-of-range solution, DomainError if the truncated
     domain leaves a tail above `tail_tol` or unless 0 < dy < L < inf, and
     ConfigError (before allocating) if the grid would have more than
@@ -175,8 +175,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
 
     res = interior_residual(rho)
     res_norm = np.max(np.abs(res))
+    scale = max(law.pressure(rm)[0], law.pressure(rp)[0]) / (alpha * dy**2)
+    tol = max(NEWTON_TOL, NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale)
     for _ in range(NEWTON_MAX_ITER):
-        if res_norm <= NEWTON_TOL:
+        if res_norm <= tol:
             break
         _, dp = law.pressure(rho)
         yi = y[1:-1]
@@ -203,17 +205,13 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
                     break
             s *= 0.5
         else:
-            scale = max(law.pressure(rm)[0], law.pressure(rp)[0]) / (alpha * dy**2)
-            floor = NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale
-            if res_norm > floor:
-                raise SolverFailure(f"Newton line search stalled at residual {res_norm:.3g}, "
-                                    f"above its rounding floor {floor:.3g}, {where}",
-                                    residual=res_norm)
-            break
+            raise SolverFailure(f"Newton line search stalled at residual {res_norm:.3g}, above "
+                                f"its tolerance {tol:.3g} ({NEWTON_TOL:g}, or the rounding "
+                                f"floor when larger), {where}", residual=res_norm)
         rho, res, res_norm = trial, trial_res, trial_norm
     else:
         raise SolverFailure(
-            f"Newton did not reach tolerance {NEWTON_TOL:g} in "
+            f"Newton did not reach tolerance {tol:.3g} in "
             f"{NEWTON_MAX_ITER} iterations {where}",
             residual=res_norm,
         )

@@ -618,8 +618,8 @@ def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
     # cell of its window exactly: d rho = -8 rho, and rho - (8 rho)/8 = 0
     advance, rhs = dynamics._advance, dynamics._hyperbolic_rhs
 
-    def emptying(ws, S, dx, law, out):
-        ends = rhs(ws, S, dx, law, out)
+    def emptying(ws, S, law, out):
+        ends = rhs(ws, S, law, out)
         np.multiply(S[0][2:-2], -8.0, out=out[0])
         return ends
 

@@ -308,17 +308,18 @@ class TestSteadyReferenceMemo:
     """A reference evaluated once: a read-only RefData for every snapshot."""
 
     def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
-        # h, h', p and p' of rho_bar come from eval, once per grid,
-        # and the snapshot totals keep the bits of the public formulas
+        # h, h', h'', p and p' of rho_bar come from eval, with one potential
+        # call per grid, and the snapshot totals keep the bits of the public
+        # formulas
         prof = jump_profile
         calls = []
-        original = PressureLaw._reference
+        original = PressureLaw.potential
 
         def counted(self, rho_bar):
             calls.append(np.size(rho_bar))
             return original(self, rho_bar)
 
-        monkeypatch.setattr(PressureLaw, "_reference", counted)
+        monkeypatch.setattr(PressureLaw, "potential", counted)
         y = np.linspace(-4, 4, 201)
         data = _profile_pair(prof, y).eval(LAW)
         rng = np.random.default_rng(23)

@@ -1,7 +1,8 @@
 """Experiment configuration, envelopes, rate fits, and CSV round trips."""
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ class TestConfig:
         rho, m = lab_module.build_initial(cfg, x, LimitSpec(1.0, 1.0, cfg.alpha))
         assert np.array_equal(rho, 1.0 + 0.2 * np.exp(-x**2 / 2.0))
         assert np.all(m == 0.0)
+
+    def test_bump_takes_libm_exp(self):
+        # the bump's bits hold on any x86-64 CPU: numpy's AVX-512 exp differs
+        # from libm in the last bit, and at amplitude 0.37 on a far field of
+        # 0.8 some of those differences reach the densities
+        cfg = replace(parse_config(files("diffusionwave") / "configs" / "coincident.cfg"),
+                      amplitude=0.37, rho_minus=0.8, rho_plus=0.8)
+        initial, c, w = plan(cfg).initial, cfg.center, cfg.width
+        bump = [math.exp(-((v - c) * (v - c)) / (2.0 * w * w)) for v in initial.x.tolist()]
+        assert initial.rho.tobytes() == (0.8 + 0.37 * np.array(bump)).tobytes()
 
     def test_invalid_combination_rejected(self):
         with pytest.raises(ConfigError):

@@ -136,10 +136,15 @@ class TestSolve:
 
 
     def test_newton_stops_at_its_rounding_floor(self):
-        # k = 10 at dy = 0.01: no step lowers the residual below 1.3e-10 >
-        # NEWTON_TOL, which is within 16 eps p(1.05)/dy^2 = 3.9e-10
+        # k = 10 at dy = 0.01: the tolerance is the rounding floor 16 eps
+        # p(1.05)/dy^2 = 3.9e-10 > NEWTON_TOL, and Newton stops at its first
+        # residual under it, after a few steps, not after a line search that
+        # halves its step down to 1e-8
         limits, law = LimitSpec(1.05, 0.95, 1.0), PressureLaw(10.0, 2.0)
-        prof = solve_profile(limits, law, dy=0.01)
+        with mock.patch.object(profile, "_ode_residual",
+                               side_effect=profile._ode_residual) as residual:
+            prof = solve_profile(limits, law, dy=0.01)
+        assert residual.call_count <= 10
         assert NEWTON_TOL < np.max(np.abs(prof.ode_residual[1:-1])) <= 3.9e-10
         assert max(abs(prof.rho_star[1] - 1.05), abs(prof.rho_star[-2] - 0.95)) <= TAIL_TOL
 
