@@ -176,6 +176,7 @@ class ReferencePair:
         The derivatives of rho_bar, n_bar and p(rho_bar) are centered
         differences of the neighbour nodes with h, the grid spacing, so
         discrete Darcy closures cancel exactly; (n^2/rho)_y = 2 u n_y - u^2 rho_y.
+        p and p' are one `_p_dp` pass on the nodes, read on y from [1:-1].
         """
         y = np.asarray(self.y, dtype=float)
         rho_nodes = np.asarray(self.rho, dtype=float)
@@ -186,8 +187,8 @@ class ReferencePair:
         centred = lambda v: (v[2:] - v[:-2]) / span
         rho, n = rho_nodes[1:-1], n_nodes[1:-1]
         rho_y, n_y = centred(rho_nodes), centred(n_nodes)
-        p_y = centred(law.pressure(rho_nodes)[0])
-        (h, dh, d2h), (p, dp) = law.potential(rho), law._p_dp(rho)
+        (h, dh, d2h), (p_nodes, dp_nodes) = law.potential(rho), law._p_dp(rho_nodes)
+        p_y, p, dp = centred(p_nodes), p_nodes[1:-1], dp_nodes[1:-1]
         u = n / rho
         u_y = (n_y * rho - n * rho_y) / rho**2
         R1 = -0.5 * y * rho_y + n_y
@@ -339,7 +340,8 @@ def xi_bound_check(snap, tau, ref, law):
 
     Evaluates the three bounding inequalities at each node of `snap`, the
     record of a field at `tau` against the RefData `ref` (of `error_terms`
-    or a pass), with a rounding slack of 1e-12 relative to the bound.
+    or a pass), with a rounding slack of 1e-12 relative to the bound.  The
+    xi2 bound reads p(rho_bar) as `ref.p`.
     """
     coeff = max(2.0, law.gamma - 1.0)
     exp_h = np.exp(-tau / 2.0)
@@ -352,7 +354,7 @@ def xi_bound_check(snap, tau, ref, law):
     v1 += np.count_nonzero(np.abs(snap.xi1) > bound1b + tol(bound1b))
 
     bound2 = (
-        (1.0 / (2.0 * law.k * ref.rho**law.gamma) + 1.5 / ref.rho)
+        (1.0 / (2.0 * ref.p) + 1.5 / ref.rho)
         * np.abs(snap.R_bar) * exp_h * snap.eta_rel
         + exp_h * np.abs(snap.R_bar)
     )

@@ -102,8 +102,8 @@ class ExperimentConfig:
         if grid_count(self.tau_max, self.tau_step) < 1:
             raise ConfigError(
                 "the schedule tau_max/tau_step has no snapshot after tau = 0")
-        # the scaled window [-L_y, L_y] at the last snapshot, x = y sqrt(1 + t)
-        if self.L_y * np.sqrt(1 + np.expm1(tau_schedule(self)[-1])) > self.X:
+        # the scaled window [-L_y, L_y] at the run's last snapshot t, x = y sqrt(1 + t)
+        if self.L_y * math.sqrt(1.0 + _snapshot_times(tau_schedule(self)[-1:])[0]) > self.X:
             raise ConfigError("physical domain too small for the requested scaled window")
         # the solver keys, by the solver's own checks
         SolverConfig(self.cfl, self.order)

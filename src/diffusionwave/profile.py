@@ -71,9 +71,9 @@ class SimilarityProfile:
     n_star: np.ndarray
     r_star: np.ndarray
     ode_residual: np.ndarray
-    theta: float = 0.0
-    mu: float = 0.0
-    K_const: float = 0.0
+    theta: float
+    mu: float
+    K_const: float
 
     @property
     def dy(self):
@@ -232,23 +232,21 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     p, _ = law.pressure(rho)
     n_star = -_central_first(p, dy) / alpha
 
-    prof = SimilarityProfile(
-        y, rho, n_star, np.zeros_like(y), _ode_residual(rho, y, dy, law, alpha)
-    )
-    prof.theta, prof.mu, prof.K_const, prof.r_star = _profile_constants(prof, law, limits)
-    return prof
+    theta, mu, K_const, r_star = _profile_constants(y, rho, n_star, law, alpha)
+    return SimilarityProfile(y, rho, n_star, r_star, _ode_residual(rho, y, dy, law, alpha),
+                             theta, mu, K_const)
 
 
-def _profile_constants(profile, law, limits):
-    """Flatness constants (theta, mu, K) and the residual field R* of a checked profile.
+def _profile_constants(y, rho, n, law, alpha):
+    """Flatness constants (theta, mu, K) and the residual field R* of a
+    checked profile rho* > 0 with momentum n* on the uniform nodes y.
 
     theta = max{2, gamma-1} sup_+ [(1/alpha) h'(rho*)_yy],
-    mu    = sup(|R*| / (2 k rho*^gamma) + 3 |R*| / (2 rho*)),
+    mu    = sup(|R*| / (2 p(rho*)) + 3 |R*| / (2 rho*)), p taken from the law,
     K     = integral of |R*| (midpoint rule),
     with R* = -(y/2) n*_y - n*/2 + ((n*)^2 / rho*)_y from centered differences.
     """
-    y, rho, n = profile.y, profile.rho_star, profile.n_star
-    dy, alpha = profile.dy, limits.alpha
+    dy = float(y[1] - y[0])
     _, dh, _ = law.potential(rho)
     dh_yy = _central_second(dh, dy)
     theta = max(2.0, law.gamma - 1.0) * float(
@@ -263,7 +261,6 @@ def _profile_constants(profile, law, limits):
     )
 
     absr = np.abs(r_star[1:-1])
-    mu = float(np.max(absr / (2.0 * law.k * rho[1:-1] ** law.gamma)
-                      + 1.5 * absr / rho[1:-1]))
+    mu = float(np.max(absr / (2.0 * law._p(rho[1:-1])) + 1.5 * absr / rho[1:-1]))
     K_const = float(np.sum(np.abs(r_star)) * dy)
     return theta, mu, K_const, r_star

@@ -10,7 +10,6 @@ see the choice and are the basic bricks of every entropy diagnostic here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +70,9 @@ class PressureLaw:
 
         h = k z L(z) and h' = k (gamma L(z) + 1) with
         L(z) = (z^(gamma-1) - 1)/(gamma-1), read as log z at gamma = 1.
-        z = 0 is allowed for gamma > 1 (h = 0, h' = -k/(gamma-1), h'' follows
-        the power formula and may be infinite for gamma < 2); gamma = 1 needs
-        z > 0.
+        h'' = k gamma z^(gamma-2) is one power formula, at z = 0 too, where it
+        reads inf for gamma < 2, k gamma for gamma = 2 and 0 above.  z = 0 is
+        allowed for gamma > 1 (h = 0, h' = -k/(gamma-1)); gamma = 1 needs z > 0.
         """
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
@@ -85,7 +84,7 @@ class PressureLaw:
         h = k * z * lr
         dh = k * (g * lr + 1.0)
         with np.errstate(divide="ignore"):
-            d2h = np.where(z > 0, k * g * z ** (g - 2), _d2h_at_zero(k, g))
+            d2h = k * g * z ** (g - 2)
         if h.ndim == 0:
             return float(h), float(dh), float(d2h)
         return h, dh, d2h
@@ -109,10 +108,8 @@ class PressureLaw:
         return h_rel, p_rel
 
     def _reference(self, rho_bar):
-        """(h, h', p, p') at a float array of reference densities rho_bar >= 0,
-        the terms `_relative` takes; a vacuum reference needs gamma > 1."""
-        if self.gamma == 1.0 and np.any(rho_bar == 0):
-            raise DomainError("vacuum reference requires gamma > 1")
+        """(h, h', p, p') at a float array rho_bar >= 0, the terms `_relative`
+        takes; `potential` refuses rho_bar = 0 at gamma = 1, where h' diverges."""
         h, dh, _ = self.potential(rho_bar)
         p, dp = self._p_dp(rho_bar)
         return h, dh, p, dp
@@ -176,14 +173,6 @@ def _log_ratio(z, g, out=None):
         r = np.expm1(r, out)
     r /= g - 1.0
     return r
-
-
-def _d2h_at_zero(k, g):
-    if g > 2:
-        return 0.0
-    if g == 2:
-        return k * g
-    return math.inf
 
 
 def entropy_generator(exponent, z):

@@ -309,17 +309,21 @@ class TestSteadyReferenceMemo:
 
     def test_reference_thermodynamics_once_per_grid(self, monkeypatch, jump_profile):
         # h, h', h'', p and p' of rho_bar come from eval, with one potential
-        # call per grid, and the snapshot totals keep the bits of the public
-        # formulas
+        # call per grid and one (p, p') pass on its nodes, and the snapshot
+        # totals keep the bits of the public formulas
         prof = jump_profile
-        calls = []
-        original = PressureLaw.potential
+        calls, pass_calls = [], []
 
-        def counted(self, rho_bar):
-            calls.append(np.size(rho_bar))
-            return original(self, rho_bar)
+        def counting(name, log):
+            original = getattr(PressureLaw, name)
 
-        monkeypatch.setattr(PressureLaw, "potential", counted)
+            def counted(self, rho_bar, *args):
+                log.append(np.size(rho_bar))
+                return original(self, rho_bar, *args)
+            monkeypatch.setattr(PressureLaw, name, counted)
+
+        counting("potential", calls)
+        counting("_p_dp", pass_calls)
         y = np.linspace(-4, 4, 201)
         data = _profile_pair(prof, y).eval(LAW)
         rng = np.random.default_rng(23)
@@ -327,7 +331,7 @@ class TestSteadyReferenceMemo:
                               rng.uniform(-0.1, 0.1, y.size)) for tau in (0.1, 0.7, 2.5)]
         results = [(total_relative_entropy(fld, data, 1.0, LAW),
                     error_terms(fld, data, fld.tau, 1.0, LAW)) for fld in fields]
-        assert calls == [y.size]
+        assert calls == [y.size] and pass_calls == [y.size + 2]
 
         h, dh, d2h = LAW.potential(data.rho)
         assert all(a.tobytes() == b.tobytes() for a, b in

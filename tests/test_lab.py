@@ -227,6 +227,10 @@ class TestConfig:
         # the scaled window at the last snapshot, L_y sqrt(1 + t_end) =
         # L_y e^(tau_max/2), must fit in [-X, X]: 8 e^2 = 59.1 at the defaults
         ExperimentConfig(X=59.2)
+        # a window that fills [-X, X] to the last bit, t taken by libm's expm1
+        # as the run takes it; numpy's expm1 is 1 ulp above on AVX-512
+        ExperimentConfig(L_y=1.0, X=math.sqrt(1.0 + math.expm1(1.75)), dx=0.1, dy=0.1,
+                         tau_max=1.75, tau_step=0.25)
         # 8 sqrt(1 + 3) = 16 on a 100-cell grid of half-width 5
         for kw in (dict(X=59.0), dict(X=5.0, dx=0.1, tau_max=math.log(4.0),
                                       tau_step=math.log(4.0))):

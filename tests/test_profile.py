@@ -12,7 +12,6 @@ from diffusionwave.profile import (
     NEWTON_TOL,
     TAIL_TOL,
     LimitSpec,
-    SimilarityProfile,
     _ode_residual,
     _profile_constants,
     _tridiag,
@@ -162,7 +161,7 @@ class TestConstants:
         # the formulas, with no branch of their own, give the constant state
         # the zeros that solve_profile's constant profile carries
         prof = solve_profile(LimitSpec(2.0, 2.0, 1.0), LAW, L=4.0, dy=0.1)
-        theta, mu, K, r_star = _profile_constants(prof, LAW, LimitSpec(2.0, 2.0, 1.0))
+        theta, mu, K, r_star = _profile_constants(prof.y, prof.rho_star, prof.n_star, LAW, 1.0)
         assert (theta, mu, K) == (prof.theta, prof.mu, prof.K_const) == (0.0, 0.0, 0.0)
         assert np.all(r_star == 0.0) and np.all(prof.r_star == 0.0)
 
@@ -171,9 +170,7 @@ class TestConstants:
         # so (1/alpha) h'(rho*)_yy = 2 and theta = max{2, 1} * 2 = 4
         y = np.linspace(-2.0, 2.0, 401)
         rho = 0.5 * (1.0 + y**2)
-        prof = SimilarityProfile(y, rho, np.zeros_like(y), np.zeros_like(y),
-                                 np.zeros_like(y))
-        theta, _, _, _ = _profile_constants(prof, LAW, LimitSpec(1.0, 1.0, 1.0))
+        theta, _, _, _ = _profile_constants(y, rho, np.zeros_like(y), LAW, 1.0)
         assert theta == pytest.approx(4.0, rel=1e-10)
 
     def test_jump_fixture_flat(self, jump_profile):

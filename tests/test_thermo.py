@@ -65,6 +65,13 @@ class TestPotential:
     def test_vacuum_second_derivative_flags(self):
         assert PressureLaw(1.0, 2.0).potential(0.0)[2] == 2.0
         assert PressureLaw(1.0, 1.5).potential(0.0)[2] == math.inf
+        # an array holding a zero density takes the same power formula,
+        # with no warning
+        for g in (1.5, 2.0, 3.0):
+            law = PressureLaw(1.0, g)
+            d2h = law.potential(np.array([0.0, 4.0]))[2]
+            assert d2h[0] == law.potential(0.0)[2]
+            assert d2h[1] == pytest.approx(g * 4.0 ** (g - 2.0), rel=1e-15)
 
     def test_isothermal_vacuum_rejected(self):
         with pytest.raises(DomainError):
@@ -85,7 +92,7 @@ class TestRelative:
         assert p_rel == pytest.approx(0.0, abs=1e-13)
 
     def test_isothermal_vacuum_reference_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="diverges at z = 0"):
             PressureLaw(1.0, 1.0).relative(1.0, 0.0)
 
     def test_vacuum_reference_needs_admissible_law(self):
