@@ -2,10 +2,16 @@
 
 Rusanov (local Lax-Friedrichs) fluxes of MUSCL/minmod face states, Dirichlet
 ghost cells frozen at the far-field states, and the friction term integrated
-exactly (m <- m exp(-alpha dt)) in a Strang splitting around the three-stage,
-second-order SSPRK(3,2) (Ketcheson 2008).  Its stages are forward-Euler steps
-of dt/2, each at Courant number cfl, so its step is twice the forward-Euler
-one.
+exactly (m <- m exp(-alpha dt)) in a Strang splitting around the s-stage,
+second-order SSPRK(s,2) (Ketcheson 2008), whose SSP coefficient is s - 1.
+With fe = cfl dx / max(|u| + sqrt(p')), the forward-Euler step, a step
+takes dt = min(3 fe, t_stop - t) and the fewest stages s, 2 to `_STAGES` =
+4, whose forward-Euler steps dt/(s-1) are at most fe: so every stage keeps
+the Courant number at most cfl, an unclipped step is SSPRK(4,2) at three
+times fe, and a step cut to a snapshot or merge time takes two or three.
+The step ends at u0 + (dt/s)(L0 + ... + L(s-1)), and the boundary-flux
+ledger weighs the stages' sums by dt/(2 s) (the RHS returns twice the
+fluxes, below).
 
 Kernel contract.  Density is > 0 throughout: `PhysicalState`,
 `numerical_flux` and `_Workspace` (the far field) check it where it enters,
@@ -29,8 +35,8 @@ window, which holds each array the step writes and each view of them it
 reads; `run` keeps it until the window (which only grows, by blocks of 16
 cells) or the grid changes, so a step that keeps it allocates no array.
 Scalar operands are 0-d arrays, module constants or workspace slots (1/2;
--2 dx and the far-field bits, fixed for the workspace's grid; dt/2, dt/3
-and the friction decay, which the step writes in place); `thermo._p` and
+-2 dx and the far-field bits, fixed for the workspace's grid; dt/(s-1),
+dt/s and the friction decay, which the step writes in place); `thermo._p` and
 `_dp` take k and gamma as Python floats, which as 0-d arrays measured no
 gain.  Reductions call the ufunc's reduce, not the ndarray methods that
 wrap it: on a window of a few hundred cells, most of a call is its fixed
@@ -39,8 +45,9 @@ cost.
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
 the leading and trailing cells that hold their side's ghost state, (rho_-, 0)
-or (rho_+, 0) to the bit, more than six cells (three stages of the two-cell
-MUSCL stencil) away from any other, rounded out to whole blocks of 16 cells.
+or (rho_+, 0) to the bit, more than `_MARGIN` = 8 cells (four stages of the
+two-cell MUSCL stencil) away from any other, rounded out to whole blocks of
+16 cells.
 The scheme leaves those cells bit for bit as they are, so the window
 changes no result: the window's edge faces see only far-field data and give
 the boundary fluxes, the CFL maximum takes one far-field cell on each side,
@@ -51,8 +58,10 @@ copy of its argument), and the next scan reads only the window of the
 workspace it returns, the cells it wrote.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
-inf and a density that is not > 0 after each stage, and a step whose CFL dt
-is not finite and positive is a NumericalFailure.
+inf and a density that is not > 0 after each stage, and a `run` step whose
+forward-Euler step fe is not finite and positive is a NumericalFailure.  A
+step of given dt (`step`) takes its stages by the same rule, four where fe
+is NaN.
 
 Parabolic coarsening.  The diffusion wave spreads like sqrt(1+t), and the
 diagnostics read it in y = x/sqrt(1+t), so `run` keeps the scaled cell size
@@ -261,7 +270,7 @@ class _Workspace(_Faces):
         self.window_loss = self.loss[lo:hi]
         self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
         # the divergence's divisor -2 dx; set by `_advance` each step: the
-        # stage step dt/2, acc's weight dt/3, the decay
+        # stage step dt/(s-1), acc's weight dt/s, the decay
         self.neg_dx = np.array(-2.0 * dx)
         self.h, self.weight, self.decay = (np.empty(()) for _ in range(3))
 
@@ -307,25 +316,33 @@ def _check(block):
         raise NumericalFailure(f"{'negative' if low < 0 else 'zero'} density {low:.3e}")
 
 
-def _cfl_dt(rho, m, t, dx, cfg, law, out=(None, None)):
-    """2 cfl dx / max speed of checked states, 2 the SSP coefficient of
-    SSPRK(3,2), whose three stages of dt/2 each keep the Courant number cfl.
-    p' and the speeds go into out where given."""
+def _cfl_dt(rho, m, dx, cfg, law, out=(None, None)):
+    """cfl dx / max speed of the states, the forward-Euler step: a stage of
+    at most that length keeps the Courant number at most cfl.  p' and the
+    speeds go into out where given; unchecked (see `_advance`)."""
     smax = np.maximum.reduce(_speed(rho, m, law._dp(rho, out[0]), out[1]))
-    dt = 2.0 * cfg.cfl * dx / max(smax, 1e-14)
-    if not (math.isfinite(dt) and dt > 0):
-        raise NumericalFailure(
-            f"CFL time step {dt!r} at t = {t!r} is not finite and positive")
-    return dt
+    return cfg.cfl * dx / max(smax, 1e-14)
 
 
+def _stages(dt, fe):
+    """The fewest stages s, 2 to `_STAGES`, whose forward-Euler steps
+    dt/(s - 1) are at most fe; `_STAGES` where none is, or fe is NaN."""
+    return next((s for s in range(2, _STAGES) if dt / (s - 1) <= fe), _STAGES)
+
+
+# The most stages a step takes.  SSPRK(s,2) (Ketcheson 2008) takes s
+# forward-Euler stages of dt/(s-1): s - 1 forward-Euler steps per s RHS
+# calls, 3/4 at s = 4 against 2/3 at s = 3.  Its time error grows with s: a
+# cap of five fails the reference gate of tests/test_acceptance.py on the
+# late relative error.
+_STAGES = 4
 # A stage changes a cell only through its two face fluxes, and MUSCL builds
-# a face from two cells on each side: three stages reach six cells.
-_MARGIN = 6
+# a face from two cells on each side: four stages reach eight cells.
+_MARGIN = 2 * _STAGES
 # The step computes whole blocks of cells, so that a growing window allocates
 # its arrays in few sizes, which malloc reuses; with a new size every few
 # steps the heap fragmented and the peak memory of a run grew.  Blocks also
-# bound the workspace rebuilds: 146 of the 1528 steps of the jump run.
+# bound the workspace rebuilds: 138 of the 1027 steps of the jump run.
 _BLOCK = 16
 
 
@@ -390,21 +407,28 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     """One step, in place, of the cells `_window` finds (scanning only the
     window of ws, the last step's workspace), rounded out to whole blocks;
     the others keep their bits.  The state is written once every check of the
-    step has passed.  Without dt, the CFL step, cut to end at t_stop at the
-    latest.  Returns dt, the boundary fluxes (mass left, right, momentum left,
-    right), the friction sink integrated over the step, and the workspace
-    whose key (lo, hi, n) names the cells [lo, hi) written: ws, or a new one.
+    step has passed.  Without dt, (_STAGES - 1) forward-Euler steps fe, cut to
+    end at t_stop at the latest; a given dt is taken as it is.  Either way
+    the step takes `_stages(dt, fe)` stages.  Returns dt, the stage count, the
+    boundary fluxes (mass left, right, momentum left, right), the friction
+    sink integrated over the step, and the workspace whose key (lo, hi, n)
+    names the cells [lo, hi) written: ws, or a new one.
     """
     dx, t, n = state.dx, state.t, state.x.size
     lo, hi = _window(state.rho, state.m, limits, ws)
     lo, hi = lo - lo % _BLOCK, min(hi + -hi % _BLOCK, n)
     if ws is None or ws.key != (lo, hi, n):
         ws = _Workspace(lo, hi, n, dx, limits)
+    # the cell next to the window on each side carries the far-field speed
+    near = slice(max(lo - 1, 0), hi + 1)
+    fe = _cfl_dt(state.rho[near], state.m[near], dx, cfg, law,
+                 ws.cfl[:, :min(hi + 1, n) - near.start])
     if dt is None:
-        # the cell next to the window on each side carries the far-field speed
-        near = slice(max(lo - 1, 0), hi + 1)
-        dt = min(_cfl_dt(state.rho[near], state.m[near], t, dx, cfg, law,
-                         ws.cfl[:, :min(hi + 1, n) - near.start]), t_stop - t)
+        if not (math.isfinite(fe) and fe > 0):
+            raise NumericalFailure(
+                f"CFL time step {fe!r} at t = {t!r} is not finite and positive")
+        dt = min((_STAGES - 1) * fe, t_stop - t)
+    stages = _stages(dt, fe)
     rho, m = state.rho[lo:hi], state.m[lo:hi]
     # A holds the stage-0 state, B the later ones and the result; a stage sum
     # is one call on (2, k) blocks, whose far-field ghost cells keep their bits
@@ -415,27 +439,27 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     # libm's exp, whose bits hold on any x86-64 CPU, unlike numpy's
     decay[()] = math.exp(-alpha * dt / 2.0)
     sink = _sink(ws, m, np.multiply(m, decay, out=m_a), dx)
-    # SSPRK(3,2): three forward-Euler stages of dt/2, combined as
-    # u0 + (dt/3)(L0 + L1 + L2).  A far-field L is -0.0, so this form keeps
-    # every far-field bit; the Shu-Osher (u0 + 2 u2')/3 does not.
-    h[()], weight[()] = dt / 2.0, dt / 3.0
-    b0 = _hyperbolic_rhs(ws, ws.stages[0], law, ws.acc)
+    # SSPRK(s,2): s forward-Euler stages of dt/(s-1), combined as
+    # u0 + (dt/s)(L0 + ... + L(s-1)).  A far-field L is -0.0, so this form
+    # keeps every far-field bit; the Shu-Osher form does not.
+    h[()], weight[()] = dt / (stages - 1), dt / stages
+    ends = _hyperbolic_rhs(ws, ws.stages[0], law, ws.acc)
     np.add(A, np.multiply(acc, h, out=B), out=B)
     _check(B)
-    b1 = _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)
-    acc += div
-    B += np.multiply(div, h, out=div)
-    _check(B)
-    b2 = _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)
-    acc += div
-    # the RHS returns twice the boundary fluxes: dt/6 is dt/3 times the 1/2
-    fm = tuple(dt / 6.0 * (a + b + c) for a, b, c in zip(b0, b1, b2))
+    for i in range(2, stages + 1):
+        ends = tuple(a + b for a, b in zip(ends, _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)))
+        acc += div
+        if i < stages:
+            B += np.multiply(div, h, out=div)
+            _check(B)
+    # the RHS returns twice the boundary fluxes: dt/(2s) is dt/s times the 1/2
+    fm = tuple(dt / (2 * stages) * a for a in ends)
     np.add(A, np.multiply(acc, weight, out=B), out=B)
     _check(B)
     m_d = np.multiply(m_b, decay, out=m_a)
     sink += _sink(ws, m_b, m_d, dx)
     rho[:], m[:], state.t = rho_b, m_d, t + dt
-    return dt, fm, sink, ws
+    return dt, stages, fm, sink, ws
 
 
 def step(state, cfg, law, alpha, limits, dt=None):
@@ -455,8 +479,10 @@ def _coarsen(state):
 
 
 # `run`'s per-step audit series, in the column order of run_meta.csv
-_AUDIT = ("t", "dt", "dx", "mass", "momentum", "boundary_flux_mass",
+_AUDIT = ("t", "dt", "stages", "dx", "mass", "momentum", "boundary_flux_mass",
           "boundary_flux_momentum", "damping_sink", "active_cells", "boundary_deviation")
+# its integer series
+_COUNTS = ("stages", "active_cells")
 
 
 @dataclass
@@ -477,7 +503,8 @@ def run(initial, cfg, law, limits, times):
     dt is clipped so snapshot and merge times are hit exactly, to 1e-12
     (1 + t) (see the module's parabolic coarsening).  Returns a RunResult,
     the initial state and a snapshot per time, whose meta carries the per-step
-    audit series `_AUDIT`: the cumulative boundary fluxes for the conservation
+    audit series `_AUDIT`: `stages`, the SSPRK stages (RHS evaluations) of
+    each step, the cumulative boundary fluxes for the conservation
     checks, `dx`, the cell size of each step, `active_cells`, the width of the
     window each step was computed on (see `_window`), and `boundary_deviation`,
     how far the edge cells have moved from the far field:
@@ -492,7 +519,7 @@ def run(initial, cfg, law, limits, times):
                                    initial.t)
     snapshots = [PhysicalState(state.x, state.rho.copy(), state.m.copy(), state.t)]
     # typed arrays: 8 bytes a step each, not a float object and a pointer
-    audit = {name: array("q" if name == "active_cells" else "d") for name in _AUDIT}
+    audit = {name: array("q" if name in _COUNTS else "d") for name in _AUDIT}
     total_fm = total_fp = total_sink = 0.0
     # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
     t_merge = 4.0 * (1.0 + initial.t) - 1.0
@@ -505,8 +532,8 @@ def run(initial, cfg, law, limits, times):
             # a merged grid needs two cells to have a dx
             coarsen = state.x.size % 2 == 0 and state.x.size >= 4
             t_stop = min(target, t_merge) if coarsen else target
-            dt, fm, sink, ws = _advance(state, cfg, law, limits.alpha, limits,
-                                        t_stop=t_stop, ws=ws)
+            dt, stages, fm, sink, ws = _advance(state, cfg, law, limits.alpha, limits,
+                                                t_stop=t_stop, ws=ws)
 
             total_fm += fm[0] - fm[1]
             total_fp += fm[2] - fm[3]
@@ -515,7 +542,7 @@ def run(initial, cfg, law, limits, times):
                        abs(state.rho[-1] - limits.rho_plus), abs(state.m[-1]))
             # in the order of _AUDIT; mass and momentum as `state.mass` sums
             dx = state.dx
-            values = (state.t, dt, dx, float(np.add.reduce(state.rho) * dx),
+            values = (state.t, dt, stages, dx, float(np.add.reduce(state.rho) * dx),
                       float(np.add.reduce(state.m) * dx), total_fm, total_fp, total_sink,
                       ws.key[1] - ws.key[0], edge)
             for series, value in zip(audit.values(), values):

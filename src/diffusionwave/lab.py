@@ -367,7 +367,7 @@ def envelope_check(report):
     m = report.meta
     bound = ENVELOPE_SLACK * report.envelope
     proved = not np.isnan(bound).all()
-    params = (f"theta = {m['theta']:.4f}, theta_lt_half = {proved}, "
+    params = (f"theta = {m['theta']:.4f}, envelope_proved = {proved}, "
               f"mu = {m['mu']:.4f}, K = {m['K_const']:.4f}, E0 = {report.E0:.4e}")
     if not proved:
         return Verdict(False, f"{params}: the paper proves no envelope unless "

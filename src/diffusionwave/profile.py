@@ -126,9 +126,10 @@ def _tridiag(a, b, c, d):
 
 
 def _ode_residual(rho, y, dy, law, alpha):
-    """Second-order FD residual of (1/alpha) p(rho)_yy + (y/2) rho_y."""
-    p, _ = law.pressure(rho)
-    return _central_second(p, dy) / alpha + 0.5 * y * _central_first(rho, dy)
+    """Second-order FD residual of (1/alpha) p(rho)_yy + (y/2) rho_y, 0 at
+    the ends, and the (p, p') of rho it was taken from."""
+    p_dp = law.pressure(rho)
+    return _central_second(p_dp[0], dy) / alpha + 0.5 * y * _central_first(rho, dy), p_dp
 
 
 # overflow of p(rho) or p'(rho), or a zero pivot in the Newton solve, leaves
@@ -170,17 +171,15 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     rho = 0.5 * (rm + rp) + 0.5 * (rp - rm) * np.tanh(y)
     rho[0], rho[-1] = rm, rp
 
-    def interior_residual(r):
-        return _ode_residual(r, y, dy, law, alpha)[1:-1]
-
-    res = interior_residual(rho)
-    res_norm = np.max(np.abs(res))
+    # the residual with its ends, and (p, p') of rho, each taken once per
+    # accepted rho: the Jacobian, n* and the stored residual read them
+    residual, (p, dp) = _ode_residual(rho, y, dy, law, alpha)
+    res_norm = np.max(np.abs(residual[1:-1]))
     scale = max(law.pressure(rm)[0], law.pressure(rp)[0]) / (alpha * dy**2)
     tol = max(NEWTON_TOL, NEWTON_FLOOR_ULPS * np.finfo(float).eps * scale)
     for _ in range(NEWTON_MAX_ITER):
         if res_norm <= tol:
             break
-        _, dp = law.pressure(rho)
         yi = y[1:-1]
         # tridiagonal Jacobian of the interior residual
         lower = dp[:-2] / (alpha * dy**2) - yi / (4.0 * dy)
@@ -190,7 +189,7 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
         if not (np.isfinite(res_norm)
                 and all(np.isfinite(v).all() for v in (lower, diag, upper))):
             raise SolverFailure(f"Newton system overflowed {where}", residual=res_norm)
-        delta = _tridiag(lower, diag, upper, -res)
+        delta = _tridiag(lower, diag, upper, -residual[1:-1])
         if not np.isfinite(delta).all():
             raise SolverFailure(f"singular Newton system {where}", residual=res_norm)
 
@@ -199,8 +198,8 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
             trial = rho.copy()
             trial[1:-1] += s * delta
             if np.min(trial) > 0:
-                trial_res = interior_residual(trial)
-                trial_norm = np.max(np.abs(trial_res))
+                trial_residual, trial_p_dp = _ode_residual(trial, y, dy, law, alpha)
+                trial_norm = np.max(np.abs(trial_residual[1:-1]))
                 if trial_norm < res_norm:
                     break
             s *= 0.5
@@ -208,7 +207,7 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
             raise SolverFailure(f"Newton line search stalled at residual {res_norm:.3g}, above "
                                 f"its tolerance {tol:.3g} ({NEWTON_TOL:g}, or the rounding "
                                 f"floor when larger), {where}", residual=res_norm)
-        rho, res, res_norm = trial, trial_res, trial_norm
+        rho, residual, (p, dp), res_norm = trial, trial_residual, trial_p_dp, trial_norm
     else:
         raise SolverFailure(
             f"Newton did not reach tolerance {tol:.3g} in "
@@ -229,12 +228,10 @@ def solve_profile(limits, law, L=None, dy=0.01, *, tail_tol=TAIL_TOL):
     if not monotone or np.min(rho) < lo - 1e-14 or np.max(rho) > hi + 1e-14:
         raise SolverFailure(f"profile violates monotonicity/range bounds {where}")
 
-    p, _ = law.pressure(rho)
     n_star = -_central_first(p, dy) / alpha
 
     theta, mu, K_const, r_star = _profile_constants(y, rho, n_star, law, alpha)
-    return SimilarityProfile(y, rho, n_star, r_star, _ode_residual(rho, y, dy, law, alpha),
-                             theta, mu, K_const)
+    return SimilarityProfile(y, rho, n_star, r_star, residual, theta, mu, K_const)
 
 
 def _profile_constants(y, rho, n, law, alpha):

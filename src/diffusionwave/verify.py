@@ -110,7 +110,7 @@ def check_profile_suite():
     norms = []
     for step in (8, 4):
         y = fine.y[on][::step]
-        r = _ode_residual(fine.rho_star[on][::step], y, step * fine.dy, law, 1.0)
+        r, _ = _ode_residual(fine.rho_star[on][::step], y, step * fine.dy, law, 1.0)
         inner = np.abs(y) <= 10.0
         norms.append(float(np.max(np.abs(r[1:-1][inner[1:-1]]))))
     factor = norms[0] / norms[1]

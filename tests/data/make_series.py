@@ -1,25 +1,35 @@
-"""Write <name>.json beside this script: the E(tau) series of the shipped
-acceptance config <name> and its fine-coarse gap, the largest |E| difference
-at common tau between that run and the coarse partner `verify` pairs it
-with (twice the dx, dy and tau_step).  The artifact `bits` writes bits.json:
-the bits of what the program prints for the acceptance runs.
+"""Write the stored series of the acceptance configs beside this script.
 
-    PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident] [bits]
+<name>.json holds the E(tau) series of the shipped acceptance config <name>
+and its fine-coarse gap, the largest |E| difference at common tau between
+that run and the coarse partner `verify` pairs it with (twice the dx, dy and
+tau_step).  The artifact `ref` writes <name>_ref.json for both configs: the
+reference E_ref(tau), this solver's run at dx/8 (dy and tau_step kept), and
+its error bar |E_dx/4 - E_dx/8| at each tau, with both dx and `src_sha256`;
+its four runs take about 30 s.  The artifact `bits` writes bits.json: the
+bits of what the program prints for the acceptance runs.
 
-With no name it does all three; an unknown name exits 2 before any run.
+    PYTHONPATH=src python3 tests/data/make_series.py [--check] [jump] [coincident] [ref] [bits]
 
-The discretization gate in tests/test_acceptance.py holds the acceptance
-runs to a tenth of that gap from the stored series.  Regenerate only when
-the program's answer is meant to change, and record why in CHANGES.md.
-With --check it writes nothing and prints, for each config, how far the
-current solver's E(tau) is from the stored one: max |E - stored E| as a
-fraction of the stored gap, the number the gate bounds.  For `bits` it
-prints `bits: identical`, or the first artifact, column and tau whose bits
-differ from bits.json.  That line is not a test: the bits depend on the
-numpy build, whose version bits.json records.  They do not depend on the
-SIMD extensions numpy dispatches to on x86-64 (for gamma in {1, 2}), which
-bits.json records too, as provenance: a difference there is a note on
-stderr, never a difference in bits.
+With no name it does all four; an unknown name exits 2 before any run.
+
+Two gates in tests/test_acceptance.py read these files.  The reference gate
+holds each acceptance run's error against E_ref, max |E - E_ref| and the
+largest |E - E_ref|/E_ref at tau >= LATE_TAU, to a stated factor (FACTORS)
+of the error the fixed-stage SSPRK(3,2) scheme read there (ANCHORS), plus
+the error bar.  The scalar gate, a regression guard, holds the runs to a
+tenth of the gap from <name>.json.  Regenerate only when the program's
+answer is meant to change, and record why in CHANGES.md.  With --check it
+writes nothing and runs nothing beyond the acceptance runs: for each config
+it prints max |E - stored E| as a fraction of the stored gap, the number
+the scalar gate bounds; for `ref`, each of the reference gate's four errors
+and the share of its bound spent.  For `bits` it prints `bits: identical`,
+or the first artifact, column and tau whose bits differ from bits.json.
+That line is not a test: the bits depend on the numpy build, whose version
+bits.json records.  They do not depend on the SIMD extensions numpy
+dispatches to on x86-64 (for gamma in {1, 2}), which bits.json records too,
+as provenance: a difference there is a note on stderr, never a difference in
+bits.
 """
 
 import argparse
@@ -41,8 +51,22 @@ from diffusionwave import lab, verify  # noqa: E402
 from diffusionwave.lab import parse_config  # noqa: E402
 
 NAMES = ("jump", "coincident")
-BITS = "bits"
-CHOICES = (*NAMES, BITS)
+REF, BITS = "ref", "bits"
+CHOICES = (*NAMES, REF, BITS)
+
+# The reference gate.  Errors from tau = LATE_TAU on are read relative to
+# E_ref: there E (4.7e-7 on jump at tau = 4) is 200 times below the
+# fine-coarse gap, so an absolute bound cannot see a 100 % error.  ANCHORS
+# are each config's (max |E - E_ref|, late max |E - E_ref|/E_ref) under the
+# fixed three-stage SSPRK(3,2) step, frozen, against the E_ref of
+# <name>_ref.json; FACTORS the multiple of each a scheme may reach.  A
+# factor of 2 on the late error passes the SSPRK(s,2) step of up to four
+# stages (1.79 and 1.78) and fails up to five (2.90 and 2.86); CHANGES.md
+# records the variants it fails.
+LATE_TAU = 2.5
+REF_DX_DIVISOR, BAR_DX_DIVISOR = 8, 4
+ANCHORS = {"jump": (1.340e-4, 1.800e-2), "coincident": (5.831e-6, 1.383e-4)}
+FACTORS = (1.25, 2.0)
 
 
 def _sha256(data):
@@ -83,6 +107,25 @@ def bits_record():
     }))
 
 
+def load_reference(name):
+    return json.loads((HERE / f"{name}_ref.json").read_text())
+
+
+def reference_gate(name, E, ref):
+    """The reference gate's two (label, error, bound) of the series E on
+    the tau of ref, the stored reference of config name: each bound is its
+    factor of the anchor plus the largest error bar in the same form."""
+    tau, E_ref, bar = (np.asarray(ref[key]) for key in ("tau", "E", "error_bar"))
+    late = tau >= LATE_TAU
+    error = np.abs(np.asarray(E) - E_ref)
+    errors = (np.max(error), np.max(error[late] / E_ref[late]))
+    bars = (np.max(bar), np.max(bar[late] / E_ref[late]))
+    return [(label, float(e), factor * anchor + float(b))
+            for label, e, factor, anchor, b in zip(
+                ("max |E - E_ref|", f"max |E - E_ref|/E_ref at tau >= {LATE_TAU:g}"),
+                errors, FACTORS, ANCHORS[name], bars)]
+
+
 def first_difference(stored, current):
     """The first artifact, column and tau whose bits differ; None if none."""
     for name in NAMES:
@@ -115,6 +158,15 @@ def first_difference(stored, current):
 
 def check(names):
     for name in names:
+        if name == REF:
+            for config in NAMES:
+                report, ref = verify._report(config), load_reference(config)
+                if not np.array_equal(report.tau, ref["tau"]):
+                    raise RuntimeError(f"{config}: snapshot times differ from the reference")
+                for label, error, bound in reference_gate(config, report.E, ref):
+                    print(f"{config}: {label} = {error:.3e}, "
+                          f"{error / bound:.4f} of the bound {bound:.3e}")
+            continue
         if name == BITS:
             stored = json.loads((HERE / "bits.json").read_text())
             current = bits_record()
@@ -135,9 +187,36 @@ def check(names):
               f"{deviation / stored['gap']:.4f} of the gap {stored['gap']:.3e}")
 
 
+def write_reference(sha):
+    """<name>_ref.json of each config: the run at dx/8 and its error bar."""
+    for name in NAMES:
+        dx = verify._config(name).dx
+        ref, bar = (verify._report(name, dx=dx / d) for d in (REF_DX_DIVISOR, BAR_DX_DIVISOR))
+        if not (np.array_equal(ref.tau, verify._report(name).tau)
+                and np.array_equal(ref.tau, bar.tau)):
+            raise RuntimeError(f"{name}: reference snapshots do not match the acceptance run's")
+        record = {
+            "config": name,
+            "src_sha256": sha,
+            "dx": dx / REF_DX_DIVISOR,
+            "error_bar_dx": dx / BAR_DX_DIVISOR,
+            "steps": int(ref.run_result.meta["dt"].size),
+            "tau": ref.tau.tolist(),
+            "E": ref.E.tolist(),
+            "error_bar": np.abs(bar.E - ref.E).tolist(),
+        }
+        path = HERE / f"{name}_ref.json"
+        path.write_text(json.dumps(record, indent=1) + "\n")
+        print(f"wrote {path.relative_to(ROOT)}: dx {record['dx']:g}, "
+              f"{record['steps']} steps, error bar at most {max(record['error_bar']):.3e}")
+
+
 def main(names):
     sha = source_sha256()
     for name in names:
+        if name == REF:
+            write_reference(sha)
+            continue
         if name == BITS:
             record = {"src_sha256": sha, **bits_record()}
             path = HERE / "bits.json"

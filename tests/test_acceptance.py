@@ -21,6 +21,11 @@ from diffusionwave import lab, verify
 from diffusionwave.lab import EntropyReport, cell_grid, parse_config
 from diffusionwave.verify import ALL_CHECKS
 
+DATA = Path(__file__).parent / "data"
+# the stored series' writer, which also defines the reference gate
+sys.path.insert(0, str(DATA))
+import make_series  # noqa: E402
+
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.__name__)
 def test_acceptance(check):
@@ -78,18 +83,20 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
         meta={"theta": 0.6, "mu": 0.1, "K_const": 0.1})
     monkeypatch.setattr(verify, "_report", lambda name: report)
     result = verify.check_jump_envelope()
-    assert not result.passed and "theta_lt_half = False" in result.detail
+    assert not result.passed and "envelope_proved = False" in result.detail
     report.meta["theta"] = 0.25
     result = verify.check_jump_envelope()
-    assert result.passed and "theta_lt_half = True" in result.detail
+    assert result.passed and "envelope_proved = True" in result.detail
 
 
-# A tenth of the fine-coarse gap: zeroed MUSCL slopes (`slopes *= 0` in
-# `_hyperbolic_rhs`, a first-order space discretization) sit at 1.72 of the
-# jump gap and 24.9 of the coincident one, doubling dx at about 1.0 of both,
-# so a degraded scheme cannot pass; parabolic coarsening sat at 0.012 and
-# 0.046, and with the SSPRK(3,2) step it sits at 0.021 and 0.054
-# (tests/data/make_series.py --check prints both).
+# The scalar gate, a regression guard: a tenth of the fine-coarse gap from
+# the stored series.  Zeroed MUSCL slopes (`slopes *= 0` in
+# `_hyperbolic_rhs`, a first-order space discretization) sat at 1.72 of the
+# jump gap and 24.9 of the coincident one, doubling dx at about 1.0 of
+# both; the series were last written on the SSPRK(s,2) step of up to four
+# stages (tests/data/make_series.py --check prints the share).  It measures
+# distance from a stored answer, not error, and from tau = 2.6 on an E that
+# is off by 100 % passes it on jump; the reference gate below sees that.
 GATE = 0.1
 
 
@@ -97,7 +104,7 @@ GATE = 0.1
 def test_discretization_gate(name):
     # the stored series come from tests/data/make_series.py; the fine runs
     # are the cached acceptance runs, so the gate simulates nothing new
-    stored = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    stored = json.loads((DATA / f"{name}.json").read_text())
     report = verify._report(name)
     assert np.array_equal(report.tau, stored["tau"])
     deviation = float(np.max(np.abs(report.E - np.asarray(stored["E"]))))
@@ -106,15 +113,48 @@ def test_discretization_gate(name):
         f"{deviation / stored['gap']:.3f} of the fine-coarse gap {stored['gap']:.3e}")
 
 
+@pytest.mark.parametrize("name", ["jump", "coincident"])
+def test_reference_gate(name):
+    # each acceptance run's error against E_ref, this solver's run at dx/8
+    # (tests/data/<name>_ref.json), in two forms that see every tau: within
+    # make_series.FACTORS of the SSPRK(3,2) step's errors (ANCHORS) plus the
+    # error bar |E_dx/4 - E_dx/8|.  It fails zeroed slopes, doubled dx,
+    # merges a half-octave earlier and a five-stage cap (CHANGES.md); the
+    # runs are the cached acceptance runs, so it simulates nothing new
+    ref = make_series.load_reference(name)
+    report = verify._report(name)
+    assert np.array_equal(report.tau, ref["tau"])
+    assert ref["dx"] == verify._config(name).dx / make_series.REF_DX_DIVISOR
+    for label, error, bound in make_series.reference_gate(name, report.E, ref):
+        assert error <= bound, (f"{name}: {label} = {error:.3e}, "
+                                f"{error / bound:.3f} of its bound {bound:.3e}")
+
+
+def test_reference_gate_reads_every_bound():
+    # a series at E_ref is inside both bounds; one last sample off by twice
+    # the relative bound fails that bound alone, and a shift of three times
+    # the absolute anchor fails the absolute bound
+    gate = make_series.reference_gate
+    for name in ("jump", "coincident"):
+        ref = make_series.load_reference(name)
+        E = np.array(ref["E"])
+        assert [error for _, error, _ in gate(name, E, ref)] == [0.0, 0.0]
+        off = E.copy()
+        off[-1] *= 1.0 + 2.0 * gate(name, E, ref)[1][2]
+        assert [error <= bound for _, error, bound in gate(name, off, ref)] == [True, False]
+        (_, error, bound), _ = gate(name, E + 3.0 * make_series.ANCHORS[name][0], ref)
+        assert error > bound
+
+
 def test_make_series_parses_its_arguments_before_any_run():
     # --help prints the usage; a misspelt name is one line on stderr and
     # exit 2, not a traceback from a run or a missing <name>.json
-    script = Path(__file__).parent / "data" / "make_series.py"
+    script = DATA / "make_series.py"
     run = lambda *args: subprocess.run([sys.executable, str(script), *args],
                                        capture_output=True, text=True, timeout=120)
     shown = run("--help")
     assert shown.returncode == 0 and shown.stdout.startswith("usage:"), shown
-    assert "jump, coincident, bits" in shown.stdout and shown.stderr == ""
+    assert "jump, coincident, ref, bits" in shown.stdout and shown.stderr == ""
     for args in (["jmup"], ["--check", "bits", "jmup"]):
         refused = run(*args)
         assert refused.returncode == 2 and refused.stdout == "", refused

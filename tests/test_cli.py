@@ -435,7 +435,7 @@ def test_no_stored_flag_grants_an_envelope(tmp_path, capsys, monkeypatch, theta,
     out = capsys.readouterr().out
     # each detail names the condition that fails: theta > 0 at theta = 0
     needs = "theta < 1/2" if theta >= 0.5 else "0 < theta < 1/2 at K > 0"
-    assert (f"theta = {theta:.4f}, theta_lt_half = False, mu = 0.0400, K = 0.1000, "
+    assert (f"theta = {theta:.4f}, envelope_proved = False, mu = 0.0400, K = 0.1000, "
             f"E0 = 1.0000e-02: the paper proves no envelope unless {needs}\n") in out
     assert f"[FAIL] dissipation tail bound: theta = {theta:.4f}: the bound needs {needs}\n" in out
 
@@ -474,7 +474,7 @@ def test_no_envelope_without_theta_below_one_half(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     theta = f"theta = {report.meta['theta']:.4f}"
-    assert f"[FAIL] entropy decay envelope: {theta}, theta_lt_half = False" in out
+    assert f"[FAIL] entropy decay envelope: {theta}, envelope_proved = False" in out
     assert "the paper proves no envelope unless theta < 1/2\n" in out
     assert f"[FAIL] dissipation tail bound: {theta}: the bound needs theta < 1/2" in out
     worst = np.max(report.ineq_residual)
@@ -614,8 +614,9 @@ def test_far_field_not_positive_rejected_at_parse_time(tmp_path, capsys, monkeyp
 
 
 def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
-    # a first step of dt = 1/4 whose first stage (h = dt/2) empties every
-    # cell of its window exactly: d rho = -8 rho, and rho - (8 rho)/8 = 0
+    # a first step of dt = 3/8, over twice the forward-Euler step (0.031
+    # here), so of four stages, whose first (h = dt/(s - 1) = 1/8) empties
+    # every cell of its window exactly: d rho = -8 rho, and rho - (8 rho)/8 = 0
     advance, rhs = dynamics._advance, dynamics._hyperbolic_rhs
 
     def emptying(ws, S, law, out):
@@ -624,7 +625,7 @@ def test_density_reaching_zero_exits_2(tmp_path, capsys, monkeypatch):
         return ends
 
     monkeypatch.setattr(dynamics, "_advance",
-                        lambda *args, **kwargs: advance(*args, **{**kwargs, "dt": 0.25}))
+                        lambda *args, **kwargs: advance(*args, **{**kwargs, "dt": 0.375}))
     monkeypatch.setattr(dynamics, "_hyperbolic_rhs", emptying)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(JUMP_CFG)

@@ -99,10 +99,10 @@ class TestFlux:
         assert f_m == pytest.approx(8.5, rel=1e-14)
 
     def test_wavespeed(self):
-        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2); the CFL step is
-        # 2 cfl dx / that speed
+        # |u| + sqrt(p'(rho)) with rho=1, m=2: 2 + sqrt(2); the forward-Euler
+        # step is cfl dx / that speed, here with cfl dx = 1
         cfg = SolverConfig(cfl=0.5)
-        dt = _cfl_dt(np.array([1.0]), np.array([2.0]), 0.0, 1.0, cfg, LAW)
+        dt = _cfl_dt(np.array([1.0]), np.array([2.0]), 2.0, cfg, LAW)
         assert 1.0 / dt == pytest.approx(2.0 + np.sqrt(2.0))
 
 
@@ -321,10 +321,10 @@ def _constant_state(n=240, dx=0.1, rho=1.0, m=1.0):
 class TestStep:
     def test_dt_formula(self):
         state = _constant_state(rho=1.0, m=0.0, dx=0.01)
-        # wavespeed sqrt(2); three stages of dt/2, each at cfl 0.45 ->
-        # dt = 2*0.45*0.01/sqrt(2)
+        # wavespeed sqrt(2); s = 4 stages of dt/(s - 1), each at cfl 0.45 ->
+        # dt = (s - 1)*0.45*0.01/sqrt(2)
         new = step(state, SolverConfig(cfl=0.45), LAW, 0.0, UNIT)
-        assert new.t == pytest.approx(2 * 0.45 * 0.01 / np.sqrt(2.0), rel=1e-14)
+        assert new.t == pytest.approx(3 * 0.45 * 0.01 / np.sqrt(2.0), rel=1e-14)
 
     @pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf])
     def test_bad_dt_rejected(self, dt):
@@ -333,22 +333,27 @@ class TestStep:
             step(state, SolverConfig(), LAW, 1.0, UNIT, dt)
 
     def test_time_order(self):
-        # a smooth monotone state stepped with a fixed dt to t = 0.4, on one
-        # grid: its distance from the run at dt/8 falls like dt^2 as dt halves
+        # for each stage count s = 2, 3, 4: a smooth monotone state stepped
+        # with a fixed dt and s to t = 0.4, on one grid: its distance from
+        # the run at dt/8 falls like dt^2 as dt halves; every stage
+        # dt/(s - 1) is at most the forward-Euler step, 0.0145
         n = 400
         x = (np.arange(n) + 0.5) * 0.05 - 10.0
         state = PhysicalState(x, 1.0 + 0.2 * np.tanh(x), np.zeros(n), 0.0)
         limits = LimitSpec(0.8, 1.2, 1.0)
         cfg = SolverConfig()
-        finals = {}
-        for k in (16, 32, 64, 128, 256, 512, 1024):   # steps; dt = 0.4/k
-            s = state
-            for _ in range(k):
-                s = step(s, cfg, LAW, limits.alpha, limits, 0.4 / k)
-            finals[k] = np.concatenate((s.rho, s.m))
-        errors = [np.max(np.abs(finals[k] - finals[8 * k])) for k in (16, 32, 64, 128)]
-        orders = np.log2(np.divide(errors[:-1], errors[1:]))
-        assert np.all((orders >= 1.8) & (orders <= 2.2)), (errors, orders)
+        for stages in (2, 3, 4):
+            finals = {}
+            steps = [32 // (stages - 1) << i for i in range(7)]   # dt = 0.4/k
+            with mock.patch.object(dynamics, "_stages", lambda dt, fe: stages):
+                for k in steps:
+                    s = state
+                    for _ in range(k):
+                        s = step(s, cfg, LAW, limits.alpha, limits, 0.4 / k)
+                    finals[k] = np.concatenate((s.rho, s.m))
+            errors = [np.max(np.abs(finals[k] - finals[8 * k])) for k in steps[:4]]
+            orders = np.log2(np.divide(errors[:-1], errors[1:]))
+            assert np.all((orders >= 1.8) & (orders <= 2.2)), (stages, errors, orders)
 
     def test_constant_state_exact_damping(self):
         state = _constant_state()
@@ -674,16 +679,16 @@ def test_ghost_columns_keep_their_bits_across_rebuilds_and_a_merge():
 
 
 def test_window_bounds():
-    # [P - 6, n - S + 6) clipped to the grid, P and S the far-field runs
+    # [P - 8, n - S + 8) clipped to the grid, P and S the far-field runs
     n = 40
     x = (np.arange(n) + 0.5) * 0.1
     limits = LimitSpec(1.05, 0.95, 1.0)
     rho = np.where(np.arange(n) < 20, 1.05, 0.95)
     m = np.zeros(n)
-    assert _window(rho, m, limits) == (14, 26)
+    assert _window(rho, m, limits) == (12, 28)
     for bad in (-1e-300, -0.0):   # any momentum bits end the far-field run
         m[10] = bad
-        assert _window(rho, m, limits) == (4, 26)
+        assert _window(rho, m, limits) == (2, 28)
     rho[[2, 37]] = 1.0
     assert _window(rho, m, limits) == (0, n)
     m[10] = 0.0
@@ -692,13 +697,32 @@ def test_window_bounds():
     far_field = lambda minus, plus: SimpleNamespace(rho_minus=minus, rho_plus=plus)
     for far in (1.0, 0.0):
         assert _window(np.full(n, far), m, far_field(far, far)) == (0, n)
-    assert _window(np.full(n, 1.05), m, limits) == (n - 6, n)
+    assert _window(np.full(n, 1.05), m, limits) == (n - 8, n)
     # a -0.0 density is not the far field 0.0, nor the reverse
     vacuum = np.r_[np.zeros(20), np.ones(20)]
-    assert _window(vacuum, m, far_field(0.0, 0.0)) == (14, n)
-    vacuum[:7] = -0.0
+    assert _window(vacuum, m, far_field(0.0, 0.0)) == (12, n)
+    vacuum[:9] = -0.0
     assert _window(vacuum, m, far_field(0.0, 0.0)) == (0, n)
     assert _window(vacuum, m, far_field(-0.0, 0.0)) == (1, n)
+
+
+def test_stages_count_the_rhs_calls():
+    # run.meta's stages sum to the run's _hyperbolic_rhs calls; a step cut to
+    # a snapshot takes the fewest stages whose forward-Euler steps
+    # dt/(s - 1) are at most fe, two where dt <= fe
+    state, rhs = _jump_state(), dynamics._hyperbolic_rhs
+    fe = _cfl_dt(state.rho, state.m, state.dx, SolverConfig(), LAW)
+    for share, stages in ((0.5, [2]), (1.0, [2]), (1.5, [3]), (2.5, [4]), (3.5, [4, 2]),
+                          (40.0, None)):
+        calls = []
+        with mock.patch.object(dynamics, "_hyperbolic_rhs",
+                               lambda *args: calls.append(args) or rhs(*args)):
+            out = run(state, SolverConfig(), LAW, JUMP, [share * fe])
+        assert out.meta["stages"].sum() == len(calls)
+        if stages is not None:
+            assert list(out.meta["stages"]) == stages
+    # the long run: every step but the last takes four stages
+    assert np.all(out.meta["stages"][:-1] == 4) and out.meta["stages"].dtype == np.int64
 
 
 def test_active_cells_reports_the_window():
@@ -708,7 +732,7 @@ def test_active_cells_reports_the_window():
     jump = PhysicalState(x, np.where(np.arange(n) < 60, 1.05, 0.95), np.zeros(n), 0.0)
     out = run(jump, SolverConfig(), LAW, limits, [0.5])
     assert out.meta["active_cells"].shape == out.meta["dt"].shape
-    # cells 54..65 can change, computed as the blocks of cells 48..79
+    # cells 52..67 can change, computed as the blocks of cells 48..79
     assert out.meta["active_cells"][0] == 32 < n
 
 

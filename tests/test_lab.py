@@ -117,7 +117,7 @@ def test_envelope_check_without_an_envelope_says_so(tmp_path):
     assert np.isnan(rep.envelope).all()
     res = envelope_check(rep)
     assert not res.passed
-    assert res.detail == ("theta = 0.6000, theta_lt_half = False, mu = 0.1000, K = 0.1000, "
+    assert res.detail == ("theta = 0.6000, envelope_proved = False, mu = 0.1000, K = 0.1000, "
                           "E0 = 1.0000e+00: the paper proves no envelope unless theta < 1/2")
 
 

@@ -147,6 +147,19 @@ class TestSolve:
         assert NEWTON_TOL < np.max(np.abs(prof.ode_residual[1:-1])) <= 3.9e-10
         assert max(abs(prof.rho_star[1] - 1.05), abs(prof.rho_star[-2] - 0.95)) <= TAIL_TOL
 
+    def test_converged_profile_takes_p_once(self):
+        # p and p' of the converged rho* come from one evaluation, the last
+        # accepted residual's, which n* and the stored residual reuse; the
+        # stored residual is that residual, 0 at the pinned ends
+        seen, p_dp = [], PressureLaw._p_dp
+        with mock.patch.object(PressureLaw, "_p_dp", lambda law, z, *args: (
+                seen.append(np.array(z)) or p_dp(law, z, *args))):
+            prof = solve_profile(GOLDEN_LIMITS, LAW, dy=0.01)
+        assert sum(np.array_equal(z, prof.rho_star) for z in seen) == 1
+        assert prof.ode_residual[0] == prof.ode_residual[-1] == 0.0
+        residual, _ = _ode_residual(prof.rho_star, prof.y, prof.dy, LAW, GOLDEN_LIMITS.alpha)
+        assert residual.tobytes() == prof.ode_residual.tobytes()
+
     def test_newton_stall_above_the_floor_raises(self):
         # a Newton direction of zero stalls the line search at the residual
         # of the tanh start, far above the floor
@@ -197,7 +210,7 @@ class TestRefinement:
         norms = []
         for step in (8, 4):
             y = fine.y[on][::step]
-            r = _ode_residual(fine.rho_star[on][::step], y, step * fine.dy, LAW, 1.0)
+            r, _ = _ode_residual(fine.rho_star[on][::step], y, step * fine.dy, LAW, 1.0)
             inner = np.abs(y[1:-1]) <= 10.0
             norms.append(np.max(np.abs(r[1:-1][inner])))
         factor = norms[0] / norms[1]
