@@ -1,17 +1,26 @@
 """Finite-volume solver for the damped Euler system in physical variables.
 
 Rusanov (local Lax-Friedrichs) fluxes of MUSCL/minmod face states, Dirichlet
-ghost cells frozen at the far-field states, and the friction term integrated
-exactly (m <- m exp(-alpha dt)) in a Strang splitting around the s-stage,
-second-order SSPRK(s,2) (Ketcheson 2008), whose SSP coefficient is s - 1.
-With fe = cfl dx / max(|u| + sqrt(p')), the forward-Euler step, a step
-takes dt = min(3 fe, t_stop - t) and the fewest stages s, 2 to `_STAGES` =
-4, whose forward-Euler steps dt/(s-1) are at most fe: so every stage keeps
-the Courant number at most cfl, an unclipped step is SSPRK(4,2) at three
-times fe, and a step cut to a snapshot or merge time takes two or three.
-The step ends at u0 + (dt/s)(L0 + ... + L(s-1)), and the boundary-flux
-ledger weighs the stages' sums by dt/(2 s) (the RHS returns twice the
-fluxes, below).
+ghost cells frozen at the far-field states, and the s-stage, second-order
+SSPRK(s,2) (Ketcheson 2008), whose SSP coefficient is s - 1, in
+integrating-factor form (Isherwood, Grant & Gottlieb 2018): it steps
+e^(alpha t) m, so the friction is exact inside every stage, not split
+around the step.  With fe = cfl dx / max(|u| + sqrt(p')), the forward-Euler
+step, a step takes dt = min(3 fe, t_stop - t) and the fewest stages s, 2 to
+`_STAGES` = 4, whose forward-Euler steps h = dt/(s-1) are at most fe: so
+every stage keeps the Courant number at most cfl, an unclipped step is
+SSPRK(4,2) at three times fe, and a step cut to a snapshot or merge time
+takes two or three.  Stage i, at time c_i = i h, is rho + h L_rho and
+q (m + h L_m), q = e^(-alpha h); the step ends at rho0 + (dt/s) sum L_rho,i
+and e^(-alpha dt) m0 + (dt/s) sum e^(-alpha (dt - c_i)) L_m,i.  The c_i do
+not decrease, so each stage is still a forward-Euler step of a decayed
+state and the SSP bound holds; the density update is the plain SSPRK(s,2)
+one.  The boundary-flux ledger weighs the stages' sums by dt/(2 s) (the RHS
+returns twice the fluxes, below), and the friction sink takes the rest:
+(1 - e^(-alpha dt)) m0 dx summed, plus each stage's net boundary momentum
+inflow times 1 - e^(-alpha (dt - c_i)).  Late in a run, where m nears
+Darcy's law -p(rho)_x / alpha, a split friction perturbs that balance at
+O((alpha dt)^2); the late error against the reference gate fell about 3x.
 
 Kernel contract.  Density is > 0 throughout: `PhysicalState`,
 `numerical_flux` and `_Workspace` (the far field) check it where it enters,
@@ -36,11 +45,12 @@ reads; `run` keeps it until the window (which only grows, by blocks of 16
 cells) or the grid changes, so a step that keeps it allocates no array.
 Scalar operands are 0-d arrays, module constants or workspace slots (1/2;
 -2 dx and the far-field bits, fixed for the workspace's grid; dt/(s-1),
-dt/s and the friction decay, which the step writes in place); `thermo._p` and
-`_dp` take k and gamma as Python floats, which as 0-d arrays measured no
-gain.  Reductions call the ufunc's reduce, not the ndarray methods that
-wrap it: on a window of a few hundred cells, most of a call is its fixed
-cost.
+dt/s and the friction decays q and e^(-alpha dt), which the step writes in
+place; the m row of a block is weighted through them, as a (2, 1) weight
+would allocate a (2, k) buffer); `thermo._p` and `_dp` take k and gamma
+as Python floats, which as 0-d arrays measured no gain.  Reductions call
+the ufunc's reduce, not the ndarray methods that wrap it: on a window of a
+few hundred cells, most of a call is its fixed cost.
 
 Active window.  `step` and `run` share one step, `_advance`, which computes
 its stages only on the cells `_window` finds the step can change: all but
@@ -51,11 +61,11 @@ two-cell MUSCL stencil) away from any other, rounded out to whole blocks of
 The scheme leaves those cells bit for bit as they are, so the window
 changes no result: the window's edge faces see only far-field data and give
 the boundary fluxes, the CFL maximum takes one far-field cell on each side,
-and the friction sink is summed over the full grid in numpy's pairwise
-order.  The step writes its window into the state in place once all its
-checks have passed (`run` steps its own copy of the initial state, `step` a
-copy of its argument), and the next scan reads only the window of the
-workspace it returns, the cells it wrote.
+and the friction sink of m0 is summed over the full grid in numpy's
+pairwise order.  The step writes its window into the state in place once
+all its checks have passed (`run` steps its own copy of the initial state,
+`step` a copy of its argument), and the next scan reads only the window of
+the workspace it returns, the cells it wrote.
 
 The time loop checks states, not faces, on the window: `_check` rejects NaN,
 inf and a density that is not > 0 after each stage, and a `run` step whose
@@ -65,14 +75,17 @@ is NaN.
 
 Parabolic coarsening.  The diffusion wave spreads like sqrt(1+t), and the
 diagnostics read it in y = x/sqrt(1+t), so `run` keeps the scaled cell size
-dx/sqrt(1+t) at most the initial dx: each time sqrt((1+t)/(1+t0)) reaches a
-power of 2 it steps to that time exactly, takes any snapshot due there, and
-merges each pair of cells into one whose x, rho and m are the pair means
-(`_coarsen`), a conservative 2:1 restriction.  The run goes on with twice
-the dx and about twice the CFL dt.  Far-field cells keep their bits, as
-(a + a)/2 = a, so the active window carries over.  Each snapshot keeps the
-x of its own grid.  An odd cell count or a grid of two cells stops the
-merging.
+dx/sqrt(1+t) within a factor sqrt(2) of the initial dx: each time
+sqrt((1+t)/(1+t0)) reaches sqrt(2) times a power of 2 (t = 1, 7, 31, ...
+from t0 = 0) it steps to that time exactly, takes any snapshot due there,
+and merges each pair of cells into one whose x, rho and m are the pair
+means (`_coarsen`), a conservative 2:1 restriction.  The run goes on with
+twice the dx and about twice the CFL dt.  Merging a half-octave earlier
+than at powers of 2 spends the accuracy the unsplit friction gains late in
+the run: the jump run takes 713 steps, not 1027.  Far-field cells keep
+their bits, as (a + a)/2 = a, so the active window carries over.  Each
+snapshot keeps the x of its own grid.  An odd cell count or a grid of two
+cells stops the merging.
 """
 
 from __future__ import annotations
@@ -270,9 +283,10 @@ class _Workspace(_Faces):
         self.window_loss = self.loss[lo:hi]
         self.far_bits = _bits(limits.rho_minus), _bits(limits.rho_plus)
         # the divergence's divisor -2 dx; set by `_advance` each step: the
-        # stage step dt/(s-1), acc's weight dt/s, the decay
+        # stage step h = dt/(s-1), acc's weight dt/s, and the friction decays
+        # over h and over dt
         self.neg_dx = np.array(-2.0 * dx)
-        self.h, self.weight, self.decay = (np.empty(()) for _ in range(3))
+        self.h, self.weight, self.q, self.decay = (np.empty(()) for _ in range(4))
 
 
 def _hyperbolic_rhs(ws, S, law, out):
@@ -342,7 +356,7 @@ _MARGIN = 2 * _STAGES
 # The step computes whole blocks of cells, so that a growing window allocates
 # its arrays in few sizes, which malloc reuses; with a new size every few
 # steps the heap fragmented and the peak memory of a run grew.  Blocks also
-# bound the workspace rebuilds: 138 of the 1027 steps of the jump run.
+# bound the workspace rebuilds: 105 of the 713 steps of the jump run.
 _BLOCK = 16
 
 
@@ -361,16 +375,16 @@ def _leading(flags):
 
 
 def _window(rho, m, limits, ws=None):
-    """[lo, hi) = [P - 6, n - S + 6) clipped to the grid: the cells one step
-    can change.
+    """[lo, hi) = [P - `_MARGIN`, n - S + `_MARGIN`) clipped to the grid: the
+    cells one step can change.
 
     P leading cells hold the bits of the left ghost cells (rho_-, +0.0) and
     S trailing cells those of the right ones (rho_+, +0.0); the bits, not
     the values, so that a -0.0 is not taken for a 0.0.  A cell outside the
     window sees only far-field data in every stage, so its flux difference
-    is exactly 0, its friction 0 e^(-alpha dt) = 0, and the step leaves its
-    bits as they are.  A grid that is far field throughout gets the full
-    range.  Given the workspace ws of the last step on this grid, only its
+    is exactly 0, its decayed momentum e^(-alpha dt) 0 = 0, and the step
+    leaves its bits as they are.  A grid that is far field throughout gets
+    the full range.  Given the workspace ws of the last step on this grid, only its
     window [a, b), the cells that step wrote, is scanned, into ws's flags:
     the others kept their bits, so the runs reach a and n - b, and a run
     that fills the window meets the other side's far field, or gives the
@@ -409,10 +423,11 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     the others keep their bits.  The state is written once every check of the
     step has passed.  Without dt, (_STAGES - 1) forward-Euler steps fe, cut to
     end at t_stop at the latest; a given dt is taken as it is.  Either way
-    the step takes `_stages(dt, fe)` stages.  Returns dt, the stage count, the
-    boundary fluxes (mass left, right, momentum left, right), the friction
-    sink integrated over the step, and the workspace whose key (lo, hi, n)
-    names the cells [lo, hi) written: ws, or a new one.
+    the step takes `_stages(dt, fe)` stages of the integrating-factor
+    SSPRK(s,2) (module docstring).  Returns dt, the stage count, the boundary
+    fluxes integrated over the step (mass left, right, momentum left, right),
+    the friction sink, and the workspace whose key (lo, hi, n) names the
+    cells [lo, hi) written: ws, or a new one.
     """
     dx, t, n = state.dx, state.t, state.x.size
     lo, hi = _window(state.rho, state.m, limits, ws)
@@ -433,32 +448,46 @@ def _advance(state, cfg, law, alpha, limits, dt=None, t_stop=math.inf, ws=None):
     # A holds the stage-0 state, B the later ones and the result; a stage sum
     # is one call on (2, k) blocks, whose far-field ghost cells keep their bits
     (A, B), ((rho_a, m_a), (rho_b, m_b)), (acc, div) = ws.blocks, ws.cells, ws.pads
-    h, weight, decay = ws.h, ws.weight, ws.decay
+    acc_m, h, weight, q, decay = ws.acc[1], ws.h, ws.weight, ws.q, ws.decay
     np.copyto(rho_a, rho)
+    np.copyto(m_a, m)
 
-    # libm's exp, whose bits hold on any x86-64 CPU, unlike numpy's
-    decay[()] = math.exp(-alpha * dt / 2.0)
-    sink = _sink(ws, m, np.multiply(m, decay, out=m_a), dx)
-    # SSPRK(s,2): s forward-Euler stages of dt/(s-1), combined as
-    # u0 + (dt/s)(L0 + ... + L(s-1)).  A far-field L is -0.0, so this form
-    # keeps every far-field bit; the Shu-Osher form does not.
-    h[()], weight[()] = dt / (stages - 1), dt / stages
-    ends = _hyperbolic_rhs(ws, ws.stages[0], law, ws.acc)
+    # SSPRK(s,2) in integrating-factor form: s forward-Euler stages of
+    # h = dt/(s-1) on e^(alpha t) m, at times c_i = i h, so a stage is
+    # rho + h L_rho and q (m + h L_m), q = e^(-alpha h), and the step ends at
+    # u0 + (dt/s) sum L_i with m0 and each L_m,i decayed to the step's end:
+    # e^(-alpha dt) m0 + (dt/s) sum q^(s-1-i) L_m,i, the sum taken by Horner's
+    # rule in acc.  A far-field L is -0.0, so this form keeps every far-field
+    # bit; the Shu-Osher form does not.  libm's exp, whose bits hold on any
+    # x86-64 CPU, unlike numpy's.
+    stage_dt = dt / (stages - 1)
+    h[()], weight[()] = stage_dt, dt / stages
+    q[()], decay[()] = math.exp(-alpha * stage_dt), math.exp(-alpha * dt)
+    fluxes = [_hyperbolic_rhs(ws, ws.stages[0], law, ws.acc)]
     np.add(A, np.multiply(acc, h, out=B), out=B)
+    m_b *= q
     _check(B)
+    m_a *= decay
+    # the friction loss of m0 over the step, summed in full-grid order
+    sink = _sink(ws, m, m_a, dx)
     for i in range(2, stages + 1):
-        ends = tuple(a + b for a, b in zip(ends, _hyperbolic_rhs(ws, ws.stages[1], law, ws.div)))
+        fluxes.append(_hyperbolic_rhs(ws, ws.stages[1], law, ws.div))
+        acc_m *= q
         acc += div
         if i < stages:
             B += np.multiply(div, h, out=div)
+            m_b *= q
             _check(B)
-    # the RHS returns twice the boundary fluxes: dt/(2s) is dt/s times the 1/2
-    fm = tuple(dt / (2 * stages) * a for a in ends)
     np.add(A, np.multiply(acc, weight, out=B), out=B)
     _check(B)
-    m_d = np.multiply(m_b, decay, out=m_a)
-    sink += _sink(ws, m_b, m_d, dx)
-    rho[:], m[:], state.t = rho_b, m_d, t + dt
+    # The RHS returns twice the boundary fluxes: dt/(2s) is dt/s times the
+    # 1/2.  Stage i's net momentum inflow reaches the step's end decayed by
+    # e^(-alpha (dt - c_i)); the rest of it is friction loss.
+    half_weight = dt / (2 * stages)
+    fm = tuple(half_weight * sum(ends) for ends in zip(*fluxes))
+    sink += half_weight * sum(-math.expm1(-alpha * (dt - i * stage_dt)) * (f[2] - f[3])
+                              for i, f in enumerate(fluxes))
+    rho[:], m[:], state.t = rho_b, m_b, t + dt
     return dt, stages, fm, sink, ws
 
 
@@ -521,8 +550,8 @@ def run(initial, cfg, law, limits, times):
     # typed arrays: 8 bytes a step each, not a float object and a pointer
     audit = {name: array("q" if name in _COUNTS else "d") for name in _AUDIT}
     total_fm = total_fp = total_sink = 0.0
-    # the next time sqrt((1+t)/(1+t0)) reaches a power of 2
-    t_merge = 4.0 * (1.0 + initial.t) - 1.0
+    # the next time sqrt((1+t)/(1+t0)) reaches sqrt(2) times a power of 2
+    t_merge = 2.0 * (1.0 + initial.t) - 1.0
     coarsen, ws = True, None
 
     for target in ts[1:]:

@@ -305,6 +305,18 @@ def check_solver_audits():
     ok &= rel_drift <= 1e-10
     msgs.append(f"mass conservation drift {rel_drift:.1e}")
 
+    # the momentum ledger: momentum change = boundary flux - friction sink,
+    # across the merges too, on both acceptance runs, on the mass's scale
+    # (the coincident run's momentum is rounding noise)
+    imbalance = 0.0
+    for r in (rep, _report("jump")):
+        meta, first = r.run_result.meta, r.run_result.snapshots[0]
+        ledger = (meta["momentum"] - first.momentum - meta["boundary_flux_momentum"]
+                  + meta["damping_sink"])
+        imbalance = max(imbalance, float(np.max(np.abs(ledger))) / first.mass)
+    ok &= imbalance <= 1e-10
+    msgs.append(f"momentum ledger drift {imbalance:.1e}")
+
     # spatially constant state: exact exponential momentum decay
     law = PressureLaw(1.0, 2.0)
     limits = LimitSpec(1.0, 1.0, 1.0)

@@ -22,7 +22,8 @@ tenth of the gap from <name>.json.  Regenerate only when the program's
 answer is meant to change, and record why in CHANGES.md.  With --check it
 writes nothing and runs nothing beyond the acceptance runs: for each config
 it prints max |E - stored E| as a fraction of the stored gap, the number
-the scalar gate bounds; for `ref`, each of the reference gate's four errors
+the scalar gate bounds; for `ref`, each run's steps and RHS calls, which
+the accuracy was bought with, and each of the reference gate's four errors
 and the share of its bound spent.  For `bits` it prints `bits: identical`,
 or the first artifact, column and tau whose bits differ from bits.json.
 That line is not a test: the bits depend on the numpy build, whose version
@@ -60,9 +61,10 @@ CHOICES = (*NAMES, REF, BITS)
 # are each config's (max |E - E_ref|, late max |E - E_ref|/E_ref) under the
 # fixed three-stage SSPRK(3,2) step, frozen, against the E_ref of
 # <name>_ref.json; FACTORS the multiple of each a scheme may reach.  A
-# factor of 2 on the late error passes the SSPRK(s,2) step of up to four
-# stages (1.79 and 1.78) and fails up to five (2.90 and 2.86); CHANGES.md
-# records the variants it fails.
+# factor of 2 on the late error passed the Strang-split SSPRK(s,2) step of
+# up to four stages (1.79 and 1.78) and failed up to five (2.90 and 2.86);
+# with the friction inside the stages and merges a half-octave earlier the
+# late errors read 1.69 and 1.45; CHANGES.md records the variants it fails.
 LATE_TAU = 2.5
 REF_DX_DIVISOR, BAR_DX_DIVISOR = 8, 4
 ANCHORS = {"jump": (1.340e-4, 1.800e-2), "coincident": (5.831e-6, 1.383e-4)}
@@ -163,6 +165,9 @@ def check(names):
                 report, ref = verify._report(config), load_reference(config)
                 if not np.array_equal(report.tau, ref["tau"]):
                     raise RuntimeError(f"{config}: snapshot times differ from the reference")
+                meta = report.run_result.meta
+                print(f"{config}: {meta['dt'].size} steps, "
+                      f"{int(meta['stages'].sum())} RHS calls")
                 for label, error, bound in reference_gate(config, report.E, ref):
                     print(f"{config}: {label} = {error:.3e}, "
                           f"{error / bound:.4f} of the bound {bound:.3e}")

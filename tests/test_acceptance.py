@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from importlib.resources import files
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,7 +18,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from diffusionwave import lab, verify
+from diffusionwave import dynamics, lab, verify
+from diffusionwave.dynamics import _coarsen
 from diffusionwave.lab import EntropyReport, cell_grid, parse_config
 from diffusionwave.verify import ALL_CHECKS
 
@@ -89,12 +91,28 @@ def test_envelope_check_needs_theta_below_one_half(monkeypatch):
     assert result.passed and "envelope_proved = True" in result.detail
 
 
+def test_solver_audit_sees_momentum_lost_at_a_merge(monkeypatch):
+    # a merge that keeps each pair's left m, not the pair mean, conserves
+    # mass but not momentum: the audit's momentum ledger fails it
+    def left_m(state):
+        merged = _coarsen(state)
+        merged.m = state.m[0::2].copy()
+        return merged
+
+    monkeypatch.setattr(dynamics, "_coarsen", left_m)
+    monkeypatch.setattr(verify, "_report", lru_cache(maxsize=None)(verify._report.__wrapped__))
+    result = verify.check_solver_audits()
+    drift = float(result.detail.split("momentum ledger drift ")[1].split(";")[0])
+    assert not result.passed and drift > 1e-9
+
+
 # The scalar gate, a regression guard: a tenth of the fine-coarse gap from
 # the stored series.  Zeroed MUSCL slopes (`slopes *= 0` in
 # `_hyperbolic_rhs`, a first-order space discretization) sat at 1.72 of the
 # jump gap and 24.9 of the coincident one, doubling dx at about 1.0 of
-# both; the series were last written on the SSPRK(s,2) step of up to four
-# stages (tests/data/make_series.py --check prints the share).  It measures
+# both; the series were last written on the integrating-factor SSPRK(s,2)
+# step of up to four stages, merging at t = 1, 7 and 31
+# (tests/data/make_series.py --check prints the share).  It measures
 # distance from a stored answer, not error, and from tau = 2.6 on an E that
 # is off by 100 % passes it on jump; the reference gate below sees that.
 GATE = 0.1
@@ -118,9 +136,10 @@ def test_reference_gate(name):
     # each acceptance run's error against E_ref, this solver's run at dx/8
     # (tests/data/<name>_ref.json), in two forms that see every tau: within
     # make_series.FACTORS of the SSPRK(3,2) step's errors (ANCHORS) plus the
-    # error bar |E_dx/4 - E_dx/8|.  It fails zeroed slopes, doubled dx,
-    # merges a half-octave earlier and a five-stage cap (CHANGES.md); the
-    # runs are the cached acceptance runs, so it simulates nothing new
+    # error bar |E_dx/4 - E_dx/8|.  It fails zeroed slopes, doubled dx, a
+    # five-stage cap and the friction Strang-split around the step at
+    # today's merges (CHANGES.md); the runs are the cached acceptance runs,
+    # so it simulates nothing new
     ref = make_series.load_reference(name)
     report = verify._report(name)
     assert np.array_equal(report.tau, ref["tau"])

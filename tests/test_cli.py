@@ -38,7 +38,8 @@ tau_step = 0.25
 """
 JUMP_CFG = (FAST_CFG.replace("rho_minus = 1.0", "rho_minus = 1.05")
             .replace("rho_plus = 1.0", "rho_plus = 0.95"))
-# to t = e^1.5 - 1 = 3.48: past t = 3, where the solver merges cell pairs
+# to t = e^1.5 - 1 = 3.48: past t = 1, where the solver merges cell pairs,
+# and short of the next merge, at t = 7
 MERGED_JUMP_CFG = (JUMP_CFG.replace("tau_max = 0.5", "tau_max = 1.5")
                    .replace("L_y = 4.0", "L_y = 2.0"))
 
@@ -261,7 +262,7 @@ def test_in_dir_series_matches_self_contained(tmp_path, cfg_file, limits):
     assert main(["simulate", "--config", str(cfg_file),
                  "--out-dir", str(snap_dir)]) == 0
     if limits == "jump-merged":
-        # snapshots on two grids: 160 cells up to t = 3, 80 after, each file
+        # snapshots on two grids: 160 cells up to t = 1, 80 after, each file
         # with the dx of its own grid
         grids = {(cols["x"].size, round(head["dx"], 12))
                  for head, cols in map(read_csv, snap_dir.glob("snapshot_*.csv"))}

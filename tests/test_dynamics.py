@@ -1,5 +1,6 @@
 """Finite-volume solver: fluxes, stepping, audits, grid self-convergence."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -355,6 +356,31 @@ class TestStep:
             orders = np.log2(np.divide(errors[:-1], errors[1:]))
             assert np.all((orders >= 1.8) & (orders <= 2.2)), (stages, errors, orders)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("stages", [2, 3, 4])
+    def test_step_is_integrating_factor_ssprk(self, stages, alpha):
+        # one step against SSPRK(s,2) on e^(alpha t) m written out with
+        # _ref_rhs: stages rho + h L_rho and e^(-alpha h) (m + h L_m), h =
+        # dt/(s - 1), ending at rho0 + (dt/s) sum L_rho,i and e^(-alpha dt) m0
+        # + (dt/s) sum e^(-alpha (dt - i h)) L_m,i
+        state = _jump_state(64)
+        state.m[:] = 0.1 * np.sin(state.x) * (np.abs(state.x) < 2.5)
+        dx, dt = state.dx, 0.03 * (stages - 1)
+        h = dt / (stages - 1)
+        rho, m, rhs = state.rho, state.m, []
+        for _ in range(stages):
+            rhs.append(_ref_rhs(rho, m, dx, LAW, JUMP))
+            rho = rho + h * rhs[-1][0]
+            m = math.exp(-alpha * h) * (m + h * rhs[-1][1])
+        rho = state.rho + dt / stages * sum(d_rho for d_rho, _ in rhs)
+        m = math.exp(-alpha * dt) * state.m + dt / stages * sum(
+            math.exp(-alpha * (dt - i * h)) * d_m for i, (_, d_m) in enumerate(rhs))
+        with mock.patch.object(dynamics, "_stages", lambda dt, fe: stages):
+            new = step(state, SolverConfig(), LAW, alpha, JUMP, dt)
+        assert new.t == dt
+        assert np.allclose(new.rho, rho, rtol=1e-14, atol=0)
+        assert np.allclose(new.m, m, rtol=0, atol=1e-15)
+
     def test_constant_state_exact_damping(self):
         state = _constant_state()
         cfg = SolverConfig(cfl=0.45)
@@ -384,7 +410,7 @@ class TestStep:
 class TestRun:
     def test_conservation_audit(self):
         # density bump around 1: mass change equals net boundary flux, also
-        # across the merges of cell pairs at t = 3 and t = 15
+        # across the merges of cell pairs at t = 1 and t = 7; the next is at 31
         n, dx = 400, 0.05
         x = (np.arange(n) + 0.5) * dx - 10.0
         rho = 1.0 + 0.2 * np.exp(-(x**2))
@@ -392,7 +418,7 @@ class TestRun:
         out = run(state, SolverConfig(), LAW, UNIT, [16.0])
         meta = out.meta
         assert out.final.x.size == n // 4
-        assert list(meta["t"][np.flatnonzero(np.diff(meta["dx"]))]) == [3.0, 15.0]
+        assert list(meta["t"][np.flatnonzero(np.diff(meta["dx"]))]) == [1.0, 7.0]
         drift = np.abs(meta["mass"] - state.mass - meta["boundary_flux_mass"])
         assert np.max(drift) <= 1e-10 * state.mass
 
@@ -528,7 +554,7 @@ def test_window_run_matches_full_grid_steps(problem):
 
 def _padded(state, limits):
     """state inside 100 more far-field cells per side, an even count: a run
-    across the merge at t = 3 whose window grows and leaves cells out on
+    across the merge at t = 1 whose window grows and leaves cells out on
     both sides after the merge."""
     pad = 100 + state.x.size % 2
     rho = np.r_[np.full(pad, limits.rho_minus), state.rho, np.full(100, limits.rho_plus)]
@@ -540,7 +566,7 @@ def _padded(state, limits):
 @settings(max_examples=60, deadline=None)
 def test_incremental_window_matches_full_scan(problem):
     # every scan of the previous step's window finds what a scan of the
-    # whole grid finds, on a run across the merge at t = 3
+    # whole grid finds, on a run across the merge at t = 1
     state, law, limits = problem
     state = _padded(state, limits)
     window, window_scans = dynamics._window, []
@@ -721,8 +747,12 @@ def test_stages_count_the_rhs_calls():
         assert out.meta["stages"].sum() == len(calls)
         if stages is not None:
             assert list(out.meta["stages"]) == stages
-    # the long run: every step but the last takes four stages
-    assert np.all(out.meta["stages"][:-1] == 4) and out.meta["stages"].dtype == np.int64
+    # the long run crosses the merge at t = 1: every step but the one cut to
+    # it and the last takes four stages
+    t = out.meta["t"]
+    cut = (t == 1.0) | (t == t[-1])
+    assert np.count_nonzero(cut) == 2 and out.meta["stages"].dtype == np.int64
+    assert np.all(out.meta["stages"][~cut] == 4)
 
 
 def test_active_cells_reports_the_window():
@@ -761,7 +791,7 @@ def test_coarsen_keeps_far_field_bits():
 
 
 def test_merge_keeps_far_field_and_window():
-    # waves from x = 0 stay well inside x = +-25.6 up to t = 3.5
+    # waves from x = 0 stay well inside x = +-25.6 up to t = 3.5, one merge in
     state = _jump_state(512)
     out = run(state, SolverConfig(), LAW, JUMP, [3.5])
     final, meta = out.final, out.meta
@@ -769,7 +799,7 @@ def test_merge_keeps_far_field_and_window():
     # the edge cells still hold the far field to the bit, +0.0 momentum too
     assert _same_bits((final.rho[:8], np.full(8, 1.05)), (final.rho[-8:], np.full(8, 0.95)),
                       (final.m[:8], np.zeros(8)), (final.m[-8:], np.zeros(8)))
-    after = meta["t"] > 3.0
+    after = meta["t"] > 1.0
     assert np.all(meta["dx"][after] == final.dx) and np.all(meta["dx"][~after] == state.dx)
     # the window still leaves out far-field cells of the merged grid
     assert 0 < meta["active_cells"][after].max() < final.x.size
@@ -787,22 +817,23 @@ def test_merge_skipped_on_odd_grids(n, final_n):
     assert np.unique(out.meta["dx"]).size == (2 if final_n < n else 1)
     if final_n == n:
         # and no step was cut short at a merge time
-        assert not np.any(np.isin(out.meta["t"], [3.0, 15.0]))
+        assert not np.any(np.isin(out.meta["t"], [1.0, 7.0]))
 
 
 def test_merge_times_count_from_the_initial_time():
-    # from t0 = 5, sqrt((1+t)/(1+t0)) = 2 at t = 23; no step goes back to 3
+    # from t0 = 5, sqrt((1+t)/(1+t0)) = sqrt(2) at t = 11; no step goes back
+    # to 1, and the next merge, at 47, lies past the run
     state = _jump_state(t=5.0)
     out = run(state, SolverConfig(), LAW, JUMP, [24.0])
     t, dx = out.meta["t"], out.meta["dx"]
     assert np.all(out.meta["dt"] > 0) and np.all(np.diff(t) > 0) and t[0] > 5.0
-    assert list(t[np.flatnonzero(np.diff(dx))]) == [23.0]
+    assert list(t[np.flatnonzero(np.diff(dx))]) == [11.0]
 
 
 def test_window_run_across_a_merge_matches_full_grid():
     # a snapshot due at the merge time is taken on the grid before it
     state = _jump_state()
-    times = (1.0, 3.0, 3.25, 3.5)
+    times = (0.5, 1.0, 1.25, 1.5)
     out = run(state, SolverConfig(), LAW, JUMP, times)
     with _full_window():
         full = run(state, SolverConfig(), LAW, JUMP, times)
@@ -818,8 +849,9 @@ def test_window_run_across_a_merge_matches_full_grid():
 
 def _tanh_final(n, order):
     """The state at t = 1 from the cell averages of rho = 1 - 0.2 tanh x at
-    rest on n cells of [-12, 12]: before the first merge at t = 3, and with
-    the waves still far from the edges."""
+    rest on n cells of [-12, 12]: on the initial grid, as the snapshot due at
+    the first merge, t = 1, precedes it, and with the waves still far from
+    the edges."""
     dx = 24.0 / n
     edges = np.arange(n + 1) * dx - 12.0
     # log cosh is the antiderivative of tanh
